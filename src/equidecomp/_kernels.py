@@ -1,8 +1,7 @@
 """Hot integer kernels for the box-flow construction.
 
 Everything here works on int64 numerators at a fixed power-of-two scale, so
-the numba and numpy paths agree bit for bit.  The central quantity is the
-per-level phase sum
+the results are exact.  The central quantity is the per-level phase sum
 
     T_gamma[v] = sum over box phases p of count(p, gamma) * SB[v - p + qoff(p, gamma)]
 
@@ -18,8 +17,6 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-
-from ._accel import njit, use_numba
 
 
 def subbox_sums(grid: np.ndarray, side: int) -> np.ndarray:
@@ -75,8 +72,10 @@ def phase_tables(n: int, gamma: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray
     return counts, qoff
 
 
-def _phase_sum_numpy(sb: np.ndarray, L: int, n: int,
-                     gamma: Tuple[int, ...]) -> np.ndarray:
+def phase_sum(sb: np.ndarray, L: int, n: int, gamma: Tuple[int, ...]) -> np.ndarray:
+    """Sum over all 2^(n d) box phases of count * sub-box-sum for the edge
+    direction gamma, on the window grid (zero outside the level-n valid
+    region [2^n - 1, L - 2^n]^d)."""
     d = len(gamma)
     a, b = (1 << n) - 1, L - (1 << n)
     out = np.zeros((L,) * d, dtype=np.int64)
@@ -95,67 +94,6 @@ def _phase_sum_numpy(sb: np.ndarray, L: int, n: int,
         src = tuple(slice(int(s), int(s) + extent) for s in start)
         out[dst] += c * sb[src]
     return out
-
-
-@njit(cache=True)
-def _phase_sum_loop(sb_flat, sb_strides, out_flat, out_strides,
-                    a, b, d, counts, offs):  # pragma: no cover - jitted
-    coords = np.full(d, a, dtype=np.int64)
-    base_sb = 0
-    base_out = 0
-    for j in range(d):
-        base_sb += a * sb_strides[j]
-        base_out += a * out_strides[j]
-    nph = counts.shape[0]
-    done = False
-    while not done:
-        acc = 0
-        for i in range(nph):
-            acc += counts[i] * sb_flat[base_sb + offs[i]]
-        out_flat[base_out] = acc
-        j = d - 1
-        while True:
-            if j < 0:
-                done = True
-                break
-            coords[j] += 1
-            base_sb += sb_strides[j]
-            base_out += out_strides[j]
-            if coords[j] <= b:
-                break
-            back = coords[j] - a
-            base_sb -= back * sb_strides[j]
-            base_out -= back * out_strides[j]
-            coords[j] = a
-            j -= 1
-
-
-def _phase_sum_numba(sb: np.ndarray, L: int, n: int,
-                     gamma: Tuple[int, ...]) -> np.ndarray:
-    d = len(gamma)
-    a, b = (1 << n) - 1, L - (1 << n)
-    out = np.zeros((L,) * d, dtype=np.int64)
-    if a > b:
-        return out
-    counts, qoff = phase_tables(n, gamma)
-    keep = counts > 0
-    side = 1 << n
-    p = np.indices((side,) * d, dtype=np.int64).reshape(d, -1).T
-    sb_strides = np.array([s // sb.itemsize for s in sb.strides], dtype=np.int64)
-    out_strides = np.array([s // out.itemsize for s in out.strides], dtype=np.int64)
-    offs = ((qoff[keep] - p[keep]) * sb_strides).sum(axis=1).astype(np.int64)
-    _phase_sum_loop(sb.reshape(-1), sb_strides, out.reshape(-1), out_strides,
-                    a, b, d, np.ascontiguousarray(counts[keep]), offs)
-    return out
-
-
-def phase_sum(sb: np.ndarray, L: int, n: int, gamma: Tuple[int, ...]) -> np.ndarray:
-    """Sum over all 2^(n d) box phases of count * sub-box-sum for the edge
-    direction gamma, on the window grid (zero outside the level-n valid
-    region [2^n - 1, L - 2^n]^d)."""
-    if use_numba():
-        return _phase_sum_numba(sb, L, n, gamma)
-    return _phase_sum_numpy(sb, L, n, gamma)
 
 
 def level_edge_grid(sb: np.ndarray, L: int, n: int,

@@ -164,8 +164,8 @@ class ArrayDinic:
         return seen
 
 
-def solve_supply_flow(n: int, dinic: ArrayDinic, supply: np.ndarray,
-                      source_cap_edges=None) -> Tuple[bool, np.ndarray]:
+def solve_supply_flow(n: int, dinic: ArrayDinic,
+                      supply: np.ndarray) -> Tuple[bool, np.ndarray]:
     """Route the given integer vertex supplies (positive = excess to ship,
     negative = demand) through an ArrayDinic whose first `n` vertices are
     the real graph; vertices n and n+1 are reserved for source and sink.

@@ -22,11 +22,10 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, build_config, load_config
 from .equidecompose import PieceMap, verify_equidecomposition
-from .flowgrid import (certify_box_envelope, dump_edge_field, residual_num,
-                       tail_bound, truncated_psi, truncation_error_bound)
+from .flowgrid import dump_edge_field
 from .integralize import integralize_flow
 from .lattice import fit_discrepancy_envelope, sample_field
-from .pipeline import PipelineError, repair_to_frontier, run_pipeline
+from .pipeline import PipelineError, build_flow, run_pipeline
 from .report import (SchemaError, piece_raster, read_json, read_pieces_csv,
                      write_json, write_pieces_csv, write_ppm)
 from .tiling import Net, rect_tiling, voronoi_tiling
@@ -68,51 +67,46 @@ def cmd_discrepancy(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _flow_stage(cfg: RunConfig):
-    window = cfg.window()
-    action = cfg.action()
+# The config writes "automatic" as x0 = (), eps = 0 and cover_i_max = -1,
+# the library as None; these three helpers are the only translation.
+
+def _x0(cfg: RunConfig) -> Optional[np.ndarray]:
+    return np.array(cfg.x0) if cfg.x0 else None
+
+
+def _flow_args(cfg: RunConfig) -> dict:
+    """build_flow's arguments (run_pipeline takes them too)."""
     shape_a, shape_b = cfg.shapes()
-    fld = sample_field(window, action, shape_a, shape_b,
-                       x=np.array(cfg.x0) if cfg.x0 else None,
-                       measure_tol=cfg.measure_tol,
-                       freeness_tol=cfg.freeness_tol)
-    env = certify_box_envelope(fld, eps=cfg.eps if cfg.eps else None)
-    tail = tail_bound(cfg.n0, env.m_const, env.eps, env.d)
-    psi_t = truncated_psi(fld, cfg.n0)
-    cap = int(np.ceil(tail)) + 1
-    phi, rep = repair_to_frontier(fld, psi_t, cap)
-    stats = {
-        "envelope": {"m_const": env.m_const, "eps": env.eps, "c": env.c,
-                     "tail": tail,
-                     "trunc_bound": truncation_error_bound(env, cfg.n0)},
-        "repair": rep,
-        "max_core_residual_pre": float(int(
-            np.abs(residual_num(fld, psi_t)[window.core_mask()]).max(initial=0)
-        )) / (1 << psi_t.scale_exp),
-    }
-    return window, fld, env, phi, stats
+    return dict(window=cfg.window(), action=cfg.action(), shape_a=shape_a,
+                shape_b=shape_b, n0=cfg.n0, eps=cfg.eps or None, x0=_x0(cfg),
+                measure_tol=cfg.measure_tol, freeness_tol=cfg.freeness_tol)
+
+
+def _cover_i_max(cfg: RunConfig) -> Optional[int]:
+    return None if cfg.cover_i_max < 0 else cfg.cover_i_max
 
 
 def cmd_flow(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    window, fld, env, phi, stats = _flow_stage(cfg)
-    dump_edge_field(os.path.join(out, "flow.bin"), phi)
+    flow = build_flow(**_flow_args(cfg))
+    dump_edge_field(os.path.join(out, "flow.bin"), flow.phi)
     write_json(os.path.join(out, "flow.json"),
-               {"config": cfg.to_dict(), **stats})
+               {"config": cfg.to_dict(), **flow.summary})
+    rep = flow.summary["repair"]
     print("flow: exact on core, repair doublings=%d max_correction=%g"
-          % (stats["repair"]["doublings"], stats["repair"]["max_correction"]))
+          % (rep["doublings"], rep["max_correction"]))
     return EXIT_OK
 
 
 def cmd_integralize(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    window, fld, env, phi, stats = _flow_stage(cfg)
-    psi_int, info = integralize_flow(
-        window, phi, fld.f, mode=cfg.mode,
-        cover_i_max=None if cfg.cover_i_max < 0 else cfg.cover_i_max)
+    flow = build_flow(**_flow_args(cfg))
+    psi_int, info = integralize_flow(flow.phi.window, flow.phi, flow.field.f,
+                                     mode=cfg.mode,
+                                     cover_i_max=_cover_i_max(cfg))
     dump_edge_field(os.path.join(out, "integral_flow.bin"), psi_int)
     write_json(os.path.join(out, "integralize.json"),
-               {"config": cfg.to_dict(), "flow": stats, "integralize": info})
+               {"config": cfg.to_dict(), **flow.summary, "integralize": info})
     print("integralize: mode=%s max_dev_core=%g"
           % (info["mode"], info["max_dev_core"]))
     return EXIT_OK
@@ -120,13 +114,10 @@ def cmd_integralize(cfg: RunConfig) -> int:
 
 def cmd_square(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    result = run_pipeline(
-        cfg.window(), cfg.action(), *cfg.shapes(), n0=cfg.n0, mode=cfg.mode,
-        cover_i_max=None if cfg.cover_i_max < 0 else cfg.cover_i_max,
-        tiling_kind=cfg.tiling, K=cfg.K, voronoi_r=cfg.voronoi_r,
-        eps=cfg.eps if cfg.eps else None,
-        x0=np.array(cfg.x0) if cfg.x0 else None,
-        measure_tol=cfg.measure_tol, freeness_tol=cfg.freeness_tol)
+    result = run_pipeline(**_flow_args(cfg), mode=cfg.mode,
+                          cover_i_max=_cover_i_max(cfg),
+                          tiling_kind=cfg.tiling, K=cfg.K,
+                          voronoi_r=cfg.voronoi_r)
     pieces = result.pieces
     write_pieces_csv(os.path.join(out, "pieces.csv"), pieces)
     window = pieces.window
@@ -186,8 +177,7 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
     window = cfg.window()
     action = cfg.action()
     shape_a, shape_b = cfg.shapes()
-    fld = sample_field(window, action, shape_a, shape_b,
-                       x=np.array(cfg.x0) if cfg.x0 else None,
+    fld = sample_field(window, action, shape_a, shape_b, x=_x0(cfg),
                        measure_tol=cfg.measure_tol,
                        freeness_tol=cfg.freeness_tol)
     try:

@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .integralize import COVER_SEPARATION, max_cover_levels
 from .lattice import ActionSpec, LatticeWindow, choose_lattice_dimension
 from .shapes import Shape, parse_shape
 
@@ -73,12 +74,24 @@ class RunConfig:
             raise ConfigError("x0 needs %d coordinates" % self.k)
         if self.mode not in ("direct", "cover"):
             raise ConfigError("mode must be direct or cover")
+        if self.cover_i_max < -1:
+            raise ConfigError("cover_i_max must be >= 0, or -1 for automatic")
+        if self.mode == "cover":
+            levels = max_cover_levels(self.window(), COVER_SEPARATION)
+            level = max(self.cover_i_max, 0)
+            if level > levels:
+                raise ConfigError(
+                    "mode = cover at level %d needs L >= %d (got L = %d)"
+                    % (level, COVER_SEPARATION * 12 ** (level + 1), self.L))
         if self.tiling not in ("rect", "voronoi"):
             raise ConfigError("tiling must be rect or voronoi")
         if self.tiling == "voronoi" and self.voronoi_r < 1:
             raise ConfigError("voronoi_r must be >= 1")
         if self.K < 0:
             raise ConfigError("K must be >= 1, or 0 for automatic selection")
+        if self.tiling == "rect" and self.K > self.L - 2 * self.margin:
+            raise ConfigError("K = %d exceeds the core side %d"
+                              % (self.K, self.L - 2 * self.margin))
         if self.eps < 0:
             raise ConfigError("eps must be positive, or 0 for a grid search")
         if self.raster < 0:

@@ -294,8 +294,7 @@ def _tile_vertex_lists(tiling: Tiling, mask: np.ndarray) -> List[np.ndarray]:
     return [sel[cuts[i]:cuts[i + 1]] for i in range(len(tiling.tiles))]
 
 
-def build_matching(tf: TileFlow, field: IndicatorField,
-                   ordering: str = "lex") -> Matching:
+def build_matching(tf: TileFlow, field: IndicatorField) -> Matching:
     """Serve each positive transfer Psi(R,S) with the next-least unused
     points of A in R and of B in S (tile pairs visited in ascending index
     order on both sides), then match leftovers within each tile.
@@ -307,8 +306,6 @@ def build_matching(tf: TileFlow, field: IndicatorField,
     exists the leftovers must pair off exactly — that balance is asserted,
     a failure means an upstream flow bug.
     """
-    if ordering != "lex":
-        raise ValueError("only lexicographic ordering is implemented")
     tiling = tf.tiling
     if field.window != tiling.window:
         raise ValueError("field window mismatch")

@@ -219,6 +219,30 @@ def _core_edge_masks(window: LatticeWindow) -> np.ndarray:
     return out
 
 
+def _frontier_edge_table(window: LatticeWindow) -> Tuple[np.ndarray, np.ndarray]:
+    """(counts, mask) of in-window frontier neighbors per core vertex;
+    mask[2*i + sign, v] flags that v + dirs[i] (sign 0) or v - dirs[i]
+    (sign 1) is a frontier vertex."""
+    core = window.core_mask()
+    dirs = directions(window.d)
+    mask = np.zeros((2 * len(dirs),) + window.shape, dtype=bool)
+    for i, g in enumerate(dirs):
+        for sign, gg in ((0, tuple(int(c) for c in g)),
+                         (1, tuple(-int(c) for c in g))):
+            src, dst = _shift_slices(window.L, gg)
+            mask[2 * i + sign][src] = core[src] & ~core[dst]
+    mask = mask.reshape(2 * len(dirs), window.n_vertices)
+    return mask.sum(axis=0, dtype=np.int64), mask
+
+
+def _flat_shifts(window: LatticeWindow) -> np.ndarray:
+    """shift[i] = flat index of v + dirs[i] minus flat index of v."""
+    strides = np.array([window.L ** (window.d - 1 - j) for j in range(window.d)],
+                       dtype=np.int64)
+    return np.array([int(np.dot(np.asarray(g, dtype=np.int64), strides))
+                     for g in directions(window.d)], dtype=np.int64)
+
+
 def _frontier_aggregate(window: LatticeWindow, values: np.ndarray) -> np.ndarray:
     """Per core vertex, the summed numerator of flow toward non-core
     neighbors (edges leaving the window count as absent)."""
@@ -245,23 +269,6 @@ def _trunc_toward_zero(values: np.ndarray, scale_exp: int) -> np.ndarray:
     return q.astype(np.int64)
 
 
-def _first_frontier_edge(window: LatticeWindow) -> Tuple[np.ndarray, np.ndarray]:
-    """For each core vertex with non-core neighbors, the first canonical
-    direction (by index, sign folded) leading out of the core.  Returns
-    (dir_code, has_any) grids; dir_code = 2*i for +dirs[i], 2*i+1 for -dirs[i]."""
-    core = window.core_mask()
-    dirs = directions(window.d)
-    code = np.full(window.shape, -1, dtype=np.int32)
-    for i, g in enumerate(dirs):
-        for sign, gg in ((0, g), (1, tuple(-c for c in g))):
-            src, dst = _shift_slices(window.L, gg)
-            sel = np.zeros(window.shape, dtype=bool)
-            sel[src] = core[src] & ~core[dst]
-            take = sel & (code < 0)
-            code[take] = 2 * i + sign
-    return code, code >= 0
-
-
 def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
                      fixed_mask: Optional[np.ndarray] = None
                      ) -> Tuple[EdgeField, dict]:
@@ -279,8 +286,11 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     s = phi.scale_exp
     mod = 1 << s
     nvert = window.n_vertices
-    dirs = directions(window.d)
     cc = _core_edge_masks(window)
+    # first frontier edge of each core vertex, as a table slot 2*i + sign
+    fmask = _frontier_edge_table(window)[1]
+    first_slot, has_frontier = fmask.argmax(axis=0), fmask.any(axis=0)
+    del fmask
     if fixed_mask is None:
         fixed_mask = np.zeros_like(cc)
     if (fixed_mask & ~cc).any():
@@ -311,10 +321,7 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     w = nvert
     din = ArrayDinic(nvert + 3)
     ui, di = np.nonzero(free & (frac != 0))
-    strides = np.array([window.L ** (window.d - 1 - j) for j in range(window.d)],
-                       dtype=np.int64)
-    flat_shift = np.array([int(np.dot(np.asarray(g, dtype=np.int64), strides))
-                           for g in dirs], dtype=np.int64)
+    flat_shift = _flat_shifts(window)
     vi = ui + flat_shift[di]
     fr = frac[ui, di]
     din.add_edges(ui, vi, (fr > 0).astype(np.int64), (fr < 0).astype(np.int64))
@@ -337,13 +344,11 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     # hand each rounded frontier aggregate to one explicit frontier edge
     w_net = np.zeros(nvert, dtype=np.int64)
     w_net[rim] = net[m_cc:m_cc + len(rim)]
-    code, has = _first_frontier_edge(window)
-    code_f, has_f = code.ravel(), has.ravel()
     carriers = np.flatnonzero(core_flat & (agg_int + w_net != 0))
     for v in carriers.tolist():
-        if not has_f[v]:
+        if not has_frontier[v]:
             raise AssertionError("frontier flow at a vertex with no frontier edge")
-        i, sign = code_f[v] >> 1, code_f[v] & 1
+        i, sign = first_slot[v] >> 1, first_slot[v] & 1
         val = int(agg_int[v] + w_net[v])
         if sign == 0:
             out.values[v, i] += val
@@ -360,6 +365,10 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
         "supply": int(np.abs(r).sum()),
     }
     return out, info
+
+
+# boundary separation n of the cover that integralize_flow builds
+COVER_SEPARATION = 3
 
 
 def max_cover_levels(window: LatticeWindow, n: int) -> int:
@@ -386,13 +395,12 @@ def integralize_flow(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
         return out, info
     if mode != "cover":
         raise ValueError("mode must be 'direct' or 'cover'")
-    n_sep = 3
     if cover_i_max is None:
-        cover_i_max = max_cover_levels(window, n_sep)
+        cover_i_max = max_cover_levels(window, COVER_SEPARATION)
     if cover_i_max < 0:
         raise ValueError("window side %d too small for any cover level"
                          % window.L)
-    cover = boundary_disjoint_cover(window, n_sep, cover_i_max)
+    cover = boundary_disjoint_cover(window, COVER_SEPARATION, cover_i_max)
     cur = phi
     core = window.core_mask()
     for F in cover.regions:

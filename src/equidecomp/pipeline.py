@@ -23,12 +23,11 @@ from .equidecompose import (KSelectionError, Matching, PieceMap, TileFlow,
 from .flowgrid import (BoxEnvelope, EdgeField, certify_box_envelope,
                        integral_flow_bound, residual_num, tail_bound,
                        truncated_psi, truncation_error_bound)
-from .integralize import _core_edge_masks, integralize_flow
-from .lattice import (ActionSpec, IndicatorField, LatticeWindow, directions,
-                      sample_field)
+from .integralize import (_core_edge_masks, _flat_shifts, _frontier_edge_table,
+                          integralize_flow)
+from .lattice import ActionSpec, IndicatorField, LatticeWindow, sample_field
 from .shapes import Shape
-from .tiling import (Net, Tiling, _shift_slices, greedy_net, rect_tiling,
-                     voronoi_tiling)
+from .tiling import Net, Tiling, greedy_net, rect_tiling, voronoi_tiling
 
 
 class PipelineError(RuntimeError):
@@ -37,24 +36,6 @@ class PipelineError(RuntimeError):
         super().__init__("%s: %s" % (stage, message))
         self.stage = stage
         self.certificate = certificate or {}
-
-
-def _frontier_edge_table(window: LatticeWindow) -> Tuple[np.ndarray, np.ndarray]:
-    """(counts, mask) of in-window frontier neighbors per core vertex;
-    mask[v, i, sign] flags that v + dirs[i] (sign 0) or v - dirs[i]
-    (sign 1) is a frontier vertex."""
-    core = window.core_mask()
-    dirs = directions(window.d)
-    mask = np.zeros((window.n_vertices, len(dirs), 2), dtype=bool)
-    for i, g in enumerate(dirs):
-        for sign, gg in ((0, tuple(int(c) for c in g)),
-                         (1, tuple(-int(c) for c in g))):
-            src, dst = _shift_slices(window.L, gg)
-            sel = np.zeros(window.shape, dtype=bool)
-            sel[src] = core[src] & ~core[dst]
-            mask[:, i, sign] = sel.ravel()
-    counts = mask.sum(axis=(1, 2)).astype(np.int64)
-    return counts, mask
 
 
 def repair_to_frontier(field: IndicatorField, psi: EdgeField,
@@ -77,7 +58,6 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
         raise ValueError("capacity must be at least one unit")
     s = psi.scale_exp
     nvert = window.n_vertices
-    dirs = directions(window.d)
     core_flat = window.core_mask().ravel()
     r = residual_num(field, psi).ravel().copy()
     r[~core_flat] = 0
@@ -86,10 +66,7 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
 
     cc = _core_edge_masks(window)
     ui, di = np.nonzero(cc)
-    strides = np.array([window.L ** (window.d - 1 - j) for j in range(window.d)],
-                       dtype=np.int64)
-    flat_shift = np.array([int(np.dot(np.asarray(g, dtype=np.int64), strides))
-                           for g in dirs], dtype=np.int64)
+    flat_shift = _flat_shifts(window)
     vi = ui + flat_shift[di]
     k_cnt, fmask = _frontier_edge_table(window)
     rim = np.flatnonzero(core_flat & (k_cnt > 0))
@@ -127,7 +104,7 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
     for v, q in zip(rim.tolist(), w_net.tolist()):
         if q == 0:
             continue
-        for slot in np.flatnonzero(fmask[v].reshape(-1)).tolist():
+        for slot in np.flatnonzero(fmask[:, v]).tolist():
             i, sign = slot >> 1, slot & 1
             take = max(-per_edge, min(per_edge, q))
             if sign == 0:
@@ -156,6 +133,14 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
 
 
 @dataclass
+class FlowResult:
+    field: IndicatorField
+    envelope: BoxEnvelope
+    phi: EdgeField                 # exact f-flow on the core (dyadic)
+    summary: dict                  # field, envelope, truncation, repair
+
+
+@dataclass
 class PipelineResult:
     field: IndicatorField
     envelope: BoxEnvelope
@@ -170,15 +155,14 @@ class PipelineResult:
     net: Optional[Net] = None      # only for tiling=voronoi
 
 
-def run_pipeline(window: LatticeWindow, action: ActionSpec,
-                 shape_a: Shape, shape_b: Shape, n0: int,
-                 mode: str = "direct", cover_i_max: Optional[int] = None,
-                 tiling_kind: str = "rect", K: int = 0, voronoi_r: int = 3,
-                 eps: Optional[float] = None,
-                 x0: Optional[np.ndarray] = None,
-                 measure_tol: float = 1e-9,
-                 freeness_tol: float = 1e-9) -> PipelineResult:
-    """Run every stage on one window; see the module docstring."""
+def build_flow(window: LatticeWindow, action: ActionSpec,
+               shape_a: Shape, shape_b: Shape, n0: int,
+               eps: Optional[float] = None,
+               x0: Optional[np.ndarray] = None,
+               measure_tol: float = 1e-9,
+               freeness_tol: float = 1e-9) -> FlowResult:
+    """Sample the field, certify its envelope, build the level-n0 truncated
+    flow and repair it to an exact f-flow on the core."""
     summary: Dict[str, object] = {}
 
     try:
@@ -194,7 +178,7 @@ def run_pipeline(window: LatticeWindow, action: ActionSpec,
         "d": window.d, "L": window.L, "margin": window.margin,
     }
 
-    env = certify_box_envelope(fld, eps=eps if eps else None)
+    env = certify_box_envelope(fld, eps=eps)
     tail = tail_bound(n0, env.m_const, env.eps, env.d)
     summary["envelope"] = {
         "m_const": env.m_const, "eps": env.eps, "c": env.c,
@@ -215,15 +199,29 @@ def run_pipeline(window: LatticeWindow, action: ActionSpec,
     }
 
     capacity_units = int(math.ceil(tail)) + 1
-    phi, rep_info = repair_to_frontier(fld, psi_t, capacity_units)
-    del psi_t
-    summary["repair"] = rep_info
+    phi, summary["repair"] = repair_to_frontier(fld, psi_t, capacity_units)
+    return FlowResult(field=fld, envelope=env, phi=phi, summary=summary)
+
+
+def run_pipeline(window: LatticeWindow, action: ActionSpec,
+                 shape_a: Shape, shape_b: Shape, n0: int,
+                 mode: str = "direct", cover_i_max: Optional[int] = None,
+                 tiling_kind: str = "rect", K: int = 0, voronoi_r: int = 3,
+                 eps: Optional[float] = None,
+                 x0: Optional[np.ndarray] = None,
+                 measure_tol: float = 1e-9,
+                 freeness_tol: float = 1e-9) -> PipelineResult:
+    """Run every stage on one window; see the module docstring."""
+    flow = build_flow(window, action, shape_a, shape_b, n0, eps=eps, x0=x0,
+                      measure_tol=measure_tol, freeness_tol=freeness_tol)
+    fld, env, phi, summary = flow.field, flow.envelope, flow.phi, flow.summary
 
     psi_int, int_info = integralize_flow(window, phi, fld.f, mode=mode,
                                          cover_i_max=cover_i_max)
     summary["integralize"] = int_info
 
-    repair_allowance = capacity_units << rep_info["doublings"]
+    rep_info = summary["repair"]
+    repair_allowance = rep_info["capacity_units"] << rep_info["doublings"]
     c_int = integral_flow_bound(env, repair_allowance)
     summary["flow_bound"] = {"c_int": c_int,
                              "repair_allowance": repair_allowance}

@@ -97,9 +97,35 @@ def test_flow_and_integralize_artifacts(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "flow.bin"))
     meta = json.loads((tmp_path / "run" / "flow.json").read_text())
     assert meta["repair"]["doublings"] >= 0
+    sections = {"config", "field", "envelope", "truncation", "repair"}
+    assert set(meta) == sections
     assert run("integralize", out) == EXIT_OK
     assert os.path.exists(os.path.join(out, "integral_flow.bin"))
     assert "max_dev_core" in capsys.readouterr().out
+    meta_int = json.loads((tmp_path / "run" / "integralize.json").read_text())
+    assert set(meta_int) == sections | {"integralize"}
+    # both stages share the summary's section names and values
+    assert run("square", out) == EXIT_OK
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    for name in sections - {"config"}:
+        assert meta[name] == meta_int[name] == summary[name]
+    assert meta_int["integralize"] == summary["integralize"]
+
+
+def test_every_subcommand_uses_the_shared_runner(tmp_path, monkeypatch):
+    import equidecomp.pipeline as pipeline
+    calls = []
+    repair = pipeline.repair_to_frontier
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return repair(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "repair_to_frontier", counted)
+    for cmd in ("flow", "integralize", "square"):
+        calls.clear()
+        assert run(cmd, str(tmp_path / cmd)) == EXIT_OK
+        assert len(calls) == 1, cmd
 
 
 def test_discrepancy_table(tmp_path, capsys):
@@ -118,11 +144,13 @@ def test_exit_codes(tmp_path, capsys):
     # margin=0 passes config validation but the repair stage needs a ring
     assert run("flow", out, extra=["margin=0"]) == EXIT_CONFIG
     capsys.readouterr()
-    # measure mismatch is an infeasibility with a named stage
-    code = run("square", out, extra=["shape_b=intervals:0:1/2"])
-    assert code == EXIT_INFEASIBLE
-    err = capsys.readouterr().err
-    assert "infeasible: sample" in err
+    # measure mismatch is an infeasibility with a named stage, whichever
+    # subcommand meets it
+    for cmd in ("flow", "integralize", "square"):
+        code = run(cmd, out, extra=["shape_b=intervals:0:1/2"])
+        assert code == EXIT_INFEASIBLE, cmd
+        err = capsys.readouterr().err
+        assert "infeasible: sample" in err, cmd
 
 
 def test_config_file_plus_overrides(tmp_path):

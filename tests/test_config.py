@@ -80,11 +80,29 @@ def test_coercion_failures_name_key():
     ({"shape_a": "disk:1/4:1/4:1/5"}, "shape_a lives on the 2-torus"),
     ({"ns": "2,four"}, "ns must be"),
     ({"out": ""}, "out"),
+    ({"L": "16", "margin": "4", "n0": "1", "K": "20"},
+     "K = 20 exceeds the core side 8"),
+    ({"mode": "cover"}, "needs L >= 36 (got L = 32)"),
+    ({"mode": "cover", "L": "128", "margin": "16", "cover_i_max": "1"},
+     "at level 1 needs L >= 432"),
+    ({"cover_i_max": "-2"}, "cover_i_max must be"),
 ])
 def test_validation_messages(pairs, fragment):
     with pytest.raises(ConfigError) as exc:
         build_config(pairs)
     assert fragment in str(exc.value)
+
+
+def test_static_checks_accept_what_runs():
+    # a K as large as the core, any K for Voronoi tiles, and the widest
+    # cover level a window admits all pass validation
+    build_config({"L": "16", "margin": "4", "n0": "1", "K": "8"})
+    build_config({"L": "16", "margin": "4", "n0": "1", "K": "20",
+                  "tiling": "voronoi"})
+    build_config({"d": "2", "L": "128", "margin": "16", "n0": "4",
+                  "mode": "cover", "tiling": "voronoi", "voronoi_r": "6"})
+    build_config({"L": "36", "margin": "6", "mode": "cover",
+                  "cover_i_max": "0"})
 
 
 def test_load_config_file_and_overrides(tmp_path):

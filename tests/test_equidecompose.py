@@ -178,14 +178,6 @@ def test_matching_is_a_bijection_on_feasible_runs():
         assert np.array_equal(m.pair_b, m2.pair_b)
 
 
-def test_matching_rejects_unknown_ordering():
-    w = LatticeWindow(d=2, L=8, margin=2)
-    psi, fld = path_flow(w, [((3, 3), (4, 4))])
-    tf = tile_flow(psi, rect_tiling(w, 2), fld)
-    with pytest.raises(ValueError):
-        build_matching(tf, fld, ordering="hilbert")
-
-
 def pieces_for(w, pairs, K):
     psi, fld = path_flow(w, pairs)
     tf = tile_flow(psi, rect_tiling(w, K), fld)

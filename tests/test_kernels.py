@@ -1,18 +1,10 @@
-"""Bit-equality of the jitted and pure-numpy kernel paths.
-
-The env flag EQUIDECOMP_NO_NUMBA selects the numpy path; these tests call
-both implementations directly so one pytest run covers the comparison
-regardless of how the flag is set.
-"""
+"""Box-flow kernels: sub-box sums, phase tables and level edge grids
+checked against direct enumeration."""
 
 import numpy as np
-import pytest
 
-from equidecomp import _accel
-from equidecomp._kernels import (_phase_sum_numba, _phase_sum_numpy,
-                                 edge_valid_mask, level_edge_grid,
-                                 phase_sum, phase_tables, subbox_sums)
-from equidecomp.lattice import all_directions
+from equidecomp._kernels import (edge_valid_mask, level_edge_grid,
+                                 phase_tables, subbox_sums)
 
 
 def brute_subbox_sums(grid, side):
@@ -63,30 +55,6 @@ def test_phase_tables_direct_count():
                                 and all(0 <= c < side for c in w):
                             assert all(qj <= zj < qj + h
                                        for qj, zj in zip(q, z))
-
-
-@pytest.mark.skipif(not _accel.HAS_NUMBA, reason="numba not installed")
-def test_phase_sum_numba_equals_numpy_bitwise():
-    rng = np.random.default_rng(42)
-    for d, L, n in ((1, 16, 2), (2, 12, 1), (2, 16, 2), (3, 10, 1)):
-        g = rng.integers(-1, 2, size=(L,) * d)
-        for gamma in [tuple(v) for v in all_directions(d)][:6]:
-            sb = subbox_sums(g, 1 << (n - 1))
-            a = _phase_sum_numpy(sb, L, n, gamma)
-            b = _phase_sum_numba(sb, L, n, gamma)
-            assert np.array_equal(a, b), (d, L, n, gamma)
-
-
-def test_phase_sum_respects_env_flag(monkeypatch):
-    rng = np.random.default_rng(7)
-    g = rng.integers(-1, 2, size=(12, 12))
-    sb = subbox_sums(g, 2)
-    monkeypatch.setenv(_accel.NO_NUMBA_ENV, "1")
-    assert not _accel.use_numba()
-    flagged = phase_sum(sb, 12, 2, (1, -1))
-    monkeypatch.delenv(_accel.NO_NUMBA_ENV)
-    again = phase_sum(sb, 12, 2, (1, -1))
-    assert np.array_equal(flagged, again)
 
 
 def test_level_edge_grid_antisymmetry():
