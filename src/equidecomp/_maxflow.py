@@ -1,192 +1,112 @@
-"""Array-backed max-flow engine for window-scale graphs.
+"""Exact integer supply flows on window-scale graphs.
 
-Same algorithm as the small-graph solver in finiteflow (shortest augmenting
-layers, lexicographic arc order, integer capacities) but stores arcs in
-flat numpy arrays so that million-edge grid graphs fit in memory.  Arc
-slots come in partner pairs (2i, 2i+1) holding the two directions of one
-undirected edge; pushing along a slot moves capacity to its partner, which
-models net flow bounded by the pair's initial capacities.
+The solver is scipy's compiled Dinic (`scipy.sparse.csgraph.maximum_flow`),
+which keeps capacities and flows in int32 and truncates wider values
+silently.  Every capacity handed to it is first clipped at the supply still
+to be routed, which is exact: an acyclic flow never carries more than its
+value on any arc.  When that supply itself is too wide, coarse phases route
+it in units of 2^j first and a final phase finishes exactly at j = 0.
+
+The arcs are laid out in (tail, head) order, so for the same input the
+blocking flows, and hence the returned flow, are deterministic.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenate arange(s, s+l) for each (s, l): ragged row indexing."""
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    rep = np.repeat(starts, lens)
-    off = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens)
-    return rep + off
+# scipy's Dinic computes a residual as capacity - flow in int32, and on a
+# reverse arc that reaches capacity + |flow| <= 2 * (phase supply); keeping
+# each phase's supply below 2^30 keeps every such value in int32.
+_PHASE_BITS = 30
+# Beyond this many vertices plus arcs, a coarse phase is no longer sure to
+# halve the supply still to route (see solve_supply_flow).
+_MAX_SIZE = 1 << (_PHASE_BITS - 2)
 
 
-class ArrayDinic:
-    """Deterministic blocking-flow max flow over bulk-added edge pairs."""
+def solve_supply_flow(u, v, cap_uv, cap_vu,
+                      supply) -> Tuple[bool, np.ndarray]:
+    """Route integer vertex supplies (positive = excess to ship, negative =
+    demand) through the undirected edges (u[i], v[i]), which may carry up
+    to cap_uv[i] units from u to v and cap_vu[i] from v to u.
 
-    def __init__(self, n: int):
-        self.n = n
-        self._chunks_u: List[np.ndarray] = []
-        self._chunks_v: List[np.ndarray] = []
-        self._chunks_cuv: List[np.ndarray] = []
-        self._chunks_cvu: List[np.ndarray] = []
-        self._frozen = False
-
-    def add_edges(self, u, v, cap_uv, cap_vu) -> None:
-        """Bulk-add undirected edges with per-direction capacities."""
-        if self._frozen:
-            raise RuntimeError("graph already finalized")
-        u = np.asarray(u, dtype=np.int64).ravel()
-        v = np.asarray(v, dtype=np.int64).ravel()
-        cuv = np.broadcast_to(np.asarray(cap_uv, dtype=np.int64), u.shape).copy()
-        cvu = np.broadcast_to(np.asarray(cap_vu, dtype=np.int64), u.shape).copy()
-        if (cuv < 0).any() or (cvu < 0).any():
-            raise ValueError("negative capacity")
-        self._chunks_u.append(u)
-        self._chunks_v.append(v)
-        self._chunks_cuv.append(cuv)
-        self._chunks_cvu.append(cvu)
-
-    def _finalize(self) -> None:
-        if self._frozen:
-            return
-        u = np.concatenate(self._chunks_u) if self._chunks_u else np.empty(0, np.int64)
-        v = np.concatenate(self._chunks_v) if self._chunks_v else np.empty(0, np.int64)
-        cuv = np.concatenate(self._chunks_cuv) if self._chunks_u else np.empty(0, np.int64)
-        cvu = np.concatenate(self._chunks_cvu) if self._chunks_u else np.empty(0, np.int64)
-        m = len(u)
-        self.m = m
-        self.to = np.empty(2 * m, dtype=np.int64)
-        self.tails = np.empty(2 * m, dtype=np.int64)
-        self.cap = np.empty(2 * m, dtype=np.int64)
-        self.to[0::2] = v
-        self.to[1::2] = u
-        self.tails[0::2] = u
-        self.tails[1::2] = v
-        self.cap[0::2] = cuv
-        self.cap[1::2] = cvu
-        self.cap0 = self.cap.copy()
-        order = np.lexsort((self.to, self.tails))
-        self.order = order
-        sorted_tails = self.tails[order]
-        self.ptr = np.searchsorted(sorted_tails, np.arange(self.n + 1))
-        self._frozen = True
-        del self._chunks_u, self._chunks_v, self._chunks_cuv, self._chunks_cvu
-
-    def _bfs(self, s: int, t: int) -> Optional[np.ndarray]:
-        level = np.full(self.n, -1, dtype=np.int32)
-        level[s] = 0
-        frontier = np.array([s], dtype=np.int64)
-        cur = 0
-        while len(frontier):
-            pos = _ranges(self.ptr[frontier], self.ptr[frontier + 1] - self.ptr[frontier])
-            aid = self.order[pos]
-            aid = aid[self.cap[aid] > 0]
-            heads = self.to[aid]
-            heads = heads[level[heads] < 0]
-            if not len(heads):
-                break
-            frontier = np.unique(heads)
-            cur += 1
-            level[frontier] = cur
-        return level if level[t] >= 0 else None
-
-    def _blocking(self, s: int, t: int, level: np.ndarray) -> int:
-        ptr, order, to, cap = self.ptr, self.order, self.to, self.cap
-        it = ptr.copy()
-        pushed = 0
-        path: List[int] = []      # arc ids, s -> current
-        u = s
-        while True:
-            if u == t:
-                bott = min(int(cap[a]) for a in path)
-                for a in path:
-                    cap[a] -= bott
-                    cap[a ^ 1] += bott
-                pushed += bott
-                cut = next(i for i, a in enumerate(path) if cap[a] == 0)
-                del path[cut:]
-                u = s if not path else int(to[path[-1]])
-                continue
-            advanced = False
-            lu1 = level[u] + 1
-            while it[u] < ptr[u + 1]:
-                a = int(order[it[u]])
-                v = int(to[a])
-                if cap[a] > 0 and level[v] == lu1:
-                    path.append(a)
-                    u = v
-                    advanced = True
-                    break
-                it[u] += 1
-            if advanced:
-                continue
-            if u == s:
-                return pushed
-            level[u] = -1
-            path.pop()
-            u = s if not path else int(to[path[-1]])
-            it[u] += 1
-
-    def max_flow(self, s: int, t: int) -> int:
-        self._finalize()
-        total = 0
-        while True:
-            level = self._bfs(s, t)
-            if level is None:
-                return total
-            total += self._blocking(s, t, level)
-
-    def net_flow(self) -> np.ndarray:
-        """Net flow per added edge, positive in the u -> v direction."""
-        return self.cap0[0::2] - self.cap[0::2]
-
-    def reachable(self, s: int) -> np.ndarray:
-        """Boolean residual-reachability from s (after max_flow)."""
-        seen = np.zeros(self.n, dtype=bool)
-        seen[s] = True
-        frontier = np.array([s], dtype=np.int64)
-        while len(frontier):
-            pos = _ranges(self.ptr[frontier], self.ptr[frontier + 1] - self.ptr[frontier])
-            aid = self.order[pos]
-            aid = aid[self.cap[aid] > 0]
-            heads = self.to[aid]
-            heads = heads[~seen[heads]]
-            if not len(heads):
-                break
-            frontier = np.unique(heads)
-            seen[frontier] = True
-        return seen
-
-
-def solve_supply_flow(n: int, dinic: ArrayDinic,
-                      supply: np.ndarray) -> Tuple[bool, np.ndarray]:
-    """Route the given integer vertex supplies (positive = excess to ship,
-    negative = demand) through an ArrayDinic whose first `n` vertices are
-    the real graph; vertices n and n+1 are reserved for source and sink.
-    Returns (feasible, net flow per real edge added before this call).
-
-    The caller must have constructed `dinic` with n+2 vertices and added
-    only real edges so far; supplies must sum to zero.
+    Returns (feasible, net flow per edge, positive in the u -> v direction).
+    When infeasible, the flow is the part of the supply that was routed.
+    Supplies must balance, and no vertex pair may appear twice.
     """
-    supply = np.asarray(supply)
-    if supply.shape != (n,):
-        raise ValueError("supply must have one entry per real vertex")
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_flow
+
+    supply = np.asarray(supply, dtype=np.int64)
+    if supply.ndim != 1:
+        raise ValueError("supply must be one entry per vertex")
     if int(supply.sum()) != 0:
         raise ValueError("supplies must balance")
-    m_real = sum(len(c) for c in dinic._chunks_u)
+    u = np.asarray(u, dtype=np.int64).ravel()
+    v = np.asarray(v, dtype=np.int64).ravel()
+    if u.shape != v.shape:
+        raise ValueError("u and v must have one entry per edge")
+    cuv = np.broadcast_to(np.asarray(cap_uv, dtype=np.int64), u.shape)
+    cvu = np.broadcast_to(np.asarray(cap_vu, dtype=np.int64), u.shape)
+    if (cuv < 0).any() or (cvu < 0).any():
+        raise ValueError("negative capacity")
+    n, m = len(supply), len(u)
+    if m and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
+        raise ValueError("edge endpoint out of range")
+    if (u == v).any():
+        raise ValueError("self-loop edge")
+    if n + 2 * m >= _MAX_SIZE:
+        raise ValueError("graph of %d vertices and %d edges is too large "
+                         "for the int32 solver" % (n, m))
+
+    # arcs in blocks u -> v, v -> u, s -> p, p -> s, q -> t, t -> q, where
+    # p and q are the vertices with a supply and a demand; `order` sorts
+    # them into the CSR's (tail, head) order
     s, t = n, n + 1
     pos = np.flatnonzero(supply > 0)
     neg = np.flatnonzero(supply < 0)
-    if len(pos):
-        dinic.add_edges(np.full(len(pos), s), pos, supply[pos], 0)
-    if len(neg):
-        dinic.add_edges(neg, np.full(len(neg), t), -supply[neg], 0)
-    want = int(supply[pos].sum())
-    got = dinic.max_flow(s, t)
-    return got == want, dinic.net_flow()[:m_real]
+    tail = np.concatenate([u, v, np.full(len(pos), s), pos,
+                           neg, np.full(len(neg), t)])
+    head = np.concatenate([v, u, pos, np.full(len(pos), s),
+                           np.full(len(neg), t), neg])
+    resid = np.concatenate([cuv, cvu, supply[pos], np.zeros(len(pos), np.int64),
+                            -supply[neg], np.zeros(len(neg), np.int64)])
+    order = np.lexsort((head, tail))
+    tail_s, head_s = tail[order], head[order]
+    if ((tail_s[1:] == tail_s[:-1]) & (head_s[1:] == head_s[:-1])).any():
+        raise ValueError("duplicate edge")
+    indptr = np.searchsorted(tail_s, np.arange(n + 3)).astype(np.int32)
+    indices = head_s.astype(np.int32)
+    del tail, head, tail_s, head_s
+    src_arcs = slice(2 * m, 2 * m + len(pos))
+
+    remaining = int(supply[pos].sum())
+    np.minimum(resid, remaining, out=resid)
+    net = np.zeros(m, dtype=np.int64)
+    while remaining:
+        # coarse phases route units of 2^j until the rest fits one phase
+        j = max(0, remaining.bit_length() - _PHASE_BITS)
+        data = np.minimum(resid >> j, remaining >> j)[order]
+        if data.max(initial=0) >> _PHASE_BITS:
+            raise AssertionError("max-flow capacity exceeds the int32 range")
+        graph = csr_array((data.astype(np.int32), indices, indptr),
+                          shape=(n + 2, n + 2))
+        res = maximum_flow(graph, s, t, method="dinic")
+        if not (np.array_equal(res.flow.indices, indices)
+                and np.array_equal(res.flow.indptr, indptr)):
+            raise AssertionError("max-flow changed the arc layout")
+        flow = np.empty(len(order), dtype=np.int64)
+        flow[order] = res.flow.data
+        flow <<= j
+        resid -= flow
+        net += flow[:m]
+        remaining -= int(flow[src_arcs].sum())
+        # A coarse max flow F has a cut of coarse capacity F; in the
+        # exact network that cut holds at most n + 2m arcs, each less than
+        # 2^j larger, so a larger remainder cannot be routed at all.  The
+        # size bound makes the remainder at most half the phase's supply.
+        if j == 0 or remaining > (n + 2 * m) << j:
+            break
+    return remaining == 0, net

@@ -60,7 +60,10 @@ class RunConfig:
             raise ConfigError("delta must satisfy 0 <= delta < k")
         if self.L < 2:
             raise ConfigError("L must be >= 2")
-        if self.margin < 0 or self.L - 2 * self.margin < 1:
+        if self.margin < 1:
+            raise ConfigError("margin must be >= 1: repair needs a frontier "
+                              "ring (got %d)" % self.margin)
+        if self.L - 2 * self.margin < 1:
             raise ConfigError("margin %d leaves no core in L = %d"
                               % (self.margin, self.L))
         if self.n0 < 1:

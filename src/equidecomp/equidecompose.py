@@ -31,6 +31,9 @@ from .tiling import Tiling, _shift_slices, rect_tiling
 
 # dense (ntiles x ntiles) aggregation; plenty for window-scale runs
 _TILE_GUARD = 4096
+# row block of the antisymmetry check, so that it never holds a second
+# dense (ntiles x ntiles) matrix
+_ANTISYM_ROWS = 256
 
 
 def box_boundary_edges(sides: Sequence[int]) -> int:
@@ -200,11 +203,11 @@ class TileFlow:
 
     @property
     def need_out(self) -> np.ndarray:
-        return np.where(self.psi_mat > 0, self.psi_mat, 0).sum(axis=1)
+        return self.psi_mat.sum(axis=1, where=self.psi_mat > 0)
 
     @property
     def need_in(self) -> np.ndarray:
-        return np.where(self.psi_mat < 0, -self.psi_mat, 0).sum(axis=1)
+        return -self.psi_mat.sum(axis=1, where=self.psi_mat < 0)
 
     @property
     def feasible(self) -> np.ndarray:
@@ -215,7 +218,7 @@ class TileFlow:
     def strict_bound_ok(self) -> np.ndarray:
         """sum_S |Psi(R,S)| < min counts — the margin the scale selection
         aims for; informational at window scale."""
-        total = np.abs(self.psi_mat).sum(axis=1)
+        total = self.need_out + self.need_in
         return (total < self.count_a) & (total < self.count_b)
 
 
@@ -257,8 +260,10 @@ def tile_flow(psi: EdgeField, tiling: Tiling, field: IndicatorField) -> TileFlow
                   count_a=count_a.astype(np.int64),
                   count_b=count_b.astype(np.int64),
                   outflux=outflux, interior=~touches)
-    if (psi_mat + psi_mat.T).any():
-        raise AssertionError("tile transfers are not antisymmetric")
+    for lo in range(0, n, _ANTISYM_ROWS):
+        hi = lo + _ANTISYM_ROWS
+        if (psi_mat[lo:hi] + psi_mat[:, lo:hi].T).any():
+            raise AssertionError("tile transfers are not antisymmetric")
     bad = ~tf.balanced
     if bad.any():
         i = int(np.flatnonzero(bad)[0])

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._maxflow import ArrayDinic, solve_supply_flow
+from ._maxflow import solve_supply_flow
 from .flowgrid import EdgeField, _dir_index
 from .lattice import LatticeWindow, directions
 from .tiling import (Region, _shift_slices, ball_mask,
@@ -219,20 +219,27 @@ def _core_edge_masks(window: LatticeWindow) -> np.ndarray:
     return out
 
 
-def _frontier_edge_table(window: LatticeWindow) -> Tuple[np.ndarray, np.ndarray]:
-    """(counts, mask) of in-window frontier neighbors per core vertex;
-    mask[2*i + sign, v] flags that v + dirs[i] (sign 0) or v - dirs[i]
-    (sign 1) is a frontier vertex."""
-    core = window.core_mask()
-    dirs = directions(window.d)
-    mask = np.zeros((2 * len(dirs),) + window.shape, dtype=bool)
+def _rim_frontier_slots(window: LatticeWindow) -> Tuple[np.ndarray, np.ndarray]:
+    """(rim, slots) over the rim, the core vertices with a frontier
+    neighbor: rim lists their flat indices in increasing order, and
+    slots[2*i + sign, r] flags that rim[r] + dirs[i] (sign 0) or
+    rim[r] - dirs[i] (sign 1) is a frontier vertex.  The core is the box
+    [margin, L - margin)^d, so with margin >= 1 the rim is its outer layer
+    and every frontier neighbor lies in the window; margin 0 has no rim."""
+    d, lo, hi = window.d, window.margin, window.L - window.margin
+    dirs = directions(d)
+    rim_mask = window.core_mask()
+    if lo == 0:
+        rim_mask[...] = False
+    rim_mask[tuple(slice(lo + 1, hi - 1) for _ in range(d))] = False
+    rim = np.flatnonzero(rim_mask)
+    coords = np.stack(np.unravel_index(rim, window.shape))
+    slots = np.empty((2 * len(dirs), len(rim)), dtype=bool)
     for i, g in enumerate(dirs):
-        for sign, gg in ((0, tuple(int(c) for c in g)),
-                         (1, tuple(-int(c) for c in g))):
-            src, dst = _shift_slices(window.L, gg)
-            mask[2 * i + sign][src] = core[src] & ~core[dst]
-    mask = mask.reshape(2 * len(dirs), window.n_vertices)
-    return mask.sum(axis=0, dtype=np.int64), mask
+        g = np.asarray(g, dtype=coords.dtype)[:, None]
+        for sign, nb in ((0, coords + g), (1, coords - g)):
+            slots[2 * i + sign] = ((nb < lo) | (nb >= hi)).any(axis=0)
+    return rim, slots
 
 
 def _flat_shifts(window: LatticeWindow) -> np.ndarray:
@@ -287,10 +294,10 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     mod = 1 << s
     nvert = window.n_vertices
     cc = _core_edge_masks(window)
-    # first frontier edge of each core vertex, as a table slot 2*i + sign
-    fmask = _frontier_edge_table(window)[1]
-    first_slot, has_frontier = fmask.argmax(axis=0), fmask.any(axis=0)
-    del fmask
+    # first frontier edge of each rim vertex, as a table slot 2*i + sign
+    rim, fslots = _rim_frontier_slots(window)
+    first_slot = fslots.argmax(axis=0)
+    del fslots
     if fixed_mask is None:
         fixed_mask = np.zeros_like(cc)
     if (fixed_mask & ~cc).any():
@@ -299,56 +306,56 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
         raise ValueError("fixed edges carry fractional values")
     free = cc & ~fixed_mask
 
+    ui, di = np.nonzero(free)
+    vals = phi.values[ui, di]
     trunc = np.zeros_like(phi.values)
-    trunc[free] = _trunc_toward_zero(phi.values[free], s) << s
+    trunc[ui, di] = _trunc_toward_zero(vals, s) << s
     trunc[fixed_mask] = phi.values[fixed_mask]
-    frac = np.zeros_like(phi.values)
-    frac[free] = phi.values[free] - trunc[free]
+    # the free edges with a discarded fraction, and that fraction
+    fr = vals - trunc[ui, di]
+    keep = fr != 0
+    ui, di, fr = ui[keep], di[keep], fr[keep]
+    del vals, keep
 
     agg = _frontier_aggregate(window, phi.values).ravel()
     agg_int = _trunc_toward_zero(agg, s)
     agg_frac = agg - (agg_int << s)
 
-    base = EdgeField(window, s, trunc, np.ones_like(cc))
-    div_num = base.divergence_num().ravel()
+    div_num = EdgeField(window, s, trunc, np.ones_like(cc)).divergence_num().ravel()
     core_flat = window.core_mask().ravel()
     if (div_num[core_flat] % mod).any():
         raise AssertionError("truncated core divergence not integral")
-    r = np.zeros(nvert, dtype=np.int64)
-    r[core_flat] = (np.asarray(f).ravel()[core_flat]
-                    - (div_num[core_flat] >> s) - agg_int[core_flat])
+    r = np.zeros(nvert + 1, dtype=np.int64)
+    r[:nvert][core_flat] = (np.asarray(f).ravel()[core_flat]
+                            - (div_num[core_flat] >> s) - agg_int[core_flat])
+    r[nvert] = -int(r.sum())
 
-    w = nvert
-    din = ArrayDinic(nvert + 3)
-    ui, di = np.nonzero(free & (frac != 0))
+    # vertex nvert merges the frontier; each core edge may move its
+    # discarded fraction's unit, each rim vertex its aggregate's
     flat_shift = _flat_shifts(window)
-    vi = ui + flat_shift[di]
-    fr = frac[ui, di]
-    din.add_edges(ui, vi, (fr > 0).astype(np.int64), (fr < 0).astype(np.int64))
+    frim = rim[agg_frac[rim] != 0]
     m_cc = len(ui)
-    rim = np.flatnonzero(core_flat & (agg_frac != 0))
-    din.add_edges(rim, np.full(len(rim), w),
-                  (agg_frac[rim] > 0).astype(np.int64),
-                  (agg_frac[rim] < 0).astype(np.int64))
-
-    supply = np.zeros(nvert + 1, dtype=np.int64)
-    supply[:nvert] = r
-    supply[w] = -int(r.sum())
-    ok, net = solve_supply_flow(nvert + 1, din, supply)
+    ok, net = solve_supply_flow(
+        np.concatenate([ui, frim]),
+        np.concatenate([ui + flat_shift[di], np.full(len(frim), nvert)]),
+        np.concatenate([fr > 0, agg_frac[frim] > 0]),
+        np.concatenate([fr < 0, agg_frac[frim] < 0]), r)
     if not ok:
         raise AssertionError("interior rounding infeasible; flow is corrupt")
 
-    out_vals = trunc >> s
+    out_vals = trunc
+    out_vals >>= s        # in place: the truncated field is not read again
     out_vals[ui, di] += net[:m_cc]
     out = EdgeField(window, 0, out_vals, np.ones_like(cc))
     # hand each rounded frontier aggregate to one explicit frontier edge
     w_net = np.zeros(nvert, dtype=np.int64)
-    w_net[rim] = net[m_cc:m_cc + len(rim)]
+    w_net[frim] = net[m_cc:]
     carriers = np.flatnonzero(core_flat & (agg_int + w_net != 0))
-    for v in carriers.tolist():
-        if not has_frontier[v]:
-            raise AssertionError("frontier flow at a vertex with no frontier edge")
-        i, sign = first_slot[v] >> 1, first_slot[v] & 1
+    if not np.isin(carriers, rim).all():
+        raise AssertionError("frontier flow at a vertex with no frontier edge")
+    for v, slot in zip(carriers.tolist(),
+                       first_slot[np.searchsorted(rim, carriers)].tolist()):
+        i, sign = slot >> 1, slot & 1
         val = int(agg_int[v] + w_net[v])
         if sign == 0:
             out.values[v, i] += val
@@ -358,11 +365,11 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     div_out = out.divergence_num().ravel()
     if not np.array_equal(div_out[core_flat], np.asarray(f).ravel()[core_flat]):
         raise AssertionError("rounded flow has wrong core divergence")
-    dev_num = np.abs((out_vals << s) - phi.values)[cc]
+    dev_num = np.abs((out_vals[cc] << s) - phi.values[cc])
     info = {
         "max_dev_core": float(int(dev_num.max(initial=0))) / mod,
         "edges_rounded": int(m_cc),
-        "supply": int(np.abs(r).sum()),
+        "supply": int(np.abs(r[:nvert]).sum()),
     }
     return out, info
 

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._maxflow import ArrayDinic, solve_supply_flow
+from ._maxflow import solve_supply_flow
 from .equidecompose import (KSelectionError, Matching, PieceMap, TileFlow,
                             build_matching, extract_pieces, select_K,
                             select_K_empirical, tile_flow,
@@ -23,7 +23,7 @@ from .equidecompose import (KSelectionError, Matching, PieceMap, TileFlow,
 from .flowgrid import (BoxEnvelope, EdgeField, certify_box_envelope,
                        integral_flow_bound, residual_num, tail_bound,
                        truncated_psi, truncation_error_bound)
-from .integralize import (_core_edge_masks, _flat_shifts, _frontier_edge_table,
+from .integralize import (_core_edge_masks, _flat_shifts, _rim_frontier_slots,
                           integralize_flow)
 from .lattice import ActionSpec, IndicatorField, LatticeWindow, sample_field
 from .shapes import Shape
@@ -67,24 +67,20 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
     cc = _core_edge_masks(window)
     ui, di = np.nonzero(cc)
     flat_shift = _flat_shifts(window)
-    vi = ui + flat_shift[di]
-    k_cnt, fmask = _frontier_edge_table(window)
-    rim = np.flatnonzero(core_flat & (k_cnt > 0))
-    w = nvert
+    rim, fslots = _rim_frontier_slots(window)
+    k_cnt = fslots.sum(axis=0, dtype=np.int64)
+    # vertex nvert merges the frontier: each rim vertex reaches it through
+    # all of its frontier edges at once
+    eu = np.concatenate([ui, rim])
+    ev = np.concatenate([ui + flat_shift[di], np.full(len(rim), nvert)])
+    supply = np.append(r, -total)
 
     doublings = 0
-    net = None
     while True:
         cap = (capacity_units << doublings) << s
-        din = ArrayDinic(nvert + 3)
-        caps = np.full(len(ui), cap, dtype=np.int64)
-        din.add_edges(ui, vi, caps, caps)
-        rim_cap = k_cnt[rim] * cap
-        din.add_edges(rim, np.full(len(rim), w), rim_cap, rim_cap)
-        supply = np.zeros(nvert + 1, dtype=np.int64)
-        supply[:nvert] = r
-        supply[w] = -total
-        ok, net = solve_supply_flow(nvert + 1, din, supply)
+        caps = np.concatenate([np.full(len(ui), cap, dtype=np.int64),
+                               k_cnt * cap])
+        ok, net = solve_supply_flow(eu, ev, caps, caps, supply)
         if ok:
             break
         doublings += 1
@@ -99,12 +95,11 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
     h = np.zeros_like(psi.values)
     m_cc = len(ui)
     np.add.at(h, (ui, di), net[:m_cc])
-    w_net = net[m_cc:m_cc + len(rim)]
     per_edge = (capacity_units << doublings) << s
-    for v, q in zip(rim.tolist(), w_net.tolist()):
+    for r_i, (v, q) in enumerate(zip(rim.tolist(), net[m_cc:].tolist())):
         if q == 0:
             continue
-        for slot in np.flatnonzero(fmask[:, v]).tolist():
+        for slot in np.flatnonzero(fslots[:, r_i]).tolist():
             i, sign = slot >> 1, slot & 1
             take = max(-per_edge, min(per_edge, q))
             if sign == 0:
@@ -117,7 +112,9 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
         if q != 0:
             raise AssertionError("frontier disaggregation left %d units" % q)
 
-    phi = EdgeField(window, s, psi.values + h, np.ones_like(psi.valid))
+    max_correction = max(int(h.max(initial=0)), -int(h.min(initial=0)))
+    h += psi.values
+    phi = EdgeField(window, s, h, np.ones_like(psi.valid))
     res = residual_num(field, phi).ravel()
     if res[core_flat].any():
         raise AssertionError("repair left a core residual")
@@ -126,7 +123,7 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
         "doublings": int(doublings),
         "supply_abs_num": supply_abs,
         "supply_abs": supply_abs / float(1 << s),
-        "max_correction": float(int(np.abs(h).max(initial=0))) / (1 << s),
+        "max_correction": float(max_correction) / (1 << s),
         "edges": int(m_cc),
     }
     return phi, info

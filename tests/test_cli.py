@@ -137,13 +137,24 @@ def test_discrepancy_table(tmp_path, capsys):
     assert "slope_a=" in capsys.readouterr().out
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "run")
     assert main(["square", "--set", "L=zero"]) == EXIT_CONFIG
     assert main(["square", "--set", "wat=1"]) == EXIT_CONFIG
-    # margin=0 passes config validation but the repair stage needs a ring
-    assert run("flow", out, extra=["margin=0"]) == EXIT_CONFIG
+    # repair needs a frontier ring, so margin=0 fails before any sampling
+    import equidecomp.pipeline as pipeline
+    sampled = []
+    sample = pipeline.sample_field
+
+    def counted(*args, **kwargs):
+        sampled.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sample_field", counted)
     capsys.readouterr()
+    assert run("flow", out, extra=["margin=0"]) == EXIT_CONFIG
+    assert "margin must be >= 1" in capsys.readouterr().err
+    assert not sampled
     # measure mismatch is an infeasibility with a named stage, whichever
     # subcommand meets it
     for cmd in ("flow", "integralize", "square"):
@@ -151,6 +162,16 @@ def test_exit_codes(tmp_path, capsys):
         assert code == EXIT_INFEASIBLE, cmd
         err = capsys.readouterr().err
         assert "infeasible: sample" in err, cmd
+
+
+def test_square_past_int32_supply(tmp_path):
+    # at n0=4 the flagship's repair supply is ~2^34, past the compiled
+    # max-flow's int32 range, so the solve takes its coarse phases
+    out = str(tmp_path / "run")
+    assert main(["square", "--set", "out=%s" % out, "--set", "n0=4"]) == EXIT_OK
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["repair"]["supply_abs_num"] > 1 << 32
+    assert main(["verify", "--dir", out]) == EXIT_OK
 
 
 def test_config_file_plus_overrides(tmp_path):

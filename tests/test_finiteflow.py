@@ -5,8 +5,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from equidecomp._maxflow import ArrayDinic, _ranges, solve_supply_flow
+from equidecomp._maxflow import solve_supply_flow
 from equidecomp.dyadic import Dyadic
 from equidecomp.finiteflow import (
     CutCertificate,
@@ -257,50 +258,73 @@ def test_round_flow_checks_divergence():
 # array engine
 # ---------------------------------------------------------------------------
 
-def test_ranges_concatenates_spans():
-    got = _ranges(np.array([0, 5, 9]), np.array([2, 3, 0]))
-    assert got.tolist() == [0, 1, 5, 6, 7]
-    assert _ranges(np.array([], dtype=np.int64), np.array([], dtype=np.int64)).size == 0
+def edge_arrays(g, caps):
+    u = np.array([e[0] for e in g.edges], dtype=np.int64)
+    v = np.array([e[1] for e in g.edges], dtype=np.int64)
+    cuv = np.array([caps[(a, b)] for a, b in g.edges], dtype=np.int64)
+    cvu = np.array([caps[(b, a)] for a, b in g.edges], dtype=np.int64)
+    return u, v, cuv, cvu
+
+
+def check_routed(g, caps, supply, net):
+    """net is an f-flow for the supply within the capacities."""
+    div = [0] * g.n
+    for (a, b), w in zip(g.edges, net.tolist()):
+        assert -caps[(b, a)] <= w <= caps[(a, b)]
+        div[a] += w
+        div[b] -= w
+    assert div == [int(x) for x in supply]
+
+
+def test_supply_flow_isolated_vertices():
+    # vertices 1, 3 and 5 have no edge, so their rows of the arc table are
+    # empty; the flow 0 -> 2 -> 4 must still be routed around them
+    ok, net = solve_supply_flow([0, 2], [2, 4], [3, 3], [0, 0],
+                                [2, 0, 0, 0, -2, 0])
+    assert ok and net.tolist() == [2, 2]
+    ok, net = solve_supply_flow([], [], [], [], [0, 0, 0])
+    assert ok and net.size == 0
 
 
 def test_array_engine_matches_reference():
+    # the s-t max flow value is exactly the largest routable 0 -> n-1 supply
     rng = np.random.default_rng(31)
     for _ in range(120):
         n = int(rng.integers(2, 7))
         g = random_graph(rng, n)
         caps = random_caps(rng, g, hi=3)
         ref = st_max_flow(g, 0, n - 1, caps)
-        din = ArrayDinic(n)
-        if g.edges:
-            u = np.array([e[0] for e in g.edges])
-            v = np.array([e[1] for e in g.edges])
-            cuv = np.array([caps[(a, b)] for a, b in g.edges])
-            cvu = np.array([caps[(b, a)] for a, b in g.edges])
-            din.add_edges(u, v, cuv, cvu)
-        else:
-            din._finalize()
-        assert din.max_flow(0, n - 1) == ref.value
+        arrays = edge_arrays(g, caps)
+        for value, want in ((ref.value, True), (ref.value + 1, False)):
+            supply = np.zeros(n, dtype=np.int64)
+            supply[0], supply[n - 1] = value, -value
+            ok, net = solve_supply_flow(*arrays, supply)
+            assert ok == want
+            if ok:
+                check_routed(g, caps, supply, net)
 
 
 def test_array_engine_deterministic():
     def build():
-        din = ArrayDinic(6)
         u = np.array([0, 0, 1, 2, 3, 4, 1])
         v = np.array([1, 2, 3, 4, 5, 5, 2])
-        din.add_edges(u, v, np.array([3, 2, 2, 3, 2, 2, 1]), 0)
-        din.max_flow(0, 5)
-        return din.net_flow()
+        supply = np.array([4, 0, 0, 0, 0, -4])
+        ok, net = solve_supply_flow(u, v, np.array([3, 2, 2, 3, 2, 2, 1]), 0,
+                                    supply)
+        assert ok
+        return net
     assert np.array_equal(build(), build())
 
 
 def test_array_engine_rejects_bad_input():
-    din = ArrayDinic(3)
-    with pytest.raises(ValueError):
-        din.add_edges([0], [1], [-1], [0])
-    din.add_edges([0], [1], [1], [0])
-    din.max_flow(0, 1)
-    with pytest.raises(RuntimeError):
-        din.add_edges([1], [2], [1], [0])
+    for u, v, cap, msg in (([0], [1], [-1], "negative capacity"),
+                           ([0, 1], [1, 0], [1, 1], "duplicate edge"),
+                           ([0, 0], [1, 1], [1, 1], "duplicate edge"),
+                           ([1], [1], [1], "self-loop"),
+                           ([0], [2], [1], "out of range"),
+                           ([0, 1], [1], [1], "one entry per edge")):
+        with pytest.raises(ValueError, match=msg):
+            solve_supply_flow(u, v, cap, 0, [0, 0])
 
 
 def test_supply_flow_round_trip():
@@ -318,31 +342,64 @@ def test_supply_flow_round_trip():
         for (u, v), w in zip(g.edges, net.tolist()):
             supply[u] += w
             supply[v] -= w
-        din = ArrayDinic(n + 2)
-        u = np.array([e[0] for e in g.edges])
-        v = np.array([e[1] for e in g.edges])
-        din.add_edges(u, v, np.array([caps[e] for e in g.edges]),
-                      np.array([caps[(b, a)] for a, b in g.edges]))
-        ok, got = solve_supply_flow(n, din, supply)
+        ok, got = solve_supply_flow(*edge_arrays(g, caps), supply)
         assert ok
-        div = np.zeros(n, dtype=np.int64)
-        for (a, b), w in zip(g.edges, got.tolist()):
-            div[a] += w
-            div[b] -= w
-        assert np.array_equal(div, supply)
-        for (a, b), w in zip(g.edges, got.tolist()):
-            assert -caps[(b, a)] <= w <= caps[(a, b)]
+        check_routed(g, caps, supply, got)
 
 
 def test_supply_flow_reports_infeasible():
-    din = ArrayDinic(4)          # vertices 0,1 real; no edge between them
-    ok, _ = solve_supply_flow(2, din, np.array([1, -1]))
-    assert not ok
+    ok, _ = solve_supply_flow([], [], [], [], np.array([1, -1]))
+    assert not ok                # vertices 0, 1 and no edge between them
 
 
 def test_supply_flow_validation():
-    din = ArrayDinic(4)
-    with pytest.raises(ValueError):
-        solve_supply_flow(2, din, np.array([1, 0, -1]))
-    with pytest.raises(ValueError):
-        solve_supply_flow(2, ArrayDinic(4), np.array([1, 1]))
+    with pytest.raises(ValueError, match="balance"):
+        solve_supply_flow([0], [1], [1], [1], np.array([1, 1]))
+    with pytest.raises(ValueError, match="one entry per vertex"):
+        solve_supply_flow([0], [1], [1], [1], np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("value", [(1 << 31) + 7, (1 << 45) + 3])
+def test_supply_flow_is_exact_beyond_int32(value):
+    # the compiled solver stores int32; a wider value must neither wrap nor
+    # truncate, whether it fits the edge or misses it by one unit
+    ok, net = solve_supply_flow([0], [1], [value], [0], [value, -value])
+    assert ok and net.tolist() == [value]
+    ok, _ = solve_supply_flow([0], [1], [value - 1], [0], [value, -value])
+    assert not ok
+    ok, net = solve_supply_flow([0, 0, 1], [1, 2, 2], value, 0,
+                                [value, 0, -value])
+    assert ok and net.tolist() == [0, value, 0]
+
+
+_WIDE = st.one_of(st.integers(0, 4), st.integers(0, 1 << 45))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_supply_flow_agrees_with_oracle(data):
+    n = data.draw(st.integers(2, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = FiniteGraph(n, data.draw(st.lists(st.sampled_from(pairs),
+                                          unique=True)))
+    caps = {}
+    for a, b in g.edges:
+        caps[(a, b)], caps[(b, a)] = data.draw(_WIDE), data.draw(_WIDE)
+    # the divergence of a flow within the capacities, then maybe a shift
+    # of some amount between two vertices, so both outcomes occur
+    supply = [0] * n
+    for a, b in g.edges:
+        w = data.draw(st.integers(-caps[(b, a)], caps[(a, b)]))
+        supply[a] += w
+        supply[b] -= w
+    if data.draw(st.booleans()):
+        x, y = data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                  max_size=2, unique=True))
+        shift = data.draw(_WIDE)
+        supply[x] += shift
+        supply[y] -= shift
+    want = f_flow_feasible(g, dict(enumerate(supply)), caps)
+    ok, net = solve_supply_flow(*edge_arrays(g, caps), supply)
+    assert ok == isinstance(want, FlowValues)
+    if ok:
+        check_routed(g, caps, supply, net)
