@@ -8,7 +8,7 @@ Subcommands
   verify       independent re-check of serialized square artifacts
 
 Exit codes: 0 success, 2 verification failure, 3 infeasibility (with
-certificate), 4 configuration error.
+certificate), 4 configuration error, 5 internal error (a broken invariant).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 2
 EXIT_INFEASIBLE = 3
 EXIT_CONFIG = 4
+EXIT_INTERNAL = 5
 
 
 def _outdir(cfg: RunConfig) -> str:
@@ -224,8 +225,7 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
     b_flat = np.ravel_multi_index(
         tuple(np.clip(cb, 0, window.L - 1).T), window.shape) \
         if len(a_flat) else np.zeros(0, dtype=np.int64)
-    groups = sorted({tuple(r) for r in gamma.tolist()})
-    gammas = np.array(groups, dtype=np.int64).reshape(len(groups), window.d)
+    gammas = np.unique(gamma, axis=0)
     pieces = PieceMap(window=window, K=k_eff, a_flat=a_flat, b_flat=b_flat,
                       gamma=gamma, piece_id=piece_id.astype(np.int32),
                       gammas=gammas, unmatched_a=un_a, unmatched_b=un_b,
@@ -286,6 +286,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
+    except AssertionError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

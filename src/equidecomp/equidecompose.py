@@ -27,26 +27,21 @@ import numpy as np
 
 from .flowgrid import EdgeField
 from .lattice import IndicatorField, LatticeWindow, directions
-from .tiling import Tiling, _shift_slices, rect_tiling
-
-# dense (ntiles x ntiles) aggregation; plenty for window-scale runs
-_TILE_GUARD = 4096
-# row block of the antisymmetry check, so that it never holds a second
-# dense (ntiles x ntiles) matrix
-_ANTISYM_ROWS = 256
+from .tiling import Tiling, _axis_sides, _shift_slices, rect_tiling
 
 
 def box_boundary_edges(sides: Sequence[int]) -> int:
     """Exact number of lattice edges leaving a box with the given sides.
 
-    Summing over all 3^d - 1 directions gives 3^d vol - prod(3 s_i - 2).
+    Summing over all 3^d - 1 directions gives 3^d vol - prod(3 s_i - 2);
+    sides given as broadcasting int64 arrays give the count per element.
     """
     vol, alt = 1, 1
     for s in sides:
-        if s < 1:
+        if np.any(np.asarray(s) < 1):
             raise ValueError("box sides must be positive")
-        vol *= int(s)
-        alt *= 3 * int(s) - 2
+        vol = vol * s
+        alt = alt * (3 * s - 2)
     return 3 ** len(sides) * vol - alt
 
 
@@ -68,31 +63,35 @@ def select_K(window: LatticeWindow, field: IndicatorField, c,
     K <= core side / 4 works; at window scale that is the norm — the edge
     count grows like c*K^(d-1) against point counts of order K^d / 4, so
     the crossover K far exceeds any desk-size core — and the caller falls
-    back to select_K_empirical.
+    back to select_K_empirical.  Tile counts are block sums; no tiling is
+    built.
     """
     lo, hi = window.core_bounds
     side = hi - lo
     c_int = int(math.ceil(c))
     if k_max is None:
         k_max = side // 4
+    core = (slice(lo, hi),) * window.d
+    chi = np.stack([field.chi_a[core], field.chi_b[core]]).astype(np.int64)
     diag: Dict[int, str] = {}
-    for K in range(1, max(int(k_max), 0) + 1):
-        t = rect_tiling(window, K)
-        if t.improper:
+    for K in range(1, min(int(k_max), side) + 1):
+        sides, improper = _axis_sides(side, K)
+        if improper:
             diag[K] = "improper tiling (remainder strip)"
             continue
-        worst = None
-        for tile in t.tiles:
-            need = c_int * box_boundary_edges(tile.sides)
-            na = int(field.chi_a[tile.slices()].sum())
-            nb = int(field.chi_b[tile.slices()].sum())
-            if min(na, nb) < need:
-                worst = (tile.index, need, na, nb)
-                break
-        if worst is None:
+        sides = np.asarray(sides, dtype=np.int64)
+        starts = np.cumsum(sides) - sides
+        counts = chi
+        for ax in range(1, window.d + 1):
+            counts = np.add.reduceat(counts, starts, axis=ax)
+        na, nb = counts                 # per tile, in tile index order
+        need = c_int * box_boundary_edges(np.ix_(*[sides] * window.d))
+        fail = np.flatnonzero(np.minimum(na, nb) < need)
+        if not len(fail):
             return K
+        i = int(fail[0])
         diag[K] = ("tile %d needs %d points per side, has A=%d B=%d"
-                   % worst)
+                   % (i, need.flat[i], na.flat[i], nb.flat[i]))
     raise KSelectionError(
         "no K <= %d satisfies the boundary-to-count criterion" % k_max, diag)
 
@@ -119,9 +118,6 @@ def select_K_empirical(window: LatticeWindow, psi: EdgeField,
         if t.improper:
             scanned[K] = "improper"
             continue
-        if len(t.tiles) > _TILE_GUARD:
-            scanned[K] = "too many tiles"
-            continue
         tf = tile_flow(psi, t, field)
         bad = int((~tf.feasible).sum())
         scanned[K] = bad
@@ -136,42 +132,37 @@ def select_K_empirical(window: LatticeWindow, psi: EdgeField,
                      "infeasible": best[0]}
 
 
-def tile_adjacency(tiling: Tiling) -> Tuple[np.ndarray, np.ndarray]:
-    """(adjacency matrix, touches-untiled flags) from the tile-id grid.
-
-    Tiles are adjacent when some lattice edge joins them; a tile touches
-    untiled space when some edge leads to an in-window vertex of no tile.
-    """
+def _tile_edges(tiling: Tiling):
+    """Per canonical direction g_i, (i, src, a, b): the window slice src of
+    the tails of the edges (x, x + g_i) within the core plus a one-vertex
+    ring -- every edge with a tiled end -- and the tile ids a, b of both
+    ends (-1 untiled)."""
     window = tiling.window
-    n = len(tiling.tiles)
-    adj = np.zeros((n, n), dtype=bool)
-    touches = np.zeros(n, dtype=bool)
-    for g in directions(window.d):
-        src, dst = _shift_slices(window.L, g)
-        a = tiling.tile_id[src].ravel()
-        b = tiling.tile_id[dst].ravel()
-        both = (a >= 0) & (b >= 0) & (a != b)
-        adj[a[both], b[both]] = True
-        adj[b[both], a[both]] = True
-        touches[a[(a >= 0) & (b < 0)]] = True
-        touches[b[(b >= 0) & (a < 0)]] = True
-    return adj, touches
+    lo, hi = window.core_bounds
+    c0, c1 = max(lo - 1, 0), min(hi + 1, window.L)
+    tid = tiling.tile_id[(slice(c0, c1),) * window.d]
+    for i, g in enumerate(directions(window.d)):
+        src, dst = _shift_slices(c1 - c0, g)
+        at = tuple(slice(c0 + sl.start, c0 + sl.stop) for sl in src)
+        yield i, at, tid[src].ravel(), tid[dst].ravel()
 
 
 @dataclass
 class TileFlow:
     """Integral flow aggregated over tile interfaces.
 
-    psi_mat[i, j] is the net number of units flowing from tile i to tile j
-    (antisymmetric, nonzero only for adjacent pairs); outflux[i] is what
-    leaves tile i for untiled in-window vertices.  A tile is interior when
-    it has no such leakage path; interior tiles satisfy the conservation
-    identity sum_S Psi(R,S) = |R cap A| - |R cap B| exactly.
+    Adjacent tile pairs are listed in both orientations, sorted by (src,
+    dst); pair_val is the net flow from src to dst (antisymmetric, possibly
+    0) and tile i owns rows row_ptr[i]:row_ptr[i + 1].  outflux[i] leaves
+    tile i for untiled in-window vertices; a tile without such a leakage
+    path is interior and satisfies sum_S Psi(R,S) = |R cap A| - |R cap B|.
     """
 
     tiling: Tiling
-    psi_mat: np.ndarray        # (n, n) int64
-    adj: np.ndarray            # (n, n) bool
+    pair_src: np.ndarray       # (p,) int32 tile ids
+    pair_dst: np.ndarray       # (p,) int32
+    pair_val: np.ndarray       # (p,) int64
+    row_ptr: np.ndarray        # (n + 1,) int64
     count_a: np.ndarray        # (n,) int64
     count_b: np.ndarray
     outflux: np.ndarray        # (n,) int64
@@ -181,15 +172,21 @@ class TileFlow:
     def n(self) -> int:
         return len(self.tiling.tiles)
 
-    def Psi(self, i: int, j: int) -> int:
-        return int(self.psi_mat[i, j])
-
     def neighbors(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.adj[i])
+        return self.pair_dst[self.row_ptr[i]:self.row_ptr[i + 1]]
+
+    def transfers(self, i: int) -> np.ndarray:
+        """Psi(i, S) for S in neighbors(i), in the same order."""
+        return self.pair_val[self.row_ptr[i]:self.row_ptr[i + 1]]
+
+    def _row_sums(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.n, dtype=np.int64)
+        np.add.at(out, self.pair_src, x)
+        return out
 
     @property
     def net(self) -> np.ndarray:
-        return self.psi_mat.sum(axis=1)
+        return self._row_sums(self.pair_val)
 
     @property
     def conserved(self) -> np.ndarray:
@@ -203,11 +200,11 @@ class TileFlow:
 
     @property
     def need_out(self) -> np.ndarray:
-        return self.psi_mat.sum(axis=1, where=self.psi_mat > 0)
+        return self._row_sums(np.maximum(self.pair_val, 0))
 
     @property
     def need_in(self) -> np.ndarray:
-        return -self.psi_mat.sum(axis=1, where=self.psi_mat < 0)
+        return self._row_sums(np.maximum(-self.pair_val, 0))
 
     @property
     def feasible(self) -> np.ndarray:
@@ -232,38 +229,51 @@ def tile_flow(psi: EdgeField, tiling: Tiling, field: IndicatorField) -> TileFlow
     if tiling.window != window or field.window != window:
         raise ValueError("flow, tiling and field must share a window")
     n = len(tiling.tiles)
-    if n > _TILE_GUARD:
-        raise ValueError("tile count %d exceeds the dense aggregation guard" % n)
-    mod = 1 << psi.scale_exp
-    if psi.scale_exp and (psi.values % mod).any():
+    if psi.scale_exp and (psi.values % (1 << psi.scale_exp)).any():
         raise ValueError("flow is not integral")
-    adj, touches = tile_adjacency(tiling)
-    psi_mat = np.zeros((n, n), dtype=np.int64)
+    keys, vals = [], []
     outflux = np.zeros(n, dtype=np.int64)
-    for i, g in enumerate(directions(window.d)):
-        src, dst = _shift_slices(window.L, g)
-        a = tiling.tile_id[src].ravel()
-        b = tiling.tile_id[dst].ravel()
+    touches = np.zeros(n, dtype=bool)
+    for i, src, a, b in _tile_edges(tiling):
         v = psi.grid(i)[src].ravel() >> psi.scale_exp
-        both = (a >= 0) & (b >= 0) & (a != b)
-        np.add.at(psi_mat, (a[both], b[both]), v[both])
-        np.subtract.at(psi_mat, (b[both], a[both]), v[both])
-        leak = (a >= 0) & (b < 0)
-        np.add.at(outflux, a[leak], v[leak])
-        leak = (b >= 0) & (a < 0)
-        np.subtract.at(outflux, b[leak], v[leak])
+        for t, u, w in ((a, b, v), (b, a, -v)):      # both orientations
+            pair = (t >= 0) & (u >= 0) & (t != u)
+            keys.append(t[pair].astype(np.int64) * n + u[pair])
+            vals.append(w[pair])
+            leak = (t >= 0) & (u < 0)
+            np.add.at(outflux, t[leak], w[leak])
+            touches[t[leak]] = True
+    # summed per (src, dst) pair in exact int64; the dels keep at most
+    # four pair-sized arrays alive at once
+    key, val = np.concatenate(keys), np.concatenate(vals)
+    del keys, vals
+    order = np.argsort(key)
+    key = key[order]
+    val = val[order]
+    del order
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    pair_val = np.add.reduceat(val, first) if len(first) else val
+    del val
+    key = key[first]
+    del first
+    pair_src = (key // n).astype(np.int32)
+    pair_dst = (key % n).astype(np.int32)
+    del key
     tid = tiling.tile_id.ravel()
     tiled = tid >= 0
     count_a = np.bincount(tid[tiled & field.chi_a.ravel()], minlength=n)
     count_b = np.bincount(tid[tiled & field.chi_b.ravel()], minlength=n)
-    tf = TileFlow(tiling=tiling, psi_mat=psi_mat, adj=adj,
-                  count_a=count_a.astype(np.int64),
-                  count_b=count_b.astype(np.int64),
+    tf = TileFlow(tiling=tiling, pair_src=pair_src, pair_dst=pair_dst,
+                  pair_val=pair_val,
+                  row_ptr=np.searchsorted(pair_src, np.arange(n + 1)),
+                  count_a=count_a, count_b=count_b,
                   outflux=outflux, interior=~touches)
-    for lo in range(0, n, _ANTISYM_ROWS):
-        hi = lo + _ANTISYM_ROWS
-        if (psi_mat[lo:hi] + psi_mat[:, lo:hi].T).any():
-            raise AssertionError("tile transfers are not antisymmetric")
+    # sorted by (src, dst), the reverse of pair p is pair rev[p]
+    rev = np.argsort(pair_dst, kind="stable")
+    if ((pair_src[rev] != pair_dst).any() or (pair_dst[rev] != pair_src).any()
+            or (pair_val[rev] + pair_val).any()):
+        raise AssertionError("tile transfers are not antisymmetric")
+    del rev
     bad = ~tf.balanced
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -325,10 +335,9 @@ def build_matching(tf: TileFlow, field: IndicatorField) -> Matching:
     for t in range(n):
         if not used[t]:
             continue
-        for s in tf.neighbors(t).tolist():
+        for s, v in zip(tf.neighbors(t).tolist(), tf.transfers(t).tolist()):
             if not used[s]:
                 continue
-            v = tf.Psi(t, s)
             if v > 0:
                 blk = lists_a[t][pos_a[t]:pos_a[t] + v]
                 if len(blk) != v:
@@ -363,7 +372,7 @@ def build_matching(tf: TileFlow, field: IndicatorField) -> Matching:
             continue
         ra = lists_a[t][pos_a[t]:]
         rb = lists_b[t][pos_b[t]:]
-        if tf.outflux[t] == 0 and all(used[s] for s in tf.neighbors(t).tolist()):
+        if tf.outflux[t] == 0 and used[tf.neighbors(t)].all():
             if len(ra) != len(rb):
                 raise AssertionError(
                     "leftover imbalance %d vs %d in fully served tile %d"
@@ -447,25 +456,17 @@ def extract_pieces(matching: Matching, K: int) -> PieceMap:
     order = np.argsort(matching.pair_a)
     a_flat = matching.pair_a[order]
     b_flat = matching.pair_b[order]
-    ca = np.stack(np.unravel_index(a_flat, window.shape), axis=1) \
-        if m else np.zeros((0, d), np.int64)
-    cb = np.stack(np.unravel_index(b_flat, window.shape), axis=1) \
-        if m else np.zeros((0, d), np.int64)
+    ca = np.stack(np.unravel_index(a_flat, window.shape), axis=1).reshape(m, d)
+    cb = np.stack(np.unravel_index(b_flat, window.shape), axis=1).reshape(m, d)
     gamma = (cb - ca).astype(np.int64)
-    if m:
-        norms = np.abs(gamma).max(axis=1)
-        if norms.max() > 2 * K + 3:
-            i = int(norms.argmax())
-            raise AssertionError(
-                "assignment %r -> %r moves by %r, past the 2K+3 = %d bound"
-                % (tuple(ca[i]), tuple(cb[i]), tuple(gamma[i]), 2 * K + 3))
-    groups: Dict[Tuple[int, ...], int] = {}
-    for row in gamma.tolist():
-        groups.setdefault(tuple(row), 0)
-    gammas = np.array(sorted(groups), dtype=np.int64).reshape(len(groups), d)
-    gid = {tuple(row): i for i, row in enumerate(gammas.tolist())}
-    piece_id = np.array([gid[tuple(row)] for row in gamma.tolist()],
-                        dtype=np.int32)
+    norms = np.abs(gamma).max(axis=1, initial=0)
+    if norms.max(initial=0) > 2 * K + 3:
+        i = int(norms.argmax())
+        raise AssertionError(
+            "assignment %r -> %r moves by %r, past the 2K+3 = %d bound"
+            % (tuple(ca[i]), tuple(cb[i]), tuple(gamma[i]), 2 * K + 3))
+    gammas, piece_id = np.unique(gamma, axis=0, return_inverse=True)
+    piece_id = piece_id.reshape(-1).astype(np.int32)
     if len(gammas) > (4 * K + 7) ** d:
         raise AssertionError("piece count exceeds (4K+7)^d")
     return PieceMap(window=window, K=int(K), a_flat=a_flat, b_flat=b_flat,
@@ -525,18 +526,12 @@ def verify_equidecomposition(pieces: PieceMap, field: IndicatorField) -> dict:
     put("gamma_bound", max_norm < pieces.bound,
         max_norm=max_norm, bound=pieces.bound)
 
-    regroup = {}
-    for row in gamma.tolist():
-        regroup.setdefault(tuple(row), 0)
-    want = sorted(regroup)
-    have = [tuple(r) for r in pieces.gammas.tolist()]
-    ok_group = want == have and len(have) <= (4 * pieces.K + 7) ** d
-    if ok_group and m:
-        gid = {g: i for i, g in enumerate(have)}
-        ok_group = bool(
-            (pieces.piece_id
-             == np.array([gid[tuple(r)] for r in gamma.tolist()])).all())
-    put("piece_grouping", ok_group, pieces=len(have))
+    want, regroup = np.unique(gamma, axis=0, return_inverse=True)
+    put("piece_grouping",
+        np.array_equal(want, pieces.gammas)
+        and len(want) <= (4 * pieces.K + 7) ** d
+        and np.array_equal(regroup.reshape(-1), pieces.piece_id),
+        pieces=len(pieces.gammas))
 
     tid = pieces.tiling.tile_id.ravel()
     tiled = tid >= 0
@@ -550,9 +545,13 @@ def verify_equidecomposition(pieces: PieceMap, field: IndicatorField) -> dict:
             np.sort(np.concatenate([pieces.b_flat, pieces.unmatched_b])),
             all_b)))
 
-    adj, touches = tile_adjacency(pieces.tiling)
-    unused = ~pieces.used
-    allowed = unused | touches | (adj @ unused)
+    # a tile may hold unmatched points when it is unused or has an edge
+    # to an untiled vertex or to a vertex of an unused tile
+    opened = np.append(~pieces.used, True)     # index -1: untiled
+    allowed = ~pieces.used
+    for _, _, ta, tb in _tile_edges(pieces.tiling):
+        allowed[ta[(ta >= 0) & opened[tb]]] = True
+        allowed[tb[(tb >= 0) & opened[ta]]] = True
     un_all = np.concatenate([pieces.unmatched_a, pieces.unmatched_b])
     loc_ok = True
     bad_tiles: List[int] = []

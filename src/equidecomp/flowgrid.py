@@ -407,24 +407,28 @@ def dump_edge_field(path, field: EdgeField) -> None:
     """Binary dump: magic, one ASCII header line 'd L margin scale nrec',
     then nrec little-endian int64 records (vertex, direction, numerator,
     exponent) for every valid edge, in index order, numerators canonical."""
-    vi, di = np.nonzero(field.valid)
-    nums = field.values[vi, di]
-    exps = np.full(nums.shape, field.scale_exp, dtype=np.int64)
-    nz = nums != 0
-    shift = np.zeros(nums.shape, dtype=np.int64)
-    if nz.any():
-        lowbit = (nums[nz] & -nums[nz]).astype(np.uint64)
-        tz = np.log2(lowbit.astype(np.float64)).astype(np.int64)
-        shift[nz] = np.minimum(tz, field.scale_exp)
-    exps = np.where(nz, exps - shift, 0)
-    nums = np.where(nz, nums >> shift, 0)
-    rec = np.stack([vi.astype(np.int64), di.astype(np.int64), nums, exps], axis=1)
+    flat = np.flatnonzero(field.valid)
+    rec = np.empty((len(flat), 4), dtype="<i8")    # the one record array
+    np.divmod(flat, field.valid.shape[1], out=(rec[:, 0], rec[:, 1]))
+    nums, exps = rec[:, 2], rec[:, 3]
+    np.take(field.values, flat, out=nums, mode="clip")
+    del flat
+    # canonical numerators: shift out up to scale_exp trailing zero bits
+    np.negative(nums, out=exps)
+    exps &= nums                                   # lowest set bit
+    exps[nums == 0] = 1
+    low = exps.view(np.uint64).astype(np.float64)
+    np.log2(low, out=low)
+    shift = np.minimum(low, field.scale_exp, out=low).astype(np.uint8)
+    nums >>= shift
+    np.subtract(field.scale_exp, shift, out=exps)
+    exps[nums == 0] = 0
     w = field.window
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(("%d %d %d %d %d\n" % (w.d, w.L, w.margin, field.scale_exp,
                                         rec.shape[0])).encode())
-        fh.write(rec.astype("<i8").tobytes())
+        fh.write(rec.data)
 
 
 def load_edge_field(path) -> EdgeField:

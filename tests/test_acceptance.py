@@ -29,7 +29,6 @@ from equidecomp.lattice import LatticeWindow, directions, \
 from equidecomp.pipeline import run_pipeline
 from equidecomp.tiling import Region, boundary_disjoint_cover, boundary_n, \
     fill_holes
-from equidecomp.equidecompose import tile_adjacency
 
 from test_finiteflow import (balanced_f, cut_feasible, random_caps,
                              random_graph, random_dyadic_flow)
@@ -386,15 +385,15 @@ def test_09_flagship_end_to_end(tmp_path, capsys):
     k_eff = res.summary["tiles"]["K_eff"]
     assert np.abs(res.pieces.gamma).max(initial=0) < 2 * k_eff + 4
 
-    adj, touches = tile_adjacency(res.tiling)
+    tf = res.tileflow
     unused = ~res.pieces.used
-    allowed = unused | touches | (adj @ unused)
     tid = res.tiling.tile_id.ravel()
     stray = 0
     for flat in np.concatenate([res.pieces.unmatched_a,
                                 res.pieces.unmatched_b]):
         t = int(tid[int(flat)])
-        if t >= 0 and not allowed[t]:
+        if t >= 0 and not (unused[t] or not tf.interior[t]
+                           or unused[tf.neighbors(t)].any()):
             stray += 1
     assert stray == 0
 

@@ -5,8 +5,8 @@ import os
 
 import pytest
 
-from equidecomp.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK,
-                            EXIT_VERIFY, main)
+from equidecomp.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INTERNAL,
+                            EXIT_OK, EXIT_VERIFY, main)
 
 # smallest window/seed pair that still matches a handful of points, so the
 # tamper and override tests below have real rows to corrupt
@@ -162,6 +162,22 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert code == EXIT_INFEASIBLE, cmd
         err = capsys.readouterr().err
         assert "infeasible: sample" in err, cmd
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a broken invariant inside a stage is neither a config error nor a
+    # traceback: main reports it and returns its own code
+    import equidecomp.pipeline as pipeline
+
+    def broken(*args, **kwargs):
+        raise AssertionError("tile transfers are not antisymmetric")
+
+    monkeypatch.setattr(pipeline, "tile_flow", broken)
+    capsys.readouterr()
+    assert run("square", str(tmp_path / "run")) == EXIT_INTERNAL == 5
+    err = capsys.readouterr().err
+    assert "internal error: tile transfers are not antisymmetric" in err
+    assert "Traceback" not in err
 
 
 def test_square_past_int32_supply(tmp_path):

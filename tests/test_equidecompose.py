@@ -13,12 +13,12 @@ from equidecomp.equidecompose import (
     extract_pieces,
     select_K,
     select_K_empirical,
-    tile_adjacency,
     tile_flow,
     verify_equidecomposition,
 )
 from equidecomp.flowgrid import EdgeField
 from equidecomp.lattice import IndicatorField, LatticeWindow, all_directions
+from equidecomp import equidecompose
 from equidecomp.tiling import rect_tiling
 
 
@@ -67,6 +67,55 @@ def path_flow(window, pairs):
     return psi, fld
 
 
+def recount(psi, t):
+    """Dense reference, vertex by vertex: (mat, adj, out) with mat[i, j]
+    the net flow from tile i to tile j, adj the tile adjacency and out the
+    flow from each tile into untiled vertices."""
+    w = psi.window
+    n = len(t.tiles)
+    mat = np.zeros((n, n), dtype=np.int64)
+    adj = np.zeros((n, n), dtype=bool)
+    out = np.zeros(n, dtype=np.int64)
+    for v in np.argwhere(np.ones(w.shape, dtype=bool)):
+        for g in all_directions(w.d):
+            u = v + np.asarray(g)
+            if ((u < 0) | (u >= w.L)).any():
+                continue
+            ti, tj = t.tile_of(v), t.tile_of(u)
+            if ti >= 0 and tj >= 0 and ti != tj:
+                adj[ti, tj] = True
+            val = psi.value_num(tuple(v), tuple(g)) >> psi.scale_exp
+            if val <= 0:                        # count each flow once, at its tail
+                continue
+            if ti >= 0 and tj >= 0 and ti != tj:
+                mat[ti, tj] += val
+                mat[tj, ti] -= val
+            elif ti >= 0 and tj < 0:
+                out[ti] += val
+            elif tj >= 0 and ti < 0:
+                out[tj] -= val
+    return mat, adj, out
+
+
+def assert_pairs_match(tf, mat, adj):
+    """The pair list is sorted by (src, dst), lists exactly the adjacent
+    pairs, and carries mat's value on each; mat is 0 off the list."""
+    n = tf.n
+    key = tf.pair_src.astype(np.int64) * n + tf.pair_dst
+    assert (np.diff(key) > 0).all()
+    listed = np.zeros((n, n), dtype=bool)
+    listed[tf.pair_src, tf.pair_dst] = True
+    assert np.array_equal(listed, adj)
+    assert np.array_equal(tf.pair_val, mat[tf.pair_src, tf.pair_dst])
+    assert not mat[~listed].any()
+    for i in range(n):
+        assert np.array_equal(tf.neighbors(i), np.flatnonzero(adj[i]))
+        assert np.array_equal(tf.transfers(i), mat[i, adj[i]])
+    assert np.array_equal(tf.net, mat.sum(axis=1))
+    assert np.array_equal(tf.need_out, np.where(mat > 0, mat, 0).sum(axis=1))
+    assert np.array_equal(tf.need_in, np.where(mat < 0, -mat, 0).sum(axis=1))
+
+
 def test_tile_flow_hand_example():
     w = LatticeWindow(d=2, L=8, margin=2)
     psi, fld = path_flow(w, [((3, 3), (3, 4))])
@@ -74,13 +123,15 @@ def test_tile_flow_hand_example():
     tf = tile_flow(psi, t, fld)
     i, j = t.tile_of((3, 3)), t.tile_of((3, 4))
     assert i != j
-    assert tf.Psi(i, j) == 1 and tf.Psi(j, i) == -1
+    mat, adj, _ = recount(psi, t)
+    assert mat[i, j] == 1 and mat[j, i] == -1
+    assert_pairs_match(tf, mat, adj)
     assert tf.net[i] == 1 and tf.net[j] == -1
     assert not tf.outflux.any()
     assert tf.count_a[i] == 1 and tf.count_b[j] == 1
     assert tf.balanced.all() and tf.conserved.all() and tf.feasible.all()
     assert not tf.interior.any()               # every tile borders the frontier
-    assert tf.adj[i, j] and tf.adj[j, i]
+    assert j in tf.neighbors(i) and i in tf.neighbors(j)
 
 
 def test_tile_flow_leakage_into_frontier():
@@ -109,25 +160,8 @@ def test_tile_flow_matches_recount():
     t = rect_tiling(w, 3)
     tf = tile_flow(psi, t, fld)
     n = len(t.tiles)
-    mat = np.zeros((n, n), dtype=np.int64)
-    out = np.zeros(n, dtype=np.int64)
-    for v in np.argwhere(np.ones(w.shape, dtype=bool)):
-        for g in all_directions(2):
-            u = v + np.asarray(g)
-            if ((u < 0) | (u >= w.L)).any():
-                continue
-            val = psi.value_num(tuple(v), tuple(g))
-            if val <= 0:                        # count each flow once, at its tail
-                continue
-            ti, tj = t.tile_of(v), t.tile_of(u)
-            if ti >= 0 and tj >= 0 and ti != tj:
-                mat[ti, tj] += val
-                mat[tj, ti] -= val
-            elif ti >= 0 and tj < 0:
-                out[ti] += val
-            elif tj >= 0 and ti < 0:
-                out[tj] -= val
-    assert np.array_equal(tf.psi_mat, mat)
+    mat, adj, out = recount(psi, t)
+    assert_pairs_match(tf, mat, adj)
     assert np.array_equal(tf.outflux, out)
     assert np.array_equal(tf.count_a, np.bincount(
         [t.tile_of(p) for p, _ in pairs], minlength=n))
@@ -326,7 +360,79 @@ def test_select_k_empirical_clean_and_dirty():
 def test_tile_adjacency_grid():
     w = LatticeWindow(d=2, L=12, margin=2)
     t = rect_tiling(w, 4)                         # 2x2 tiles
-    adj, touches = tile_adjacency(t)
-    assert adj.sum() == 12                        # all pairs incl. diagonals
-    assert touches.all()
-    assert not adj.diagonal().any()
+    empty = np.zeros(w.shape, dtype=bool)
+    tf = tile_flow(EdgeField(w, 0), t,
+                   IndicatorField(window=w, chi_a=empty, chi_b=empty))
+    assert len(tf.pair_src) == 12                 # all pairs incl. diagonals
+    assert not tf.interior.any()                  # all touch untiled space
+    assert (tf.pair_src != tf.pair_dst).all()
+    assert not tf.pair_val.any()                  # zero flow, still listed
+    for i in range(4):
+        assert tf.neighbors(i).tolist() == [j for j in range(4) if j != i]
+
+
+def test_tile_layer_past_4096_tiles():
+    """d=2, L=70, margin=2, K=1: 4356 single-vertex tiles, more than the
+    old dense layer allowed; pairs and the K scan still agree with the
+    recount."""
+    rng = np.random.default_rng(8)
+    w = LatticeWindow(d=2, L=70, margin=2)
+    pts = [tuple(p) for p in np.argwhere(w.core_mask())]
+    picks = rng.choice(len(pts), size=40, replace=False)
+    pairs = list(zip([pts[i] for i in picks[:20]], [pts[i] for i in picks[20:]]))
+    psi, fld = path_flow(w, pairs)
+    t = rect_tiling(w, 1)
+    assert len(t.tiles) == 66 * 66 > 4096
+    tf = tile_flow(psi, t, fld)
+    mat, adj, out = recount(psi, t)
+    assert_pairs_match(tf, mat, adj)
+    assert np.array_equal(tf.outflux, out)
+    K, diag = select_K_empirical(w, psi, fld, k_max=1)
+    assert K == 1
+    bad = int(((np.where(mat > 0, mat, 0).sum(axis=1) > tf.count_a)
+               | (np.where(mat < 0, -mat, 0).sum(axis=1) > tf.count_b)).sum())
+    assert bad > 0 and diag["scanned"] == {1: bad}
+    assert diag["infeasible"] == bad and not diag["clean"]
+
+
+def test_select_k_builds_no_tiling(monkeypatch):
+    calls = []
+    real = equidecompose.rect_tiling
+    monkeypatch.setattr(equidecompose, "rect_tiling",
+                        lambda *a: calls.append(a) or real(*a))
+    w = LatticeWindow(d=2, L=104, margin=2)
+    par = np.indices(w.shape).sum(axis=0) % 2
+    fld = IndicatorField(window=w, chi_a=par == 0, chi_b=par == 1)
+    assert select_K(w, fld, c=0.5) >= 1
+    with pytest.raises(KSelectionError):
+        select_K(w, fld, c=100)
+    assert calls == []
+
+
+def test_select_k_diagnostics_match_tile_scan():
+    """Block-sum diagnostics name the same first failing tile, with the
+    same numbers, as a per-tile slice scan of each rect tiling."""
+    rng = np.random.default_rng(21)
+    for d, L, margin in ((2, 40, 3), (3, 17, 2)):
+        w = LatticeWindow(d=d, L=L, margin=margin)
+        fld = IndicatorField(window=w, chi_a=rng.random(w.shape) < 0.3,
+                             chi_b=rng.random(w.shape) < 0.3)
+        for c in (1, 2):
+            with pytest.raises(KSelectionError) as exc:
+                select_K(w, fld, c=c)
+            side = L - 2 * margin
+            want = {}
+            for K in range(1, side // 4 + 1):
+                t = rect_tiling(w, K)
+                if t.improper:
+                    want[K] = "improper tiling (remainder strip)"
+                    continue
+                for tile in t.tiles:
+                    need = c * box_boundary_edges(tile.sides)
+                    na = int(fld.chi_a[tile.slices()].sum())
+                    nb = int(fld.chi_b[tile.slices()].sum())
+                    if min(na, nb) < need:
+                        want[K] = ("tile %d needs %d points per side, has "
+                                   "A=%d B=%d" % (tile.index, need, na, nb))
+                        break
+            assert exc.value.diagnostics == want

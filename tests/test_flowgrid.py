@@ -7,6 +7,7 @@ itself checked against direct enumeration of transport segments.
 
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ def test_level_sum_base_shift_invariance():
                 assert level_sum(fld, y, g, n, base=base) == ref
 
 
-def test_truncated_psi_matches_scalar_reference():
+def test_truncated_psi_equals_scalar_reference():
     """Every valid edge of the bulk construction equals the level_sum total."""
     fld = random_field(2, 12, seed=7)
     n0 = 2
@@ -225,6 +226,32 @@ def test_edge_field_dump_is_deterministic(tmp_path):
     dump_edge_field(p1, psi)
     dump_edge_field(p2, psi)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_edge_field_dump_matches_record_reference(tmp_path):
+    """flow.bin bytes equal a record-by-record encoding: header, then per
+    valid edge in index order the little-endian int64 quadruple (vertex,
+    direction, canonical numerator, canonical exponent)."""
+    w = LatticeWindow(d=2, L=5, margin=1)
+    rng = np.random.default_rng(19)
+    shape = (w.n_vertices, len(directions(2)))
+    scale = 4
+    values = rng.integers(-40, 41, size=shape) << rng.integers(0, 6, size=shape)
+    values[rng.random(shape) < 0.2] = 0
+    values[0, 0] = -(1 << 40)
+    valid = rng.random(shape) < 0.8
+    psi = EdgeField(w, scale, values.astype(np.int64), valid)
+    p = tmp_path / "f.bin"
+    dump_edge_field(p, psi)
+    want = io.BytesIO()
+    want.write(b"EQDF1\n")
+    want.write(("2 5 1 %d %d\n" % (scale, valid.sum())).encode())
+    for v in range(shape[0]):
+        for i in range(shape[1]):
+            if valid[v, i]:
+                dy = Dyadic(int(values[v, i]), scale)
+                want.write(struct.pack("<4q", v, i, dy.num, dy.exp))
+    assert p.read_bytes() == want.getvalue()
 
 
 def test_edge_field_csv_crlf(tmp_path):

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from equidecomp import equidecompose, pipeline
+from equidecomp.config import build_config
 from equidecomp.flowgrid import EdgeField, residual_num, truncated_psi
 from equidecomp.lattice import ActionSpec, IndicatorField, LatticeWindow
 from equidecomp.pipeline import (PipelineError, repair_to_frontier,
@@ -111,3 +113,31 @@ def test_pipeline_sample_stage_failure():
         run_pipeline(window, action, a, lopsided, n0)
     assert exc.value.stage == "sample"
     assert "lambda(A)" in str(exc.value)
+
+
+def test_flagship_builds_each_scanned_tiling_once(monkeypatch):
+    """select_K reads per-tile counts from block sums and builds no
+    tiling; only the empirical scan does, once per K it scans."""
+    built = []
+    in_select_k = []
+    real_tiling, real_select = equidecompose.rect_tiling, pipeline.select_K
+
+    def tiling(window, K):
+        built.append(K)
+        return real_tiling(window, K)
+
+    def select(*args, **kwargs):
+        before = len(built)
+        try:
+            return real_select(*args, **kwargs)
+        finally:
+            in_select_k.append(len(built) - before)
+
+    monkeypatch.setattr(equidecompose, "rect_tiling", tiling)
+    monkeypatch.setattr(pipeline, "select_K", select)
+    cfg = build_config({})
+    res = run_pipeline(cfg.window(), cfg.action(), *cfg.shapes(), n0=cfg.n0)
+    tiles = res.summary["tiles"]
+    assert tiles["source"] == "empirical" and tiles["K"] == 7
+    assert in_select_k == [0]
+    assert built == list(range(1, 8))
