@@ -8,7 +8,8 @@ Subcommands
   verify       independent re-check of serialized square artifacts
 
 Exit codes: 0 success, 2 verification failure, 3 infeasibility (with
-certificate), 4 configuration error, 5 internal error (a broken invariant).
+certificate), 4 configuration error (a ConfigError), 5 internal error (a
+broken invariant, including any other ValueError a stage raises).
 """
 
 from __future__ import annotations
@@ -172,15 +173,25 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
         if not os.path.exists(p):
             print("missing artifact: %s" % p)
             return EXIT_VERIFY
-    summary = read_json(summary_path)
+    try:
+        summary = read_json(summary_path)
+    except ValueError as exc:
+        print("schema error: %s: %s" % (summary_path, exc))
+        return EXIT_VERIFY
+    if not isinstance(summary, dict):
+        print("schema error: %s is not a JSON object" % summary_path)
+        return EXIT_VERIFY
     if cfg is None:
         cfg = _config_from_summary(summary)
     window = cfg.window()
     action = cfg.action()
     shape_a, shape_b = cfg.shapes()
-    fld = sample_field(window, action, shape_a, shape_b, x=_x0(cfg),
-                       measure_tol=cfg.measure_tol,
-                       freeness_tol=cfg.freeness_tol)
+    try:
+        fld = sample_field(window, action, shape_a, shape_b, x=_x0(cfg),
+                           measure_tol=cfg.measure_tol,
+                           freeness_tol=cfg.freeness_tol)
+    except ValueError as exc:
+        raise PipelineError("sample", str(exc))
     try:
         a_flat, gamma, piece_id = read_pieces_csv(pieces_path, window)
     except SchemaError as exc:
@@ -283,10 +294,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if exc.certificate:
             print("certificate: %r" % (exc.certificate,), file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except AssertionError as exc:
+    except (AssertionError, ValueError) as exc:
+        # every configuration problem is a ConfigError; any other
+        # ValueError escaping a stage is a broken invariant
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -7,6 +7,7 @@ any computation and failures name the offending key and the expected form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -109,10 +110,18 @@ class RunConfig:
                 raise ConfigError("%s lives on the %d-torus but k = %d"
                                   % (shape_key, shape.k, self.k))
         try:
-            [int(v) for v in self.ns.split(",")]
+            ns = [int(v) for v in self.ns.split(",")]
         except ValueError:
             raise ConfigError("ns must be comma-separated integers "
                               "(got %r)" % (self.ns,))
+        if min(ns) < 1 or len(set(ns)) < 3:
+            raise ConfigError("ns needs at least 3 distinct values >= 1 "
+                              "(got %r)" % (self.ns,))
+        for key in ("eps", "measure_tol", "freeness_tol"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError("%s must be finite" % key)
+        if not all(math.isfinite(c) for c in self.x0):
+            raise ConfigError("x0 coordinates must be finite")
         if not self.out:
             raise ConfigError("out directory must be non-empty")
 
@@ -189,8 +198,12 @@ def load_config(path: Optional[str],
     """Config from an optional file plus `key=value` override strings."""
     pairs: Dict[str, str] = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            pairs.update(parse_config_text(fh.read()))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("cannot read config file %r: %s" % (path, exc))
+        pairs.update(parse_config_text(text))
     for item in overrides:
         if "=" not in item:
             raise ConfigError("override %r is not of the form key=value" % item)

@@ -98,21 +98,23 @@ def select_K(window: LatticeWindow, field: IndicatorField, c,
 
 def select_K_empirical(window: LatticeWindow, psi: EdgeField,
                        field: IndicatorField, k_min: int = 1,
-                       k_max: Optional[int] = None) -> Tuple[int, dict]:
+                       k_max: Optional[int] = None
+                       ) -> Tuple[int, Tiling, TileFlow, dict]:
     """Fallback scale selection from the flow actually built.
 
-    Scans K upward and returns the first proper tiling all of whose tiles
-    can serve their aggregated transfers from their own point counts.  If
-    no K is fully clean, returns the K minimizing the number of infeasible
-    tiles, with diagnostics["clean"] = False so the caller can flag the
-    run as best-effort.
+    Scans K upward and returns (K, tiling, tile flow, diagnostics) for the
+    first proper tiling all of whose tiles can serve their aggregated
+    transfers from their own point counts.  If no K is fully clean,
+    returns those of the K minimizing the number of infeasible tiles, with
+    diagnostics["clean"] = False so the caller can flag the run as
+    best-effort.
     """
     lo, hi = window.core_bounds
     side = hi - lo
     if k_max is None:
         k_max = side // 2
     scanned: Dict[int, object] = {}
-    best: Optional[Tuple[int, int]] = None       # (bad count, K)
+    best = None                                  # (bad count, K, tiling, tf)
     for K in range(max(1, k_min), max(int(k_max), 0) + 1):
         t = rect_tiling(window, K)
         if t.improper:
@@ -122,14 +124,15 @@ def select_K_empirical(window: LatticeWindow, psi: EdgeField,
         bad = int((~tf.feasible).sum())
         scanned[K] = bad
         if bad == 0:
-            return K, {"clean": True, "scanned": scanned, "infeasible": 0}
+            return K, t, tf, {"clean": True, "scanned": scanned,
+                              "infeasible": 0}
         if best is None or bad < best[0]:
-            best = (bad, K)
+            best = (bad, K, t, tf)
     if best is None:
         raise KSelectionError("no proper tiling in K range [%d, %d]"
                               % (k_min, k_max), scanned)
-    return best[1], {"clean": False, "scanned": scanned,
-                     "infeasible": best[0]}
+    bad, K, t, tf = best
+    return K, t, tf, {"clean": False, "scanned": scanned, "infeasible": bad}
 
 
 def _tile_edges(tiling: Tiling):
@@ -251,7 +254,7 @@ def tile_flow(psi: EdgeField, tiling: Tiling, field: IndicatorField) -> TileFlow
     key = key[order]
     val = val[order]
     del order
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    first = np.flatnonzero(np.diff(key, prepend=-1))     # keys are >= 0
     pair_val = np.add.reduceat(val, first) if len(first) else val
     del val
     key = key[first]

@@ -186,9 +186,11 @@ def level_sum(field: IndicatorField, y: Sequence[int], gamma: Sequence[int],
 class EdgeField:
     """Antisymmetric edge flow stored once per unordered edge.
 
-    values[v, i] is the numerator of the flow on (v, v + dirs[i]) at scale
+    values[i, v] is the numerator of the flow on (v, v + dirs[i]) at scale
     2^(-scale_exp), where dirs are the canonical (lexicographically
-    positive) directions.  Edges flagged invalid carry zero.
+    positive) directions and v is a flat vertex index.  The arrays are
+    direction-major, so each direction's edges are one contiguous row.
+    Edges flagged invalid carry zero.
     """
 
     def __init__(self, window: LatticeWindow, scale_exp: int,
@@ -197,7 +199,7 @@ class EdgeField:
         self.window = window
         self.scale_exp = int(scale_exp)
         self.dirs = directions(window.d)
-        shape = (window.n_vertices, len(self.dirs))
+        shape = (len(self.dirs), window.n_vertices)
         self.values = np.zeros(shape, dtype=np.int64) if values is None else values
         self.valid = np.ones(shape, dtype=bool) if valid is None else valid
         if self.values.shape != shape or self.valid.shape != shape:
@@ -222,33 +224,36 @@ class EdgeField:
         return Dyadic(self.value_num(y, gamma), self.scale_exp)
 
     def _slot(self, u: Sequence[int], v: Sequence[int]):
-        """(flat index, direction column, sign) storing the edge u -> v."""
+        """(direction row, flat index, sign) storing the edge u -> v."""
         g = tuple(int(b) - int(a) for a, b in zip(u, v))
         idx = _dir_index(self.window.d)
         if g in idx:
-            return self._flat(u), idx[g], 1
+            return idx[g], self._flat(u), 1
         neg = tuple(-c for c in g)
         if neg not in idx:
             raise ValueError("not a unit direction: %r" % (g,))
-        return self._flat(v), idx[neg], -1
+        return idx[neg], self._flat(v), -1
 
     def value_num(self, y: Sequence[int], gamma: Sequence[int]) -> int:
         """Numerator (at this field's scale) of the flow on (y, y + gamma)."""
         v = tuple(int(c) + int(g) for c, g in zip(y, gamma))
-        fl, col, sign = self._slot(tuple(int(c) for c in y), v)
-        return sign * int(self.values[fl, col])
+        row, fl, sign = self._slot(tuple(int(c) for c in y), v)
+        return sign * int(self.values[row, fl])
 
     def add_num(self, u: Sequence[int], v: Sequence[int], delta: int) -> None:
         """Add delta (numerator units) to the flow on the ordered edge (u, v)."""
-        fl, col, sign = self._slot(u, v)
-        self.values[fl, col] += sign * int(delta)
+        row, fl, sign = self._slot(u, v)
+        self.values[row, fl] += sign * int(delta)
 
     def grid(self, dir_index: int) -> np.ndarray:
-        return self.values[:, dir_index].reshape(self.window.shape)
+        """Direction dir_index's values as a window grid (a view)."""
+        return self.values[dir_index].reshape(self.window.shape)
 
     def divergence_num(self) -> np.ndarray:
         """Divergence numerators at this field's scale, as a window grid.
-        Edges leaving the window contribute zero."""
+        values[i, v] counts out of v, and into v + dirs[i] when that lies
+        in the window; the pipeline keeps the slots of edges that leave
+        the window at zero."""
         L, d = self.window.L, self.window.d
         div = np.zeros(self.window.shape, dtype=np.int64)
         for i, g in enumerate(self.dirs):
@@ -267,8 +272,9 @@ class EdgeField:
         total = 0
         idx = self._flat(y)
         for i, g in enumerate(self.dirs):
-            total += int(self.values[idx, i])
-            total -= int(self.values[self._flat(tuple(int(c) - int(gj) for c, gj in zip(y, g))), i])
+            total += int(self.values[i, idx])
+            tail = self._flat(tuple(int(c) - int(gj) for c, gj in zip(y, g)))
+            total -= int(self.values[i, tail])
         return Dyadic(total, self.scale_exp)
 
     def max_abs(self) -> Dyadic:
@@ -293,15 +299,14 @@ def truncated_psi(field: IndicatorField, n0: int) -> EdgeField:
     out.valid[:] = False
     f64 = field.f.astype(np.int64)
     for i, g in enumerate(dirs):
-        out.valid[:, i] = edge_valid_mask(L, d, n0, _as_tuple(g)).ravel()
+        out.valid[i] = edge_valid_mask(L, d, n0, _as_tuple(g)).ravel()
     for n in range(1, n0 + 1):
         sb = subbox_sums(f64, 1 << (n - 1))
         weight = 1 << (2 * (n0 - n) * d)
         for i, g in enumerate(dirs):
             grid = level_edge_grid(sb, L, n, _as_tuple(g)).ravel()
             np.multiply(grid, weight, out=grid)
-            grid[~out.valid[:, i]] = 0
-            out.values[:, i] += grid
+            np.add(out.values[i], grid, out=out.values[i], where=out.valid[i])
     return out
 
 
@@ -401,34 +406,46 @@ def integral_flow_bound(env: BoxEnvelope, repair_capacity: int) -> int:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"EQDF1\n"
+_DUMP_BLOCK = 2048          # vertices per block of records written
 
 
 def dump_edge_field(path, field: EdgeField) -> None:
     """Binary dump: magic, one ASCII header line 'd L margin scale nrec',
     then nrec little-endian int64 records (vertex, direction, numerator,
-    exponent) for every valid edge, in index order, numerators canonical."""
-    flat = np.flatnonzero(field.valid)
-    rec = np.empty((len(flat), 4), dtype="<i8")    # the one record array
-    np.divmod(flat, field.valid.shape[1], out=(rec[:, 0], rec[:, 1]))
-    nums, exps = rec[:, 2], rec[:, 3]
-    np.take(field.values, flat, out=nums, mode="clip")
-    del flat
-    # canonical numerators: shift out up to scale_exp trailing zero bits
-    np.negative(nums, out=exps)
-    exps &= nums                                   # lowest set bit
-    exps[nums == 0] = 1
-    low = exps.view(np.uint64).astype(np.float64)
-    np.log2(low, out=low)
-    shift = np.minimum(low, field.scale_exp, out=low).astype(np.uint8)
-    nums >>= shift
-    np.subtract(field.scale_exp, shift, out=exps)
-    exps[nums == 0] = 0
+    exponent) for every valid edge, numerators canonical.  The records are
+    in vertex-major (vertex, direction) order, although the field stores
+    values[i, v]; they are built and written one vertex block at a time,
+    so the dump holds only one block's records at once."""
+    ndir, nvert = field.values.shape
     w = field.window
+    nrec = np.count_nonzero(field.valid)
+    cuts = range(_DUMP_BLOCK, nvert, _DUMP_BLOCK)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(("%d %d %d %d %d\n" % (w.d, w.L, w.margin, field.scale_exp,
-                                        rec.shape[0])).encode())
-        fh.write(rec.data)
+                                        nrec)).encode())
+        for v0, vals, valid in zip(range(0, nvert, _DUMP_BLOCK),
+                                   np.split(field.values, cuts, axis=1),
+                                   np.split(field.valid, cuts, axis=1)):
+            # transposed block views: C order is (vertex, direction)
+            flat = np.flatnonzero(valid.T)
+            rec = np.empty((len(flat), 4), dtype="<i8")
+            np.divmod(flat, ndir, out=(rec[:, 0], rec[:, 1]))
+            rec[:, 0] += v0
+            nums, exps = rec[:, 2], rec[:, 3]
+            nums[:] = vals.T[valid.T]
+            # canonical numerators: shift out up to scale_exp trailing
+            # zero bits
+            np.negative(nums, out=exps)
+            exps &= nums                                   # lowest set bit
+            exps[nums == 0] = 1
+            low = exps.view(np.uint64).astype(np.float64)
+            np.log2(low, out=low)
+            shift = np.minimum(low, field.scale_exp, out=low).astype(np.uint8)
+            nums >>= shift
+            np.subtract(field.scale_exp, shift, out=exps)
+            exps[nums == 0] = 0
+            fh.write(rec.data)
 
 
 def load_edge_field(path) -> EdgeField:
@@ -444,17 +461,17 @@ def load_edge_field(path) -> EdgeField:
     if np.any(exps > scale):
         raise ValueError("record exponent exceeds field scale")
     nums <<= (scale - exps)
-    out.values[vi, di] = nums
-    out.valid[vi, di] = True
+    out.values[di, vi] = nums
+    out.valid[di, vi] = True
     return out
 
 
 def write_edge_field_csv(path, field: EdgeField) -> None:
     """CSV dump (vertex, direction, numerator, exponent), canonical values,
     for small windows."""
-    vi, di = np.nonzero(field.valid)
+    vi, di = np.nonzero(field.valid.T)             # vertex-major rows
     with open(path, "w", newline="") as fh:
         fh.write("vertex,direction,numerator,exponent\r\n")
         for v, i in zip(vi.tolist(), di.tolist()):
-            dy = Dyadic(int(field.values[v, i]), field.scale_exp)
+            dy = Dyadic(int(field.values[i, v]), field.scale_exp)
             fh.write("%d,%d,%d,%d\r\n" % (v, i, dy.num, dy.exp))

@@ -18,6 +18,7 @@ Both modes preserve the divergence exactly at every core vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -205,17 +206,18 @@ def adjust_on_region(phi: EdgeField, F: Region) -> EdgeField:
 # interior rounding on the window graph
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _core_edge_masks(window: LatticeWindow) -> np.ndarray:
-    """mask[:, i] flags edges (v, v + dirs[i]) with both endpoints in the
-    core, flattened over vertices."""
+    """mask[i, v] flags the edges (v, v + dirs[i]), v a flat vertex index,
+    with both endpoints in the core.  Read-only and cached for the last
+    window, so repair and rounding share one build per run."""
     core = window.core_mask()
     dirs = directions(window.d)
-    out = np.zeros((window.n_vertices, len(dirs)), dtype=bool)
+    out = np.zeros((len(dirs), window.n_vertices), dtype=bool)
     for i, g in enumerate(dirs):
         src, dst = _shift_slices(window.L, g)
-        m = np.zeros(window.shape, dtype=bool)
-        m[src] = core[src] & core[dst]
-        out[:, i] = m.ravel()
+        out[i].reshape(window.shape)[src] = core[src] & core[dst]
+    out.setflags(write=False)
     return out
 
 
@@ -250,24 +252,17 @@ def _flat_shifts(window: LatticeWindow) -> np.ndarray:
                      for g in directions(window.d)], dtype=np.int64)
 
 
-def _frontier_aggregate(window: LatticeWindow, values: np.ndarray) -> np.ndarray:
-    """Per core vertex, the summed numerator of flow toward non-core
-    neighbors (edges leaving the window count as absent)."""
-    core = window.core_mask()
-    dirs = directions(window.d)
-    agg = np.zeros(window.shape, dtype=np.int64)
-    for i, g in enumerate(dirs):
-        v = values[:, i].reshape(window.shape)
-        src, dst = _shift_slices(window.L, g)
-        sel = np.zeros(window.shape, dtype=bool)
-        sel[src] = core[src] & ~core[dst]
-        agg[sel] += v[sel]
-        sel = np.zeros(window.shape, dtype=bool)
-        sel[dst] = ~core[src] & core[dst]
-        # flow out of the core endpoint equals minus the stored value
-        shifted = np.zeros(window.shape, dtype=np.int64)
-        shifted[dst] = v[src]
-        agg[sel] -= shifted[sel]
+def _frontier_aggregate(values: np.ndarray, rim: np.ndarray,
+                        slots: np.ndarray,
+                        flat_shift: np.ndarray) -> np.ndarray:
+    """Per rim vertex (rim and slots as from _rim_frontier_slots), the
+    summed numerator of flow toward its frontier neighbors; no other core
+    vertex has one."""
+    agg = np.zeros(len(rim), dtype=np.int64)
+    for i, shift in enumerate(flat_shift.tolist()):
+        agg += np.where(slots[2 * i], values[i, rim], 0)
+        # flow out of the rim endpoint equals minus the stored value
+        agg -= np.where(slots[2 * i + 1], values[i, rim - shift], 0)
     return agg
 
 
@@ -285,8 +280,9 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     divergence is routed through unit capacities in the direction of each
     discarded fraction; flow to the frontier is aggregated per vertex into
     a single merged frontier node during the solve and handed back to the
-    first outgoing frontier edge afterwards.  Edges in fixed_mask must
-    already be integral and are left exactly alone.
+    first outgoing frontier edge afterwards.  fixed_mask is laid out like
+    phi.values, [i, v] for the edge (v, v + dirs[i]); the edges it flags
+    must already be integral and are left exactly alone.
     """
     if phi.window != window:
         raise ValueError("field window mismatch")
@@ -294,8 +290,11 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     mod = 1 << s
     nvert = window.n_vertices
     cc = _core_edge_masks(window)
-    # first frontier edge of each rim vertex, as a table slot 2*i + sign
+    flat_shift = _flat_shifts(window)
     rim, fslots = _rim_frontier_slots(window)
+    agg = np.zeros(nvert, dtype=np.int64)
+    agg[rim] = _frontier_aggregate(phi.values, rim, fslots, flat_shift)
+    # first frontier edge of each rim vertex, as a table slot 2*i + sign
     first_slot = fslots.argmax(axis=0)
     del fslots
     if fixed_mask is None:
@@ -306,18 +305,17 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
         raise ValueError("fixed edges carry fractional values")
     free = cc & ~fixed_mask
 
-    ui, di = np.nonzero(free)
-    vals = phi.values[ui, di]
+    di, ui = np.nonzero(free)
+    vals = phi.values[di, ui]
     trunc = np.zeros_like(phi.values)
-    trunc[ui, di] = _trunc_toward_zero(vals, s) << s
+    trunc[di, ui] = _trunc_toward_zero(vals, s) << s
     trunc[fixed_mask] = phi.values[fixed_mask]
     # the free edges with a discarded fraction, and that fraction
-    fr = vals - trunc[ui, di]
+    fr = vals - trunc[di, ui]
     keep = fr != 0
     ui, di, fr = ui[keep], di[keep], fr[keep]
     del vals, keep
 
-    agg = _frontier_aggregate(window, phi.values).ravel()
     agg_int = _trunc_toward_zero(agg, s)
     agg_frac = agg - (agg_int << s)
 
@@ -332,7 +330,6 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
 
     # vertex nvert merges the frontier; each core edge may move its
     # discarded fraction's unit, each rim vertex its aggregate's
-    flat_shift = _flat_shifts(window)
     frim = rim[agg_frac[rim] != 0]
     m_cc = len(ui)
     ok, net = solve_supply_flow(
@@ -345,7 +342,7 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
 
     out_vals = trunc
     out_vals >>= s        # in place: the truncated field is not read again
-    out_vals[ui, di] += net[:m_cc]
+    out_vals[di, ui] += net[:m_cc]
     out = EdgeField(window, 0, out_vals, np.ones_like(cc))
     # hand each rounded frontier aggregate to one explicit frontier edge
     w_net = np.zeros(nvert, dtype=np.int64)
@@ -358,10 +355,9 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
         i, sign = slot >> 1, slot & 1
         val = int(agg_int[v] + w_net[v])
         if sign == 0:
-            out.values[v, i] += val
+            out.values[i, v] += val
         else:
-            src = v - flat_shift[i]
-            out.values[src, i] -= val
+            out.values[i, v - flat_shift[i]] -= val
     div_out = out.divergence_num().ravel()
     if not np.array_equal(div_out[core_flat], np.asarray(f).ravel()[core_flat]):
         raise AssertionError("rounded flow has wrong core divergence")
@@ -414,7 +410,8 @@ def integralize_flow(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
         if (ball_mask(window, F.mask, 2) & ~core).any():
             raise AssertionError("cover region's 2-neighborhood leaves the core")
         cur = adjust_on_region(cur, F)
-    fixed = np.zeros((window.n_vertices, len(directions(window.d))), dtype=bool)
+    fixed = np.zeros((len(directions(window.d)), window.n_vertices),
+                     dtype=bool)
     dir_idx = _dir_index(window.d)
     for F in cover.regions:
         rows = F.boundary()
@@ -423,12 +420,12 @@ def integralize_flow(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
         for u, v in zip(a, b):
             g = tuple(int(y - x) for x, y in zip(u, v))
             if g in dir_idx:
-                fixed[int(np.ravel_multi_index(tuple(u), window.shape)),
-                      dir_idx[g]] = True
+                fixed[dir_idx[g],
+                      int(np.ravel_multi_index(tuple(u), window.shape))] = True
             else:
                 gg = tuple(-c for c in g)
-                fixed[int(np.ravel_multi_index(tuple(v), window.shape)),
-                      dir_idx[gg]] = True
+                fixed[dir_idx[gg],
+                      int(np.ravel_multi_index(tuple(v), window.shape))] = True
     out, info = round_edge_field(window, cur, f, fixed_mask=fixed)
     info["mode"] = "cover"
     info["cover"] = cover.summary()

@@ -39,12 +39,14 @@ class PipelineError(RuntimeError):
 
 
 def repair_to_frontier(field: IndicatorField, psi: EdgeField,
-                       capacity_units: int,
+                       residual: np.ndarray, capacity_units: int,
                        max_doublings: int = 32) -> Tuple[EdgeField, dict]:
     """Correct the truncated flow so its divergence equals f exactly on
     every core vertex, pushing the leftover error out to the frontier ring.
 
-    The correction is a supply flow: the per-vertex residual (f - div psi)
+    residual is residual_num(field, psi), which the caller has already
+    computed; the repaired flow's own residual is recomputed from field
+    and checked.  The correction is a supply flow: the per-vertex residual
     is routed over core-core edges of capacity capacity_units (in flow
     units; the tail bound rounded up plus one) into a merged frontier node
     reachable from each rim vertex through its actual frontier edges.  When
@@ -59,13 +61,11 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
     s = psi.scale_exp
     nvert = window.n_vertices
     core_flat = window.core_mask().ravel()
-    r = residual_num(field, psi).ravel().copy()
-    r[~core_flat] = 0
+    r = np.where(core_flat, residual.ravel(), 0)
     total = int(r.sum())
     supply_abs = int(np.abs(r).sum())
 
-    cc = _core_edge_masks(window)
-    ui, di = np.nonzero(cc)
+    di, ui = np.nonzero(_core_edge_masks(window))
     flat_shift = _flat_shifts(window)
     rim, fslots = _rim_frontier_slots(window)
     k_cnt = fslots.sum(axis=0, dtype=np.int64)
@@ -92,9 +92,12 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
                              "capacity_units": capacity_units,
                              "doublings": doublings - 1})
 
-    h = np.zeros_like(psi.values)
+    # phi = psi + correction; every corrected edge is corrected once, by
+    # its core-core net flow or by one frontier take
+    h = psi.values.copy()
     m_cc = len(ui)
-    np.add.at(h, (ui, di), net[:m_cc])
+    h[di, ui] += net[:m_cc]
+    max_correction = int(np.abs(net[:m_cc]).max(initial=0))
     per_edge = (capacity_units << doublings) << s
     for r_i, (v, q) in enumerate(zip(rim.tolist(), net[m_cc:].tolist())):
         if q == 0:
@@ -102,18 +105,17 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
         for slot in np.flatnonzero(fslots[:, r_i]).tolist():
             i, sign = slot >> 1, slot & 1
             take = max(-per_edge, min(per_edge, q))
+            max_correction = max(max_correction, abs(take))
             if sign == 0:
-                h[v, i] += take
+                h[i, v] += take
             else:
-                h[v - flat_shift[i], i] -= take
+                h[i, v - flat_shift[i]] -= take
             q -= take
             if q == 0:
                 break
         if q != 0:
             raise AssertionError("frontier disaggregation left %d units" % q)
 
-    max_correction = max(int(h.max(initial=0)), -int(h.min(initial=0)))
-    h += psi.values
     phi = EdgeField(window, s, h, np.ones_like(psi.valid))
     res = residual_num(field, phi).ravel()
     if res[core_flat].any():
@@ -196,7 +198,8 @@ def build_flow(window: LatticeWindow, action: ActionSpec,
     }
 
     capacity_units = int(math.ceil(tail)) + 1
-    phi, summary["repair"] = repair_to_frontier(fld, psi_t, capacity_units)
+    phi, summary["repair"] = repair_to_frontier(fld, psi_t, res,
+                                                capacity_units)
     return FlowResult(field=fld, envelope=env, phi=phi, summary=summary)
 
 
@@ -224,6 +227,7 @@ def run_pipeline(window: LatticeWindow, action: ActionSpec,
                              "repair_allowance": repair_allowance}
 
     net = None
+    tf = None
     if tiling_kind == "voronoi":
         net = greedy_net(window, voronoi_r, restrict=window.core_mask())
         til = voronoi_tiling(window, net)
@@ -234,23 +238,26 @@ def run_pipeline(window: LatticeWindow, action: ActionSpec,
     else:
         try:
             k_sel = select_K(window, fld, c_int)
-            k_info = {"source": "boundary_criterion"}
         except KSelectionError as exc:
             try:
-                k_sel, diag = select_K_empirical(window, psi_int, fld)
+                k_sel, til, tf, diag = select_K_empirical(window, psi_int,
+                                                          fld)
             except KSelectionError as exc2:
                 raise PipelineError("tiles", str(exc2))
             k_info = {"source": "empirical", "clean": diag["clean"],
                       "infeasible": diag["infeasible"],
                       "criterion_fail": str(exc)}
-        til = rect_tiling(window, k_sel)
+        else:
+            til = rect_tiling(window, k_sel)
+            k_info = {"source": "boundary_criterion"}
     k_eff = max(k_sel, max(max(t.sides) for t in til.tiles) - 1)
     summary["tiles"] = {
         "K": int(k_sel), "K_eff": int(k_eff), "count": len(til.tiles),
         "improper": til.improper, "kind": tiling_kind, **k_info,
     }
 
-    tf = tile_flow(psi_int, til, fld)
+    if tf is None:              # the empirical scan has aggregated its own
+        tf = tile_flow(psi_int, til, fld)
     matching = build_matching(tf, fld)
     summary["matching"] = dict(matching.info)
     summary["matching"]["interior_tiles"] = int(tf.interior.sum())

@@ -117,7 +117,7 @@ def _fully_valid_vertices(psi):
     L = w.L
     full = np.ones(w.shape, dtype=bool)
     for i, g in enumerate(directions(w.d)):
-        V = psi.valid[:, i].reshape(w.shape)
+        V = psi.valid[i].reshape(w.shape)
         src = tuple(slice(max(0, -int(c)), L - max(0, int(c))) for c in g)
         dst = tuple(slice(max(0, int(c)), L - max(0, -int(c))) for c in g)
         outgoing = np.zeros(w.shape, dtype=bool)
@@ -295,17 +295,17 @@ def test_06_euler_walks():
 # -- 7 ----------------------------------------------------------------------
 
 def _core_edge_columns(window):
-    """Edge-slot mask (n_vertices, n_dirs) selecting core-to-core edges."""
+    """Edge-slot mask (n_dirs, n_vertices) selecting core-to-core edges."""
     core = window.core_mask()
     L = window.L
     dirs = directions(window.d)
-    m = np.zeros((window.n_vertices, len(dirs)), dtype=bool)
+    m = np.zeros((len(dirs), window.n_vertices), dtype=bool)
     for i, g in enumerate(dirs):
         src = tuple(slice(max(0, -int(c)), L - max(0, int(c))) for c in g)
         dst = tuple(slice(max(0, int(c)), L - max(0, -int(c))) for c in g)
         grid = np.zeros(window.shape, dtype=bool)
         grid[src] = core[src] & core[dst]
-        m[:, i] = grid.ravel()
+        m[i] = grid.ravel()
     return m
 
 

@@ -82,13 +82,28 @@ def test_verify_missing_and_malformed_artifacts(tmp_path, capsys):
     msg = capsys.readouterr().out
     assert "schema error" in msg and "row" in msg
 
+    with open(os.path.join(out, "summary.json"), "w") as fh:
+        fh.write("{\"config\": ")                # truncated JSON
+    assert main(["verify", "--dir", out]) == EXIT_VERIFY
+    assert "schema error" in capsys.readouterr().out
+    with open(os.path.join(out, "summary.json"), "w") as fh:
+        fh.write("[]")
+    assert main(["verify", "--dir", out]) == EXIT_VERIFY
+    assert "not a JSON object" in capsys.readouterr().out
 
-def test_verify_config_override_changes_field(tmp_path):
+
+def test_verify_config_override_changes_field(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run("square", out) == EXIT_OK
     assert main(["verify", "--dir", out, "--set", "out=%s" % out]
                 + sum((["--set", kv] for kv in TOY), [])
                 + ["--set", "seed=8"]) == EXIT_VERIFY
+    # an override whose shapes cannot be sampled fails as square does
+    capsys.readouterr()
+    assert main(["verify", "--dir", out, "--set", "out=%s" % out]
+                + sum((["--set", kv] for kv in TOY), [])
+                + ["--set", "shape_b=intervals:0:1/2"]) == EXIT_INFEASIBLE
+    assert "infeasible: sample" in capsys.readouterr().err
 
 
 def test_flow_and_integralize_artifacts(tmp_path, capsys):
@@ -174,10 +189,29 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(pipeline, "tile_flow", broken)
     capsys.readouterr()
-    assert run("square", str(tmp_path / "run")) == EXIT_INTERNAL == 5
+    # a fixed K: the automatic scan aggregates its tiles itself
+    assert run("square", str(tmp_path / "run"), extra=["K=2"]) \
+        == EXIT_INTERNAL == 5
     err = capsys.readouterr().err
     assert "internal error: tile transfers are not antisymmetric" in err
     assert "Traceback" not in err
+
+
+def test_stage_value_error_is_internal(tmp_path, capsys, monkeypatch):
+    # only a ConfigError means exit 4; any other ValueError escaping a
+    # stage is a broken invariant
+    import equidecomp.pipeline as pipeline
+
+    def broken(*args, **kwargs):
+        raise ValueError("flow is not integral")
+
+    monkeypatch.setattr(pipeline, "tile_flow", broken)
+    capsys.readouterr()
+    assert run("square", str(tmp_path / "run"), extra=["K=2"]) \
+        == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal error: flow is not integral" in err
+    assert "config error" not in err and "Traceback" not in err
 
 
 def test_square_past_int32_supply(tmp_path):

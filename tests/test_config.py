@@ -86,6 +86,11 @@ def test_coercion_failures_name_key():
     ({"mode": "cover", "L": "128", "margin": "16", "cover_i_max": "1"},
      "at level 1 needs L >= 432"),
     ({"cover_i_max": "-2"}, "cover_i_max must be"),
+    ({"ns": "2,4"}, "ns needs at least 3 distinct"),
+    ({"ns": "0,2,4"}, "ns needs at least 3 distinct"),
+    ({"eps": "nan"}, "eps must be finite"),
+    ({"measure_tol": "inf"}, "measure_tol must be finite"),
+    ({"x0": "nan"}, "x0 coordinates must be finite"),
 ])
 def test_validation_messages(pairs, fragment):
     with pytest.raises(ConfigError) as exc:
@@ -114,6 +119,13 @@ def test_load_config_file_and_overrides(tmp_path):
         load_config(str(p), overrides=["seed"])
     cfg2 = load_config(None, overrides=["L=16", "margin=4", "n0=1"])
     assert cfg2.L == 16
+    # an unreadable file is a config error too, not an OSError or a
+    # UnicodeDecodeError
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"L = \xff\xfe\n")
+    for path in (str(bad), str(tmp_path / "missing.cfg")):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config(path)
 
 
 def test_to_dict_round_trips():

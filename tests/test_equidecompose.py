@@ -191,8 +191,7 @@ def test_matching_is_a_bijection_on_feasible_runs():
         picks = rng.choice(len(pts), size=16, replace=False)
         pairs = list(zip([pts[i] for i in picks[:8]], [pts[i] for i in picks[8:]]))
         psi, fld = path_flow(w, pairs)
-        K, diag = select_K_empirical(w, psi, fld)
-        tf = tile_flow(psi, rect_tiling(w, K), fld)
+        K, _, tf, diag = select_K_empirical(w, psi, fld)
         m = build_matching(tf, fld)
         assert len(m.pair_a) == len(m.pair_b)
         assert len(np.unique(m.pair_a)) == len(m.pair_a)
@@ -342,16 +341,25 @@ def test_select_k_empirical_clean_and_dirty():
     # dense pairing: some K serves every tile from its own points
     pairs = [((x, y), (x, y + 1)) for x in range(3, 17, 2) for y in range(3, 16, 4)]
     psi, fld = path_flow(w, pairs)
-    K, diag = select_K_empirical(w, psi, fld)
+    K, til, tf, diag = select_K_empirical(w, psi, fld)
     assert diag["clean"] and diag["infeasible"] == 0
-    assert not (~tile_flow(psi, rect_tiling(w, K), fld).feasible).any()
+    assert not (~tf.feasible).any()
+    # the scan hands back the accepted K's own tiling and aggregation
+    assert tf.tiling is til
+    assert np.array_equal(til.tile_id, rect_tiling(w, K).tile_id)
+    again = tile_flow(psi, rect_tiling(w, K), fld)
+    for name in ("pair_src", "pair_dst", "pair_val", "row_ptr", "outflux"):
+        assert np.array_equal(getattr(tf, name), getattr(again, name)), name
 
     # one long path: middle tiles carry transfers but own no points
     psi2, fld2 = path_flow(w, [((2, 2), (17, 17))])
-    K2, diag2 = select_K_empirical(w, psi2, fld2)
+    K2, til2, tf2, diag2 = select_K_empirical(w, psi2, fld2)
     assert not diag2["clean"]
     assert diag2["infeasible"] >= 1
     assert diag2["scanned"][K2] == diag2["infeasible"]
+    # best effort: the tiling and tile flow are those of the best K
+    assert til2.K == K2 and tf2.tiling is til2
+    assert int((~tf2.feasible).sum()) == diag2["infeasible"]
 
     with pytest.raises(KSelectionError):
         select_K_empirical(w, psi, fld, k_min=9, k_max=9)   # improper only
@@ -371,6 +379,18 @@ def test_tile_adjacency_grid():
         assert tf.neighbors(i).tolist() == [j for j in range(4) if j != i]
 
 
+def test_single_tile_has_no_pairs():
+    # K as large as the core: one tile bordering the frontier ring, and
+    # an empty pair list
+    w = LatticeWindow(d=2, L=14, margin=2)
+    psi, fld = path_flow(w, [((3, 3), (9, 10))])
+    tf = tile_flow(psi, rect_tiling(w, 10), fld)
+    assert tf.n == 1 and len(tf.pair_src) == len(tf.pair_val) == 0
+    assert tf.row_ptr.tolist() == [0, 0]
+    assert tf.neighbors(0).tolist() == [] and tf.net.tolist() == [0]
+    assert tf.balanced.all() and not tf.interior.any()
+
+
 def test_tile_layer_past_4096_tiles():
     """d=2, L=70, margin=2, K=1: 4356 single-vertex tiles, more than the
     old dense layer allowed; pairs and the K scan still agree with the
@@ -387,8 +407,8 @@ def test_tile_layer_past_4096_tiles():
     mat, adj, out = recount(psi, t)
     assert_pairs_match(tf, mat, adj)
     assert np.array_equal(tf.outflux, out)
-    K, diag = select_K_empirical(w, psi, fld, k_max=1)
-    assert K == 1
+    K, _, tf1, diag = select_K_empirical(w, psi, fld, k_max=1)
+    assert K == 1 and np.array_equal(tf1.pair_val, tf.pair_val)
     bad = int(((np.where(mat > 0, mat, 0).sum(axis=1) > tf.count_a)
                | (np.where(mat < 0, -mat, 0).sum(axis=1) > tf.count_b)).sum())
     assert bad > 0 and diag["scanned"] == {1: bad}

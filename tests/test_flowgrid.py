@@ -7,10 +7,15 @@ itself checked against direct enumeration of transport segments.
 
 import io
 import math
+import os
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equidecomp.dyadic import Dyadic
 from equidecomp.flowgrid import (BoxEnvelope, Chain, EdgeField, box_of,
@@ -119,7 +124,7 @@ def test_truncated_psi_equals_scalar_reference():
     for y in np.ndindex(12, 12):
         flat = y[0] * 12 + y[1]
         for di, g in enumerate(dirs):
-            if not psi.valid[flat, di]:
+            if not psi.valid[di, flat]:
                 continue
             total = Dyadic(0)
             for n in range(1, n0 + 1):
@@ -240,7 +245,8 @@ def test_edge_field_dump_matches_record_reference(tmp_path):
     values[rng.random(shape) < 0.2] = 0
     values[0, 0] = -(1 << 40)
     valid = rng.random(shape) < 0.8
-    psi = EdgeField(w, scale, values.astype(np.int64), valid)
+    psi = EdgeField(w, scale, np.ascontiguousarray(values.T, dtype=np.int64),
+                    np.ascontiguousarray(valid.T))
     p = tmp_path / "f.bin"
     dump_edge_field(p, psi)
     want = io.BytesIO()
@@ -252,6 +258,33 @@ def test_edge_field_dump_matches_record_reference(tmp_path):
                 dy = Dyadic(int(values[v, i]), scale)
                 want.write(struct.pack("<4q", v, i, dy.num, dy.exp))
     assert p.read_bytes() == want.getvalue()
+
+
+def test_edge_field_dump_spans_vertex_blocks(tmp_path):
+    """d=3, L=14: 2744 vertices, more than one write block and not a
+    whole number of blocks; the records stay in (vertex, direction)
+    order across block seams."""
+    w = LatticeWindow(d=3, L=14, margin=2)
+    rng = np.random.default_rng(23)
+    shape = (len(directions(3)), w.n_vertices)
+    scale = 6
+    values = rng.integers(-99, 100, size=shape)
+    values <<= rng.integers(0, 8, size=shape)
+    valid = rng.random(shape) < 0.7
+    values[~valid] = 0
+    psi = EdgeField(w, scale, values, valid)
+    p = tmp_path / "f.bin"
+    dump_edge_field(p, psi)
+    want = io.BytesIO()
+    want.write(b"EQDF1\n")
+    want.write(("3 14 2 %d %d\n" % (scale, valid.sum())).encode())
+    for v, i in zip(*np.nonzero(valid.T)):
+        dy = Dyadic(int(values[i, v]), scale)
+        want.write(struct.pack("<4q", v, i, dy.num, dy.exp))
+    assert p.read_bytes() == want.getvalue()
+    back = load_edge_field(p)
+    assert np.array_equal(back.values, values)
+    assert np.array_equal(back.valid, valid)
 
 
 def test_edge_field_csv_crlf(tmp_path):
@@ -267,7 +300,7 @@ def test_edge_field_csv_crlf(tmp_path):
 def test_rescaled_and_max_abs():
     w = LatticeWindow(d=1, L=4, margin=0)
     ef = EdgeField(w, scale_exp=2)
-    ef.values[1, 0] = 6          # 6/4 on edge (1, 2)
+    ef.values[0, 1] = 6          # 6/4 on edge (1, 2)
     assert ef.value_num((1,), (1,)) == 6
     assert ef.value_num((2,), (-1,)) == -6   # antisymmetric read
     up = ef.rescaled(4)
@@ -275,3 +308,73 @@ def test_rescaled_and_max_abs():
     assert ef.max_abs() == Dyadic(3, 1)
     with pytest.raises(ValueError):
         ef.rescaled(1)
+
+
+_SIDES = {2: (2, 6), 3: (2, 4), 4: (2, 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_direction_major_layout_properties(data):
+    """Random int64 fields on small d = 2, 3, 4 windows: divergence_num
+    equals a per-edge accumulation and the scalar divergence, grid(i) is a
+    contiguous view into values, and dump/load round-trips exactly."""
+    d = data.draw(st.sampled_from(sorted(_SIDES)), label="d")
+    L = data.draw(st.integers(*_SIDES[d]), label="L")
+    scale = data.draw(st.integers(0, 10), label="scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    w = LatticeWindow(d=d, L=L)
+    dirs = directions(d)
+    shape = (len(dirs), w.n_vertices)
+    values = rng.integers(-(1 << 40), 1 << 40, size=shape)
+    values <<= rng.integers(0, 8, size=shape)
+    values[rng.random(shape) < 0.3] = 0
+    valid = rng.random(shape) < 0.7
+    psi = EdgeField(w, scale, values, valid)
+
+    # every slot counts out of its tail and, when the head is in the
+    # window, into its head
+    want = [0] * w.n_vertices
+    for i, g in enumerate(dirs):
+        for v in range(w.n_vertices):
+            y = np.unravel_index(v, w.shape)
+            val = int(values[i, v])
+            want[v] += val
+            z = tuple(int(c) + int(gj) for c, gj in zip(y, g))
+            if w.contains(z):
+                want[int(np.ravel_multi_index(z, w.shape))] -= val
+    div = psi.divergence_num()
+    assert div.ravel().tolist() == want
+    for y in np.ndindex(*w.shape):
+        if all(1 <= c <= L - 2 for c in y):
+            assert psi.divergence(y) == Dyadic(int(div[y]), scale)
+
+    for i in range(len(dirs)):
+        grid = psi.grid(i)
+        assert grid.flags.c_contiguous and grid.shape == w.shape
+        assert np.shares_memory(grid, psi.values)
+        assert np.array_equal(grid.ravel(), values[i])
+
+    # invalid edges carry zero, so the dump holds the whole field
+    held = EdgeField(w, scale, np.where(valid, values, 0), valid)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.bin")
+        dump_edge_field(path, held)
+        back = load_edge_field(path)
+    assert back.window == w and back.scale_exp == scale
+    assert np.array_equal(back.values, held.values)
+    assert np.array_equal(back.valid, valid)
+
+
+def test_no_column_indexing_of_edge_arrays():
+    """Edge arrays are direction-major, values[i, v]: one direction's
+    edges are one contiguous row.  Column indexing would bring back the
+    strided per-direction access (vertex blocks of every direction are
+    taken by splitting along axis 1)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    hits = []
+    for path in sorted(src.rglob("*.py")):
+        for ln, line in enumerate(path.read_text().splitlines(), start=1):
+            if re.search(r"\b(values|valid)\[\s*:\s*,", line):
+                hits.append("%s:%d: %s" % (path.name, ln, line.strip()))
+    assert not hits, hits

@@ -124,7 +124,9 @@ def random_dyadic_field(rng, w, s, pushes=120, avoid=None):
     """Integer edge field plus dyadic unit-square circulations, which keeps
     every vertex divergence integral.  Squares meeting `avoid` are skipped."""
     fld = EdgeField(w, s)
-    fld.values[:] = rng.integers(-4, 5, size=fld.values.shape).astype(np.int64) << s
+    # drawn vertex-major, so every edge gets the value it always had
+    fld.values[:] = (rng.integers(-4, 5, size=fld.values.shape[::-1])
+                     .astype(np.int64) << s).T
     fld.values[~fld.valid] = 0
     done = 0
     while done < pushes:
@@ -163,7 +165,7 @@ def test_adjust_on_region_clears_boundary():
     for a, b in H.edges:
         bverts[a] = bverts[b] = True
     near = ball_mask(w, bverts, 1).ravel()
-    for v, i in zip(*np.nonzero(diff)):
+    for i, v in zip(*np.nonzero(diff)):
         u = v + int(np.dot(directions(2)[i], (w.L, 1)))
         assert near[v] and near[u]
 
@@ -205,7 +207,7 @@ def test_round_edge_field_respects_fixed_edges():
         for v in np.argwhere(hold):
             u = v + np.asarray(g)
             if hold[tuple(u)]:
-                fixed[int(np.ravel_multi_index(tuple(v), w.shape)), i] = True
+                fixed[i, int(np.ravel_multi_index(tuple(v), w.shape))] = True
     assert not (fld.values[fixed] % (1 << s)).any()
     out, _ = round_edge_field(w, fld, f, fixed_mask=fixed)
     assert np.array_equal(out.values[fixed] << s, fld.values[fixed])
@@ -222,7 +224,7 @@ def test_round_edge_field_validation():
     frac.add_num((7, 7), (7, 8), 1)
     fixed = np.zeros_like(fld.valid)
     fixed_dir = next(i for i, g in enumerate(directions(2)) if tuple(g) == (0, 1))
-    fixed[int(np.ravel_multi_index((7, 7), w.shape)), fixed_dir] = True
+    fixed[fixed_dir, int(np.ravel_multi_index((7, 7), w.shape))] = True
     with pytest.raises(ValueError):
         round_edge_field(w, frac, f, fixed_mask=fixed)
     with pytest.raises(ValueError):

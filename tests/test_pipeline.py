@@ -39,11 +39,12 @@ def test_repair_in_isolation_and_doubling():
     from equidecomp.lattice import sample_field
     fld = sample_field(window, action, a, b)
     psi = truncated_psi(fld, n0)
-    phi, info = repair_to_frontier(fld, psi, capacity_units=3)
+    res = residual_num(fld, psi)
+    phi, info = repair_to_frontier(fld, psi, res, capacity_units=3)
     core = window.core_mask()
     assert not residual_num(fld, phi)[core].any()
     assert info["doublings"] >= 0 and info["capacity_units"] == 3
-    phi2, _ = repair_to_frontier(fld, psi, capacity_units=3)
+    phi2, _ = repair_to_frontier(fld, psi, res, capacity_units=3)
     assert np.array_equal(phi.values, phi2.values)
 
     # a 10-unit point divergence cannot pass 8 unit-capacity edges: the
@@ -53,11 +54,13 @@ def test_repair_in_isolation_and_doubling():
                            chi_b=np.zeros(w2.shape, dtype=bool))
     spike = EdgeField(w2, 0)
     spike.add_num((3, 3), (3, 4), 10)
-    fixed, info = repair_to_frontier(empty, spike, capacity_units=1)
+    spike_res = residual_num(empty, spike)
+    fixed, info = repair_to_frontier(empty, spike, spike_res, capacity_units=1)
     assert info["doublings"] == 1
     assert not residual_num(empty, fixed)[w2.core_mask()].any()
     with pytest.raises(PipelineError) as exc:
-        repair_to_frontier(empty, spike, capacity_units=1, max_doublings=0)
+        repair_to_frontier(empty, spike, spike_res, capacity_units=1,
+                           max_doublings=0)
     assert exc.value.stage == "repair"
     assert exc.value.certificate["supply_abs"] == 20
 
@@ -67,12 +70,14 @@ def test_repair_validation():
     empty = IndicatorField(window=w, chi_a=np.zeros(w.shape, dtype=bool),
                            chi_b=np.zeros(w.shape, dtype=bool))
     with pytest.raises(ValueError):
-        repair_to_frontier(empty, EdgeField(w, 0), capacity_units=1)
+        repair_to_frontier(empty, EdgeField(w, 0), np.zeros(w.shape, np.int64),
+                           capacity_units=1)
     w2 = LatticeWindow(d=2, L=8, margin=2)
     empty2 = IndicatorField(window=w2, chi_a=np.zeros(w2.shape, dtype=bool),
                             chi_b=np.zeros(w2.shape, dtype=bool))
     with pytest.raises(ValueError):
-        repair_to_frontier(empty2, EdgeField(w2, 0), capacity_units=0)
+        repair_to_frontier(empty2, EdgeField(w2, 0),
+                           np.zeros(w2.shape, np.int64), capacity_units=0)
 
 
 def test_pipeline_summary_is_complete_and_deterministic():
@@ -141,3 +146,21 @@ def test_flagship_builds_each_scanned_tiling_once(monkeypatch):
     assert tiles["source"] == "empirical" and tiles["K"] == 7
     assert in_select_k == [0]
     assert built == list(range(1, 8))
+
+
+def test_flagship_reuses_the_scanned_tile_flow(monkeypatch):
+    """The empirical K scan returns the tiling and tile flow it accepted,
+    so run_pipeline aggregates no tile flow of its own."""
+    calls = []
+
+    def tile_flow(*args, **kwargs):
+        calls.append(1)
+        return equidecompose.tile_flow(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "tile_flow", tile_flow)
+    cfg = build_config({})
+    res = run_pipeline(cfg.window(), cfg.action(), *cfg.shapes(), n0=cfg.n0)
+    assert res.summary["tiles"]["source"] == "empirical"
+    assert not calls
+    assert res.tileflow.tiling is res.tiling
+    assert res.report["ok"]
