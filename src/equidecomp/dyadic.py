@@ -35,10 +35,6 @@ class Dyadic:
         raise AttributeError("Dyadic is immutable")
 
     @classmethod
-    def from_int(cls, n: int) -> "Dyadic":
-        return cls(n, 0)
-
-    @classmethod
     def from_fraction(cls, fr: Fraction) -> "Dyadic":
         """Convert a Fraction whose denominator is a power of two."""
         den = fr.denominator

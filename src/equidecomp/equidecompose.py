@@ -26,8 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .flowgrid import EdgeField
-from .lattice import IndicatorField, LatticeWindow, directions
-from .tiling import Tiling, _axis_sides, _shift_slices, rect_tiling
+from .lattice import IndicatorField, LatticeWindow, _shift_slices, directions
+from .tiling import Tiling, _axis_sides, rect_tiling
 
 
 def box_boundary_edges(sides: Sequence[int]) -> int:
@@ -53,8 +53,7 @@ class KSelectionError(ValueError):
         self.diagnostics = diagnostics or {}
 
 
-def select_K(window: LatticeWindow, field: IndicatorField, c,
-             k_max: Optional[int] = None) -> int:
+def select_K(window: LatticeWindow, field: IndicatorField, c) -> int:
     """Smallest K whose rectangular core tiling satisfies
     c * |edges leaving V| <= min(|A cap V|, |B cap V|) on every tile V.
 
@@ -69,12 +68,11 @@ def select_K(window: LatticeWindow, field: IndicatorField, c,
     lo, hi = window.core_bounds
     side = hi - lo
     c_int = int(math.ceil(c))
-    if k_max is None:
-        k_max = side // 4
+    k_max = side // 4
     core = (slice(lo, hi),) * window.d
     chi = np.stack([field.chi_a[core], field.chi_b[core]]).astype(np.int64)
     diag: Dict[int, str] = {}
-    for K in range(1, min(int(k_max), side) + 1):
+    for K in range(1, k_max + 1):
         sides, improper = _axis_sides(side, K)
         if improper:
             diag[K] = "improper tiling (remainder strip)"
@@ -437,9 +435,6 @@ class PieceMap:
     def n_pieces(self) -> int:
         return len(self.gammas)
 
-    def piece(self, i: int) -> np.ndarray:
-        return self.a_flat[self.piece_id == i]
-
 
 def extract_pieces(matching: Matching, K: int) -> PieceMap:
     """Group the matching by translation vector.
@@ -451,10 +446,11 @@ def extract_pieces(matching: Matching, K: int) -> PieceMap:
     tiling = matching.tileflow.tiling
     window = tiling.window
     d = window.d
-    for tile in tiling.tiles:
-        if max(tile.sides) > K + 1:
-            raise ValueError("tile %d side %d exceeds K+1 = %d"
-                             % (tile.index, max(tile.sides), K + 1))
+    side = tiling.sides.max(axis=1)
+    over = np.flatnonzero(side > K + 1)
+    if len(over):
+        raise ValueError("tile %d side %d exceeds K+1 = %d"
+                         % (over[0], side[over[0]], K + 1))
     m = len(matching.pair_a)
     order = np.argsort(matching.pair_a)
     a_flat = matching.pair_a[order]

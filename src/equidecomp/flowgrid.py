@@ -24,7 +24,8 @@ import numpy as np
 from ._kernels import (edge_valid_mask, level_edge_grid, phase_tables,
                        subbox_sums)
 from .dyadic import Dyadic
-from .lattice import IndicatorField, LatticeWindow, all_directions, directions
+from .lattice import (IndicatorField, LatticeWindow, _shift_slices,
+                      all_directions, directions)
 
 
 @lru_cache(maxsize=None)
@@ -254,13 +255,11 @@ class EdgeField:
         values[i, v] counts out of v, and into v + dirs[i] when that lies
         in the window; the pipeline keeps the slots of edges that leave
         the window at zero."""
-        L, d = self.window.L, self.window.d
         div = np.zeros(self.window.shape, dtype=np.int64)
         for i, g in enumerate(self.dirs):
             v = self.grid(i)
             div += v
-            dst = tuple(slice(max(0, int(gj)), L + min(0, int(gj))) for gj in g)
-            src = tuple(slice(max(0, -int(gj)), L + min(0, -int(gj))) for gj in g)
+            src, dst = _shift_slices(self.window.L, g)
             div[dst] -= v[src]
         return div
 
@@ -363,8 +362,7 @@ DEFAULT_EPS_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
 
 
 def certify_box_envelope(field: IndicatorField,
-                         eps: Optional[float] = None,
-                         n_max: Optional[int] = None) -> BoxEnvelope:
+                         eps: Optional[float] = None) -> BoxEnvelope:
     """Measure max box sums at dyadic scales and pick (M, eps) so that
     Phi(2^n) strictly dominates every measurement.
 
@@ -372,10 +370,9 @@ def certify_box_envelope(field: IndicatorField,
     (deterministic tie-break toward smaller eps) unless given explicitly.
     """
     d = field.window.d
-    if n_max is None:
-        n_max = int(log2(field.window.L))
-        while (1 << n_max) > field.window.L:
-            n_max -= 1
+    n_max = int(log2(field.window.L))
+    while (1 << n_max) > field.window.L:
+        n_max -= 1
     measured = [(n, measure_box_sums(field, n)) for n in range(n_max + 1)]
     grid = (eps,) if eps is not None else DEFAULT_EPS_GRID
     best = None
@@ -449,20 +446,29 @@ def dump_edge_field(path, field: EdgeField) -> None:
 
 
 def load_edge_field(path) -> EdgeField:
+    """Read a dump_edge_field file.  Records are read and scattered into
+    the field one block at a time, so only one block is held besides the
+    field; a file that ends before its header's record count raises
+    ValueError."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError("bad magic")
         d, L, margin, scale, nrec = (int(v) for v in fh.readline().split())
-        rec = np.frombuffer(fh.read(nrec * 4 * 8), dtype="<i8").reshape(nrec, 4)
-    window = LatticeWindow(d=d, L=L, margin=margin)
-    out = EdgeField(window, scale)
-    out.valid[:] = False
-    vi, di, nums, exps = rec[:, 0], rec[:, 1], rec[:, 2].copy(), rec[:, 3]
-    if np.any(exps > scale):
-        raise ValueError("record exponent exceeds field scale")
-    nums <<= (scale - exps)
-    out.values[di, vi] = nums
-    out.valid[di, vi] = True
+        out = EdgeField(LatticeWindow(d=d, L=L, margin=margin), scale)
+        out.valid[:] = False
+        block = _DUMP_BLOCK * len(out.dirs)
+        for start in range(0, nrec, block):
+            count = min(block, nrec - start)
+            buf = fh.read(count * 32)
+            if len(buf) != count * 32:
+                raise ValueError("truncated edge field: %d of %d records"
+                                 % (start + len(buf) // 32, nrec))
+            rec = np.frombuffer(buf, dtype="<i8").reshape(count, 4)
+            vi, di, nums, exps = rec.T
+            if np.any(exps > scale):
+                raise ValueError("record exponent exceeds field scale")
+            out.values[di, vi] = nums << (scale - exps)
+            out.valid[di, vi] = True
     return out
 
 

@@ -24,10 +24,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._maxflow import solve_supply_flow
-from .flowgrid import EdgeField, _dir_index
-from .lattice import LatticeWindow, directions
-from .tiling import (Region, _shift_slices, ball_mask,
-                     boundary_disjoint_cover, fill_holes)
+from .flowgrid import EdgeField
+from .lattice import LatticeWindow, _shift_slices, directions
+from .tiling import Region, ball_mask, boundary_disjoint_cover, fill_holes
 
 
 def three_cycles_through(gamma: Sequence[int]) -> int:
@@ -266,6 +265,35 @@ def _frontier_aggregate(values: np.ndarray, rim: np.ndarray,
     return agg
 
 
+def spill_to_frontier(values: np.ndarray, window: LatticeWindow,
+                      rim: np.ndarray, slots: np.ndarray, amount: np.ndarray,
+                      cap: int) -> int:
+    """Send amount[r] units of flow out of rim vertex rim[r] over its
+    frontier edges, in place in the edge array values (laid out as
+    EdgeField.values); rim and slots are as from _rim_frontier_slots.  The
+    frontier slots are visited in ascending order, each taking up to cap
+    units in magnitude of what is left.  Returns the largest take; every
+    unit must find an edge."""
+    flat_shift = _flat_shifts(window)
+    left = np.array(amount, dtype=np.int64)
+    largest = 0
+    for slot, on in enumerate(slots):
+        at = np.flatnonzero(on & (left != 0))
+        take = np.clip(left[at], -cap, cap)
+        i = slot >> 1
+        if slot & 1:
+            # flow out of the rim endpoint is minus the stored value
+            values[i, rim[at] - flat_shift[i]] -= take
+        else:
+            values[i, rim[at]] += take
+        left[at] -= take
+        largest = max(largest, int(np.abs(take).max(initial=0)))
+    if left.any():
+        raise AssertionError("frontier disaggregation left %d units"
+                             % left[np.flatnonzero(left)[0]])
+    return largest
+
+
 def _trunc_toward_zero(values: np.ndarray, scale_exp: int) -> np.ndarray:
     q = np.where(values >= 0, values >> scale_exp, -((-values) >> scale_exp))
     return q.astype(np.int64)
@@ -279,8 +307,9 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     Free core-core edges are truncated toward zero and the leftover
     divergence is routed through unit capacities in the direction of each
     discarded fraction; flow to the frontier is aggregated per vertex into
-    a single merged frontier node during the solve and handed back to the
-    first outgoing frontier edge afterwards.  fixed_mask is laid out like
+    a single merged frontier node during the solve, and afterwards
+    spill_to_frontier, with no cap, hands each rim vertex's rounded
+    aggregate to its first frontier edge.  fixed_mask is laid out like
     phi.values, [i, v] for the edge (v, v + dirs[i]); the edges it flags
     must already be integral and are left exactly alone.
     """
@@ -294,9 +323,6 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     rim, fslots = _rim_frontier_slots(window)
     agg = np.zeros(nvert, dtype=np.int64)
     agg[rim] = _frontier_aggregate(phi.values, rim, fslots, flat_shift)
-    # first frontier edge of each rim vertex, as a table slot 2*i + sign
-    first_slot = fslots.argmax(axis=0)
-    del fslots
     if fixed_mask is None:
         fixed_mask = np.zeros_like(cc)
     if (fixed_mask & ~cc).any():
@@ -344,20 +370,14 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     out_vals >>= s        # in place: the truncated field is not read again
     out_vals[di, ui] += net[:m_cc]
     out = EdgeField(window, 0, out_vals, np.ones_like(cc))
-    # hand each rounded frontier aggregate to one explicit frontier edge
-    w_net = np.zeros(nvert, dtype=np.int64)
-    w_net[frim] = net[m_cc:]
-    carriers = np.flatnonzero(core_flat & (agg_int + w_net != 0))
+    # hand each rounded frontier aggregate to its first frontier edge
+    spill = agg_int.copy()
+    spill[frim] += net[m_cc:]
+    carriers = np.flatnonzero(core_flat & (spill != 0))
     if not np.isin(carriers, rim).all():
         raise AssertionError("frontier flow at a vertex with no frontier edge")
-    for v, slot in zip(carriers.tolist(),
-                       first_slot[np.searchsorted(rim, carriers)].tolist()):
-        i, sign = slot >> 1, slot & 1
-        val = int(agg_int[v] + w_net[v])
-        if sign == 0:
-            out.values[i, v] += val
-        else:
-            out.values[i, v - flat_shift[i]] -= val
+    spill_to_frontier(out.values, window, rim, fslots, spill[rim],
+                      np.iinfo(np.int64).max)
     div_out = out.divergence_num().ravel()
     if not np.array_equal(div_out[core_flat], np.asarray(f).ravel()[core_flat]):
         raise AssertionError("rounded flow has wrong core divergence")
@@ -410,22 +430,18 @@ def integralize_flow(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
         if (ball_mask(window, F.mask, 2) & ~core).any():
             raise AssertionError("cover region's 2-neighborhood leaves the core")
         cur = adjust_on_region(cur, F)
-    fixed = np.zeros((len(directions(window.d)), window.n_vertices),
-                     dtype=bool)
-    dir_idx = _dir_index(window.d)
-    for F in cover.regions:
-        rows = F.boundary()
-        a = np.stack(np.unravel_index(rows[:, 0], window.shape), axis=1)
-        b = np.stack(np.unravel_index(rows[:, 1], window.shape), axis=1)
-        for u, v in zip(a, b):
-            g = tuple(int(y - x) for x, y in zip(u, v))
-            if g in dir_idx:
-                fixed[dir_idx[g],
-                      int(np.ravel_multi_index(tuple(u), window.shape))] = True
-            else:
-                gg = tuple(-c for c in g)
-                fixed[dir_idx[gg],
-                      int(np.ravel_multi_index(tuple(v), window.shape))] = True
+    # a region boundary edge is stored at its lower flat endpoint, in the
+    # direction whose flat shift joins the two; flat shifts increase in
+    # dirs order once L >= 3, which every cover window exceeds
+    rows = np.concatenate([F.boundary() for F in cover.regions]
+                          + [np.empty((0, 2), dtype=np.int64)])
+    tail, head = rows.min(axis=1), rows.max(axis=1)
+    flat_shift = _flat_shifts(window)
+    di = np.searchsorted(flat_shift, head - tail)
+    if not np.array_equal(flat_shift[di], head - tail):
+        raise AssertionError("cover boundary row is not a lattice edge")
+    fixed = np.zeros((len(flat_shift), window.n_vertices), dtype=bool)
+    fixed[di, tail] = True
     out, info = round_edge_field(window, cur, f, fixed_mask=fixed)
     info["mode"] = "cover"
     info["cover"] = cover.summary()

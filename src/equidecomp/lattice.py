@@ -38,6 +38,14 @@ def directions(d: int) -> np.ndarray:
     return np.array(keep, dtype=np.int64)
 
 
+def _shift_slices(L: int, gamma) -> Tuple[tuple, tuple]:
+    """(src, dst) window slices so that grid[dst] aligns with grid[src]
+    translated by gamma (both endpoints in-window)."""
+    src = tuple(slice(max(0, -int(g)), L - max(0, int(g))) for g in gamma)
+    dst = tuple(slice(max(0, int(g)), L - max(0, -int(g))) for g in gamma)
+    return src, dst
+
+
 def all_directions(d: int) -> np.ndarray:
     """All 3^d - 1 unit directions (both orientations)."""
     pos = directions(d)
@@ -195,11 +203,6 @@ class LatticeWindow:
         return all(0 <= c < self.L for c in v)
 
 
-def vertices_of(mask: np.ndarray) -> np.ndarray:
-    """Vertex coordinates of a boolean grid mask, in lexicographic order."""
-    return np.argwhere(mask)
-
-
 @dataclass(frozen=True)
 class IndicatorField:
     """f = chi_A - chi_B sampled on a window lattice."""
@@ -231,8 +234,7 @@ def sample_field(window: LatticeWindow, action: ActionSpec,
                  shape_a: Shape, shape_b: Shape,
                  x: Optional[np.ndarray] = None,
                  measure_tol: float = 1e-9,
-                 freeness_tol: float = 1e-9,
-                 check_freeness: bool = True) -> IndicatorField:
+                 freeness_tol: float = 1e-9) -> IndicatorField:
     """Sample chi_A and chi_B over the window orbit of the base point.
 
     Fails if the shape measures disagree (beyond measure_tol) or if the
@@ -243,12 +245,11 @@ def sample_field(window: LatticeWindow, action: ActionSpec,
     if not measures_match(shape_a, shape_b, measure_tol):
         raise ValueError("lambda(A) != lambda(B): %r vs %r"
                          % (shape_a.measure(), shape_b.measure()))
-    if check_freeness:
-        sep, delta = min_orbit_separation(action, window.L)
-        if sep <= freeness_tol:
-            raise ValueError(
-                "action not free on window: offset %r gives separation %.3g"
-                % (delta, sep))
+    sep, delta = min_orbit_separation(action, window.L)
+    if sep <= freeness_tol:
+        raise ValueError(
+            "action not free on window: offset %r gives separation %.3g"
+            % (delta, sep))
     pts = action.grid_points(window.shape, x).reshape(-1, action.k)
     chi_a = shape_a.contains(pts).reshape(window.shape)
     chi_b = shape_b.contains(pts).reshape(window.shape)

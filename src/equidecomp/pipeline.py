@@ -24,7 +24,7 @@ from .flowgrid import (BoxEnvelope, EdgeField, certify_box_envelope,
                        integral_flow_bound, residual_num, tail_bound,
                        truncated_psi, truncation_error_bound)
 from .integralize import (_core_edge_masks, _flat_shifts, _rim_frontier_slots,
-                          integralize_flow)
+                          integralize_flow, spill_to_frontier)
 from .lattice import ActionSpec, IndicatorField, LatticeWindow, sample_field
 from .shapes import Shape
 from .tiling import Net, Tiling, greedy_net, rect_tiling, voronoi_tiling
@@ -51,7 +51,9 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
     units; the tail bound rounded up plus one) into a merged frontier node
     reachable from each rim vertex through its actual frontier edges.  When
     the tail estimate is too tight — small margins legitimately exceed it —
-    the capacity doubles and the solve repeats.
+    the capacity doubles and the solve repeats.  spill_to_frontier then
+    hands each rim vertex's flow to the merged node back to its frontier
+    edges, each taking up to the per-edge capacity in slot order.
     """
     window = psi.window
     if window.margin < 1:
@@ -97,24 +99,9 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
     h = psi.values.copy()
     m_cc = len(ui)
     h[di, ui] += net[:m_cc]
-    max_correction = int(np.abs(net[:m_cc]).max(initial=0))
-    per_edge = (capacity_units << doublings) << s
-    for r_i, (v, q) in enumerate(zip(rim.tolist(), net[m_cc:].tolist())):
-        if q == 0:
-            continue
-        for slot in np.flatnonzero(fslots[:, r_i]).tolist():
-            i, sign = slot >> 1, slot & 1
-            take = max(-per_edge, min(per_edge, q))
-            max_correction = max(max_correction, abs(take))
-            if sign == 0:
-                h[i, v] += take
-            else:
-                h[i, v - flat_shift[i]] -= take
-            q -= take
-            if q == 0:
-                break
-        if q != 0:
-            raise AssertionError("frontier disaggregation left %d units" % q)
+    max_correction = max(
+        int(np.abs(net[:m_cc]).max(initial=0)),
+        spill_to_frontier(h, window, rim, fslots, net[m_cc:], cap))
 
     phi = EdgeField(window, s, h, np.ones_like(psi.valid))
     res = residual_num(field, phi).ravel()
@@ -250,7 +237,7 @@ def run_pipeline(window: LatticeWindow, action: ActionSpec,
         else:
             til = rect_tiling(window, k_sel)
             k_info = {"source": "boundary_criterion"}
-    k_eff = max(k_sel, max(max(t.sides) for t in til.tiles) - 1)
+    k_eff = max(k_sel, int(til.sides.max()) - 1)
     summary["tiles"] = {
         "K": int(k_sel), "K_eff": int(k_eff), "count": len(til.tiles),
         "improper": til.improper, "kind": tiling_kind, **k_info,

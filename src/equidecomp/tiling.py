@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import ndimage
 
-from .lattice import LatticeWindow, all_directions, directions
+from .lattice import LatticeWindow, _shift_slices, all_directions, directions
 
 EdgeArray = np.ndarray      # (m, 2) int64 flat vertex pairs
 
@@ -76,14 +76,6 @@ class Region:
         if self._boundary is None:
             self._boundary = boundary(self)
         return self._boundary
-
-
-def _shift_slices(L: int, gamma) -> Tuple[tuple, tuple]:
-    """(src, dst) window slices so that grid[dst] aligns with grid[src]
-    translated by gamma (both endpoints in-window)."""
-    src = tuple(slice(max(0, -int(g)), L - max(0, int(g))) for g in gamma)
-    dst = tuple(slice(max(0, int(g)), L - max(0, -int(g))) for g in gamma)
-    return src, dst
 
 
 def _flat_of_coords(window: LatticeWindow, coords: np.ndarray) -> np.ndarray:
@@ -396,36 +388,25 @@ def boundary_disjoint_cover(window: LatticeWindow, n: int, i_max: int) -> Cover:
 # tilings of the core
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Tile:
-    index: int
-    lo: Tuple[int, ...]
-    hi: Tuple[int, ...]        # half-open
-
-    @property
-    def sides(self) -> Tuple[int, ...]:
-        return tuple(h - l for l, h in zip(self.lo, self.hi))
-
-    def volume(self) -> int:
-        v = 1
-        for s in self.sides:
-            v *= s
-        return v
-
-    def slices(self) -> tuple:
-        return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))
-
-
 @dataclass
 class Tiling:
+    """A partition of the core into tiles.
+
+    tiles[t] = (lo, hi) is tile t's half-open bounding box [lo, hi) as one
+    (n, 2, d) int64 array; in a rect tiling the box is the tile itself.
+    tile_id is the window grid of tile ids, -1 outside the core.
+    """
+
     window: LatticeWindow
     K: int
-    tiles: List[Tile]
+    tiles: np.ndarray          # (n, 2, d) int64 [lo, hi) boxes
     tile_id: np.ndarray        # int32 grid, -1 outside the core
     improper: bool = False     # True when a K+remainder strip was needed
 
-    def tile_of(self, v: Sequence[int]) -> int:
-        return int(self.tile_id[tuple(int(c) for c in v)])
+    @property
+    def sides(self) -> np.ndarray:
+        """(n, d) box sides."""
+        return self.tiles[:, 1] - self.tiles[:, 0]
 
 
 def _axis_sides(side: int, K: int) -> Tuple[List[int], bool]:
@@ -439,28 +420,23 @@ def _axis_sides(side: int, K: int) -> Tuple[List[int], bool]:
 
 def rect_tiling(window: LatticeWindow, K: int) -> Tiling:
     """Partition the core into boxes of side K or K+1 per axis (greedy
-    mixed layout).  When the core side has remainder > quotient, one
-    K+remainder strip per axis is used instead and the tiling is flagged."""
+    mixed layout), numbered in row-major order of their per-axis indices.
+    When the core side has remainder > quotient, one K+remainder strip per
+    axis is used instead and the tiling is flagged."""
     lo, hi = window.core_bounds
     side = hi - lo
     if not (1 <= K <= side):
         raise ValueError("need 1 <= K <= core side %d" % side)
     sides, improper = _axis_sides(side, K)
-    bounds = []
-    at = lo
-    for s in sides:
-        bounds.append((at, at + s))
-        at += s
-    tiles: List[Tile] = []
+    d, m = window.d, len(sides)
+    stops = lo + np.cumsum(sides, dtype=np.int64)
+    cells = np.indices((m,) * d).reshape(d, -1).T        # row-major
+    tiles = np.stack([(stops - sides)[cells], stops[cells]], axis=1)
+    axis_tile = np.repeat(np.arange(m), sides)
     tile_id = np.full(window.shape, -1, dtype=np.int32)
-    for cell in np.ndindex(*([len(bounds)] * window.d)):
-        los = tuple(bounds[c][0] for c in cell)
-        his = tuple(bounds[c][1] for c in cell)
-        t = Tile(index=len(tiles), lo=los, hi=his)
-        tile_id[t.slices()] = t.index
-        tiles.append(t)
-    core = window.core_mask()
-    if not ((tile_id >= 0) == core).all():
+    tile_id[(slice(lo, hi),) * d] = np.ravel_multi_index(
+        np.ix_(*[axis_tile] * d), (m,) * d)
+    if not ((tile_id >= 0) == window.core_mask()).all():
         raise AssertionError("tiling does not partition the core")
     return Tiling(window=window, K=K, tiles=tiles, tile_id=tile_id,
                   improper=improper)
@@ -468,7 +444,8 @@ def rect_tiling(window: LatticeWindow, K: int) -> Tiling:
 
 def voronoi_tiling(window: LatticeWindow, net: Net) -> Tiling:
     """Cell of a seed = core vertices whose lexicographically least nearest
-    seed it is.  Cross-validation alternative to rect_tiling."""
+    seed it is.  Cross-validation alternative to rect_tiling.  A cell's box
+    is its bounding box; an empty cell keeps its seed's unit box."""
     if len(net.points) == 0:
         raise ValueError("empty net")
     core = window.core_mask()
@@ -482,15 +459,13 @@ def voronoi_tiling(window: LatticeWindow, net: Net) -> Tiling:
         best_d[better] = dist[better]
         best_i[better] = i
     tile_id = np.where(core.ravel(), best_i, -1).reshape(window.shape).astype(np.int32)
-    tiles = []
-    for i, s in enumerate(seeds):
-        sel = tile_id == i
-        if sel.any():
-            vs = np.argwhere(sel)
-            tiles.append(Tile(index=i, lo=tuple(int(c) for c in vs.min(axis=0)),
-                              hi=tuple(int(c) + 1 for c in vs.max(axis=0))))
-        else:
-            tiles.append(Tile(index=i, lo=tuple(int(c) for c in s),
-                              hi=tuple(int(c) + 1 for c in s)))
+    at = core.ravel()
+    ids, coords = best_i[at], coords[at]
+    tiles = np.stack([np.full_like(seeds, window.L), np.zeros_like(seeds)],
+                     axis=1)
+    np.minimum.at(tiles[:, 0], ids, coords)
+    np.maximum.at(tiles[:, 1], ids, coords + 1)
+    empty = tiles[:, 1, 0] == 0
+    tiles[empty] = np.stack([seeds, seeds + 1], axis=1)[empty]
     return Tiling(window=window, K=net.r, tiles=tiles, tile_id=tile_id,
                   improper=True)   # cells are not boxes; flag non-rectangular

@@ -22,6 +22,11 @@ from equidecomp import equidecompose
 from equidecomp.tiling import rect_tiling
 
 
+def box_slices(box):
+    """Window slices of a half-open (lo, hi) tile box."""
+    return tuple(slice(int(a), int(b)) for a, b in zip(*box))
+
+
 def brute_box_edges(sides):
     box = list(itertools.product(*(range(s) for s in sides)))
     inside = set(box)
@@ -81,7 +86,7 @@ def recount(psi, t):
             u = v + np.asarray(g)
             if ((u < 0) | (u >= w.L)).any():
                 continue
-            ti, tj = t.tile_of(v), t.tile_of(u)
+            ti, tj = int(t.tile_id[tuple(v)]), int(t.tile_id[tuple(u)])
             if ti >= 0 and tj >= 0 and ti != tj:
                 adj[ti, tj] = True
             val = psi.value_num(tuple(v), tuple(g)) >> psi.scale_exp
@@ -121,7 +126,7 @@ def test_tile_flow_hand_example():
     psi, fld = path_flow(w, [((3, 3), (3, 4))])
     t = rect_tiling(w, 2)                      # 2x2 grid of 2x2 tiles
     tf = tile_flow(psi, t, fld)
-    i, j = t.tile_of((3, 3)), t.tile_of((3, 4))
+    i, j = t.tile_id[3, 3], t.tile_id[3, 4]
     assert i != j
     mat, adj, _ = recount(psi, t)
     assert mat[i, j] == 1 and mat[j, i] == -1
@@ -143,7 +148,7 @@ def test_tile_flow_leakage_into_frontier():
     fld = IndicatorField(window=w, chi_a=chi_a, chi_b=np.zeros_like(chi_a))
     t = rect_tiling(w, 2)
     tf = tile_flow(psi, t, fld)
-    i = t.tile_of((2, 2))
+    i = t.tile_id[2, 2]
     assert tf.outflux[i] == 1
     assert tf.net[i] == 0
     assert not tf.conserved[i]                 # leakage breaks conservation...
@@ -164,7 +169,7 @@ def test_tile_flow_matches_recount():
     assert_pairs_match(tf, mat, adj)
     assert np.array_equal(tf.outflux, out)
     assert np.array_equal(tf.count_a, np.bincount(
-        [t.tile_of(p) for p, _ in pairs], minlength=n))
+        [t.tile_id[p] for p, _ in pairs], minlength=n))
 
 
 def test_tile_flow_validation():
@@ -313,15 +318,15 @@ def test_select_k_boundary_criterion():
     fld = IndicatorField(window=w, chi_a=par == 0, chi_b=par == 1)
     K = select_K(w, fld, c=0.5)
     # the returned K satisfies the criterion; no smaller proper K does
-    need = lambda tile: int(np.ceil(0.5)) * box_boundary_edges(tile.sides)
+    need = lambda box: int(np.ceil(0.5)) * box_boundary_edges(box[1] - box[0])
     for k in range(1, K + 1):
         t = rect_tiling(w, k)
         if t.improper:
             assert k < K
             continue
-        ok = all(min(int(fld.chi_a[tile.slices()].sum()),
-                     int(fld.chi_b[tile.slices()].sum())) >= need(tile)
-                 for tile in t.tiles)
+        ok = all(min(int(fld.chi_a[box_slices(box)].sum()),
+                     int(fld.chi_b[box_slices(box)].sum())) >= need(box)
+                 for box in t.tiles)
         assert ok == (k == K)
 
 
@@ -447,12 +452,12 @@ def test_select_k_diagnostics_match_tile_scan():
                 if t.improper:
                     want[K] = "improper tiling (remainder strip)"
                     continue
-                for tile in t.tiles:
-                    need = c * box_boundary_edges(tile.sides)
-                    na = int(fld.chi_a[tile.slices()].sum())
-                    nb = int(fld.chi_b[tile.slices()].sum())
+                for index, box in enumerate(t.tiles):
+                    need = c * box_boundary_edges(box[1] - box[0])
+                    na = int(fld.chi_a[box_slices(box)].sum())
+                    nb = int(fld.chi_b[box_slices(box)].sum())
                     if min(na, nb) < need:
                         want[K] = ("tile %d needs %d points per side, has "
-                                   "A=%d B=%d" % (tile.index, need, na, nb))
+                                   "A=%d B=%d" % (index, need, na, nb))
                         break
             assert exc.value.diagnostics == want

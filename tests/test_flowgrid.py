@@ -285,6 +285,18 @@ def test_edge_field_dump_spans_vertex_blocks(tmp_path):
     back = load_edge_field(p)
     assert np.array_equal(back.values, values)
     assert np.array_equal(back.valid, valid)
+    # all 35672 edges valid: more records than load_edge_field reads at
+    # once (2048 vertices' worth); a file cut short inside the last
+    # record, the second read block or the first is refused
+    full = EdgeField(w, scale, values, np.ones_like(valid))
+    dump_edge_field(p, full)
+    back = load_edge_field(p)
+    assert np.array_equal(back.values, values) and back.valid.all()
+    data = p.read_bytes()
+    for keep in (len(data) - 1, len(data) - 32 * 5000, len(data) - 32 * 30000):
+        p.write_bytes(data[:keep])
+        with pytest.raises(ValueError, match="truncated"):
+            load_edge_field(p)
 
 
 def test_edge_field_csv_crlf(tmp_path):

@@ -14,7 +14,9 @@ from equidecomp.integralize import (
     euler_cycle,
     integralize_flow,
     max_cover_levels,
+    _rim_frontier_slots,
     round_edge_field,
+    spill_to_frontier,
     three_cycles_through,
 )
 from equidecomp.lattice import LatticeWindow, directions
@@ -260,3 +262,48 @@ def test_cover_mode_needs_room():
     fld = EdgeField(w, 2)
     with pytest.raises(ValueError):
         integralize_flow(w, fld, np.zeros(w.shape, dtype=np.int64), mode="cover")
+
+
+def test_spill_to_frontier_hand_example():
+    """d=2, L=5, margin=1: the core is [1, 4)^2 and its rim the eight
+    vertices around (2, 2).  dirs = (0,1), (1,-1), (1,0), (1,1); the
+    corner (1, 1) has frontier slots 1, 2, 3, 5, 7 and the side vertex
+    (1, 2) slots 3, 5, 7 (slot 2*i + sign; sign 1 is the edge to
+    v - dirs[i])."""
+    w = LatticeWindow(d=2, L=5, margin=1)
+    rim, slots = _rim_frontier_slots(w)
+    flat = lambda v: int(np.ravel_multi_index(v, w.shape))
+    corner, side = list(rim).index(flat((1, 1))), list(rim).index(flat((1, 2)))
+    assert np.flatnonzero(slots[:, corner]).tolist() == [1, 2, 3, 5, 7]
+    assert np.flatnonzero(slots[:, side]).tolist() == [3, 5, 7]
+
+    # a binding cap of 2 across several slots, and a negative amount
+    amount = np.zeros(len(rim), dtype=np.int64)
+    amount[corner], amount[side] = 7, -5
+    f = EdgeField(w, 0)
+    assert spill_to_frontier(f.values, w, rim, slots, amount, 2) == 2
+    want = EdgeField(w, 0)
+    want.add_num((1, 1), (1, 0), 2)            # slot 1
+    want.add_num((1, 1), (2, 0), 2)            # slot 2
+    want.add_num((1, 1), (0, 2), 2)            # slot 3
+    want.add_num((1, 1), (0, 1), 1)            # slot 5; slot 7 takes 0
+    want.add_num((1, 2), (0, 3), -2)           # slot 3
+    want.add_num((1, 2), (0, 2), -2)           # slot 5
+    want.add_num((1, 2), (0, 1), -1)           # slot 7
+    assert np.array_equal(f.values, want.values)
+    div = f.divergence_num()
+    assert div[1, 1] == 7 and div[1, 2] == -5 and div[1:4, 1:4].sum() == 2
+
+    # an unbounded cap puts everything on the first frontier slot
+    f = EdgeField(w, 0)
+    assert spill_to_frontier(f.values, w, rim, slots, amount,
+                             np.iinfo(np.int64).max) == 7
+    want = EdgeField(w, 0)
+    want.add_num((1, 1), (1, 0), 7)
+    want.add_num((1, 2), (0, 3), -5)
+    assert np.array_equal(f.values, want.values)
+
+    # five slots of cap 2 cannot carry 11 units
+    amount[corner] = 11
+    with pytest.raises(AssertionError, match="left 1 units"):
+        spill_to_frontier(EdgeField(w, 0).values, w, rim, slots, amount, 2)

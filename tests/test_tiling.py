@@ -261,14 +261,14 @@ def test_rect_tiling_partitions_core():
     t = rect_tiling(w, 5)
     assert not t.improper
     assert len(t.tiles) == 9                           # 3 x 3 layout
-    assert sorted({tile.sides for tile in t.tiles}) == [(5, 5), (5, 6), (6, 5), (6, 6)]
+    assert sorted(set(map(tuple, t.sides.tolist()))) == [(5, 5), (5, 6), (6, 5), (6, 6)]
     core = w.core_mask()
     assert ((t.tile_id >= 0) == core).all()
-    assert sum(tile.volume() for tile in t.tiles) == int(core.sum())
+    assert int(t.sides.prod(axis=1).sum()) == int(core.sum())
     seen = np.zeros(w.shape, dtype=np.int16)
-    for tile in t.tiles:
-        seen[tile.slices()] += 1
-        assert t.tile_of(tile.lo) == tile.index
+    for index, (lo, hi) in enumerate(t.tiles):
+        seen[tuple(map(slice, lo, hi))] += 1
+        assert t.tile_id[tuple(lo)] == index
     assert seen.max() == 1
     with pytest.raises(ValueError):
         rect_tiling(w, 0)
@@ -280,7 +280,64 @@ def test_rect_tiling_improper_flag():
     w = LatticeWindow(d=2, L=9, margin=2)              # core side 5
     t = rect_tiling(w, 3)
     assert t.improper
-    assert len(t.tiles) == 1 and t.tiles[0].sides == (5, 5)
+    assert len(t.tiles) == 1 and t.sides.tolist() == [[5, 5]]
+
+
+@pytest.mark.parametrize("d, L, margin, K", [
+    (2, 20, 2, 5),          # sides 5, 5, 6
+    (2, 15, 2, 4),          # improper: 4, 7
+    (3, 13, 2, 3),          # sides 3, 3, 3
+    (3, 14, 1, 5),          # sides 6, 6
+    (3, 15, 2, 4),          # improper: 4, 7
+])
+def test_rect_tiling_matches_per_tile_reference(d, L, margin, K):
+    """Boxes and tile_id equal a tile-by-tile build over np.ndindex of
+    the per-axis layout."""
+    w = LatticeWindow(d=d, L=L, margin=margin)
+    sides, improper = _axis_sides(L - 2 * margin, K)
+    bounds, at = [], margin
+    for s in sides:
+        bounds.append((at, at + s))
+        at += s
+    boxes = []
+    tile_id = np.full(w.shape, -1, dtype=np.int32)
+    for cell in np.ndindex(*([len(bounds)] * d)):
+        lo = [bounds[c][0] for c in cell]
+        hi = [bounds[c][1] for c in cell]
+        tile_id[tuple(map(slice, lo, hi))] = len(boxes)
+        boxes.append((lo, hi))
+    t = rect_tiling(w, K)
+    assert t.improper == improper
+    assert t.tiles.dtype == np.int64 and t.tiles.shape == (len(boxes), 2, d)
+    assert np.array_equal(t.tiles, np.array(boxes))
+    assert t.tile_id.dtype == np.int32
+    assert np.array_equal(t.tile_id, tile_id)
+    assert np.array_equal(t.sides, t.tiles[:, 1] - t.tiles[:, 0])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_voronoi_boxes_match_per_cell_reference(d):
+    """Each cell's box is the min/max of its argwhere vertices; the cell
+    of the frontier seed at the origin is empty (the seed at (2, ..., 2)
+    is strictly nearer every core vertex) and keeps its unit box."""
+    w = LatticeWindow(d=d, L=12, margin=2)
+    rng = np.random.default_rng(9 + d)
+    core_pts = np.argwhere(w.core_mask())
+    seeds = np.concatenate([
+        np.zeros((1, d), dtype=np.int64), np.full((1, d), 2),
+        core_pts[rng.choice(len(core_pts), size=6, replace=False)]])
+    seeds = np.unique(seeds, axis=0)
+    t = voronoi_tiling(w, Net(points=seeds, r=3))
+    assert t.tiles.dtype == np.int64 and t.tiles.shape == (len(seeds), 2, d)
+    for i, s in enumerate(sorted(map(tuple, seeds.tolist()))):
+        vs = np.argwhere(t.tile_id == i)
+        if len(vs):
+            want = [vs.min(axis=0), vs.max(axis=0) + 1]
+        else:
+            want = [s, np.add(s, 1)]
+        assert np.array_equal(t.tiles[i], want)
+    assert not (t.tile_id == 0).any()
+    assert t.tiles[0].tolist() == [[0] * d, [1] * d]
 
 
 def test_voronoi_tiling_lex_least_nearest_seed():
