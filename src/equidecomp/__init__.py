@@ -8,6 +8,4 @@ identity and bound along the way.
 
 __version__ = "0.1.0"
 
-from .dyadic import Dyadic
-
-__all__ = ["Dyadic", "__version__"]
+__all__ = ["__version__"]

@@ -80,8 +80,7 @@ def _flow_args(cfg: RunConfig) -> dict:
     """build_flow's arguments (run_pipeline takes them too)."""
     shape_a, shape_b = cfg.shapes()
     return dict(window=cfg.window(), action=cfg.action(), shape_a=shape_a,
-                shape_b=shape_b, n0=cfg.n0, eps=cfg.eps or None, x0=_x0(cfg),
-                measure_tol=cfg.measure_tol, freeness_tol=cfg.freeness_tol)
+                shape_b=shape_b, n0=cfg.n0, eps=cfg.eps or None, x0=_x0(cfg))
 
 
 def _cover_i_max(cfg: RunConfig) -> Optional[int]:
@@ -187,9 +186,7 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
     action = cfg.action()
     shape_a, shape_b = cfg.shapes()
     try:
-        fld = sample_field(window, action, shape_a, shape_b, x=_x0(cfg),
-                           measure_tol=cfg.measure_tol,
-                           freeness_tol=cfg.freeness_tol)
+        fld = sample_field(window, action, shape_a, shape_b, x=_x0(cfg))
     except ValueError as exc:
         raise PipelineError("sample", str(exc))
     try:

@@ -42,8 +42,6 @@ class RunConfig:
     ns: str = "2,4,8,16,32,64"     # N values for the discrepancy table
     raster: int = 0                # raster resolution; 0 = no raster
     out: str = "out"
-    measure_tol: float = 1e-9
-    freeness_tol: float = 1e-9
 
     def validate(self) -> None:
         if self.k not in (1, 2):
@@ -117,9 +115,8 @@ class RunConfig:
         if min(ns) < 1 or len(set(ns)) < 3:
             raise ConfigError("ns needs at least 3 distinct values >= 1 "
                               "(got %r)" % (self.ns,))
-        for key in ("eps", "measure_tol", "freeness_tol"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError("%s must be finite" % key)
+        if not math.isfinite(self.eps):
+            raise ConfigError("eps must be finite")
         if not all(math.isfinite(c) for c in self.x0):
             raise ConfigError("x0 coordinates must be finite")
         if not self.out:

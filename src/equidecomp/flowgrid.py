@@ -8,8 +8,10 @@ the segments start from.  Averaging the antisymmetrized phi over all phases
 and summing levels 1..N0 yields the truncated flow psi, whose divergence
 matches f up to an explicitly bounded error.
 
-Every value is an exact dyadic rational; the kernel path stores numerators
-at the common scale 2^(2 N0 d).
+Every value is an exact dyadic rational, stored as an int64 numerator at
+the common scale 2^(2 N0 d).  The per-edge, per-phase definitions that
+truncated_psi computes in bulk are kept as test references in
+tests/oracle/paperflow.py.
 """
 
 from __future__ import annotations
@@ -21,11 +23,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._kernels import (edge_valid_mask, level_edge_grid, phase_tables,
-                       subbox_sums)
-from .dyadic import Dyadic
-from .lattice import (IndicatorField, LatticeWindow, _shift_slices,
-                      all_directions, directions)
+from ._kernels import edge_valid_mask, level_edge_grid, subbox_sums
+from .lattice import IndicatorField, LatticeWindow, _shift_slices, directions
 
 
 @lru_cache(maxsize=None)
@@ -35,149 +34,6 @@ def _dir_index(d: int) -> dict:
 
 def _as_tuple(v) -> Tuple[int, ...]:
     return tuple(int(x) for x in v)
-
-
-# ---------------------------------------------------------------------------
-# box partition primitives (exact, pure python)
-# ---------------------------------------------------------------------------
-
-def box_of(y: Sequence[int], n: int, offset: Sequence[int]) -> Tuple[int, ...]:
-    """Corner of the side-2^n box with the given phase offset containing y."""
-    side = 1 << n
-    return tuple(int(c) - ((int(c) - int(o)) % side) for c, o in zip(y, offset))
-
-
-def segment_count(y: Sequence[int], gamma: Sequence[int], n: int,
-                  offset: Sequence[int]) -> int:
-    """Number of transport segments through the edge (y, y + gamma) in y's
-    level-n box: indices i in [0, 2^(n-1)) with both z = y - i gamma and
-    z + 2^(n-1) gamma inside the box."""
-    counts, _ = phase_tables(n, _as_tuple(gamma))
-    b = box_of(y, n, offset)
-    p = tuple((int(c) - bb) for c, bb in zip(y, b))
-    side = 1 << n
-    flat = 0
-    for pj in p:
-        flat = flat * side + pj
-    return int(counts[flat])
-
-
-def sub_box(y: Sequence[int], gamma: Sequence[int], n: int,
-            offset: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
-    """Corner and side of the half-box the transport segments start from."""
-    _, qoff = phase_tables(n, _as_tuple(gamma))
-    b = box_of(y, n, offset)
-    side = 1 << n
-    flat = 0
-    for c, bb in zip(y, b):
-        flat = flat * side + (int(c) - bb)
-    corner = tuple(bb + int(q) for bb, q in zip(b, qoff[flat]))
-    return corner, 1 << (n - 1)
-
-
-def _box_sum(field: IndicatorField, corner: Sequence[int], side: int) -> int:
-    sl = tuple(slice(int(c), int(c) + side) for c in corner)
-    return int(field.f[sl].sum(dtype=np.int64))
-
-
-def _require_box_in_window(window: LatticeWindow, corner: Sequence[int],
-                           side: int) -> None:
-    if any(c < 0 or c + side > window.L for c in corner):
-        raise ValueError("box %r side %d leaves the window" % (tuple(corner), side))
-
-
-def phi_edge(field: IndicatorField, y: Sequence[int], gamma: Sequence[int],
-             n: int, offset: Sequence[int]) -> Dyadic:
-    """phi at the edge (y, y + gamma) for the level-n box at this phase:
-    2^(-n d) * segment count * (sum of f over the source half-box)."""
-    window = field.window
-    b = box_of(y, n, offset)
-    _require_box_in_window(window, b, 1 << n)
-    cnt = segment_count(y, gamma, n, offset)
-    if cnt == 0:
-        return Dyadic(0)
-    corner, side = sub_box(y, gamma, n, offset)
-    return Dyadic(cnt * _box_sum(field, corner, side), n * window.d)
-
-
-@dataclass(frozen=True)
-class Chain:
-    """Compatible tower of box partitions, one per level 1..n.
-
-    Lower phases are forced by the top one (offset mod 2^i), so a chain is
-    just its depth and top offset.
-    """
-
-    n: int
-    offset: Tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("chain depth must be >= 1")
-        side = 1 << self.n
-        if any(not (0 <= o < side) for o in self.offset):
-            raise ValueError("offset %r out of range for level %d" % (self.offset, self.n))
-
-    def level_offset(self, i: int) -> Tuple[int, ...]:
-        side = 1 << i
-        return tuple(o % side for o in self.offset)
-
-
-def psi_chain(field: IndicatorField, chain: Chain, y: Sequence[int],
-              gamma: Sequence[int]) -> Dyadic:
-    """Chain flow on the edge (y, y + gamma): sum over levels of
-    phi(y -> y+gamma) - phi(y+gamma -> y)."""
-    z = tuple(int(c) + int(g) for c, g in zip(y, gamma))
-    neg = tuple(-int(g) for g in gamma)
-    total = Dyadic(0)
-    for i in range(1, chain.n + 1):
-        off = chain.level_offset(i)
-        total = total + phi_edge(field, y, gamma, i, off) \
-            - phi_edge(field, z, neg, i, off)
-    return total
-
-
-def check_error_identity(field: IndicatorField, chain: Chain,
-                         y: Sequence[int]) -> Tuple[Dyadic, Dyadic]:
-    """Both sides of the per-chain divergence identity at y:
-
-        f(y) - sum_gamma psi_chain(y, gamma)  ==  2^(-n d) sum_{box(y)} f
-
-    Returns (lhs, rhs); they must be equal for every valid chain and vertex.
-    """
-    window = field.window
-    d = window.d
-    lhs = Dyadic(int(field.f[tuple(int(c) for c in y)]))
-    for g in all_directions(d):
-        lhs = lhs - psi_chain(field, chain, y, g)
-    b = box_of(y, chain.n, chain.level_offset(chain.n))
-    _require_box_in_window(window, b, 1 << chain.n)
-    rhs = Dyadic(_box_sum(field, b, 1 << chain.n), chain.n * d)
-    return lhs, rhs
-
-
-def level_sum(field: IndicatorField, y: Sequence[int], gamma: Sequence[int],
-              n: int, base: Optional[Sequence[int]] = None) -> Dyadic:
-    """Level-n term of psi on the edge (y, y + gamma): the average over all
-    2^(n d) box phases of phi(y -> y+gamma) - phi(y+gamma -> y).
-
-    `base` shifts the order in which phases are enumerated; the value is
-    independent of it (exact arithmetic), which tests assert bit-exactly.
-    """
-    window = field.window
-    d = window.d
-    side = 1 << n
-    if base is None:
-        base = (0,) * d
-    z = tuple(int(c) + int(g) for c, g in zip(y, gamma))
-    neg = tuple(-int(g) for g in gamma)
-    num = 0
-    for t in np.ndindex(*([side] * d)):
-        off = tuple((int(b) + int(tt)) % side for b, tt in zip(base, t))
-        a = phi_edge(field, y, gamma, n, off)
-        bb = phi_edge(field, z, neg, n, off)
-        num += (a - bb).scaled(n * d)
-    return Dyadic(num, 2 * n * d)
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +66,8 @@ class EdgeField:
         return EdgeField(self.window, self.scale_exp,
                          self.values.copy(), self.valid.copy())
 
-    def rescaled(self, scale_exp: int) -> "EdgeField":
-        if scale_exp < self.scale_exp:
-            raise ValueError("cannot coarsen scale")
-        shift = scale_exp - self.scale_exp
-        return EdgeField(self.window, scale_exp,
-                         self.values << shift, self.valid.copy())
-
     def _flat(self, v: Sequence[int]) -> int:
         return int(np.ravel_multi_index(tuple(int(c) for c in v), self.window.shape))
-
-    def value(self, y: Sequence[int], gamma: Sequence[int]) -> Dyadic:
-        """Flow on the ordered edge (y, y + gamma)."""
-        return Dyadic(self.value_num(y, gamma), self.scale_exp)
 
     def _slot(self, u: Sequence[int], v: Sequence[int]):
         """(direction row, flat index, sign) storing the edge u -> v."""
@@ -263,21 +108,9 @@ class EdgeField:
             div[dst] -= v[src]
         return div
 
-    def divergence(self, y: Sequence[int]) -> Dyadic:
-        """Exact divergence at y; every neighbor must be inside the window."""
-        L = self.window.L
-        if any(not (1 <= int(c) <= L - 2) for c in y):
-            raise ValueError("vertex %r has neighbors outside the window" % (y,))
-        total = 0
-        idx = self._flat(y)
-        for i, g in enumerate(self.dirs):
-            total += int(self.values[i, idx])
-            tail = self._flat(tuple(int(c) - int(gj) for c, gj in zip(y, g)))
-            total -= int(self.values[i, tail])
-        return Dyadic(total, self.scale_exp)
-
-    def max_abs(self) -> Dyadic:
-        return Dyadic(int(np.abs(self.values).max(initial=0)), self.scale_exp)
+    def max_abs(self) -> float:
+        """Largest |flow| on any edge, as the nearest float."""
+        return int(np.abs(self.values).max(initial=0)) / (1 << self.scale_exp)
 
 
 def truncated_psi(field: IndicatorField, n0: int) -> EdgeField:
@@ -448,7 +281,8 @@ def dump_edge_field(path, field: EdgeField) -> None:
 def load_edge_field(path) -> EdgeField:
     """Read a dump_edge_field file.  Records are read and scattered into
     the field one block at a time, so only one block is held besides the
-    field; a file that ends before its header's record count raises
+    field.  A file that ends before its header's record count, or a record
+    whose vertex, direction or exponent (0..scale) is out of range, raises
     ValueError."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
@@ -456,7 +290,8 @@ def load_edge_field(path) -> EdgeField:
         d, L, margin, scale, nrec = (int(v) for v in fh.readline().split())
         out = EdgeField(LatticeWindow(d=d, L=L, margin=margin), scale)
         out.valid[:] = False
-        block = _DUMP_BLOCK * len(out.dirs)
+        ndir, nvert = out.values.shape
+        block = _DUMP_BLOCK * ndir
         for start in range(0, nrec, block):
             count = min(block, nrec - start)
             buf = fh.read(count * 32)
@@ -465,19 +300,16 @@ def load_edge_field(path) -> EdgeField:
                                  % (start + len(buf) // 32, nrec))
             rec = np.frombuffer(buf, dtype="<i8").reshape(count, 4)
             vi, di, nums, exps = rec.T
-            if np.any(exps > scale):
-                raise ValueError("record exponent exceeds field scale")
+            bad = ((vi < 0) | (vi >= nvert) | (di < 0) | (di >= ndir)
+                   | (exps < 0) | (exps > scale))
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(
+                    "edge field record %d (vertex %d, direction %d, exponent "
+                    "%d) is out of range: %d vertices, %d directions, "
+                    "scale %d" % (start + k, vi[k], di[k], exps[k], nvert,
+                                  ndir, scale))
             out.values[di, vi] = nums << (scale - exps)
             out.valid[di, vi] = True
     return out
 
-
-def write_edge_field_csv(path, field: EdgeField) -> None:
-    """CSV dump (vertex, direction, numerator, exponent), canonical values,
-    for small windows."""
-    vi, di = np.nonzero(field.valid.T)             # vertex-major rows
-    with open(path, "w", newline="") as fh:
-        fh.write("vertex,direction,numerator,exponent\r\n")
-        for v, i in zip(vi.tolist(), di.tolist()):
-            dy = Dyadic(int(field.values[i, v]), field.scale_exp)
-            fh.write("%d,%d,%d,%d\r\n" % (v, i, dy.num, dy.exp))

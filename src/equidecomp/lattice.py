@@ -21,6 +21,8 @@ import numpy as np
 from .shapes import Shape, measures_match
 
 MOD_TOL = 1e-12
+MEASURE_TOL = 1e-9      # largest |lambda(A) - lambda(B)| sample_field accepts
+FREENESS_TOL = 1e-9     # smallest orbit separation sample_field accepts
 
 
 @lru_cache(maxsize=None)
@@ -96,13 +98,6 @@ class ActionSpec:
         u = (vals / 10.0).reshape(d, k)
         base = np.zeros(k) if x0 is None else np.asarray(x0, dtype=np.float64)
         return cls(k=k, d=d, u=u, x0=base, seed=seed)
-
-    def torus_point(self, gamma: Sequence[int],
-                    x: Optional[np.ndarray] = None) -> np.ndarray:
-        """gamma . x = sum_i gamma_i u_i + x (mod 1)."""
-        base = self.x0 if x is None else np.asarray(x, dtype=np.float64)
-        g = np.asarray(gamma, dtype=np.float64).reshape(self.d)
-        return reduce_mod1(base + g @ self.u)
 
     def grid_points(self, ns: Sequence[int],
                     x: Optional[np.ndarray] = None) -> np.ndarray:
@@ -191,14 +186,6 @@ class LatticeWindow:
     def frontier_mask(self) -> np.ndarray:
         return ~self.core_mask()
 
-    def rim_mask(self) -> np.ndarray:
-        """Outermost vertex layer (the finite stand-in for infinity)."""
-        m = np.ones(self.shape, dtype=bool)
-        if self.L > 2:
-            inner = tuple(slice(1, self.L - 1) for _ in range(self.d))
-            m[inner] = False
-        return m
-
     def contains(self, v: Sequence[int]) -> bool:
         return all(0 <= c < self.L for c in v)
 
@@ -232,21 +219,19 @@ class IndicatorField:
 
 def sample_field(window: LatticeWindow, action: ActionSpec,
                  shape_a: Shape, shape_b: Shape,
-                 x: Optional[np.ndarray] = None,
-                 measure_tol: float = 1e-9,
-                 freeness_tol: float = 1e-9) -> IndicatorField:
+                 x: Optional[np.ndarray] = None) -> IndicatorField:
     """Sample chi_A and chi_B over the window orbit of the base point.
 
-    Fails if the shape measures disagree (beyond measure_tol) or if the
-    action is not free on the window to within freeness_tol.
+    Fails if the shape measures disagree (beyond MEASURE_TOL) or if the
+    action is not free on the window to within FREENESS_TOL.
     """
     if shape_a.k != action.k or shape_b.k != action.k:
         raise ValueError("shape dimension does not match action rank k")
-    if not measures_match(shape_a, shape_b, measure_tol):
+    if not measures_match(shape_a, shape_b, MEASURE_TOL):
         raise ValueError("lambda(A) != lambda(B): %r vs %r"
                          % (shape_a.measure(), shape_b.measure()))
     sep, delta = min_orbit_separation(action, window.L)
-    if sep <= freeness_tol:
+    if sep <= FREENESS_TOL:
         raise ValueError(
             "action not free on window: offset %r gives separation %.3g"
             % (delta, sep))

@@ -144,17 +144,13 @@ class PipelineResult:
 def build_flow(window: LatticeWindow, action: ActionSpec,
                shape_a: Shape, shape_b: Shape, n0: int,
                eps: Optional[float] = None,
-               x0: Optional[np.ndarray] = None,
-               measure_tol: float = 1e-9,
-               freeness_tol: float = 1e-9) -> FlowResult:
+               x0: Optional[np.ndarray] = None) -> FlowResult:
     """Sample the field, certify its envelope, build the level-n0 truncated
     flow and repair it to an exact f-flow on the core."""
     summary: Dict[str, object] = {}
 
     try:
-        fld = sample_field(window, action, shape_a, shape_b, x=x0,
-                           measure_tol=measure_tol,
-                           freeness_tol=freeness_tol)
+        fld = sample_field(window, action, shape_a, shape_b, x=x0)
     except ValueError as exc:
         raise PipelineError("sample", str(exc))
     summary["field"] = {
@@ -181,7 +177,7 @@ def build_flow(window: LatticeWindow, action: ActionSpec,
         "scale_exp": psi_t.scale_exp,
         "max_core_residual": float(int(np.abs(res[core]).max(initial=0)))
         / (1 << psi_t.scale_exp),
-        "max_edge": float(psi_t.max_abs()),
+        "max_edge": psi_t.max_abs(),
     }
 
     capacity_units = int(math.ceil(tail)) + 1
@@ -195,12 +191,9 @@ def run_pipeline(window: LatticeWindow, action: ActionSpec,
                  mode: str = "direct", cover_i_max: Optional[int] = None,
                  tiling_kind: str = "rect", K: int = 0, voronoi_r: int = 3,
                  eps: Optional[float] = None,
-                 x0: Optional[np.ndarray] = None,
-                 measure_tol: float = 1e-9,
-                 freeness_tol: float = 1e-9) -> PipelineResult:
+                 x0: Optional[np.ndarray] = None) -> PipelineResult:
     """Run every stage on one window; see the module docstring."""
-    flow = build_flow(window, action, shape_a, shape_b, n0, eps=eps, x0=x0,
-                      measure_tol=measure_tol, freeness_tol=freeness_tol)
+    flow = build_flow(window, action, shape_a, shape_b, n0, eps=eps, x0=x0)
     fld, env, phi, summary = flow.field, flow.envelope, flow.phi, flow.summary
 
     psi_int, int_info = integralize_flow(window, phi, fld.f, mode=mode,

@@ -13,7 +13,6 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .dyadic import Dyadic
 from .equidecompose import PieceMap
 from .lattice import ActionSpec, LatticeWindow, reduce_mod1
 
@@ -32,8 +31,6 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, Dyadic):
         return str(obj)
     raise TypeError("cannot serialize %r" % type(obj))
 
@@ -122,18 +119,6 @@ def read_pieces_csv(path, window: LatticeWindow
 # ---------------------------------------------------------------------------
 # rasters (portable anymap, plain text)
 # ---------------------------------------------------------------------------
-
-def write_pgm(path, gray: np.ndarray) -> None:
-    """Plain PGM (P2), one raster row per line."""
-    g = np.asarray(gray)
-    if g.ndim != 2 or g.dtype.kind not in "ui" or int(g.max(initial=0)) > 255:
-        raise ValueError("need a 2-d uint image with values <= 255")
-    lines = ["P2", "%d %d" % (g.shape[1], g.shape[0]), "255"]
-    for row in g.tolist():
-        lines.append(" ".join(str(int(v)) for v in row))
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
 
 def write_ppm(path, rgb: np.ndarray) -> None:
     """Plain PPM (P3), one raster row per line."""

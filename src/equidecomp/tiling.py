@@ -198,15 +198,12 @@ def ball(S: Region, r: int) -> Region:
     return Region(S.window, ball_mask(S.window, S.mask, r))
 
 
-def greedy_net(window: LatticeWindow, r: int,
-               restrict: Optional[np.ndarray] = None) -> Net:
-    """Lexicographic greedy maximal r-discrete set within `restrict`
-    (default: the window core): admit a vertex iff all previously admitted
-    points are farther than r away."""
+def greedy_net(window: LatticeWindow, r: int, restrict: np.ndarray) -> Net:
+    """Lexicographic greedy maximal r-discrete set within the vertex mask
+    `restrict`: admit a vertex iff all previously admitted points are
+    farther than r away."""
     if r < 1:
         raise ValueError("r >= 1")
-    if restrict is None:
-        restrict = window.core_mask()
     blocked = np.zeros(window.shape, dtype=bool)
     pts = []
     L = window.L

@@ -1,0 +1,6 @@
+"""Exact references that the tests compare the package against.
+
+`dyadic` is exact num / 2^exp arithmetic, `finiteflow` a finite-graph
+flow layer with its own Dinic, and `paperflow` the per-edge, per-phase
+definitions of the box flow.  None of them is imported by the package.
+"""

@@ -60,10 +60,6 @@ class Dyadic:
             raise ValueError("cannot rescale %r to coarser exponent %d" % (self, exp))
         return self.num << (exp - self.exp)
 
-    def scale_pow2(self, shift: int) -> "Dyadic":
-        """Multiply by 2**shift (shift may be negative)."""
-        return Dyadic(self.num, self.exp - shift)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
@@ -176,6 +172,3 @@ def _coerce(value):
         return Dyadic(value, 0)
     return NotImplemented
 
-
-ZERO = Dyadic(0)
-ONE = Dyadic(1)

@@ -108,9 +108,6 @@ class FlowValues:
             total = total + self.value(x, y)
         return total
 
-    def divergences(self):
-        return [self.divergence(x) for x in range(self.g.n)]
-
     def is_integral(self) -> bool:
         return all(v.is_integer if isinstance(v, Dyadic) else True
                    for v in self._v.values())
@@ -255,15 +252,6 @@ class _Dinic:
 
     def sent(self, arc_id: int):
         return self.cap[arc_id ^ 1]
-
-    def residual_text(self) -> str:
-        """Debug dump: one line per arc 'u v residual_cap', sorted by arc id;
-        odd ids are reverse arcs."""
-        lines = []
-        for a in range(len(self.to)):
-            u = self.to[a ^ 1]
-            lines.append("%d %d %s" % (u, self.to[a], self.cap[a]))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,8 @@ import pytest
 
 from equidecomp.cli import EXIT_OK, main
 from equidecomp.config import build_config
-from equidecomp.dyadic import Dyadic
-from equidecomp.finiteflow import (FiniteGraph, FlowValues, capacity_fn,
-                                   f_flow_feasible, round_flow)
-from equidecomp.flowgrid import (Chain, certify_box_envelope,
-                                 check_error_identity, level_sum,
-                                 phi_envelope, residual_num, truncated_psi)
+from equidecomp.flowgrid import (certify_box_envelope, phi_envelope,
+                                 residual_num, truncated_psi)
 from equidecomp.integralize import (build_boundary_cycle_graph, euler_cycle,
                                     integralize_flow)
 from equidecomp.lattice import LatticeWindow, directions, \
@@ -29,6 +25,10 @@ from equidecomp.lattice import LatticeWindow, directions, \
 from equidecomp.pipeline import run_pipeline
 from equidecomp.tiling import Region, boundary_disjoint_cover, boundary_n, \
     fill_holes
+from oracle.dyadic import Dyadic
+from oracle.finiteflow import (FiniteGraph, FlowValues, capacity_fn,
+                               f_flow_feasible, round_flow)
+from oracle.paperflow import Chain, check_error_identity, level_sum
 
 from test_finiteflow import (balanced_f, cut_feasible, random_caps,
                              random_graph, random_dyadic_flow)

@@ -89,7 +89,7 @@ def test_coercion_failures_name_key():
     ({"ns": "2,4"}, "ns needs at least 3 distinct"),
     ({"ns": "0,2,4"}, "ns needs at least 3 distinct"),
     ({"eps": "nan"}, "eps must be finite"),
-    ({"measure_tol": "inf"}, "measure_tol must be finite"),
+    ({"measure_tol": "1e-9"}, "unknown key 'measure_tol'"),
     ({"x0": "nan"}, "x0 coordinates must be finite"),
 ])
 def test_validation_messages(pairs, fragment):

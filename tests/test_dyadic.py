@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from equidecomp.dyadic import Dyadic
+from oracle.dyadic import Dyadic
 
 dyadics = st.builds(Dyadic,
                     st.integers(min_value=-10**12, max_value=10**12),

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equidecomp._maxflow import solve_supply_flow
-from equidecomp.dyadic import Dyadic
-from equidecomp.finiteflow import (
+from oracle.dyadic import Dyadic
+from oracle.finiteflow import (
     CutCertificate,
     FiniteGraph,
     FlowValues,

@@ -1,8 +1,9 @@
 """The dyadic flow construction against brute-force oracles.
 
 The bulk construction (truncated_psi) is cross-checked edge by edge against
-the scalar reference path (level_sum -> phi_edge -> segment_count), which is
-itself checked against direct enumeration of transport segments.
+the scalar reference path in oracle.paperflow (level_sum -> phi_edge ->
+segment_count), which is itself checked against direct enumeration of
+transport segments.  Exact values are oracle.dyadic Dyadics.
 """
 
 import io
@@ -17,17 +18,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equidecomp.dyadic import Dyadic
-from equidecomp.flowgrid import (BoxEnvelope, Chain, EdgeField, box_of,
-                                 certify_box_envelope, check_error_identity,
-                                 dump_edge_field, flow_bound, level_sum,
-                                 load_edge_field, measure_box_sums, phi_edge,
-                                 phi_envelope, psi_chain, residual_num,
-                                 segment_count, sub_box, tail_bound,
-                                 truncated_psi, truncation_error_bound,
-                                 write_edge_field_csv)
+from equidecomp.flowgrid import (EdgeField, certify_box_envelope,
+                                 dump_edge_field, flow_bound, load_edge_field,
+                                 measure_box_sums, phi_envelope, residual_num,
+                                 tail_bound, truncated_psi,
+                                 truncation_error_bound)
 from equidecomp.lattice import (IndicatorField, LatticeWindow, all_directions,
                                 directions)
+from oracle.dyadic import Dyadic
+from oracle.paperflow import (Chain, box_of, check_error_identity, level_sum,
+                              phi_edge, psi_chain, sub_box)
 
 
 def random_field(d, L, seed, margin=0):
@@ -222,6 +222,21 @@ def test_edge_field_round_trip(tmp_path):
     assert np.array_equal(back.values, psi.values)
     assert np.array_equal(back.valid, psi.valid)
     assert back.window == psi.window
+    # one-record files on a d=2, L=4 window (16 vertices, 4 directions,
+    # scale 3): the last vertex, direction and exponent load; one past
+    # either end of each is refused, naming the record
+    for v, i, exp in ((15, 3, 3), (0, 0, 0), (-1, 0, 0), (16, 0, 0),
+                      (99, 0, 0), (0, -1, 0), (0, 4, 0), (0, 7, 0),
+                      (0, 0, -1), (0, 0, 4)):
+        p.write_bytes(b"EQDF1\n2 4 0 3 1\n"
+                      + struct.pack("<4q", v, i, 5, exp))
+        if 0 <= v < 16 and 0 <= i < 4 and 0 <= exp <= 3:
+            back = load_edge_field(p)
+            assert back.valid.sum() == 1 and back.values[i, v] == 5 << (3 - exp)
+        else:
+            with pytest.raises(ValueError, match=r"record 0 \(vertex %d, "
+                               r"direction %d, exponent %d\)" % (v, i, exp)):
+                load_edge_field(p)
 
 
 def test_edge_field_dump_is_deterministic(tmp_path):
@@ -299,27 +314,17 @@ def test_edge_field_dump_spans_vertex_blocks(tmp_path):
             load_edge_field(p)
 
 
-def test_edge_field_csv_crlf(tmp_path):
-    fld = random_field(2, 8, seed=18)
-    psi = truncated_psi(fld, 1)
-    p = tmp_path / "f.csv"
-    write_edge_field_csv(p, psi)
-    raw = p.read_bytes()
-    assert b"\r\n" in raw
-    assert raw.replace(b"\r\n", b"").find(b"\n") == -1
-
-
-def test_rescaled_and_max_abs():
+def test_value_num_and_max_abs():
     w = LatticeWindow(d=1, L=4, margin=0)
     ef = EdgeField(w, scale_exp=2)
     ef.values[0, 1] = 6          # 6/4 on edge (1, 2)
     assert ef.value_num((1,), (1,)) == 6
     assert ef.value_num((2,), (-1,)) == -6   # antisymmetric read
-    up = ef.rescaled(4)
-    assert up.value_num((1,), (1,)) == 24
-    assert ef.max_abs() == Dyadic(3, 1)
-    with pytest.raises(ValueError):
-        ef.rescaled(1)
+    assert ef.max_abs() == 1.5
+    # past 2^53 the float is still the one nearest the exact value
+    big = EdgeField(w, scale_exp=61)
+    big.values[0, 2] = -((3 << 60) + 2)
+    assert big.max_abs() == float(Dyadic((3 << 60) + 2, 61))
 
 
 _SIDES = {2: (2, 6), 3: (2, 4), 4: (2, 3)}
@@ -329,8 +334,8 @@ _SIDES = {2: (2, 6), 3: (2, 4), 4: (2, 3)}
 @given(st.data())
 def test_direction_major_layout_properties(data):
     """Random int64 fields on small d = 2, 3, 4 windows: divergence_num
-    equals a per-edge accumulation and the scalar divergence, grid(i) is a
-    contiguous view into values, and dump/load round-trips exactly."""
+    equals a per-edge accumulation, grid(i) is a contiguous view into
+    values, and dump/load round-trips exactly."""
     d = data.draw(st.sampled_from(sorted(_SIDES)), label="d")
     L = data.draw(st.integers(*_SIDES[d]), label="L")
     scale = data.draw(st.integers(0, 10), label="scale")
@@ -355,11 +360,7 @@ def test_direction_major_layout_properties(data):
             z = tuple(int(c) + int(gj) for c, gj in zip(y, g))
             if w.contains(z):
                 want[int(np.ravel_multi_index(z, w.shape))] -= val
-    div = psi.divergence_num()
-    assert div.ravel().tolist() == want
-    for y in np.ndindex(*w.shape):
-        if all(1 <= c <= L - 2 for c in y):
-            assert psi.divergence(y) == Dyadic(int(div[y]), scale)
+    assert psi.divergence_num().ravel().tolist() == want
 
     for i in range(len(dirs)):
         grid = psi.grid(i)

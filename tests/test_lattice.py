@@ -82,15 +82,6 @@ def test_window_masks_partition():
     assert (lo, hi) == (3, 9)
 
 
-def test_rim_is_outermost_layer():
-    w = LatticeWindow(d=2, L=10, margin=2)
-    rim = w.rim_mask()
-    assert rim.sum() == 10 * 10 - 8 * 8
-    assert rim[0].all() and rim[-1].all() and rim[:, 0].all()
-    assert not rim[1:-1, 1:-1].any()
-    assert not (rim & w.core_mask()).any()
-
-
 def test_sample_field_counts_match_membership_oracle():
     w = LatticeWindow(d=2, L=8, margin=2)
     act = ActionSpec.from_seed(1, 2, seed=5)

@@ -14,7 +14,6 @@ from equidecomp.report import (
     read_json,
     read_pieces_csv,
     write_json,
-    write_pgm,
     write_pieces_csv,
     write_ppm,
     write_csv,
@@ -100,21 +99,13 @@ def test_pieces_csv_schema_errors(tmp_path):
 
 
 def test_pgm_ppm_formats(tmp_path):
-    g = np.array([[0, 128], [255, 7]], dtype=np.uint8)
-    p = tmp_path / "g.pgm"
-    write_pgm(p, g)
-    assert p.read_bytes() == b"P2\n2 2\n255\n0 128\n255 7\n"
     rgb = np.zeros((1, 2, 3), dtype=np.uint8)
     rgb[0, 1] = (10, 20, 30)
     q = tmp_path / "c.ppm"
     write_ppm(q, rgb)
     assert q.read_bytes() == b"P3\n2 1\n255\n0 0 0 10 20 30\n"
     with pytest.raises(ValueError):
-        write_pgm(tmp_path / "bad.pgm", np.zeros((2, 2, 3), dtype=np.uint8))
-    with pytest.raises(ValueError):
         write_ppm(tmp_path / "bad.ppm", np.full((1, 1, 3), 300, dtype=np.int64))
-    with pytest.raises(ValueError):
-        write_pgm(tmp_path / "bad2.pgm", np.zeros((2, 2)))   # float dtype
 
 
 def test_palette_distinct_and_fixed():

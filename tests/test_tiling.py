@@ -159,7 +159,7 @@ def test_dist_to_matches_oracle():
 def test_greedy_net_discrete_and_maximal():
     for d, L, r in ((2, 16, 2), (2, 16, 5), (3, 9, 3)):
         w = LatticeWindow(d=d, L=L, margin=2)
-        net = greedy_net(w, r)
+        net = greedy_net(w, r, w.core_mask())
         pts = net.points
         assert len(pts) > 0
         # r-discrete: pairwise Chebyshev distance > r
@@ -176,7 +176,7 @@ def test_greedy_net_discrete_and_maximal():
         lo = w.core_bounds[0]
         assert tuple(pts[0]) == (lo,) * d
     with pytest.raises(ValueError):
-        greedy_net(w, 0)
+        greedy_net(w, 0, w.core_mask())
 
 
 # ---------------------------------------------------------------------------
