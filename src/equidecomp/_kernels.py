@@ -113,16 +113,3 @@ def level_edge_grid(sb: np.ndarray, L: int, n: int,
     shift = tuple(slice(l + g, h + 1 + g) for l, h, g in zip(lo, hi, gamma))
     out[dst] = t_pos[dst] - t_neg[shift]
     return out
-
-
-def edge_valid_mask(L: int, d: int, n0: int, gamma: Tuple[int, ...]) -> np.ndarray:
-    """Edges (y, y + gamma) whose full level-n0 phase neighborhoods of both
-    endpoints lie inside the window."""
-    a, b = (1 << n0) - 1, L - (1 << n0)
-    out = np.zeros((L,) * d, dtype=bool)
-    lo = [a + (1 if g < 0 else 0) for g in gamma]
-    hi = [b - (1 if g > 0 else 0) for g in gamma]
-    if any(l > h for l, h in zip(lo, hi)):
-        return out
-    out[tuple(slice(l, h + 1) for l, h in zip(lo, hi))] = True
-    return out

@@ -180,6 +180,25 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
     if not isinstance(summary, dict):
         print("schema error: %s is not a JSON object" % summary_path)
         return EXIT_VERIFY
+    for section in ("config", "tiles", "verify_inputs", "pieces"):
+        if not isinstance(summary.get(section, {}), dict):
+            print("schema error: %s is not a JSON object" % section)
+            return EXIT_VERIFY
+    tiles_meta = summary.get("tiles", {})
+    vin = summary.get("verify_inputs", {})
+    counts = summary.get("pieces", {})
+    try:
+        k_sel = int(tiles_meta.get("K", 0))
+        k_eff = int(tiles_meta.get("K_eff", k_sel))
+    except (TypeError, ValueError) as exc:
+        print("schema error: tiles: %s" % exc)
+        return EXIT_VERIFY
+    try:
+        want_counts = (int(counts.get("matched", -1)),
+                       int(counts.get("count", -1)))
+    except (TypeError, ValueError) as exc:
+        print("schema error: pieces: %s" % exc)
+        return EXIT_VERIFY
     if cfg is None:
         cfg = _config_from_summary(summary)
     window = cfg.window()
@@ -194,10 +213,6 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
     except SchemaError as exc:
         print("schema error: %s" % exc)
         return EXIT_VERIFY
-    tiles_meta = summary.get("tiles", {})
-    vin = summary.get("verify_inputs", {})
-    k_sel = int(tiles_meta.get("K", 0))
-    k_eff = int(tiles_meta.get("K_eff", k_sel))
     try:
         if tiles_meta.get("kind") == "voronoi":
             seeds = np.array(vin["voronoi_seeds"], dtype=np.int64)
@@ -216,10 +231,14 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
     def _flats(rows) -> np.ndarray:
         if not rows:
             return np.zeros(0, dtype=np.int64)
-        arr = np.asarray(rows, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != window.d \
-                or (arr < 0).any() or (arr >= window.L).any():
-            raise SchemaError("bad unmatched coordinate list")
+        try:
+            arr = np.asarray(rows, dtype=np.int64)
+            ok = (arr.ndim == 2 and arr.shape[1] == window.d
+                  and ((arr >= 0) & (arr < window.L)).all())
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise SchemaError("verify_inputs: bad unmatched coordinate list")
         return np.sort(np.ravel_multi_index(tuple(arr.T), window.shape))
 
     try:
@@ -239,10 +258,7 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
                       gammas=gammas, unmatched_a=un_a, unmatched_b=un_b,
                       tiling=til, used=np.array(used_raw, dtype=bool))
     report = verify_equidecomposition(pieces, fld)
-    counts_ok = (report["matched"] == int(summary.get("pieces", {})
-                                          .get("matched", -1))
-                 and report["pieces"] == int(summary.get("pieces", {})
-                                             .get("count", -1)))
+    counts_ok = (report["matched"], report["pieces"]) == want_counts
     report["checks"]["summary_counts"] = {"ok": counts_ok}
     for name in sorted(report["checks"]):
         print("%s %s" % ("PASS" if report["checks"][name]["ok"] else "FAIL",

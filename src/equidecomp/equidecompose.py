@@ -190,10 +190,6 @@ class TileFlow:
         return self._row_sums(self.pair_val)
 
     @property
-    def conserved(self) -> np.ndarray:
-        return self.net == (self.count_a - self.count_b)
-
-    @property
     def balanced(self) -> np.ndarray:
         """net + outflux == |A| - |B|: exact on every tile when the flow's
         divergence equals chi_A - chi_B on each tile vertex."""

@@ -17,19 +17,14 @@ tests/oracle/paperflow.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import ceil, log2
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ._kernels import edge_valid_mask, level_edge_grid, subbox_sums
-from .lattice import IndicatorField, LatticeWindow, _shift_slices, directions
-
-
-@lru_cache(maxsize=None)
-def _dir_index(d: int) -> dict:
-    return {tuple(int(v) for v in g): i for i, g in enumerate(directions(d))}
+from ._kernels import level_edge_grid, subbox_sums
+from .lattice import (IndicatorField, LatticeWindow, _shift_slices, directions,
+                      edge_mask)
 
 
 def _as_tuple(v) -> Tuple[int, ...]:
@@ -47,7 +42,8 @@ class EdgeField:
     2^(-scale_exp), where dirs are the canonical (lexicographically
     positive) directions and v is a flat vertex index.  The arrays are
     direction-major, so each direction's edges are one contiguous row.
-    Edges flagged invalid carry zero.
+    Edges flagged invalid carry zero.  lattice.edge_slots maps an ordered
+    vertex pair to its slot, and edge sets are slot masks of this shape.
     """
 
     def __init__(self, window: LatticeWindow, scale_exp: int,
@@ -65,31 +61,6 @@ class EdgeField:
     def copy(self) -> "EdgeField":
         return EdgeField(self.window, self.scale_exp,
                          self.values.copy(), self.valid.copy())
-
-    def _flat(self, v: Sequence[int]) -> int:
-        return int(np.ravel_multi_index(tuple(int(c) for c in v), self.window.shape))
-
-    def _slot(self, u: Sequence[int], v: Sequence[int]):
-        """(direction row, flat index, sign) storing the edge u -> v."""
-        g = tuple(int(b) - int(a) for a, b in zip(u, v))
-        idx = _dir_index(self.window.d)
-        if g in idx:
-            return idx[g], self._flat(u), 1
-        neg = tuple(-c for c in g)
-        if neg not in idx:
-            raise ValueError("not a unit direction: %r" % (g,))
-        return idx[neg], self._flat(v), -1
-
-    def value_num(self, y: Sequence[int], gamma: Sequence[int]) -> int:
-        """Numerator (at this field's scale) of the flow on (y, y + gamma)."""
-        v = tuple(int(c) + int(g) for c, g in zip(y, gamma))
-        row, fl, sign = self._slot(tuple(int(c) for c in y), v)
-        return sign * int(self.values[row, fl])
-
-    def add_num(self, u: Sequence[int], v: Sequence[int], delta: int) -> None:
-        """Add delta (numerator units) to the flow on the ordered edge (u, v)."""
-        row, fl, sign = self._slot(u, v)
-        self.values[row, fl] += sign * int(delta)
 
     def grid(self, dir_index: int) -> np.ndarray:
         """Direction dir_index's values as a window grid (a view)."""
@@ -127,11 +98,12 @@ def truncated_psi(field: IndicatorField, n0: int) -> EdgeField:
     if (1 << (n0 + 1)) > L:
         raise ValueError("window side %d too small for level %d boxes" % (L, n0))
     dirs = directions(d)
-    out = EdgeField(window, 2 * n0 * d)
-    out.valid[:] = False
+    # level-n0 phase neighborhoods fit in the window at [2^n0 - 1, L - 2^n0]
+    inner = np.zeros(window.shape, dtype=bool)
+    inner[(slice((1 << n0) - 1, L - (1 << n0) + 1),) * d] = True
+    out = EdgeField(window, 2 * n0 * d,
+                    valid=edge_mask(window, inner, np.logical_and))
     f64 = field.f.astype(np.int64)
-    for i, g in enumerate(dirs):
-        out.valid[i] = edge_valid_mask(L, d, n0, _as_tuple(g)).ravel()
     for n in range(1, n0 + 1):
         sb = subbox_sums(f64, 1 << (n - 1))
         weight = 1 << (2 * (n0 - n) * d)

@@ -25,8 +25,10 @@ import numpy as np
 
 from ._maxflow import solve_supply_flow
 from .flowgrid import EdgeField
-from .lattice import LatticeWindow, _shift_slices, directions
-from .tiling import Region, ball_mask, boundary_disjoint_cover, fill_holes
+from .lattice import (LatticeWindow, all_directions, directions, edge_mask,
+                      edge_slots, flat_shifts)
+from .tiling import (Region, ball_mask, boundary_disjoint_cover, boundary_n,
+                     fill_holes)
 
 
 def three_cycles_through(gamma: Sequence[int]) -> int:
@@ -42,11 +44,11 @@ def three_cycles_through(gamma: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class BoundaryCycleGraph:
-    """Vertices are the unordered boundary edges of a region, stored as
-    (inside, outside) coordinate pairs in lexicographic order; two are
+    """Vertices are the boundary edges of a region, as the rows
+    (inside, outside) of its boundary(F) array, in that order; two are
     adjacent when a single lattice 3-cycle contains both."""
 
-    edges: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
+    edges: np.ndarray              # (n, 2) int64 flat vertex pairs
     adj: Tuple[Tuple[int, ...], ...]
 
     @property
@@ -56,9 +58,12 @@ class BoundaryCycleGraph:
 
 def build_boundary_cycle_graph(F: Region) -> BoundaryCycleGraph:
     """Boundary 3-cycle graph of a connected, hole-filled region whose
-    1-neighborhood stays inside the window.  Degrees are checked against
-    the closed-form triangle count (hence even) and connectivity is
-    verified — together these guarantee an Euler cycle exists."""
+    1-neighborhood stays inside the window.  A 3-cycle (a, b, w) through a
+    boundary edge (a, b) holds exactly one other boundary edge: (w, b) if
+    w is in F and (a, w) otherwise; each such partner is checked to be a
+    boundary edge.  Degrees are checked against the closed-form triangle
+    count (hence even) and connectivity is verified — together these
+    guarantee an Euler cycle exists."""
     window = F.window
     d = window.d
     if d < 2:
@@ -72,45 +77,47 @@ def build_boundary_cycle_graph(F: Region) -> BoundaryCycleGraph:
         raise ValueError("region's 1-neighborhood leaves the window")
     if fill_holes(F).size != F.size:
         raise ValueError("region has holes")
-    rows = F.boundary()
-    coords_in = np.stack(np.unravel_index(rows[:, 0], window.shape), axis=1)
-    coords_out = np.stack(np.unravel_index(rows[:, 1], window.shape), axis=1)
-    edges = tuple((tuple(int(c) for c in a), tuple(int(c) for c in b))
-                  for a, b in zip(coords_in, coords_out))
-    by_vertex: Dict[Tuple[int, ...], List[int]] = {}
-    for i, (a, b) in enumerate(edges):
-        by_vertex.setdefault(a, []).append(i)
-        by_vertex.setdefault(b, []).append(i)
-    adj = [set() for _ in edges]
-    for v, ids in by_vertex.items():
-        for ai in range(len(ids)):
-            i = ids[ai]
-            oi = edges[i][0] if edges[i][1] == v else edges[i][1]
-            for bi in range(ai + 1, len(ids)):
-                j = ids[bi]
-                oj = edges[j][0] if edges[j][1] == v else edges[j][1]
-                if max(abs(x - y) for x, y in zip(oi, oj)) == 1:
-                    adj[i].add(j)
-                    adj[j].add(i)
-    for i, (a, b) in enumerate(edges):
-        want = three_cycles_through(tuple(x - y for x, y in zip(b, a)))
-        if len(adj[i]) != want:
-            raise AssertionError(
-                "boundary edge %r-%r has %d cycle neighbors, expected %d"
-                % (a, b, len(adj[i]), want))
+    edges = F.boundary()
+    a, b = edges[:, 0], edges[:, 1]
+    # k indexes all_directions(d): the positive half, then its negation
+    row, _, sign = edge_slots(window, a, b)
+    k = np.where(sign > 0, row, row + len(directions(d)))
+    steps = all_directions(d)
+    third = np.abs(steps[:, None, :] - steps[None, :, :]).max(axis=2) == 1
+    shifts = flat_shifts(window)
+    # every third vertex w = a + steps[t] is a neighbor of a, so in-window
+    ei, t = np.nonzero(third[k])
+    w = a[ei] + np.concatenate([shifts, -shifts])[t]
+    w_in = F.mask.ravel()[w]
+    nv = window.n_vertices
+    key = a * nv + b                       # ascending: edges are sorted
+    partner = np.where(w_in, w, a[ei]) * nv + np.where(w_in, b[ei], w)
+    ej = np.minimum(np.searchsorted(key, partner), len(key) - 1)
+    if not np.array_equal(key[ej], partner):
+        raise AssertionError("3-cycle partner is not a boundary edge")
+    pairs = np.unique(ei * len(edges) + ej)
+    ei, ej = np.divmod(pairs, len(edges))
+    degree = np.bincount(ei, minlength=len(edges))
+    want = np.array([three_cycles_through(g) for g in steps])[k]
+    if (degree != want).any():
+        i = int(np.argmax(degree != want))
+        raise AssertionError(
+            "boundary edge %d-%d has %d cycle neighbors, expected %d"
+            % (a[i], b[i], degree[i], want[i]))
+    adj = tuple(tuple(nb.tolist())
+                for nb in np.split(ej, np.cumsum(degree)[:-1]))
     seen = {0}
     stack = [0]
     while stack:
         u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
     if len(seen) != len(edges):
         raise AssertionError("boundary cycle graph disconnected "
                              "(%d of %d reached)" % (len(seen), len(edges)))
-    return BoundaryCycleGraph(edges=edges,
-                              adj=tuple(tuple(sorted(s)) for s in adj))
+    return BoundaryCycleGraph(edges=edges, adj=adj)
 
 
 @dataclass(frozen=True)
@@ -166,36 +173,48 @@ def adjust_on_region(phi: EdgeField, F: Region) -> EdgeField:
 
     Cycle additions are divergence-free, so the divergence is untouched
     everywhere; only edges within the 2-neighborhood of the boundary
-    change, each by less than the walk's degree bound (3^d - 1).
+    change, each by less than the walk's degree bound (3^d - 1).  The
+    boundary flows are read once, walked as Python ints and written back;
+    the closing edges, never boundary edges, are added in one pass.
     """
     H = build_boundary_cycle_graph(F)
     walk = euler_cycle(H)
     out = phi.copy()
     mod = 1 << out.scale_exp
-    total = sum(out.value_num(a, tuple(y - x for x, y in zip(a, b)))
-                for a, b in H.edges)
-    if total % mod:
+    ends = H.edges.tolist()
+    row, tail, sign = edge_slots(F.window, H.edges[:, 0], H.edges[:, 1])
+    flow = (sign * out.values[row, tail]).tolist()     # inside -> outside
+    if sum(flow) % mod:
         raise AssertionError("net boundary flow is not an integer")
+    inside = F.mask.ravel()
+    close_from, close_to, close_by = [], [], []
     seq = walk.order
-    for i in range(len(seq) - 1):
-        e, en = H.edges[seq[i]], H.edges[seq[i + 1]]
-        shared_set = set(e) & set(en)
+    for e, en in zip(seq, seq[1:]):
+        shared_set = set(ends[e]) & set(ends[en])
         if len(shared_set) != 1:
             raise AssertionError("consecutive walk edges share %d vertices"
                                  % len(shared_set))
         y = shared_set.pop()
-        x = e[0] if e[1] == y else e[1]
-        z = en[0] if en[1] == y else en[1]
-        if F.mask[x] != F.mask[z]:
+        # the walk runs x -> y -> z; s = 1 when that step is inside -> outside
+        s_e = 1 if ends[e][1] == y else -1
+        s_en = 1 if ends[en][0] == y else -1
+        x = ends[e][0] if s_e == 1 else ends[e][1]
+        z = ends[en][1] if s_en == 1 else ends[en][0]
+        if inside[x] != inside[z]:
             raise AssertionError("triangle closure lies on the boundary")
-        alpha = out.value_num(x, tuple(b - a for a, b in zip(x, y))) % mod
+        alpha = (s_e * flow[e]) % mod
         if alpha:
-            out.add_num(x, y, -alpha)
-            out.add_num(y, z, -alpha)
-            out.add_num(z, x, -alpha)
-    for a, b in H.edges:
-        if out.value_num(a, tuple(y - x for x, y in zip(a, b))) % mod:
-            raise AssertionError("boundary edge still fractional after walk")
+            flow[e] -= s_e * alpha
+            flow[en] -= s_en * alpha
+            close_from.append(z)
+            close_to.append(x)
+            close_by.append(alpha)
+    if any(v % mod for v in flow):
+        raise AssertionError("boundary edge still fractional after walk")
+    out.values[row, tail] = sign * np.array(flow, dtype=np.int64)
+    row, tail, sign = edge_slots(F.window, close_from, close_to)
+    np.add.at(out.values, (row, tail),
+              -sign * np.array(close_by, dtype=np.int64))
     if not np.array_equal(out.divergence_num(), phi.divergence_num()):
         raise AssertionError("adjustment changed the divergence")
     return out
@@ -210,12 +229,7 @@ def _core_edge_masks(window: LatticeWindow) -> np.ndarray:
     """mask[i, v] flags the edges (v, v + dirs[i]), v a flat vertex index,
     with both endpoints in the core.  Read-only and cached for the last
     window, so repair and rounding share one build per run."""
-    core = window.core_mask()
-    dirs = directions(window.d)
-    out = np.zeros((len(dirs), window.n_vertices), dtype=bool)
-    for i, g in enumerate(dirs):
-        src, dst = _shift_slices(window.L, g)
-        out[i].reshape(window.shape)[src] = core[src] & core[dst]
+    out = edge_mask(window, window.core_mask(), np.logical_and)
     out.setflags(write=False)
     return out
 
@@ -227,28 +241,19 @@ def _rim_frontier_slots(window: LatticeWindow) -> Tuple[np.ndarray, np.ndarray]:
     rim[r] - dirs[i] (sign 1) is a frontier vertex.  The core is the box
     [margin, L - margin)^d, so with margin >= 1 the rim is its outer layer
     and every frontier neighbor lies in the window; margin 0 has no rim."""
-    d, lo, hi = window.d, window.margin, window.L - window.margin
-    dirs = directions(d)
-    rim_mask = window.core_mask()
-    if lo == 0:
-        rim_mask[...] = False
-    rim_mask[tuple(slice(lo + 1, hi - 1) for _ in range(d))] = False
+    lo, hi = window.core_bounds
+    core = window.core_mask()
+    rim_mask = core.copy() if lo else np.zeros_like(core)
+    rim_mask[tuple(slice(lo + 1, hi - 1) for _ in range(window.d))] = False
     rim = np.flatnonzero(rim_mask)
-    coords = np.stack(np.unravel_index(rim, window.shape))
-    slots = np.empty((2 * len(dirs), len(rim)), dtype=bool)
-    for i, g in enumerate(dirs):
-        g = np.asarray(g, dtype=coords.dtype)[:, None]
-        for sign, nb in ((0, coords + g), (1, coords - g)):
-            slots[2 * i + sign] = ((nb < lo) | (nb >= hi)).any(axis=0)
+    # every neighbor of a rim vertex is in the window, so flat shifts
+    # reach it exactly
+    shift = flat_shifts(window)[:, None]
+    frontier = ~core.ravel()
+    slots = np.empty((2 * len(shift), len(rim)), dtype=bool)
+    slots[0::2] = frontier[rim + shift]
+    slots[1::2] = frontier[rim - shift]
     return rim, slots
-
-
-def _flat_shifts(window: LatticeWindow) -> np.ndarray:
-    """shift[i] = flat index of v + dirs[i] minus flat index of v."""
-    strides = np.array([window.L ** (window.d - 1 - j) for j in range(window.d)],
-                       dtype=np.int64)
-    return np.array([int(np.dot(np.asarray(g, dtype=np.int64), strides))
-                     for g in directions(window.d)], dtype=np.int64)
 
 
 def _frontier_aggregate(values: np.ndarray, rim: np.ndarray,
@@ -274,7 +279,7 @@ def spill_to_frontier(values: np.ndarray, window: LatticeWindow,
     frontier slots are visited in ascending order, each taking up to cap
     units in magnitude of what is left.  Returns the largest take; every
     unit must find an edge."""
-    flat_shift = _flat_shifts(window)
+    flat_shift = flat_shifts(window)
     left = np.array(amount, dtype=np.int64)
     largest = 0
     for slot, on in enumerate(slots):
@@ -319,7 +324,7 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     mod = 1 << s
     nvert = window.n_vertices
     cc = _core_edge_masks(window)
-    flat_shift = _flat_shifts(window)
+    flat_shift = flat_shifts(window)
     rim, fslots = _rim_frontier_slots(window)
     agg = np.zeros(nvert, dtype=np.int64)
     agg[rim] = _frontier_aggregate(phi.values, rim, fslots, flat_shift)
@@ -426,22 +431,12 @@ def integralize_flow(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     cover = boundary_disjoint_cover(window, COVER_SEPARATION, cover_i_max)
     cur = phi
     core = window.core_mask()
+    fixed = np.zeros_like(phi.valid)
     for F in cover.regions:
         if (ball_mask(window, F.mask, 2) & ~core).any():
             raise AssertionError("cover region's 2-neighborhood leaves the core")
         cur = adjust_on_region(cur, F)
-    # a region boundary edge is stored at its lower flat endpoint, in the
-    # direction whose flat shift joins the two; flat shifts increase in
-    # dirs order once L >= 3, which every cover window exceeds
-    rows = np.concatenate([F.boundary() for F in cover.regions]
-                          + [np.empty((0, 2), dtype=np.int64)])
-    tail, head = rows.min(axis=1), rows.max(axis=1)
-    flat_shift = _flat_shifts(window)
-    di = np.searchsorted(flat_shift, head - tail)
-    if not np.array_equal(flat_shift[di], head - tail):
-        raise AssertionError("cover boundary row is not a lattice edge")
-    fixed = np.zeros((len(flat_shift), window.n_vertices), dtype=bool)
-    fixed[di, tail] = True
+        fixed |= boundary_n(F, 1)
     out, info = round_edge_field(window, cur, f, fixed_mask=fixed)
     info["mode"] = "cover"
     info["cover"] = cover.summary()

@@ -48,6 +48,51 @@ def _shift_slices(L: int, gamma) -> Tuple[tuple, tuple]:
     return src, dst
 
 
+def flat_shifts(window: LatticeWindow) -> np.ndarray:
+    """shift[i] = flat index of v + dirs[i] minus flat index of v, for any
+    v whose edge in direction i stays in the window."""
+    strides = window.L ** np.arange(window.d - 1, -1, -1, dtype=np.int64)
+    return directions(window.d) @ strides
+
+
+def edge_mask(window: LatticeWindow, grid: np.ndarray, op) -> np.ndarray:
+    """Slot mask of an edge set: mask[i, v] = op(grid[v], grid[v + dirs[i]])
+    for every edge (v, v + dirs[i]) inside the window, v a flat vertex
+    index; slots whose edge leaves the window are False.  This is the
+    EdgeField.values layout, so a mask selects values directly."""
+    dirs = directions(window.d)
+    out = np.zeros((len(dirs), window.n_vertices), dtype=bool)
+    for i, g in enumerate(dirs):
+        src, dst = _shift_slices(window.L, g)
+        out[i].reshape(window.shape)[src] = op(grid[src], grid[dst])
+    return out
+
+
+def edge_slots(window: LatticeWindow, u, v
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, tail, sign) of the ordered edges u[k] -> v[k], given as flat
+    vertex indices: the flow on u[k] -> v[k] is sign[k] times the value at
+    slot (row[k], tail[k]) of the EdgeField.values layout.  The direction
+    comes from coordinates, not flat differences, which collide at L = 2
+    and wrap across rows; a pair that is not a lattice edge raises
+    ValueError."""
+    u = np.asarray(u, dtype=np.int64).ravel()
+    v = np.asarray(v, dtype=np.int64).ravel()
+    g = (np.stack(np.unravel_index(v, window.shape))
+         - np.stack(np.unravel_index(u, window.shape)))
+    bad = (np.abs(g) > 1).any(axis=0) | ~g.any(axis=0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError("(%d, %d) is not a lattice edge" % (u[k], v[k]))
+    # base-3 codes of {-1,0,1}^d are increasing in lexicographic order, so
+    # the canonical directions are the codes above the zero vector's, in
+    # order, and -g mirrors g's code about it
+    code = np.ravel_multi_index(tuple(g + 1), (3,) * window.d) \
+        - (3 ** window.d - 1) // 2
+    sign = np.sign(code)
+    return np.abs(code) - 1, np.where(sign > 0, u, v), sign
+
+
 def all_directions(d: int) -> np.ndarray:
     """All 3^d - 1 unit directions (both orientations)."""
     pos = directions(d)
@@ -210,11 +255,6 @@ class IndicatorField:
     @property
     def count_b(self) -> int:
         return int(self.chi_b.sum())
-
-    @classmethod
-    def from_f(cls, window: LatticeWindow, f: np.ndarray) -> "IndicatorField":
-        f = np.asarray(f, dtype=np.int8).reshape(window.shape)
-        return cls(window=window, chi_a=f > 0, chi_b=f < 0)
 
 
 def sample_field(window: LatticeWindow, action: ActionSpec,

@@ -23,9 +23,10 @@ from .equidecompose import (KSelectionError, Matching, PieceMap, TileFlow,
 from .flowgrid import (BoxEnvelope, EdgeField, certify_box_envelope,
                        integral_flow_bound, residual_num, tail_bound,
                        truncated_psi, truncation_error_bound)
-from .integralize import (_core_edge_masks, _flat_shifts, _rim_frontier_slots,
+from .integralize import (_core_edge_masks, _rim_frontier_slots,
                           integralize_flow, spill_to_frontier)
-from .lattice import ActionSpec, IndicatorField, LatticeWindow, sample_field
+from .lattice import (ActionSpec, IndicatorField, LatticeWindow, flat_shifts,
+                      sample_field)
 from .shapes import Shape
 from .tiling import Net, Tiling, greedy_net, rect_tiling, voronoi_tiling
 
@@ -68,7 +69,7 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
     supply_abs = int(np.abs(r).sum())
 
     di, ui = np.nonzero(_core_edge_masks(window))
-    flat_shift = _flat_shifts(window)
+    flat_shift = flat_shifts(window)
     rim, fslots = _rim_frontier_slots(window)
     k_cnt = fslots.sum(axis=0, dtype=np.int64)
     # vertex nvert merges the frontier: each rim vertex reaches it through

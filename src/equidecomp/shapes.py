@@ -141,17 +141,6 @@ def parse_shape(text: str) -> Shape:
     raise ValueError("unknown shape kind %r" % kind)
 
 
-def format_shape(shape: Shape) -> str:
-    if isinstance(shape, IntervalUnion):
-        return "intervals:" + ",".join("%s:%s" % (lo, hi) for lo, hi in shape.intervals)
-    if isinstance(shape, Disk):
-        return "disk:%s:%s:%s" % (shape.center[0], shape.center[1], shape.radius)
-    if isinstance(shape, Rect):
-        return "rect:%s:%s:%s:%s" % (
-            shape.corner[0], shape.corner[1], shape.sides[0], shape.sides[1])
-    raise TypeError(type(shape))
-
-
 def measures_match(a: Shape, b: Shape, tol: float = 1e-9) -> bool:
     """Compare measures, exactly when both are fractions, else within tol."""
     ma, mb = a.measure(), b.measure()

@@ -8,13 +8,13 @@ every "pick an element" is the lexicographically least choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import ndimage
 
-from .lattice import LatticeWindow, _shift_slices, all_directions, directions
+from .lattice import LatticeWindow, directions, edge_mask, flat_shifts
 
 EdgeArray = np.ndarray      # (m, 2) int64 flat vertex pairs
 
@@ -78,73 +78,32 @@ class Region:
         return self._boundary
 
 
-def _flat_of_coords(window: LatticeWindow, coords: np.ndarray) -> np.ndarray:
-    return np.ravel_multi_index(tuple(coords.T), window.shape)
-
-
 def boundary(F: Region) -> EdgeArray:
     """Edges with exactly one endpoint in F, as rows (inside, outside) of
     flat vertex indices, lexicographically sorted."""
-    window = F.window
-    L, d = window.L, window.d
-    rows = []
-    for g in all_directions(d):
-        src, dst = _shift_slices(L, g)
-        hit = np.zeros(window.shape, dtype=bool)
-        hit[src] = F.mask[src] & ~F.mask[dst]
-        ins = np.argwhere(hit)
-        if len(ins):
-            out = ins + np.asarray(g, dtype=ins.dtype)
-            rows.append(np.stack([_flat_of_coords(window, ins),
-                                  _flat_of_coords(window, out)], axis=1))
-    if not rows:
-        return np.empty((0, 2), dtype=np.int64)
-    arr = np.concatenate(rows).astype(np.int64)
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    return arr[order]
+    row, tail = np.nonzero(boundary_n(F, 1))
+    head = tail + flat_shifts(F.window)[row]
+    tail_in = F.mask.ravel()[tail]
+    arr = np.stack([np.where(tail_in, tail, head),
+                    np.where(tail_in, head, tail)], axis=1)
+    return arr[np.lexsort((arr[:, 1], arr[:, 0]))]
 
 
-def _undirected(edges: EdgeArray) -> EdgeArray:
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    arr = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    return arr
-
-
-def _incident_edges(window: LatticeWindow, vmask: np.ndarray) -> EdgeArray:
-    """All window edges with at least one endpoint in vmask, canonical
-    (min, max) rows."""
-    L, d = window.L, window.d
-    rows = []
-    for g in directions(d):        # lex-positive half; flat(src) < flat(dst)
-        src, dst = _shift_slices(L, g)
-        hit = np.zeros(window.shape, dtype=bool)
-        hit[src] = vmask[src] | vmask[dst]
-        ins = np.argwhere(hit)
-        if len(ins):
-            out = ins + np.asarray(g, dtype=ins.dtype)
-            rows.append(np.stack([_flat_of_coords(window, ins),
-                                  _flat_of_coords(window, out)], axis=1))
-    if not rows:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(rows).astype(np.int64)
-
-
-def boundary_n(F: Region, n: int) -> EdgeArray:
-    """n-fold edge neighborhood of the boundary: grow by "shares a vertex
-    with" n-1 times.  Rows are canonical (min, max) pairs, sorted."""
+def boundary_n(F: Region, n: int) -> np.ndarray:
+    """n-fold edge neighborhood of the boundary, as a slot mask (see
+    lattice.edge_mask): the boundary edges, grown by "shares a vertex
+    with" n-1 times."""
     if n < 1:
         raise ValueError("n >= 1")
     window = F.window
-    edges = _undirected(boundary(F))
+    mask = edge_mask(window, F.mask, np.not_equal)
     for _ in range(n - 1):
-        if not len(edges):
-            break
-        vmask = np.zeros(window.n_vertices, dtype=bool)
-        vmask[edges.ravel()] = True
-        grown = _incident_edges(window, vmask.reshape(window.shape))
-        edges = np.unique(np.concatenate([edges, grown]), axis=0)
-    return edges
+        row, tail = np.nonzero(mask)
+        verts = np.zeros(window.n_vertices, dtype=bool)
+        verts[tail] = True
+        verts[tail + flat_shifts(window)[row]] = True
+        mask = edge_mask(window, verts.reshape(window.shape), np.logical_or)
+    return mask
 
 
 def fill_holes(S: Region) -> Region:
@@ -168,10 +127,8 @@ def fill_holes(S: Region) -> Region:
     filled = Region(window, S.mask | (~S.mask & ~keep))
     filled._connected = True
     # sanity: no new boundary edges, and all remain shell-visible
-    old = {tuple(r) for r in map(tuple, _undirected(S.boundary()))}
-    for u, v in _undirected(filled.boundary()):
-        if (int(u), int(v)) not in old:
-            raise AssertionError("hole filling created a boundary edge")
+    if (boundary_n(filled, 1) & ~boundary_n(S, 1)).any():
+        raise AssertionError("hole filling created a boundary edge")
     return filled
 
 
@@ -365,13 +322,12 @@ def boundary_disjoint_cover(window: LatticeWindow, n: int, i_max: int) -> Cover:
         same = [S for S, lv in zip(regions, levels) if lv == i]
         if len(same) >= 2 and _pairwise_min_distance(same) < 2 * radii[i]:
             raise AssertionError("same-level regions too close")
-    seen = {}
-    for ri, S in enumerate(regions):
-        for u, v in boundary_n(S, n):
-            key = (int(u), int(v))
-            if key in seen and seen[key] != ri:
-                raise AssertionError("boundary_n sets intersect across regions")
-            seen[key] = ri
+    seen = np.zeros((len(directions(window.d)), window.n_vertices), dtype=bool)
+    for S in regions:
+        ring = boundary_n(S, n)
+        if (seen & ring).any():
+            raise AssertionError("boundary_n sets intersect across regions")
+        seen |= ring
     covered = np.zeros(window.shape, dtype=bool)
     for S in regions:
         covered |= S.mask

@@ -2,5 +2,7 @@
 
 `dyadic` is exact num / 2^exp arithmetic, `finiteflow` a finite-graph
 flow layer with its own Dinic, and `paperflow` the per-edge, per-phase
-definitions of the box flow.  None of them is imported by the package.
+definitions of the box flow.  `edges` reads and writes one edge flow by
+vertex coordinates, and `cyclegraph` builds the boundary 3-cycle graph
+from shared vertices.  None of them is imported by the package.
 """

@@ -20,7 +20,7 @@ from equidecomp.flowgrid import (certify_box_envelope, phi_envelope,
                                  residual_num, truncated_psi)
 from equidecomp.integralize import (build_boundary_cycle_graph, euler_cycle,
                                     integralize_flow)
-from equidecomp.lattice import LatticeWindow, directions, \
+from equidecomp.lattice import LatticeWindow, directions, edge_mask, \
     fit_discrepancy_envelope
 from equidecomp.pipeline import run_pipeline
 from equidecomp.tiling import Region, boundary_disjoint_cover, boundary_n, \
@@ -33,7 +33,8 @@ from oracle.paperflow import Chain, check_error_identity, level_sum
 from test_finiteflow import (balanced_f, cut_feasible, random_caps,
                              random_graph, random_dyadic_flow)
 from test_flowgrid import random_field
-from test_integralize import random_dyadic_field
+from test_integralize import (assert_matches_shared_vertex_build,
+                              random_dyadic_field)
 
 
 def _line(num, name, ok, detail, elapsed, budget):
@@ -252,6 +253,7 @@ def _random_blob(rng, window, lo, hi, target):
 
 
 def _check_euler(F):
+    assert_matches_shared_vertex_build(F)
     H = build_boundary_cycle_graph(F)
     assert all(len(a) % 2 == 0 for a in H.adj)
     seen = {0}
@@ -294,21 +296,6 @@ def test_06_euler_walks():
 
 # -- 7 ----------------------------------------------------------------------
 
-def _core_edge_columns(window):
-    """Edge-slot mask (n_dirs, n_vertices) selecting core-to-core edges."""
-    core = window.core_mask()
-    L = window.L
-    dirs = directions(window.d)
-    m = np.zeros((len(dirs), window.n_vertices), dtype=bool)
-    for i, g in enumerate(dirs):
-        src = tuple(slice(max(0, -int(c)), L - max(0, int(c))) for c in g)
-        dst = tuple(slice(max(0, int(c)), L - max(0, -int(c))) for c in g)
-        grid = np.zeros(window.shape, dtype=bool)
-        grid[src] = core[src] & core[dst]
-        m[i] = grid.ravel()
-    return m
-
-
 def test_07_integralization_bound():
     """Both integralization modes on 20 fuzz fields over 128^2: outputs are
     integral with the prescribed core divergence; per-edge deviation is < 1
@@ -317,7 +304,7 @@ def test_07_integralization_bound():
     rng = np.random.default_rng(107)
     w = LatticeWindow(d=2, L=128, margin=4)
     core = w.core_mask().ravel()
-    core_edges = _core_edge_columns(w)
+    core_edges = edge_mask(w, w.core_mask(), np.logical_and)
     s = 4
     worst_direct = worst_cover = 0.0
     for _ in range(20):
@@ -353,10 +340,10 @@ def test_08_cover_hierarchy():
     w = LatticeWindow(d=2, L=512, margin=8)
     cov = boundary_disjoint_cover(w, 3, 1)
     assert len(cov.regions) >= 2 and set(cov.levels) == {0, 1}
-    b3 = [set(map(tuple, boundary_n(F, 3))) for F in cov.regions]
+    b3 = [boundary_n(F, 3) for F in cov.regions]
     for i in range(len(b3)):
         for j in range(i):
-            assert not (b3[i] & b3[j]), (i, j)
+            assert not (b3[i] & b3[j]).any(), (i, j)
     for F, lvl in zip(cov.regions, cov.levels):
         assert F.is_connected()
         assert fill_holes(F).size == F.size

@@ -71,6 +71,8 @@ def test_verify_catches_tampering(tmp_path, capsys):
 def test_verify_missing_and_malformed_artifacts(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run("square", out) == EXIT_OK
+    good = json.loads((tmp_path / "run" / "summary.json").read_text())
+    pieces_csv = (tmp_path / "run" / "pieces.csv").read_bytes()
     os.rename(os.path.join(out, "pieces.csv"), os.path.join(out, "x.csv"))
     assert main(["verify", "--dir", out]) == EXIT_VERIFY
     assert "missing artifact" in capsys.readouterr().out
@@ -90,6 +92,18 @@ def test_verify_missing_and_malformed_artifacts(tmp_path, capsys):
         fh.write("[]")
     assert main(["verify", "--dir", out]) == EXIT_VERIFY
     assert "not a JSON object" in capsys.readouterr().out
+    # a section of the wrong type, or a malformed value inside one
+    (tmp_path / "run" / "pieces.csv").write_bytes(pieces_csv)
+    for section, bad in (("config", [["L", 16]]), ("tiles", []),
+                         ("verify_inputs", []), ("pieces", []),
+                         ("verify_inputs", dict(good["verify_inputs"],
+                                                unmatched_a=[["x", 1, 2]])),
+                         ("tiles", dict(good["tiles"], K="abc")),
+                         ("pieces", dict(good["pieces"], count=[2]))):
+        with open(os.path.join(out, "summary.json"), "w") as fh:
+            json.dump(dict(good, **{section: bad}), fh)
+        assert main(["verify", "--dir", out]) == EXIT_VERIFY
+        assert "schema error: %s" % section in capsys.readouterr().out
 
 
 def test_verify_config_override_changes_field(tmp_path, capsys):

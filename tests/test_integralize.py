@@ -19,8 +19,11 @@ from equidecomp.integralize import (
     spill_to_frontier,
     three_cycles_through,
 )
-from equidecomp.lattice import LatticeWindow, directions
+from equidecomp.lattice import (LatticeWindow, edge_mask, edge_slots,
+                                flat_shifts)
 from equidecomp.tiling import Region, ball_mask
+from oracle.cyclegraph import boundary_cycle_graph
+from oracle.edges import add_flow
 
 
 def brute_triangles(gamma):
@@ -57,15 +60,43 @@ def box_region(w, lo, hi):
     return Region(w, mask)
 
 
+def hand_regions():
+    w = LatticeWindow(d=2, L=16)
+    ell = np.zeros(w.shape, dtype=bool)
+    ell[4:10, 4:7] = True
+    ell[4:7, 4:12] = True
+    return [
+        box_region(w, (5, 5), (8, 8)),
+        box_region(w, (3, 6), (11, 9)),
+        Region(w, ball_mask(w, Region.from_vertices(w, [(8, 8)]).mask, 2)),
+        Region(w, ell),
+        box_region(LatticeWindow(d=2, L=12), (4, 4), (7, 8)),
+        Region.from_vertices(LatticeWindow(d=2, L=5), [(2, 2)]),
+        box_region(LatticeWindow(d=3, L=7), (2, 2, 3), (4, 5, 4)),
+    ]
+
+
+def assert_matches_shared_vertex_build(F):
+    """build_boundary_cycle_graph's flat rows and partner adjacency equal
+    the coordinate-pair, shared-vertex reference."""
+    H = build_boundary_cycle_graph(F)
+    edges, adj = boundary_cycle_graph(F)
+    assert H.edges.dtype == np.int64 and H.edges.shape == (len(edges), 2)
+    coords = np.stack(np.unravel_index(H.edges, F.window.shape), axis=-1)
+    assert [tuple(map(tuple, e)) for e in coords.tolist()] == list(edges)
+    assert H.adj == adj
+    return H
+
+
 def test_boundary_cycle_graph_structure():
-    w = LatticeWindow(d=2, L=12)
-    F = box_region(w, (4, 4), (7, 8))
-    H = build_boundary_cycle_graph(F)      # degree + connectivity checked inside
-    assert H.n == len(F.boundary())
-    for i, nbrs in enumerate(H.adj):
-        for j in nbrs:
-            assert i in H.adj[j]
-            assert i != j
+    for F in hand_regions():
+        # degree and connectivity are checked inside the build
+        H = assert_matches_shared_vertex_build(F)
+        assert H.n == len(F.boundary())
+        for i, nbrs in enumerate(H.adj):
+            for j in nbrs:
+                assert i in H.adj[j]
+                assert i != j
 
 
 def test_boundary_cycle_graph_rejects_bad_regions():
@@ -89,17 +120,7 @@ def test_boundary_cycle_graph_rejects_bad_regions():
 
 
 def test_euler_cycle_covers_each_adjacency_once():
-    w = LatticeWindow(d=2, L=16)
-    ell = np.zeros(w.shape, dtype=bool)
-    ell[4:10, 4:7] = True
-    ell[4:7, 4:12] = True
-    regions = [
-        box_region(w, (5, 5), (8, 8)),
-        box_region(w, (3, 6), (11, 9)),
-        Region(w, ball_mask(w, Region.from_vertices(w, [(8, 8)]).mask, 2)),
-        Region(w, ell),
-    ]
-    for F in regions:
+    for F in hand_regions():
         H = build_boundary_cycle_graph(F)
         walk = euler_cycle(H)
         seq = walk.order
@@ -116,8 +137,9 @@ def test_euler_cycle_covers_each_adjacency_once():
 
 def test_euler_cycle_validation():
     with pytest.raises(ValueError):
-        euler_cycle(BoundaryCycleGraph(edges=(), adj=()))
-    dummy = (((0, 0), (0, 1)), ((1, 0), (1, 1)))
+        euler_cycle(BoundaryCycleGraph(edges=np.empty((0, 2), np.int64),
+                                       adj=()))
+    dummy = np.array([[0, 1], [2, 3]], dtype=np.int64)
     with pytest.raises(ValueError):
         euler_cycle(BoundaryCycleGraph(edges=dummy, adj=((1,), (0,))))
 
@@ -137,10 +159,10 @@ def random_dyadic_field(rng, w, s, pushes=120, avoid=None):
         if avoid is not None and avoid[x - 1:x + 3, y - 1:y + 3].any():
             continue
         delta = int(rng.integers(1, 1 << s))
-        fld.add_num((x, y), (x + 1, y), delta)
-        fld.add_num((x + 1, y), (x + 1, y + 1), delta)
-        fld.add_num((x + 1, y + 1), (x, y + 1), delta)
-        fld.add_num((x, y + 1), (x, y), delta)
+        add_flow(fld, (x, y), (x + 1, y), delta)
+        add_flow(fld, (x + 1, y), (x + 1, y + 1), delta)
+        add_flow(fld, (x + 1, y + 1), (x, y + 1), delta)
+        add_flow(fld, (x, y + 1), (x, y), delta)
         done += 1
     return fld
 
@@ -153,30 +175,28 @@ def test_adjust_on_region_clears_boundary():
     F = Region(w, ball_mask(w, Region.from_vertices(w, [(9, 9)]).mask, 2))
     fld = random_dyadic_field(rng, w, s)
     H = build_boundary_cycle_graph(F)
-    total = sum(fld.value_num(a, tuple(y - x for x, y in zip(a, b)))
-                for a, b in H.edges)
-    fld.add_num(*H.edges[0], -(total % mod))       # make net boundary flow integral
+    row, tail, sign = edge_slots(w, H.edges[:, 0], H.edges[:, 1])
+    total = int((sign * fld.values[row, tail]).sum())
+    # make net boundary flow integral
+    fld.values[row[0], tail[0]] -= sign[0] * (total % mod)
     out = adjust_on_region(fld, F)
-    for a, b in H.edges:
-        assert out.value_num(a, tuple(y - x for x, y in zip(a, b))) % mod == 0
+    assert not (out.values[row, tail] % mod).any()
     assert np.array_equal(out.divergence_num(), fld.divergence_num())
     # changes confined to edges near the boundary, each below the walk bound
     diff = out.values - fld.values
     assert np.abs(diff).max() < (3 ** 2) * mod
-    bverts = np.zeros(w.shape, dtype=bool)
-    for a, b in H.edges:
-        bverts[a] = bverts[b] = True
-    near = ball_mask(w, bverts, 1).ravel()
+    bverts = np.zeros(w.n_vertices, dtype=bool)
+    bverts[H.edges.ravel()] = True
+    near = ball_mask(w, bverts.reshape(w.shape), 1).ravel()
     for i, v in zip(*np.nonzero(diff)):
-        u = v + int(np.dot(directions(2)[i], (w.L, 1)))
-        assert near[v] and near[u]
+        assert near[v] and near[v + flat_shifts(w)[i]]
 
 
 def test_adjust_requires_integral_net_boundary_flow():
     w = LatticeWindow(d=2, L=18)
     F = box_region(w, (7, 7), (10, 10))
     fld = EdgeField(w, 2)
-    fld.add_num((6, 7), (7, 7), 1)                 # lone quarter across the boundary
+    add_flow(fld, (6, 7), (7, 7), 1)       # lone quarter across the boundary
     with pytest.raises(AssertionError):
         adjust_on_region(fld, F)
 
@@ -204,12 +224,7 @@ def test_round_edge_field_respects_fixed_edges():
     hold[6:10, 6:10] = True
     fld = random_dyadic_field(rng, w, s, pushes=60, avoid=hold)
     f = fld.divergence_num() >> s
-    fixed = np.zeros_like(fld.valid)
-    for i, g in enumerate(directions(2)):
-        for v in np.argwhere(hold):
-            u = v + np.asarray(g)
-            if hold[tuple(u)]:
-                fixed[i, int(np.ravel_multi_index(tuple(v), w.shape))] = True
+    fixed = edge_mask(w, hold, np.logical_and)
     assert not (fld.values[fixed] % (1 << s)).any()
     out, _ = round_edge_field(w, fld, f, fixed_mask=fixed)
     assert np.array_equal(out.values[fixed] << s, fld.values[fixed])
@@ -223,12 +238,9 @@ def test_round_edge_field_validation():
     with pytest.raises(ValueError):
         round_edge_field(w, fld, f, fixed_mask=bad)    # non-core edges flagged
     frac = EdgeField(w, 2)
-    frac.add_num((7, 7), (7, 8), 1)
-    fixed = np.zeros_like(fld.valid)
-    fixed_dir = next(i for i, g in enumerate(directions(2)) if tuple(g) == (0, 1))
-    fixed[fixed_dir, int(np.ravel_multi_index((7, 7), w.shape))] = True
+    add_flow(frac, (7, 7), (7, 8), 1)
     with pytest.raises(ValueError):
-        round_edge_field(w, frac, f, fixed_mask=fixed)
+        round_edge_field(w, frac, f, fixed_mask=frac.values != 0)
     with pytest.raises(ValueError):
         round_edge_field(LatticeWindow(d=2, L=18, margin=3), fld, f)
 
@@ -283,13 +295,13 @@ def test_spill_to_frontier_hand_example():
     f = EdgeField(w, 0)
     assert spill_to_frontier(f.values, w, rim, slots, amount, 2) == 2
     want = EdgeField(w, 0)
-    want.add_num((1, 1), (1, 0), 2)            # slot 1
-    want.add_num((1, 1), (2, 0), 2)            # slot 2
-    want.add_num((1, 1), (0, 2), 2)            # slot 3
-    want.add_num((1, 1), (0, 1), 1)            # slot 5; slot 7 takes 0
-    want.add_num((1, 2), (0, 3), -2)           # slot 3
-    want.add_num((1, 2), (0, 2), -2)           # slot 5
-    want.add_num((1, 2), (0, 1), -1)           # slot 7
+    add_flow(want, (1, 1), (1, 0), 2)            # slot 1
+    add_flow(want, (1, 1), (2, 0), 2)            # slot 2
+    add_flow(want, (1, 1), (0, 2), 2)            # slot 3
+    add_flow(want, (1, 1), (0, 1), 1)            # slot 5; slot 7 takes 0
+    add_flow(want, (1, 2), (0, 3), -2)           # slot 3
+    add_flow(want, (1, 2), (0, 2), -2)           # slot 5
+    add_flow(want, (1, 2), (0, 1), -1)           # slot 7
     assert np.array_equal(f.values, want.values)
     div = f.divergence_num()
     assert div[1, 1] == 7 and div[1, 2] == -5 and div[1:4, 1:4].sum() == 2
@@ -299,8 +311,8 @@ def test_spill_to_frontier_hand_example():
     assert spill_to_frontier(f.values, w, rim, slots, amount,
                              np.iinfo(np.int64).max) == 7
     want = EdgeField(w, 0)
-    want.add_num((1, 1), (1, 0), 7)
-    want.add_num((1, 2), (0, 3), -5)
+    add_flow(want, (1, 1), (1, 0), 7)
+    add_flow(want, (1, 2), (0, 3), -5)
     assert np.array_equal(f.values, want.values)
 
     # five slots of cap 2 cannot carry 11 units

@@ -3,8 +3,9 @@ checked against direct enumeration."""
 
 import numpy as np
 
-from equidecomp._kernels import (edge_valid_mask, level_edge_grid,
-                                 phase_tables, subbox_sums)
+from equidecomp._kernels import level_edge_grid, phase_tables, subbox_sums
+from equidecomp.flowgrid import truncated_psi
+from equidecomp.lattice import IndicatorField, LatticeWindow
 
 
 def brute_subbox_sums(grid, side):
@@ -73,7 +74,10 @@ def test_level_edge_grid_antisymmetry():
 
 
 def test_edge_valid_mask_geometry():
-    m = edge_valid_mask(16, 2, 2, (1, -1))
+    w = LatticeWindow(d=2, L=16)
+    empty = np.zeros(w.shape, dtype=bool)
+    psi = truncated_psi(IndicatorField(window=w, chi_a=empty, chi_b=empty), 2)
+    m = psi.valid[1].reshape(w.shape)     # direction (1, -1)
     # level-2 phase neighborhoods need [3, 12] for both endpoints
     assert m[3, 4] and m[11, 4]
     assert not m[2, 4] and not m[12, 4]   # y outside

@@ -1,5 +1,6 @@
-"""Lattice actions, windows, sampling, and the discrepancy fit."""
+"""Lattice actions, windows, edge slots, sampling, and the discrepancy fit."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from equidecomp.lattice import (ActionSpec, IndicatorField, LatticeWindow,
                                 all_directions, choose_lattice_dimension,
-                                directions, discrepancy,
-                                fit_discrepancy_envelope,
+                                directions, discrepancy, edge_mask,
+                                edge_slots, fit_discrepancy_envelope,
+                                flat_shifts,
                                 min_orbit_separation, orbit_points,
                                 reduce_mod1, sample_field)
 from equidecomp.shapes import parse_shape
@@ -26,6 +28,43 @@ def test_directions_are_half_of_nonzero():
             assert nz[0] == 1
         assert len({tuple(g) for g in pos}
                    | {tuple(-c for c in g) for g in pos}) == 3 ** d - 1
+
+
+def test_edge_slots_every_slot():
+    """Every in-window slot (i, v) of every direction, read forward and
+    backward from coordinates; edge_mask and flat_shifts agree."""
+    for d, L in itertools.product((1, 2, 3), (2, 3, 5)):
+        w = LatticeWindow(d=d, L=L)
+        rows, tails, heads = [], [], []
+        for (i, g), v in itertools.product(enumerate(directions(d)),
+                                           np.ndindex(*w.shape)):
+            u = np.add(v, g)
+            if ((u >= 0) & (u < L)).all():
+                rows.append(i)
+                tails.append(np.ravel_multi_index(v, w.shape))
+                heads.append(np.ravel_multi_index(tuple(u), w.shape))
+        for a, b, want_sign in ((tails, heads, 1), (heads, tails, -1)):
+            row, tail, sign = edge_slots(w, a, b)
+            assert row.tolist() == rows and tail.tolist() == tails
+            assert (sign == want_sign).all()
+        want = np.zeros((len(directions(d)), w.n_vertices), dtype=bool)
+        want[rows, tails] = True
+        ones = np.ones(w.shape, dtype=bool)
+        assert np.array_equal(edge_mask(w, ones, np.logical_and), want)
+        assert np.array_equal(np.subtract(heads, tails), flat_shifts(w)[rows])
+    # not edges: a wrap-around pair (flat difference 1, the shift of
+    # (0, 1)), non-neighbors, a loop, and a vertex outside the window
+    for L in (3, 5):
+        w = LatticeWindow(d=2, L=L)
+        flat = lambda v: np.ravel_multi_index(v, w.shape)
+        for u, v in (((0, L - 1), (1, 0)), ((1, L - 1), (1, 0)),
+                     ((0, 0), (0, 2)), ((0, 0), (2, 2)), ((1, 1), (1, 1))):
+            with pytest.raises(ValueError, match="not a lattice edge"):
+                edge_slots(w, [flat((0, 0)), flat(u)], [flat((0, 1)), flat(v)])
+        with pytest.raises(ValueError):
+            edge_slots(w, [0], [w.n_vertices])
+    with pytest.raises(ValueError, match="not a lattice edge"):
+        edge_slots(LatticeWindow(d=1, L=5), [0], [2])
 
 
 def test_reduce_mod1_snaps_near_integers():
@@ -164,7 +203,7 @@ def test_field_from_f_round_trip(L, seed):
     rng = np.random.default_rng(seed)
     w = LatticeWindow(d=2, L=L, margin=0)
     f = rng.integers(-1, 2, size=(L, L)).astype(np.int8)
-    fld = IndicatorField.from_f(w, f)
+    fld = IndicatorField(window=w, chi_a=f > 0, chi_b=f < 0)
     assert (fld.f == f).all()
     assert fld.count_a == int((f == 1).sum())
     assert fld.count_b == int((f == -1).sum())

@@ -14,6 +14,7 @@ from equidecomp.pipeline import (PipelineError, repair_to_frontier,
                                  run_pipeline)
 from equidecomp.report import _json_default
 from equidecomp.shapes import parse_shape
+from oracle.edges import add_flow
 
 
 def toy_setup(n0=1):
@@ -53,7 +54,7 @@ def test_repair_in_isolation_and_doubling():
     empty = IndicatorField(window=w2, chi_a=np.zeros(w2.shape, dtype=bool),
                            chi_b=np.zeros(w2.shape, dtype=bool))
     spike = EdgeField(w2, 0)
-    spike.add_num((3, 3), (3, 4), 10)
+    add_flow(spike, (3, 3), (3, 4), 10)
     spike_res = residual_num(empty, spike)
     fixed, info = repair_to_frontier(empty, spike, spike_res, capacity_units=1)
     assert info["doublings"] == 1

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from equidecomp.lattice import LatticeWindow, all_directions
+from equidecomp.lattice import LatticeWindow, all_directions, directions
 from equidecomp.tiling import (
     Net,
     Region,
@@ -82,16 +82,27 @@ def test_boundary_matches_enumeration():
             assert got.tolist() == sorted(got.tolist())
 
 
+def mask_edges(window, mask):
+    """Canonical (min, max) flat pairs of a slot mask's edges."""
+    row, tail = np.nonzero(mask)
+    heads = (np.stack(np.unravel_index(tail, window.shape), axis=1)
+             + directions(window.d)[row])
+    return {(int(t), flat(window, h)) for t, h in zip(tail, heads)}
+
+
 def test_boundary_n_growth():
     w = LatticeWindow(d=2, L=9)
     reg = Region.from_vertices(w, [(4, 4)])
     b1 = boundary_n(reg, 1)
-    # single vertex: its 8 incident edges, canonically oriented
+    assert b1.shape == (len(directions(2)), w.n_vertices)
+    # single vertex: its 8 incident edges
+    b1 = mask_edges(w, b1)
+    assert b1 == {tuple(sorted(e)) for e in brute_boundary(w, reg.mask)}
     assert len(b1) == 8
-    b2 = {tuple(r) for r in boundary_n(reg, 2).tolist()}
+    b2 = mask_edges(w, boundary_n(reg, 2))
     # oracle: every window edge sharing a vertex with some b1 edge
-    verts = set(np.asarray(b1).ravel().tolist())
-    grow = set(map(tuple, b1.tolist()))
+    verts = {v for e in b1 for v in e}
+    grow = set(b1)
     for v in np.argwhere(np.ones(w.shape, dtype=bool)):
         for g in all_directions(2):
             u = v + np.asarray(g)
