@@ -189,14 +189,14 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
     counts = summary.get("pieces", {})
     try:
         k_sel = int(tiles_meta.get("K", 0))
-        k_eff = int(tiles_meta.get("K_eff", k_sel))
-    except (TypeError, ValueError) as exc:
+        want_k_eff = int(tiles_meta.get("K_eff", -1))
+    except (TypeError, ValueError, OverflowError) as exc:
         print("schema error: tiles: %s" % exc)
         return EXIT_VERIFY
     try:
         want_counts = (int(counts.get("matched", -1)),
                        int(counts.get("count", -1)))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         print("schema error: pieces: %s" % exc)
         return EXIT_VERIFY
     if cfg is None:
@@ -220,12 +220,14 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
                                              r=int(vin["voronoi_r"])))
         else:
             til = rect_tiling(window, k_sel)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         print("cannot rebuild tiling: %s" % exc)
         return EXIT_VERIFY
     used_raw = vin.get("used_tiles")
-    if not isinstance(used_raw, list) or len(used_raw) != len(til.tiles):
-        print("summary lacks a usable used_tiles list")
+    if (not isinstance(used_raw, list) or len(used_raw) != len(til.tiles)
+            or not all(isinstance(u, bool) for u in used_raw)):
+        print("schema error: verify_inputs: used_tiles is not one boolean "
+              "per tile")
         return EXIT_VERIFY
 
     def _flats(rows) -> np.ndarray:
@@ -253,12 +255,13 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
         tuple(np.clip(cb, 0, window.L - 1).T), window.shape) \
         if len(a_flat) else np.zeros(0, dtype=np.int64)
     gammas = np.unique(gamma, axis=0)
-    pieces = PieceMap(window=window, K=k_eff, a_flat=a_flat, b_flat=b_flat,
-                      gamma=gamma, piece_id=piece_id.astype(np.int32),
+    pieces = PieceMap(window=window, K=til.K_eff, a_flat=a_flat,
+                      b_flat=b_flat, gamma=gamma, piece_id=piece_id,
                       gammas=gammas, unmatched_a=un_a, unmatched_b=un_b,
                       tiling=til, used=np.array(used_raw, dtype=bool))
     report = verify_equidecomposition(pieces, fld)
-    counts_ok = (report["matched"], report["pieces"]) == want_counts
+    counts_ok = ((report["matched"], report["pieces"]) == want_counts
+                 and til.K_eff == want_k_eff)
     report["checks"]["summary_counts"] = {"ok": counts_ok}
     for name in sorted(report["checks"]):
         print("%s %s" % ("PASS" if report["checks"][name]["ok"] else "FAIL",

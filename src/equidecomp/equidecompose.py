@@ -416,7 +416,7 @@ class PieceMap:
     a_flat: np.ndarray         # (m,) ascending
     b_flat: np.ndarray         # (m,) targets
     gamma: np.ndarray          # (m, d)
-    piece_id: np.ndarray       # (m,) int32
+    piece_id: np.ndarray       # (m,) integer ids
     gammas: np.ndarray         # (npieces, d), lexicographically sorted
     unmatched_a: np.ndarray
     unmatched_b: np.ndarray

@@ -1,6 +1,7 @@
-"""Make a dyadic flow integral without moving any edge value by much.
+"""Make a dyadic flow exact on the core, then integral, without moving
+any edge value by much.
 
-Two routes to the same goal:
+Two routes to an integral flow:
 
 * cover mode — the structured construction: build a cover with pairwise
   disjoint 3-fold boundary neighborhoods, walk an Euler cycle of each
@@ -19,14 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._maxflow import solve_supply_flow
-from .flowgrid import EdgeField
-from .lattice import (LatticeWindow, all_directions, directions, edge_mask,
-                      edge_slots, flat_shifts)
+from .flowgrid import EdgeField, residual_num
+from .lattice import (IndicatorField, LatticeWindow, all_directions,
+                      directions, edge_mask, edge_slots, flat_shifts)
 from .tiling import (Region, ball_mask, boundary_disjoint_cover, boundary_n,
                      fill_holes)
 
@@ -221,8 +222,18 @@ def adjust_on_region(phi: EdgeField, F: Region) -> EdgeField:
 
 
 # ---------------------------------------------------------------------------
-# interior rounding on the window graph
+# routing a core residual into the frontier ring: repair and rounding
 # ---------------------------------------------------------------------------
+
+class PipelineError(RuntimeError):
+    """A stage failed; certificate holds the evidence when there is some."""
+
+    def __init__(self, stage: str, message: str,
+                 certificate: Optional[dict] = None):
+        super().__init__("%s: %s" % (stage, message))
+        self.stage = stage
+        self.certificate = certificate or {}
+
 
 @lru_cache(maxsize=1)
 def _core_edge_masks(window: LatticeWindow) -> np.ndarray:
@@ -234,13 +245,15 @@ def _core_edge_masks(window: LatticeWindow) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
 def _rim_frontier_slots(window: LatticeWindow) -> Tuple[np.ndarray, np.ndarray]:
     """(rim, slots) over the rim, the core vertices with a frontier
     neighbor: rim lists their flat indices in increasing order, and
     slots[2*i + sign, r] flags that rim[r] + dirs[i] (sign 0) or
     rim[r] - dirs[i] (sign 1) is a frontier vertex.  The core is the box
     [margin, L - margin)^d, so with margin >= 1 the rim is its outer layer
-    and every frontier neighbor lies in the window; margin 0 has no rim."""
+    and every frontier neighbor lies in the window; margin 0 has no rim.
+    Read-only and cached for the last window, like _core_edge_masks."""
     lo, hi = window.core_bounds
     core = window.core_mask()
     rim_mask = core.copy() if lo else np.zeros_like(core)
@@ -253,21 +266,9 @@ def _rim_frontier_slots(window: LatticeWindow) -> Tuple[np.ndarray, np.ndarray]:
     slots = np.empty((2 * len(shift), len(rim)), dtype=bool)
     slots[0::2] = frontier[rim + shift]
     slots[1::2] = frontier[rim - shift]
+    rim.setflags(write=False)
+    slots.setflags(write=False)
     return rim, slots
-
-
-def _frontier_aggregate(values: np.ndarray, rim: np.ndarray,
-                        slots: np.ndarray,
-                        flat_shift: np.ndarray) -> np.ndarray:
-    """Per rim vertex (rim and slots as from _rim_frontier_slots), the
-    summed numerator of flow toward its frontier neighbors; no other core
-    vertex has one."""
-    agg = np.zeros(len(rim), dtype=np.int64)
-    for i, shift in enumerate(flat_shift.tolist()):
-        agg += np.where(slots[2 * i], values[i, rim], 0)
-        # flow out of the rim endpoint equals minus the stored value
-        agg -= np.where(slots[2 * i + 1], values[i, rim - shift], 0)
-    return agg
 
 
 def spill_to_frontier(values: np.ndarray, window: LatticeWindow,
@@ -299,6 +300,102 @@ def spill_to_frontier(values: np.ndarray, window: LatticeWindow,
     return largest
 
 
+def _route_to_frontier(values: Callable[[], np.ndarray],
+                       window: LatticeWindow, residual: np.ndarray,
+                       di: np.ndarray, ui: np.ndarray, caps, rim_caps,
+                       spill_cap: int) -> Tuple[Optional[np.ndarray], int]:
+    """Route residual (one supply per flat vertex, zero off the core) into
+    one merged frontier node, over the core edges (ui[k], ui[k] +
+    dirs[di[k]]) with caps[0][k] units forward and caps[1][k] back, and
+    over one arc from each rim vertex rim[r] (see _rim_frontier_slots)
+    with rim_caps[0][r] out and rim_caps[1][r] in, where either is nonzero.
+    Once all of it is routed, and only then, values() gives the edge array
+    to change (the solve's memory is freed by then): its core edges take
+    the net flow, and spill_to_frontier(..., spill_cap) spills each rim
+    arc's flow onto its frontier edges.  Returns (that array, the largest
+    change of one value), or (None, 0)."""
+    rim, slots = _rim_frontier_slots(window)
+    arc = (rim_caps[0] != 0) | (rim_caps[1] != 0)
+    ok, net = solve_supply_flow(
+        np.concatenate([ui, rim[arc]]),
+        np.concatenate([ui + flat_shifts(window)[di],
+                        np.full(int(arc.sum()), window.n_vertices)]),
+        np.concatenate([caps[0], rim_caps[0][arc]]),
+        np.concatenate([caps[1], rim_caps[1][arc]]),
+        np.append(residual, -int(residual.sum())))
+    if not ok:
+        return None, 0
+    out = values()
+    m = len(ui)
+    out[di, ui] += net[:m]
+    amount = np.zeros(len(rim), dtype=np.int64)
+    amount[arc] = net[m:]
+    return out, max(int(np.abs(net[:m]).max(initial=0)),
+                    spill_to_frontier(out, window, rim, slots, amount,
+                                      spill_cap))
+
+
+def repair_to_frontier(field: IndicatorField, psi: EdgeField,
+                       residual: np.ndarray, capacity_units: int,
+                       max_doublings: int = 32) -> Tuple[EdgeField, dict]:
+    """Correct the truncated flow so its divergence equals f exactly on
+    every core vertex, pushing the leftover error out to the frontier ring.
+
+    residual is residual_num(field, psi), which the caller has already
+    computed; the repaired flow's own residual is recomputed from field
+    and checked.  _route_to_frontier routes the correction over core-core
+    edges of capacity capacity_units (in flow units; the tail bound
+    rounded up plus one), and each rim vertex's arc carries the capacity
+    of all its frontier edges, which then take up to that capacity each.
+    When the tail estimate is too tight — small margins legitimately
+    exceed it — the capacity doubles and the solve repeats.
+    """
+    window = psi.window
+    if window.margin < 1:
+        raise ValueError("repair needs a frontier ring (margin >= 1)")
+    if capacity_units < 1:
+        raise ValueError("capacity must be at least one unit")
+    s = psi.scale_exp
+    core_flat = window.core_mask().ravel()
+    r = np.where(core_flat, residual.ravel(), 0)
+    supply_abs = int(np.abs(r).sum())
+
+    di, ui = np.nonzero(_core_edge_masks(window))
+    k_cnt = _rim_frontier_slots(window)[1].sum(axis=0, dtype=np.int64)
+    doublings = 0
+    while True:
+        cap = (capacity_units << doublings) << s
+        caps = np.full(len(ui), cap, dtype=np.int64)
+        # phi = psi + correction; every corrected edge is corrected once,
+        # by its core-core net flow or by one frontier take
+        h, max_correction = _route_to_frontier(
+            psi.values.copy, window, r, di, ui, (caps, caps),
+            (k_cnt * cap,) * 2, cap)
+        if h is not None:
+            break
+        doublings += 1
+        if doublings > max_doublings:
+            raise PipelineError(
+                "repair", "residual routing infeasible at capacity %d"
+                % (capacity_units << (doublings - 1)),
+                certificate={"supply_abs": supply_abs,
+                             "capacity_units": capacity_units,
+                             "doublings": doublings - 1})
+
+    phi = EdgeField(window, s, h, np.ones_like(psi.valid))
+    if residual_num(field, phi).ravel()[core_flat].any():
+        raise AssertionError("repair left a core residual")
+    info = {
+        "capacity_units": int(capacity_units),
+        "doublings": int(doublings),
+        "supply_abs_num": supply_abs,
+        "supply_abs": supply_abs / float(1 << s),
+        "max_correction": float(max_correction) / (1 << s),
+        "edges": int(len(ui)),
+    }
+    return phi, info
+
+
 def _trunc_toward_zero(values: np.ndarray, scale_exp: int) -> np.ndarray:
     q = np.where(values >= 0, values >> scale_exp, -((-values) >> scale_exp))
     return q.astype(np.int64)
@@ -309,25 +406,26 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
                      ) -> Tuple[EdgeField, dict]:
     """Round phi to an integral flow with divergence f at every core vertex.
 
-    Free core-core edges are truncated toward zero and the leftover
-    divergence is routed through unit capacities in the direction of each
-    discarded fraction; flow to the frontier is aggregated per vertex into
-    a single merged frontier node during the solve, and afterwards
-    spill_to_frontier, with no cap, hands each rim vertex's rounded
-    aggregate to its first frontier edge.  fixed_mask is laid out like
-    phi.values, [i, v] for the edge (v, v + dirs[i]); the edges it flags
-    must already be integral and are left exactly alone.
+    Free core-core edges are truncated toward zero, and so is each rim
+    vertex's summed flow to the frontier, spilled onto its first frontier
+    edge.  _route_to_frontier then routes the leftover divergence through
+    unit capacities in the direction of each discarded fraction, on core
+    edges and rim sums alike, onto the same first edges.  fixed_mask is
+    laid out like phi.values, [i, v] for the edge (v, v + dirs[i]); the
+    edges it flags must already be integral and are left exactly alone.
     """
     if phi.window != window:
         raise ValueError("field window mismatch")
     s = phi.scale_exp
     mod = 1 << s
-    nvert = window.n_vertices
     cc = _core_edge_masks(window)
-    flat_shift = flat_shifts(window)
     rim, fslots = _rim_frontier_slots(window)
-    agg = np.zeros(nvert, dtype=np.int64)
-    agg[rim] = _frontier_aggregate(phi.values, rim, fslots, flat_shift)
+    # each rim vertex's summed flow toward its frontier neighbors
+    agg = np.zeros(len(rim), dtype=np.int64)
+    for i, shift in enumerate(flat_shifts(window).tolist()):
+        agg += np.where(fslots[2 * i], phi.values[i, rim], 0)
+        # flow out of the rim endpoint equals minus the stored value
+        agg -= np.where(fslots[2 * i + 1], phi.values[i, rim - shift], 0)
     if fixed_mask is None:
         fixed_mask = np.zeros_like(cc)
     if (fixed_mask & ~cc).any():
@@ -338,11 +436,11 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
 
     di, ui = np.nonzero(free)
     vals = phi.values[di, ui]
-    trunc = np.zeros_like(phi.values)
-    trunc[di, ui] = _trunc_toward_zero(vals, s) << s
-    trunc[fixed_mask] = phi.values[fixed_mask]
+    out_vals = np.zeros_like(phi.values)
+    out_vals[di, ui] = _trunc_toward_zero(vals, s) << s
+    out_vals[fixed_mask] = phi.values[fixed_mask]
     # the free edges with a discarded fraction, and that fraction
-    fr = vals - trunc[di, ui]
+    fr = vals - out_vals[di, ui]
     keep = fr != 0
     ui, di, fr = ui[keep], di[keep], fr[keep]
     del vals, keep
@@ -350,47 +448,28 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     agg_int = _trunc_toward_zero(agg, s)
     agg_frac = agg - (agg_int << s)
 
-    div_num = EdgeField(window, s, trunc, np.ones_like(cc)).divergence_num().ravel()
+    div_num = EdgeField(window, s, out_vals, np.ones_like(cc)).divergence_num().ravel()
     core_flat = window.core_mask().ravel()
     if (div_num[core_flat] % mod).any():
         raise AssertionError("truncated core divergence not integral")
-    r = np.zeros(nvert + 1, dtype=np.int64)
-    r[:nvert][core_flat] = (np.asarray(f).ravel()[core_flat]
-                            - (div_num[core_flat] >> s) - agg_int[core_flat])
-    r[nvert] = -int(r.sum())
+    r = np.where(core_flat, np.asarray(f).ravel() - (div_num >> s), 0)
+    r[rim] -= agg_int
 
-    # vertex nvert merges the frontier; each core edge may move its
-    # discarded fraction's unit, each rim vertex its aggregate's
-    frim = rim[agg_frac[rim] != 0]
-    m_cc = len(ui)
-    ok, net = solve_supply_flow(
-        np.concatenate([ui, frim]),
-        np.concatenate([ui + flat_shift[di], np.full(len(frim), nvert)]),
-        np.concatenate([fr > 0, agg_frac[frim] > 0]),
-        np.concatenate([fr < 0, agg_frac[frim] < 0]), r)
-    if not ok:
+    out_vals >>= s        # the truncated field, in place at scale 0
+    uncapped = np.iinfo(np.int64).max      # all on the first frontier edge
+    spill_to_frontier(out_vals, window, rim, fslots, agg_int, uncapped)
+    if _route_to_frontier(lambda: out_vals, window, r, di, ui, (fr > 0, fr < 0),
+                          (agg_frac > 0, agg_frac < 0), uncapped)[0] is None:
         raise AssertionError("interior rounding infeasible; flow is corrupt")
-
-    out_vals = trunc
-    out_vals >>= s        # in place: the truncated field is not read again
-    out_vals[di, ui] += net[:m_cc]
     out = EdgeField(window, 0, out_vals, np.ones_like(cc))
-    # hand each rounded frontier aggregate to its first frontier edge
-    spill = agg_int.copy()
-    spill[frim] += net[m_cc:]
-    carriers = np.flatnonzero(core_flat & (spill != 0))
-    if not np.isin(carriers, rim).all():
-        raise AssertionError("frontier flow at a vertex with no frontier edge")
-    spill_to_frontier(out.values, window, rim, fslots, spill[rim],
-                      np.iinfo(np.int64).max)
     div_out = out.divergence_num().ravel()
     if not np.array_equal(div_out[core_flat], np.asarray(f).ravel()[core_flat]):
         raise AssertionError("rounded flow has wrong core divergence")
     dev_num = np.abs((out_vals[cc] << s) - phi.values[cc])
     info = {
         "max_dev_core": float(int(dev_num.max(initial=0))) / mod,
-        "edges_rounded": int(m_cc),
-        "supply": int(np.abs(r[:nvert]).sum()),
+        "edges_rounded": int(len(ui)),
+        "supply": int(np.abs(r).sum()),
     }
     return out, info
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from ._maxflow import solve_supply_flow
 from .equidecompose import (KSelectionError, Matching, PieceMap, TileFlow,
                             build_matching, extract_pieces, select_K,
                             select_K_empirical, tile_flow,
@@ -23,100 +22,10 @@ from .equidecompose import (KSelectionError, Matching, PieceMap, TileFlow,
 from .flowgrid import (BoxEnvelope, EdgeField, certify_box_envelope,
                        integral_flow_bound, residual_num, tail_bound,
                        truncated_psi, truncation_error_bound)
-from .integralize import (_core_edge_masks, _rim_frontier_slots,
-                          integralize_flow, spill_to_frontier)
-from .lattice import (ActionSpec, IndicatorField, LatticeWindow, flat_shifts,
-                      sample_field)
+from .integralize import PipelineError, integralize_flow, repair_to_frontier
+from .lattice import ActionSpec, IndicatorField, LatticeWindow, sample_field
 from .shapes import Shape
 from .tiling import Net, Tiling, greedy_net, rect_tiling, voronoi_tiling
-
-
-class PipelineError(RuntimeError):
-    def __init__(self, stage: str, message: str,
-                 certificate: Optional[dict] = None):
-        super().__init__("%s: %s" % (stage, message))
-        self.stage = stage
-        self.certificate = certificate or {}
-
-
-def repair_to_frontier(field: IndicatorField, psi: EdgeField,
-                       residual: np.ndarray, capacity_units: int,
-                       max_doublings: int = 32) -> Tuple[EdgeField, dict]:
-    """Correct the truncated flow so its divergence equals f exactly on
-    every core vertex, pushing the leftover error out to the frontier ring.
-
-    residual is residual_num(field, psi), which the caller has already
-    computed; the repaired flow's own residual is recomputed from field
-    and checked.  The correction is a supply flow: the per-vertex residual
-    is routed over core-core edges of capacity capacity_units (in flow
-    units; the tail bound rounded up plus one) into a merged frontier node
-    reachable from each rim vertex through its actual frontier edges.  When
-    the tail estimate is too tight — small margins legitimately exceed it —
-    the capacity doubles and the solve repeats.  spill_to_frontier then
-    hands each rim vertex's flow to the merged node back to its frontier
-    edges, each taking up to the per-edge capacity in slot order.
-    """
-    window = psi.window
-    if window.margin < 1:
-        raise ValueError("repair needs a frontier ring (margin >= 1)")
-    if capacity_units < 1:
-        raise ValueError("capacity must be at least one unit")
-    s = psi.scale_exp
-    nvert = window.n_vertices
-    core_flat = window.core_mask().ravel()
-    r = np.where(core_flat, residual.ravel(), 0)
-    total = int(r.sum())
-    supply_abs = int(np.abs(r).sum())
-
-    di, ui = np.nonzero(_core_edge_masks(window))
-    flat_shift = flat_shifts(window)
-    rim, fslots = _rim_frontier_slots(window)
-    k_cnt = fslots.sum(axis=0, dtype=np.int64)
-    # vertex nvert merges the frontier: each rim vertex reaches it through
-    # all of its frontier edges at once
-    eu = np.concatenate([ui, rim])
-    ev = np.concatenate([ui + flat_shift[di], np.full(len(rim), nvert)])
-    supply = np.append(r, -total)
-
-    doublings = 0
-    while True:
-        cap = (capacity_units << doublings) << s
-        caps = np.concatenate([np.full(len(ui), cap, dtype=np.int64),
-                               k_cnt * cap])
-        ok, net = solve_supply_flow(eu, ev, caps, caps, supply)
-        if ok:
-            break
-        doublings += 1
-        if doublings > max_doublings:
-            raise PipelineError(
-                "repair", "residual routing infeasible at capacity %d"
-                % (capacity_units << (doublings - 1)),
-                certificate={"supply_abs": supply_abs,
-                             "capacity_units": capacity_units,
-                             "doublings": doublings - 1})
-
-    # phi = psi + correction; every corrected edge is corrected once, by
-    # its core-core net flow or by one frontier take
-    h = psi.values.copy()
-    m_cc = len(ui)
-    h[di, ui] += net[:m_cc]
-    max_correction = max(
-        int(np.abs(net[:m_cc]).max(initial=0)),
-        spill_to_frontier(h, window, rim, fslots, net[m_cc:], cap))
-
-    phi = EdgeField(window, s, h, np.ones_like(psi.valid))
-    res = residual_num(field, phi).ravel()
-    if res[core_flat].any():
-        raise AssertionError("repair left a core residual")
-    info = {
-        "capacity_units": int(capacity_units),
-        "doublings": int(doublings),
-        "supply_abs_num": supply_abs,
-        "supply_abs": supply_abs / float(1 << s),
-        "max_correction": float(max_correction) / (1 << s),
-        "edges": int(m_cc),
-    }
-    return phi, info
 
 
 @dataclass
@@ -212,17 +121,16 @@ def run_pipeline(window: LatticeWindow, action: ActionSpec,
     if tiling_kind == "voronoi":
         net = greedy_net(window, voronoi_r, restrict=window.core_mask())
         til = voronoi_tiling(window, net)
-        k_sel, k_info = til.K, {"source": "voronoi_net", "r": voronoi_r}
+        k_info = {"source": "voronoi_net", "r": voronoi_r}
     elif K:
         til = rect_tiling(window, K)
-        k_sel, k_info = K, {"source": "fixed"}
+        k_info = {"source": "fixed"}
     else:
         try:
             k_sel = select_K(window, fld, c_int)
         except KSelectionError as exc:
             try:
-                k_sel, til, tf, diag = select_K_empirical(window, psi_int,
-                                                          fld)
+                _, til, tf, diag = select_K_empirical(window, psi_int, fld)
             except KSelectionError as exc2:
                 raise PipelineError("tiles", str(exc2))
             k_info = {"source": "empirical", "clean": diag["clean"],
@@ -231,9 +139,8 @@ def run_pipeline(window: LatticeWindow, action: ActionSpec,
         else:
             til = rect_tiling(window, k_sel)
             k_info = {"source": "boundary_criterion"}
-    k_eff = max(k_sel, int(til.sides.max()) - 1)
     summary["tiles"] = {
-        "K": int(k_sel), "K_eff": int(k_eff), "count": len(til.tiles),
+        "K": int(til.K), "K_eff": til.K_eff, "count": len(til.tiles),
         "improper": til.improper, "kind": tiling_kind, **k_info,
     }
 
@@ -244,7 +151,7 @@ def run_pipeline(window: LatticeWindow, action: ActionSpec,
     summary["matching"]["interior_tiles"] = int(tf.interior.sum())
     summary["matching"]["strict_bound_tiles"] = int(tf.strict_bound_ok.sum())
 
-    pieces = extract_pieces(matching, k_eff)
+    pieces = extract_pieces(matching, til.K_eff)
     report = verify_equidecomposition(pieces, fld)
     summary["pieces"] = {
         "count": pieces.n_pieces,

@@ -6,6 +6,7 @@ vary between runs — identical inputs give byte-identical files.
 
 from __future__ import annotations
 
+import colorsys
 import csv
 import json
 from fractions import Fraction
@@ -104,6 +105,8 @@ def read_pieces_csv(path, window: LatticeWindow
                 vals = [int(v) for v in row]
             except ValueError:
                 raise SchemaError("row %d: non-integer value" % ln)
+            if not all(-2 ** 63 <= c < 2 ** 63 for c in vals):
+                raise SchemaError("row %d: value outside int64" % ln)
             v = vals[:d]
             if not all(0 <= c < window.L for c in v):
                 raise SchemaError("row %d: vertex %r outside the window"
@@ -143,14 +146,7 @@ def piece_palette(n: int) -> np.ndarray:
         h = (i * 0.6180339887498949) % 1.0
         s = (0.55, 0.75, 0.95)[i % 3]
         v = (0.95, 0.7)[(i // 3) % 2]
-        hh = h * 6.0
-        j = int(hh) % 6
-        f = hh - int(hh)
-        p, q, t = v * (1 - s), v * (1 - s * f), v * (1 - s * (1 - f))
-        r, g, b = ((v, t, p), (q, v, p), (p, v, t),
-                   (p, q, v), (t, p, v), (v, p, q))[j]
-        out[i] = (int(round(r * 255)), int(round(g * 255)),
-                  int(round(b * 255)))
+        out[i] = [int(round(c * 255)) for c in colorsys.hsv_to_rgb(h, s, v)]
     return out
 
 

@@ -361,6 +361,11 @@ class Tiling:
         """(n, d) box sides."""
         return self.tiles[:, 1] - self.tiles[:, 0]
 
+    @property
+    def K_eff(self) -> int:
+        """The piece scale: K, or the largest tile side less one."""
+        return int(max(self.K, self.sides.max() - 1))
+
 
 def _axis_sides(side: int, K: int) -> Tuple[List[int], bool]:
     q, r = divmod(side, K)

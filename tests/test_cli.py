@@ -98,12 +98,54 @@ def test_verify_missing_and_malformed_artifacts(tmp_path, capsys):
                          ("verify_inputs", []), ("pieces", []),
                          ("verify_inputs", dict(good["verify_inputs"],
                                                 unmatched_a=[["x", 1, 2]])),
+                         ("verify_inputs", dict(
+                             good["verify_inputs"], used_tiles=["no"] * len(
+                                 good["verify_inputs"]["used_tiles"]))),
                          ("tiles", dict(good["tiles"], K="abc")),
+                         ("tiles", dict(good["tiles"], K_eff=float("inf"))),
                          ("pieces", dict(good["pieces"], count=[2]))):
         with open(os.path.join(out, "summary.json"), "w") as fh:
             json.dump(dict(good, **{section: bad}), fh)
         assert main(["verify", "--dir", out]) == EXIT_VERIFY
         assert "schema error: %s" % section in capsys.readouterr().out
+
+
+def test_verify_rebuilds_bounds_and_reads_full_ids(tmp_path, capsys):
+    """verify takes K_eff from the tiling it rebuilds, and reads piece ids
+    at full width: an inflated K_eff or ids shifted by 2^32 fail."""
+    out = str(tmp_path / "run")
+    assert run("square", out) == EXIT_OK
+    summary_path = tmp_path / "run" / "summary.json"
+    good = json.loads(summary_path.read_text())
+    summary_path.write_text(json.dumps(
+        dict(good, tiles=dict(good["tiles"], K_eff=1e300))))
+    assert main(["verify", "--dir", out]) == EXIT_VERIFY
+    assert "FAIL summary_counts" in capsys.readouterr().out
+    summary_path.write_text(json.dumps(good))
+
+    csv_path = tmp_path / "run" / "pieces.csv"
+    lines = csv_path.read_text().splitlines()
+    assert len(lines) > 1
+    for i in range(1, len(lines)):
+        head, pid = lines[i].rsplit(",", 1)
+        lines[i] = "%s,%d" % (head, int(pid) + 2 ** 32)
+    csv_path.write_text("\r\n".join(lines) + "\r\n")
+    assert main(["verify", "--dir", out]) == EXIT_VERIFY
+    assert "FAIL piece_grouping" in capsys.readouterr().out
+
+
+def test_verify_malformed_voronoi_inputs(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    voronoi = ["tiling=voronoi", "voronoi_r=3"]
+    assert run("square", out, extra=voronoi) == EXIT_OK
+    summary_path = tmp_path / "run" / "summary.json"
+    good = json.loads(summary_path.read_text())
+    for key, bad in (("voronoi_r", None), ("voronoi_r", float("inf")),
+                     ("voronoi_seeds", [[2 ** 70, 1]])):
+        summary_path.write_text(json.dumps(dict(
+            good, verify_inputs=dict(good["verify_inputs"], **{key: bad}))))
+        assert main(["verify", "--dir", out]) == EXIT_VERIFY, key
+        assert "cannot rebuild tiling" in capsys.readouterr().out
 
 
 def test_verify_config_override_changes_field(tmp_path, capsys):

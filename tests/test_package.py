@@ -1,6 +1,7 @@
 """The installed package holds the runtime only: the exact references the
 tests compare against live in tests/oracle and are never imported by it."""
 
+import ast
 import os
 import pkgutil
 import re
@@ -43,3 +44,23 @@ def test_one_edge_address():
     assert not gone, gone
     owned = ("flat_shifts", "edge_mask", "edge_slots")
     assert defined(set(owned)) == [("lattice.py", n) for n in owned]
+
+
+def test_one_frontier_router():
+    """Repair and rounding share one residual-routing solve, and pipeline
+    reaches integralize through public names only."""
+    calls = []
+    for path in sorted(SRC.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                calls += [(path.name, fn.name) for node in ast.walk(fn)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", None)
+                          == "solve_supply_flow"]
+    assert calls == [("integralize.py", "_route_to_frontier")], calls
+    tree = ast.parse((SRC / "equidecomp" / "pipeline.py").read_text())
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names
+               if alias.name.startswith("_")
+               or (node.level and (node.module or "").startswith("_"))]
+    assert not private, private

@@ -81,6 +81,17 @@ def test_repair_validation():
                            np.zeros(w2.shape, np.int64), capacity_units=0)
 
 
+def test_frontier_tables_built_once_per_run():
+    """Repair and rounding read one cached core-edge mask and rim table."""
+    from equidecomp.integralize import _core_edge_masks, _rim_frontier_slots
+    _core_edge_masks.cache_clear()
+    _rim_frontier_slots.cache_clear()
+    res = run_pipeline(*toy_setup())
+    assert res.report["ok"]
+    assert _core_edge_masks.cache_info().misses == 1
+    assert _rim_frontier_slots.cache_info().misses == 1
+
+
 def test_pipeline_summary_is_complete_and_deterministic():
     window, action, a, b, n0 = toy_setup()
     res = run_pipeline(window, action, a, b, n0)

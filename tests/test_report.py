@@ -97,6 +97,11 @@ def test_pieces_csv_schema_errors(tmp_path):
         read_pieces_csv(p, w)
     assert "outside the window" in str(exc.value)
 
+    p.write_text(head + "\r\n1,2,0,1,%d\r\n" % 2 ** 63)
+    with pytest.raises(SchemaError) as exc:
+        read_pieces_csv(p, w)
+    assert "row 2" in str(exc.value) and "int64" in str(exc.value)
+
 
 def test_pgm_ppm_formats(tmp_path):
     rgb = np.zeros((1, 2, 3), dtype=np.uint8)
