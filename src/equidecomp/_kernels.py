@@ -1,19 +1,21 @@
 """Hot integer kernels for the box-flow construction.
 
 Everything here works on int64 numerators at a fixed power-of-two scale, so
-the results are exact.  The central quantity is the per-level phase sum
+the results are exact.  A level-n box (side 2^n, h = 2^(n-1)) pushes the
+mass of its half-box along the segments z, z + gamma, ..., z + h gamma.
+Along each axis the box phases that let segment i cross the edge
+(v, v + gamma) form one interval, and the half-box corners they start
+from sweep v - i gamma - [0, h) once (twice on an axis where gamma is 0).
+So the sum over all 2^(n d) phases is one line sum,
 
-    T_gamma[v] = sum over box phases p of count(p, gamma) * SB[v - p + qoff(p, gamma)]
+    T_gamma[v] = 2^(#zero coords of gamma) * sum_{i < h} B[v - i gamma - (h - 1)]
 
-where SB holds sums of the field over all half-side sub-boxes.  count() is
-the number of mass-transport segments through the edge (v, v + gamma) in a
-box whose phase places v at offset p, and qoff locates the half-box the
-segments start from.
+where B = subbox_sums(subbox_sums(f, h), h) is the tent-weighted box sum
+of the level, the same array for every direction.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -39,77 +41,37 @@ def subbox_sums(grid: np.ndarray, side: int) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=None)
-def phase_tables(n: int, gamma: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-phase segment counts and sub-box offsets for level n.
-
-    For a vertex at offset p inside its side-2^n box, the transport segments
-    z, z + gamma, ..., z + 2^(n-1) gamma passing through the edge
-    (v, v + gamma) are indexed by i in [0, 2^(n-1)) with z = v - i gamma; the
-    count is the size of the intersection of per-coordinate index windows.
-    All segment sources fall in one half-side sub-box whose corner offset
-    from the box corner is qoff.
-    """
-    d = len(gamma)
+def level_box(grid: np.ndarray, n: int) -> np.ndarray:
+    """B for level n: subbox_sums applied twice with side h = 2^(n-1)."""
     h = 1 << (n - 1)
-    side = 1 << n
-    p = np.indices((side,) * d, dtype=np.int64).reshape(d, -1).T  # (phases, d)
-    lo = np.zeros_like(p)
-    hi = np.full_like(p, h - 1)
-    qoff = np.zeros_like(p)
-    for j, gj in enumerate(gamma):
-        pj = p[:, j]
-        if gj > 0:
-            lo[:, j] = np.maximum(0, pj - h + 1)
-            hi[:, j] = np.minimum(h - 1, pj)
-        elif gj < 0:
-            lo[:, j] = np.maximum(0, h - pj)
-            hi[:, j] = np.minimum(h - 1, (side - 1) - pj)
-            qoff[:, j] = h
-        else:
-            qoff[:, j] = np.where(pj < h, 0, h)
-    counts = np.maximum(0, hi.min(axis=1) - lo.max(axis=1) + 1).astype(np.int64)
-    return counts, qoff
+    return subbox_sums(subbox_sums(grid, h), h)
 
 
-def phase_sum(sb: np.ndarray, L: int, n: int, gamma: Tuple[int, ...]) -> np.ndarray:
-    """Sum over all 2^(n d) box phases of count * sub-box-sum for the edge
-    direction gamma, on the window grid (zero outside the level-n valid
-    region [2^n - 1, L - 2^n]^d)."""
-    d = len(gamma)
-    a, b = (1 << n) - 1, L - (1 << n)
-    out = np.zeros((L,) * d, dtype=np.int64)
-    if a > b:
-        return out
-    counts, qoff = phase_tables(n, gamma)
-    side = 1 << n
-    p = np.indices((side,) * d, dtype=np.int64).reshape(d, -1).T
-    extent = b - a + 1
-    dst = tuple(slice(a, b + 1) for _ in range(d))
-    for i in range(counts.shape[0]):
-        c = int(counts[i])
-        if c == 0:
-            continue
-        start = a - p[i] + qoff[i]
-        src = tuple(slice(int(s), int(s) + extent) for s in start)
-        out[dst] += c * sb[src]
-    return out
-
-
-def level_edge_grid(sb: np.ndarray, L: int, n: int,
+def level_edge_grid(box: np.ndarray, L: int, n: int,
                     gamma: Tuple[int, ...]) -> np.ndarray:
     """Scaled level-n flow on edges (y, y + gamma): the phase sum at y minus
-    the reverse phase sum at y + gamma.  True flow value = grid / 2^(2 n d)."""
+    the reverse phase sum at y + gamma,
+
+        2^(#zero coords) * (sum_{i < h} B[y - i gamma]
+                            - sum_{1 <= i <= h} B[y + i gamma]),
+
+    with B = level_box(f, n) read at offset -(h - 1).  Zero unless y and
+    y + gamma lie in the level-n valid region [2^n - 1, L - 2^n]^d.  True
+    flow value = grid / 2^(2 n d)."""
     d = len(gamma)
-    t_pos = phase_sum(sb, L, n, gamma)
-    t_neg = phase_sum(sb, L, n, tuple(-g for g in gamma))
-    a, b = (1 << n) - 1, L - (1 << n)
+    h = 1 << (n - 1)
     out = np.zeros((L,) * d, dtype=np.int64)
-    lo = [a + (1 if g < 0 else 0) for g in gamma]
-    hi = [b - (1 if g > 0 else 0) for g in gamma]
-    if any(l > h for l, h in zip(lo, hi)):
+    lo = [(1 << n) - 1 + (g < 0) for g in gamma]
+    hi = [L - (1 << n) - (g > 0) for g in gamma]
+    if any(l > u for l, u in zip(lo, hi)):
         return out
-    dst = tuple(slice(l, h + 1) for l, h in zip(lo, hi))
-    shift = tuple(slice(l + g, h + 1 + g) for l, h, g in zip(lo, hi, gamma))
-    out[dst] = t_pos[dst] - t_neg[shift]
+    acc = out[tuple(slice(l, u + 1) for l, u in zip(lo, hi))]
+    for i in range(-h, h):
+        src = tuple(slice(l - i * g - h + 1, u - i * g - h + 2)
+                    for l, u, g in zip(lo, hi, gamma))
+        if i >= 0:
+            acc += box[src]
+        else:
+            acc -= box[src]
+    acc *= 1 << gamma.count(0)
     return out

@@ -29,7 +29,7 @@ from .lattice import fit_discrepancy_envelope, sample_field
 from .pipeline import PipelineError, build_flow, run_pipeline
 from .report import (SchemaError, piece_raster, read_json, read_pieces_csv,
                      write_json, write_pieces_csv, write_ppm)
-from .tiling import Net, rect_tiling, voronoi_tiling
+from .tiling import greedy_net, rect_tiling, voronoi_tiling
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -216,8 +216,17 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
     try:
         if tiles_meta.get("kind") == "voronoi":
             seeds = np.array(vin["voronoi_seeds"], dtype=np.int64)
-            til = voronoi_tiling(window, Net(points=seeds,
-                                             r=int(vin["voronoi_r"])))
+            r = int(vin["voronoi_r"])
+            if r != cfg.voronoi_r:
+                print("FAIL voronoi_net: voronoi_r %d is not the config's "
+                      "voronoi_r %d" % (r, cfg.voronoi_r))
+                return EXIT_VERIFY
+            net = greedy_net(window, r, restrict=window.core_mask())
+            if not np.array_equal(seeds, net.points):
+                print("FAIL voronoi_net: the seeds are not the greedy "
+                      "%d-net of the core" % r)
+                return EXIT_VERIFY
+            til = voronoi_tiling(window, net)
         else:
             til = rect_tiling(window, k_sel)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

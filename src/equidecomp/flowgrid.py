@@ -6,7 +6,9 @@ offset.  Within one box, mass at z is pushed along the segment z, z+gamma,
 per-edge flow phi is the segment count times the mean of f over the half-box
 the segments start from.  Averaging the antisymmetrized phi over all phases
 and summing levels 1..N0 yields the truncated flow psi, whose divergence
-matches f up to an explicitly bounded error.
+matches f up to an explicitly bounded error.  The phase average is not
+taken phase by phase: per level it is one line sum along gamma of a
+tent-weighted box sum of f (see _kernels).
 
 Every value is an exact dyadic rational, stored as an int64 numerator at
 the common scale 2^(2 N0 d).  The per-edge, per-phase definitions that
@@ -22,7 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._kernels import level_edge_grid, subbox_sums
+from ._kernels import level_box, level_edge_grid, subbox_sums
 from .lattice import (IndicatorField, LatticeWindow, _shift_slices, directions,
                       edge_mask)
 
@@ -84,12 +86,27 @@ class EdgeField:
         return int(np.abs(self.values).max(initial=0)) / (1 << self.scale_exp)
 
 
+def psi_num_bound(d: int, n0: int) -> int:
+    """Strict bound on |x| for every int64 value x truncated_psi forms.
+
+    With |f| <= 1 and h = 2^(n-1): |B| <= h^(2 d) for B = level_box(f, n);
+    a level's line sum adds 2h of them, so its grid is at most
+    2^(d-1) * 2h * h^(2 d) = 2^(2 n d + n - d - 1), and at most
+    2^(2 n0 d + n - d - 1) after the level weight 2^(2 (n0 - n) d).  The
+    sum over n = 1..n0 stays below 2^(2 n0 d + n0 - d), which bounds psi's
+    numerators and every partial sum on the way.  The cumsums inside
+    subbox_sums grow with L, but int64 sums wrap modulo 2^64, so every box
+    sum that fits is still exact.
+    """
+    return 1 << (2 * n0 * d + n0 - d)
+
+
 def truncated_psi(field: IndicatorField, n0: int) -> EdgeField:
     """The flow psi truncated to levels 1..n0, computed by the kernel path.
 
-    Values live at scale 2^(2 n0 d).  An edge is valid when the full phase
-    neighborhoods of both endpoints fit in the window; others carry zero and
-    are flagged invalid.
+    Values live at scale 2^(2 n0 d) and are bounded by psi_num_bound.  An
+    edge is valid when the full phase neighborhoods of both endpoints fit
+    in the window; others carry zero and are flagged invalid.
     """
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
@@ -105,10 +122,10 @@ def truncated_psi(field: IndicatorField, n0: int) -> EdgeField:
                     valid=edge_mask(window, inner, np.logical_and))
     f64 = field.f.astype(np.int64)
     for n in range(1, n0 + 1):
-        sb = subbox_sums(f64, 1 << (n - 1))
+        box = level_box(f64, n)
         weight = 1 << (2 * (n0 - n) * d)
         for i, g in enumerate(dirs):
-            grid = level_edge_grid(sb, L, n, _as_tuple(g)).ravel()
+            grid = level_edge_grid(box, L, n, _as_tuple(g)).ravel()
             np.multiply(grid, weight, out=grid)
             np.add(out.values[i], grid, out=out.values[i], where=out.valid[i])
     return out

@@ -13,8 +13,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from equidecomp._kernels import phase_tables
-from equidecomp.flowgrid import _as_tuple
 from equidecomp.lattice import IndicatorField, LatticeWindow, all_directions
 
 from .dyadic import Dyadic
@@ -31,27 +29,27 @@ def segment_count(y: Sequence[int], gamma: Sequence[int], n: int,
     """Number of transport segments through the edge (y, y + gamma) in y's
     level-n box: indices i in [0, 2^(n-1)) with both z = y - i gamma and
     z + 2^(n-1) gamma inside the box."""
-    counts, _ = phase_tables(n, _as_tuple(gamma))
     b = box_of(y, n, offset)
-    p = tuple((int(c) - bb) for c, bb in zip(y, b))
-    side = 1 << n
-    flat = 0
-    for pj in p:
-        flat = flat * side + pj
-    return int(counts[flat])
+    h, side = 1 << (n - 1), 1 << n
+    count = 0
+    for i in range(h):
+        z = [int(c) - i * int(g) for c, g in zip(y, gamma)]
+        w = [zj + h * int(g) for zj, g in zip(z, gamma)]
+        count += all(0 <= zj - bj < side and 0 <= wj - bj < side
+                     for zj, wj, bj in zip(z, w, b))
+    return count
 
 
 def sub_box(y: Sequence[int], gamma: Sequence[int], n: int,
             offset: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
-    """Corner and side of the half-box the transport segments start from."""
-    _, qoff = phase_tables(n, _as_tuple(gamma))
+    """Corner and side of the half-box the transport segments start from:
+    the lower half along an axis where gamma > 0, the upper half where
+    gamma < 0, and the half y falls in where gamma = 0."""
     b = box_of(y, n, offset)
-    side = 1 << n
-    flat = 0
-    for c, bb in zip(y, b):
-        flat = flat * side + (int(c) - bb)
-    corner = tuple(bb + int(q) for bb, q in zip(b, qoff[flat]))
-    return corner, 1 << (n - 1)
+    h = 1 << (n - 1)
+    corner = tuple(bj + (h if g < 0 or (g == 0 and int(c) - bj >= h) else 0)
+                   for c, g, bj in zip(y, gamma, b))
+    return corner, h
 
 
 def _box_sum(field: IndicatorField, corner: Sequence[int], side: int) -> int:

@@ -146,6 +146,22 @@ def test_verify_malformed_voronoi_inputs(tmp_path, capsys):
             good, verify_inputs=dict(good["verify_inputs"], **{key: bad}))))
         assert main(["verify", "--dir", out]) == EXIT_VERIFY, key
         assert "cannot rebuild tiling" in capsys.readouterr().out
+    # the radius must be the config's and the seeds the greedy net of the
+    # core: a radius of 10^6 would switch off gamma_bound and the piece
+    # bound
+    vin = good["verify_inputs"]
+    for r, k_eff, seeds, why in (
+            (10 ** 6, 10 ** 6, vin["voronoi_seeds"], "voronoi_r 1000000"),
+            (-5, good["tiles"]["K_eff"], vin["voronoi_seeds"],
+             "voronoi_r -5"),
+            (3, good["tiles"]["K_eff"], vin["voronoi_seeds"][1:],
+             "greedy 3-net")):
+        summary_path.write_text(json.dumps(dict(
+            good, tiles=dict(good["tiles"], K_eff=k_eff),
+            verify_inputs=dict(vin, voronoi_r=r, voronoi_seeds=seeds))))
+        assert main(["verify", "--dir", out]) == EXIT_VERIFY, r
+        text = capsys.readouterr().out
+        assert "FAIL voronoi_net" in text and why in text, text
 
 
 def test_verify_config_override_changes_field(tmp_path, capsys):
@@ -212,6 +228,10 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "run")
     assert main(["square", "--set", "L=zero"]) == EXIT_CONFIG
     assert main(["square", "--set", "wat=1"]) == EXIT_CONFIG
+    # the int64 headroom is checked in validate, before any window exists
+    capsys.readouterr()
+    assert main(["square", "--set", "d=2", "--set", "n0=30"]) == EXIT_CONFIG
+    assert "n0 = 30 overflows int64" in capsys.readouterr().err
     # repair needs a frontier ring, so margin=0 fails before any sampling
     import equidecomp.pipeline as pipeline
     sampled = []

@@ -1,5 +1,6 @@
 """Config parsing, validation messages, and derived objects."""
 
+import numpy as np
 import pytest
 
 from equidecomp.config import (
@@ -9,6 +10,8 @@ from equidecomp.config import (
     load_config,
     parse_config_text,
 )
+from equidecomp.flowgrid import psi_num_bound, truncated_psi
+from equidecomp.lattice import IndicatorField, LatticeWindow
 
 
 def test_defaults_validate():
@@ -108,6 +111,27 @@ def test_static_checks_accept_what_runs():
                   "mode": "cover", "tiling": "voronoi", "voronoi_r": "6"})
     build_config({"L": "36", "margin": "6", "mode": "cover",
                   "cover_i_max": "0"})
+
+
+def test_int64_headroom():
+    """validate rejects a (d, n0) whose flow numerators can reach 2^63,
+    without building a window; the bound holds, within a factor of 2, on
+    a field split into a +1 and a -1 half."""
+    assert psi_num_bound(2, 12) == 1 << 58 and psi_num_bound(3, 9) == 1 << 60
+    RunConfig(d=2, n0=12, L=1 << 13).validate()
+    RunConfig(d=3, n0=9, L=1 << 10).validate()
+    for d, n0, bits in ((2, 13, 63), (3, 10, 67), (2, 30, 148)):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(d=d, n0=n0, L=1 << (n0 + 1)).validate()
+        assert str(exc.value) == ("n0 = %d overflows int64 in d = %d: flow "
+                                  "numerators reach 2^%d" % (n0, d, bits))
+    for d, L, n0 in ((1, 64, 4), (2, 32, 3), (3, 16, 2)):
+        w = LatticeWindow(d=d, L=L)
+        half = np.indices(w.shape)[0] < L // 2
+        psi = truncated_psi(IndicatorField(window=w, chi_a=half,
+                                           chi_b=~half), n0)
+        peak = int(np.abs(psi.values).max())
+        assert psi_num_bound(d, n0) // 2 < peak < psi_num_bound(d, n0)
 
 
 def test_load_config_file_and_overrides(tmp_path):

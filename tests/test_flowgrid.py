@@ -117,24 +117,26 @@ def test_level_sum_base_shift_invariance():
 
 
 def test_truncated_psi_equals_scalar_reference():
-    """Every valid edge of the bulk construction equals the level_sum total."""
-    fld = random_field(2, 12, seed=7)
-    n0 = 2
-    psi = truncated_psi(fld, n0)
-    dirs = [tuple(g) for g in directions(2)]
-    checked = 0
-    for y in np.ndindex(12, 12):
-        flat = y[0] * 12 + y[1]
-        for di, g in enumerate(dirs):
-            if not psi.valid[di, flat]:
-                continue
-            total = Dyadic(0)
-            for n in range(1, n0 + 1):
-                total = total + level_sum(fld, y, g, n)
-            head = tuple(c + dc for c, dc in zip(y, g))
-            assert flow_num(psi, y, head) == total.scaled(psi.scale_exp)
-            checked += 1
-    assert checked > 100
+    """Every valid edge of the bulk construction equals the level_sum total,
+    on line sums with h up to 8 and in d = 3, where directions have zero
+    coordinates."""
+    for d, L, n0, min_checked in ((2, 12, 2, 100), (1, 64, 4, 30),
+                                  (2, 24, 3, 300), (3, 10, 2, 400)):
+        fld = random_field(d, L, seed=7)
+        psi = truncated_psi(fld, n0)
+        dirs = [tuple(g) for g in directions(d)]
+        checked = 0
+        for flat, y in enumerate(np.ndindex(*fld.window.shape)):
+            for di, g in enumerate(dirs):
+                if not psi.valid[di, flat]:
+                    continue
+                total = Dyadic(0)
+                for n in range(1, n0 + 1):
+                    total = total + level_sum(fld, y, g, n)
+                head = tuple(c + dc for c, dc in zip(y, g))
+                assert flow_num(psi, y, head) == total.scaled(psi.scale_exp)
+                checked += 1
+        assert checked > min_checked, (d, L, n0, checked)
 
 
 def test_truncated_psi_antisymmetric_storage():

@@ -1,11 +1,14 @@
-"""Box-flow kernels: sub-box sums, phase tables and level edge grids
-checked against direct enumeration."""
+"""Box-flow kernels: sub-box sums, the per-phase segment counts behind the
+line sum, and level edge grids, checked against direct enumeration."""
+
+from collections import Counter
 
 import numpy as np
 
-from equidecomp._kernels import level_edge_grid, phase_tables, subbox_sums
+from equidecomp._kernels import level_box, level_edge_grid, subbox_sums
 from equidecomp.flowgrid import truncated_psi
 from equidecomp.lattice import IndicatorField, LatticeWindow
+from oracle.paperflow import box_of, segment_count, sub_box
 
 
 def brute_subbox_sums(grid, side):
@@ -27,35 +30,36 @@ def test_subbox_sums_match_brute_force():
 
 
 def test_phase_tables_direct_count():
-    """Recount segments for every phase by explicit enumeration."""
-    for gamma in ((1,), (-1,), (1, 0), (1, -1), (0, 1)):
+    """Recount the oracle's segments for every phase by explicit enumeration,
+    check that every source lies in its half-box, and sum the phases into
+    the kernel's segment form: half-box corner c carries weight
+    2^(#zero coords) * #{i < h : c in y - i gamma - [0, h)^d}."""
+    for gamma in ((1,), (-1,), (1, 0), (1, -1), (0, 1), (0, -1, 1)):
         d = len(gamma)
         for n in (1, 2, 3):
             h = 1 << (n - 1)
             side = 1 << n
-            counts, qoff = phase_tables(n, gamma)
-            for flat, p in enumerate(np.ndindex(*(side,) * d)):
+            y = (5,) * d
+            weight = Counter()
+            for off in np.ndindex(*(side,) * d):
+                b = box_of(y, n, off)
+                corner, half = sub_box(y, gamma, n, off)
                 expect = 0
-                src = None
                 for i in range(h):
-                    z = tuple(pj - i * gj for pj, gj in zip(p, gamma))
-                    w = tuple(zj + h * gj for zj, gj in zip(z, gamma))
-                    if all(0 <= c < side for c in z) \
-                            and all(0 <= c < side for c in w):
+                    z = tuple(c - i * g for c, g in zip(y, gamma))
+                    w = tuple(zj + h * g for zj, g in zip(z, gamma))
+                    if all(0 <= c - bj < side for c, bj in zip(z + w, b + b)):
                         expect += 1
-                        if src is None:
-                            src = z
-                assert counts[flat] == expect
-                if expect:
-                    # all source cells lie inside the half-box at qoff
-                    q = qoff[flat]
-                    for i in range(h):
-                        z = tuple(pj - i * gj for pj, gj in zip(p, gamma))
-                        w = tuple(zj + h * gj for zj, gj in zip(z, gamma))
-                        if all(0 <= c < side for c in z) \
-                                and all(0 <= c < side for c in w):
-                            assert all(qj <= zj < qj + h
-                                       for qj, zj in zip(q, z))
+                        assert all(cj <= zj < cj + half
+                                   for cj, zj in zip(corner, z))
+                assert segment_count(y, gamma, n, off) == expect
+                weight[corner] += expect
+            line = Counter()
+            for i in range(h):
+                for t in np.ndindex(*(h,) * d):
+                    c = tuple(yj - i * g - tj for yj, g, tj in zip(y, gamma, t))
+                    line[c] += 1 << gamma.count(0)
+            assert +weight == line
 
 
 def test_level_edge_grid_antisymmetry():
@@ -63,11 +67,12 @@ def test_level_edge_grid_antisymmetry():
     rng = np.random.default_rng(3)
     L, n = 12, 2
     g = rng.integers(-1, 2, size=(L, L))
-    sb = subbox_sums(g, 1 << (n - 1))
+    box = level_box(g, n)
     for gamma in ((1, 0), (1, 1), (1, -1), (0, 1)):
-        fwd = level_edge_grid(sb, L, n, gamma)
-        rev = level_edge_grid(sb, L, n, tuple(-c for c in gamma))
+        fwd = level_edge_grid(box, L, n, gamma)
+        rev = level_edge_grid(box, L, n, tuple(-c for c in gamma))
         ys = np.argwhere(fwd != 0)
+        assert len(ys)
         for y in ys:
             z = tuple(y + np.array(gamma))
             assert rev[z] == -fwd[tuple(y)]

@@ -64,3 +64,21 @@ def test_one_frontier_router():
                if alias.name.startswith("_")
                or (node.level and (node.module or "").startswith("_"))]
     assert not private, private
+
+
+def test_one_line_sum():
+    """The truncated flow is one line sum per level: the per-phase tables
+    and the phase loop stay deleted, and the scalar oracle shares no code
+    with the kernel it checks."""
+    gone = defined({"phase_tables", "phase_sum"})
+    assert not gone, gone
+    oracle = Path(__file__).resolve().parent / "oracle" / "paperflow.py"
+    imported = []
+    for node in ast.walk(ast.parse(oracle.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += ["%s.%s" % (node.module, alias.name)
+                         for alias in node.names]
+    shared = [m for m in imported if m.startswith("equidecomp._kernels")]
+    assert not shared, shared
