@@ -122,14 +122,12 @@ def cmd_square(cfg: RunConfig) -> int:
     pieces = result.pieces
     write_pieces_csv(os.path.join(out, "pieces.csv"), pieces)
     window = pieces.window
-    un_a = np.stack(np.unravel_index(pieces.unmatched_a, window.shape),
-                    axis=1).tolist() if len(pieces.unmatched_a) else []
-    un_b = np.stack(np.unravel_index(pieces.unmatched_b, window.shape),
-                    axis=1).tolist() if len(pieces.unmatched_b) else []
     verify_inputs = {
         "used_tiles": [bool(u) for u in pieces.used.tolist()],
-        "unmatched_a": un_a,
-        "unmatched_b": un_b,
+        "unmatched_a": np.stack(np.unravel_index(
+            pieces.unmatched_a, window.shape), axis=1).tolist(),
+        "unmatched_b": np.stack(np.unravel_index(
+            pieces.unmatched_b, window.shape), axis=1).tolist(),
     }
     if result.net is not None:
         verify_inputs["voronoi_seeds"] = result.net.points.tolist()
@@ -214,7 +212,7 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
         print("schema error: %s" % exc)
         return EXIT_VERIFY
     try:
-        if tiles_meta.get("kind") == "voronoi":
+        if cfg.tiling == "voronoi":
             seeds = np.array(vin["voronoi_seeds"], dtype=np.int64)
             r = int(vin["voronoi_r"])
             if r != cfg.voronoi_r:
@@ -228,7 +226,7 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
                 return EXIT_VERIFY
             til = voronoi_tiling(window, net)
         else:
-            til = rect_tiling(window, k_sel)
+            til = rect_tiling(window, cfg.K or k_sel)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         print("cannot rebuild tiling: %s" % exc)
         return EXIT_VERIFY
@@ -258,11 +256,9 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
     except SchemaError as exc:
         print("schema error: %s" % exc)
         return EXIT_VERIFY
-    cb = (np.stack(np.unravel_index(a_flat, window.shape), axis=1) + gamma
-          if len(a_flat) else np.zeros((0, window.d), np.int64))
+    cb = np.stack(np.unravel_index(a_flat, window.shape), axis=1) + gamma
     b_flat = np.ravel_multi_index(
-        tuple(np.clip(cb, 0, window.L - 1).T), window.shape) \
-        if len(a_flat) else np.zeros(0, dtype=np.int64)
+        tuple(np.clip(cb, 0, window.L - 1).T), window.shape)
     gammas = np.unique(gamma, axis=0)
     pieces = PieceMap(window=window, K=til.K_eff, a_flat=a_flat,
                       b_flat=b_flat, gamma=gamma, piece_id=piece_id,
@@ -272,10 +268,17 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
     counts_ok = ((report["matched"], report["pieces"]) == want_counts
                  and til.K_eff == want_k_eff)
     report["checks"]["summary_counts"] = {"ok": counts_ok}
+    # the kind and a fixed K are the config's; an automatic K must be one
+    # the scans can choose: a proper tiling with K <= core side // 2
+    lo, hi = window.core_bounds
+    report["checks"]["tile_scale"] = {"ok": bool(
+        tiles_meta.get("kind") == cfg.tiling and til.K == k_sel
+        and (cfg.tiling == "voronoi" or cfg.K
+             or (not til.improper and til.K <= (hi - lo) // 2)))}
     for name in sorted(report["checks"]):
         print("%s %s" % ("PASS" if report["checks"][name]["ok"] else "FAIL",
                          name))
-    ok = report["ok"] and counts_ok
+    ok = all(check["ok"] for check in report["checks"].values())
     print("verify: %s" % ("ok" if ok else "FAILED"))
     return EXIT_OK if ok else EXIT_VERIFY
 

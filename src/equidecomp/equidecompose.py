@@ -308,15 +308,17 @@ def _tile_vertex_lists(tiling: Tiling, mask: np.ndarray) -> List[np.ndarray]:
 
 def build_matching(tf: TileFlow, field: IndicatorField) -> Matching:
     """Serve each positive transfer Psi(R,S) with the next-least unused
-    points of A in R and of B in S (tile pairs visited in ascending index
-    order on both sides), then match leftovers within each tile.
+    points of A in R and of B in S, then match leftovers within each tile.
 
-    Every feasible tile takes part; infeasible tiles contribute unmatched
-    points, and a pair is served only when both tiles take part.  A used
-    tile's leftover imbalance equals its flow leakage into untiled space
-    plus whatever was reserved against unused neighbors; when neither
-    exists the leftovers must pair off exactly — that balance is asserted,
-    a failure means an upstream flow bug.
+    The positive pairs are served in one pass in (R, S) order, so every
+    tile gives its A points to ascending neighbors and takes B points from
+    ascending sources, least points first on both sides.  Every feasible
+    tile takes part; infeasible tiles contribute unmatched points, and a
+    pair is served only when both tiles take part.  A used tile's leftover
+    imbalance equals its flow leakage into untiled space plus its transfers
+    with unused neighbors; when neither exists the leftovers must pair off
+    exactly — that balance is asserted, a failure means an upstream flow
+    bug.
     """
     tiling = tf.tiling
     if field.window != tiling.window:
@@ -327,41 +329,20 @@ def build_matching(tf: TileFlow, field: IndicatorField) -> Matching:
     lists_b = _tile_vertex_lists(tiling, field.chi_b)
     pos_a = [0] * n
     pos_b = [0] * n
-    a_blocks: Dict[Tuple[int, int], np.ndarray] = {}
-    b_blocks: Dict[Tuple[int, int], np.ndarray] = {}
-    for t in range(n):
-        if not used[t]:
-            continue
-        for s, v in zip(tf.neighbors(t).tolist(), tf.transfers(t).tolist()):
-            if not used[s]:
-                continue
-            if v > 0:
-                blk = lists_a[t][pos_a[t]:pos_a[t] + v]
-                if len(blk) != v:
-                    raise AssertionError("A reservation overrun in tile %d" % t)
-                a_blocks[(t, s)] = blk
-                pos_a[t] += v
-            elif v < 0:
-                blk = lists_b[t][pos_b[t]:pos_b[t] - v]
-                if len(blk) != -v:
-                    raise AssertionError("B reservation overrun in tile %d" % t)
-                b_blocks[(s, t)] = blk    # keyed (source, target)
-                pos_b[t] += -v
-    pa: List[np.ndarray] = []
-    pb: List[np.ndarray] = []
-    cross = 0
-    for key in sorted(a_blocks):
-        blk_b = b_blocks.pop(key, None)
-        if blk_b is None or len(blk_b) != len(a_blocks[key]):
-            raise AssertionError("transfer blocks out of step for pair %r"
-                                 % (key,))
-        pa.append(a_blocks[key])
-        pb.append(blk_b)
-        cross += len(blk_b)
-    if b_blocks:
-        raise AssertionError("orphan B reservations: %r" % sorted(b_blocks))
-    un_a: List[np.ndarray] = []
-    un_b: List[np.ndarray] = []
+    pa: List[np.ndarray] = [np.zeros(0, np.int64)]
+    pb: List[np.ndarray] = [np.zeros(0, np.int64)]
+    serve = (tf.pair_val > 0) & used[tf.pair_src] & used[tf.pair_dst]
+    for t, s, v in zip(tf.pair_src[serve].tolist(), tf.pair_dst[serve].tolist(),
+                       tf.pair_val[serve].tolist()):
+        pa.append(lists_a[t][pos_a[t]:pos_a[t] + v])
+        pb.append(lists_b[s][pos_b[s]:pos_b[s] + v])
+        if len(pa[-1]) != v or len(pb[-1]) != v:
+            raise AssertionError("transfer overrun on tiles %d -> %d" % (t, s))
+        pos_a[t] += v
+        pos_b[s] += v
+    cross = int(tf.pair_val[serve].sum())
+    un_a: List[np.ndarray] = [np.zeros(0, np.int64)]
+    un_b: List[np.ndarray] = [np.zeros(0, np.int64)]
     for t in range(n):
         if not used[t]:
             un_a.append(lists_a[t])
@@ -379,12 +360,10 @@ def build_matching(tf: TileFlow, field: IndicatorField) -> Matching:
         pb.append(rb[:m])
         un_a.append(ra[m:])
         un_b.append(rb[m:])
-    pair_a = (np.concatenate(pa) if pa else np.zeros(0, np.int64)).astype(np.int64)
-    pair_b = (np.concatenate(pb) if pb else np.zeros(0, np.int64)).astype(np.int64)
-    unmatched_a = np.sort(np.concatenate(un_a)).astype(np.int64) \
-        if un_a else np.zeros(0, np.int64)
-    unmatched_b = np.sort(np.concatenate(un_b)).astype(np.int64) \
-        if un_b else np.zeros(0, np.int64)
+    pair_a = np.concatenate(pa)
+    pair_b = np.concatenate(pb)
+    unmatched_a = np.sort(np.concatenate(un_a))
+    unmatched_b = np.sort(np.concatenate(un_b))
     if len(np.unique(pair_a)) != len(pair_a):
         raise AssertionError("a source point was matched twice")
     if len(np.unique(pair_b)) != len(pair_b):
@@ -447,12 +426,11 @@ def extract_pieces(matching: Matching, K: int) -> PieceMap:
     if len(over):
         raise ValueError("tile %d side %d exceeds K+1 = %d"
                          % (over[0], side[over[0]], K + 1))
-    m = len(matching.pair_a)
     order = np.argsort(matching.pair_a)
     a_flat = matching.pair_a[order]
     b_flat = matching.pair_b[order]
-    ca = np.stack(np.unravel_index(a_flat, window.shape), axis=1).reshape(m, d)
-    cb = np.stack(np.unravel_index(b_flat, window.shape), axis=1).reshape(m, d)
+    ca = np.stack(np.unravel_index(a_flat, window.shape), axis=1)
+    cb = np.stack(np.unravel_index(b_flat, window.shape), axis=1)
     gamma = (cb - ca).astype(np.int64)
     norms = np.abs(gamma).max(axis=1, initial=0)
     if norms.max(initial=0) > 2 * K + 3:
@@ -493,29 +471,19 @@ def verify_equidecomposition(pieces: PieceMap, field: IndicatorField) -> dict:
     a = pieces.a_flat
     gamma = pieces.gamma
 
-    put("sources_unique",
-        m == 0 or bool((np.diff(a) > 0).all()), count=m)
-    put("sources_in_a",
-        bool(field.chi_a.ravel()[a].all()) if m else True)
+    put("sources_unique", bool((np.diff(a) > 0).all()), count=m)
+    put("sources_in_a", bool(field.chi_a.ravel()[a].all()))
 
-    ca = np.stack(np.unravel_index(a, window.shape), axis=1) \
-        if m else np.zeros((0, d), np.int64)
-    cb = ca + gamma
-    in_win = ((cb >= 0) & (cb < L)).all(axis=1) if m else np.zeros(0, bool)
-    put("targets_in_window", bool(in_win.all()) if m else True,
-        violations=int((~in_win).sum()) if m else 0)
-    if m:
-        safe = np.clip(cb, 0, L - 1)
-        bf = np.ravel_multi_index(tuple(safe.T), window.shape)
-        put("targets_consistent",
-            bool(np.array_equal(bf[in_win], pieces.b_flat[in_win])))
-        in_b = in_win & field.chi_b.ravel()[bf]
-        put("targets_in_b", bool(in_b.all()), violations=int((~in_b).sum()))
-        put("targets_unique", len(np.unique(pieces.b_flat)) == m)
-    else:
-        put("targets_consistent", True)
-        put("targets_in_b", True)
-        put("targets_unique", True)
+    cb = np.stack(np.unravel_index(a, window.shape), axis=1) + gamma
+    in_win = ((cb >= 0) & (cb < L)).all(axis=1)
+    put("targets_in_window", bool(in_win.all()),
+        violations=int((~in_win).sum()))
+    bf = np.ravel_multi_index(tuple(np.clip(cb, 0, L - 1).T), window.shape)
+    put("targets_consistent",
+        bool(np.array_equal(bf[in_win], pieces.b_flat[in_win])))
+    in_b = in_win & field.chi_b.ravel()[bf]
+    put("targets_in_b", bool(in_b.all()), violations=int((~in_b).sum()))
+    put("targets_unique", len(np.unique(pieces.b_flat)) == m)
 
     max_norm = int(np.abs(gamma).max(initial=0))
     put("gamma_bound", max_norm < pieces.bound,
@@ -547,14 +515,10 @@ def verify_equidecomposition(pieces: PieceMap, field: IndicatorField) -> dict:
     for _, _, ta, tb in _tile_edges(pieces.tiling):
         allowed[ta[(ta >= 0) & opened[tb]]] = True
         allowed[tb[(tb >= 0) & opened[ta]]] = True
-    un_all = np.concatenate([pieces.unmatched_a, pieces.unmatched_b])
-    loc_ok = True
-    bad_tiles: List[int] = []
-    if len(un_all):
-        un_tiles = np.unique(tid[un_all])
-        bad_tiles = [int(t) for t in un_tiles if t < 0 or not allowed[t]]
-        loc_ok = not bad_tiles
-    put("unmatched_locality", loc_ok, bad_tiles=bad_tiles)
+    un_tiles = np.unique(
+        tid[np.concatenate([pieces.unmatched_a, pieces.unmatched_b])])
+    bad_tiles = [int(t) for t in un_tiles if t < 0 or not allowed[t]]
+    put("unmatched_locality", not bad_tiles, bad_tiles=bad_tiles)
 
     total = len(all_a) + len(all_b)
     un_count = len(pieces.unmatched_a) + len(pieces.unmatched_b)

@@ -69,13 +69,11 @@ def write_pieces_csv(path, pieces: PieceMap) -> None:
     """One row per assignment: source coordinates, translation, piece id;
     rows ascend by source vertex."""
     window = pieces.window
-    d = window.d
-    coords = np.stack(np.unravel_index(pieces.a_flat, window.shape), axis=1) \
-        if len(pieces.a_flat) else np.zeros((0, d), np.int64)
+    coords = np.stack(np.unravel_index(pieces.a_flat, window.shape), axis=1)
     rows = np.concatenate(
         [coords, pieces.gamma,
          pieces.piece_id.reshape(-1, 1).astype(np.int64)], axis=1)
-    write_csv(path, pieces_csv_header(d), rows.tolist())
+    write_csv(path, pieces_csv_header(window.d), rows.tolist())
 
 
 def read_pieces_csv(path, window: LatticeWindow
@@ -163,9 +161,7 @@ def piece_raster(pieces: PieceMap, action: ActionSpec, resolution: int,
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     window = pieces.window
-    m = len(pieces.a_flat)
-    coords = np.stack(np.unravel_index(pieces.a_flat, window.shape), axis=1) \
-        if m else np.zeros((0, window.d), np.int64)
+    coords = np.stack(np.unravel_index(pieces.a_flat, window.shape), axis=1)
     if which == "target":
         coords = coords + pieces.gamma
     elif which != "source":
@@ -175,11 +171,8 @@ def piece_raster(pieces: PieceMap, action: ActionSpec, resolution: int,
     flat = px[:, 1] * resolution + px[:, 0]     # x right, y down
     ids = np.full(resolution * resolution, np.iinfo(np.int32).max,
                   dtype=np.int64)
-    if m:
-        np.minimum.at(ids, flat, pieces.piece_id.astype(np.int64))
+    np.minimum.at(ids, flat, pieces.piece_id.astype(np.int64))
     img = np.full((resolution, resolution, 3), 255, dtype=np.uint8)
     hit = ids < np.iinfo(np.int32).max
-    if hit.any():
-        pal = piece_palette(pieces.n_pieces)
-        img.reshape(-1, 3)[hit] = pal[ids[hit]]
+    img.reshape(-1, 3)[hit] = piece_palette(pieces.n_pieces)[ids[hit]]
     return img

@@ -176,63 +176,51 @@ def greedy_net(window: LatticeWindow, r: int, restrict: np.ndarray) -> Net:
     return Net(points=np.asarray(pts, dtype=np.int64).reshape(len(pts), window.d), r=r)
 
 
-def dist_to(mask: np.ndarray) -> np.ndarray:
-    """Exact integer graph distance of every vertex to the set (chessboard
-    metric = l-infinity on the box window)."""
-    if not mask.any():
-        raise ValueError("distance to an empty set")
-    return ndimage.distance_transform_cdt(~mask, metric="chessboard")
-
-
-def _pairwise_min_distance(regions: Sequence[Region]) -> int:
-    """min over distinct pairs of the set distance (huge when < 2 regions)."""
-    best = np.iinfo(np.int64).max
-    dts = [dist_to(R.mask) for R in regions]
-    for i in range(len(regions)):
-        for j in range(i + 1, len(regions)):
-            best = min(best, int(dts[i][regions[j].mask].min()))
-    return best
+def _disjoint(masks: Sequence[np.ndarray]) -> bool:
+    """No vertex lies in two of the masks."""
+    return int(np.max(sum(m.astype(np.int16) for m in masks))) <= 1
 
 
 def enlarge(Y: Sequence[Region], Z: Sequence[Region], r: int) -> List[Region]:
     """For each S in Y adjoin the r-balls of all members of Z within
     distance r of S.  Hypotheses (diameters <= r in Z, pairwise gaps) are
     checked; conclusions (S subset Q subset B_3r(S); connected, pairwise
-    disjoint; each R in Z swallowed or far) are asserted."""
+    disjoint; each R in Z swallowed or far) are asserted.
+
+    Every distance is a ball test: d(R, S) <= r iff B_r(R) meets S, and
+    two sets are more than 2s apart iff their s-balls are disjoint."""
     if not Y:
         return []
     window = Y[0].window
     for R in Z:
         if R.diameter() > r:
             raise ValueError("enlarge hypothesis: diam(R) <= r fails")
-    if Z and _pairwise_min_distance(Z) <= 2 * r:
-        raise ValueError("enlarge hypothesis: d(R,R') > 2r fails in Z")
-    if _pairwise_min_distance(Y) <= 6 * r:
-        raise ValueError("enlarge hypothesis: d(S,S') > 6r fails in Y")
     zballs = [ball_mask(window, R.mask, r) for R in Z]
-    zdists = [dist_to(R.mask) for R in Z]
+    if not _disjoint(zballs):
+        raise ValueError("enlarge hypothesis: d(R,R') > 2r fails in Z")
+    yballs = [ball_mask(window, S.mask, 3 * r) for S in Y]
+    if not _disjoint(yballs):
+        raise ValueError("enlarge hypothesis: d(S,S') > 6r fails in Y")
     out: List[Region] = []
-    occupancy = np.zeros(window.shape, dtype=np.int16)
-    for S in Y:
+    for S, bS in zip(Y, yballs):
         q = S.mask.copy()
-        for R, bR, dR in zip(Z, zballs, zdists):
-            if int(dR[S.mask].min()) <= r:
+        for bR in zballs:
+            if (bR & S.mask).any():
                 q |= bR
         Q = Region(window, q)
-        if (q & (dist_to(S.mask) > 3 * r)).any():
+        if (q & ~bS).any():
             raise AssertionError("enlarge: Q exceeds B_3r(S)")
         if (S.mask & ~q).any():
             raise AssertionError("enlarge: S not contained in Q")
         if not Q.is_connected():
             raise AssertionError("enlarge: Q disconnected")
-        occupancy += q
         out.append(Q)
-    if int(occupancy.max(initial=0)) > 1:
+    if not _disjoint([Q.mask for Q in out]):
         raise AssertionError("enlarge: outputs overlap")
-    for bR, dR in zip(zballs, zdists):
+    for bR in zballs:
         for Q in out:
             swallowed = not (bR & ~Q.mask).any()
-            far = int(dR[Q.mask].min()) > r
+            far = not (bR & Q.mask).any()
             if not (swallowed or far):
                 raise AssertionError("enlarge: swallowing dichotomy fails")
     return out
@@ -318,9 +306,10 @@ def boundary_disjoint_cover(window: LatticeWindow, n: int, i_max: int) -> Cover:
             raise AssertionError("cover region exceeds its level diameter")
         if not S.is_connected():
             raise AssertionError("cover region disconnected")
-    for i in range(i_max + 1):
-        same = [S for S, lv in zip(regions, levels) if lv == i]
-        if len(same) >= 2 and _pairwise_min_distance(same) < 2 * radii[i]:
+    for a, (S, i) in enumerate(zip(regions, levels)):
+        near = ball_mask(window, S.mask, 2 * radii[i] - 1)
+        if any(j == i and (near & T.mask).any()
+               for T, j in zip(regions[a + 1:], levels[a + 1:])):
             raise AssertionError("same-level regions too close")
     seen = np.zeros((len(directions(window.d)), window.n_vertices), dtype=bool)
     for S in regions:

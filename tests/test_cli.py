@@ -134,6 +134,61 @@ def test_verify_rebuilds_bounds_and_reads_full_ids(tmp_path, capsys):
     assert "FAIL piece_grouping" in capsys.readouterr().out
 
 
+def test_verify_takes_tiling_from_config(tmp_path, capsys):
+    """The tiling kind and a fixed K come from the config, and an
+    automatic K must be one the scans can choose (a proper tiling with
+    K <= core side // 2).  TOY's core side is 8 and both rect runs use
+    K = 3: a summary claiming one tile of side 8 fails whether K was
+    automatic or fixed, and a Voronoi run whose summary claims a rect
+    tiling fails too."""
+    for extra, kind, why in (
+            ((), "rect", "FAIL tile_scale"),
+            (["K=3"], "rect", "used_tiles is not one boolean per tile"),
+            (["tiling=voronoi", "voronoi_r=3"], "voronoi",
+             "FAIL tile_scale")):
+        out = str(tmp_path / ("run_" + "_".join(extra)))
+        assert run("square", out, extra=extra) == EXIT_OK
+        summary_path = os.path.join(out, "summary.json")
+        with open(summary_path) as fh:
+            good = json.load(fh)
+        assert good["tiles"]["kind"] == kind and good["tiles"]["K"] == 3
+        if kind == "rect":
+            bad = dict(good, tiles=dict(good["tiles"], K=8, K_eff=8),
+                       verify_inputs=dict(good["verify_inputs"],
+                                          used_tiles=[True]))
+        else:
+            bad = dict(good, tiles=dict(good["tiles"], kind="rect"))
+        with open(summary_path, "w") as fh:
+            json.dump(bad, fh)
+        capsys.readouterr()
+        assert main(["verify", "--dir", out]) == EXIT_VERIFY, extra
+        assert why in capsys.readouterr().out, extra
+
+
+def test_square_serializes_an_empty_piece_map(tmp_path, monkeypatch):
+    import dataclasses
+    import equidecomp.cli as cli
+    real = cli.run_pipeline
+
+    def emptied(**kwargs):
+        res = real(**kwargs)
+        p = res.pieces
+        res.pieces = dataclasses.replace(
+            p, a_flat=p.a_flat[:0], b_flat=p.b_flat[:0], gamma=p.gamma[:0],
+            piece_id=p.piece_id[:0], gammas=p.gammas[:0],
+            unmatched_a=p.unmatched_a[:0])
+        return res
+
+    monkeypatch.setattr(cli, "run_pipeline", emptied)
+    out = tmp_path / "run"
+    assert run("square", str(out)) == EXIT_OK
+    assert (out / "pieces.csv").read_bytes().count(b"\r\n") == 1
+    vin = json.loads((out / "summary.json").read_text())["verify_inputs"]
+    assert vin["unmatched_a"] == []
+    assert vin["unmatched_b"] and all(
+        isinstance(v, list) and len(v) == 3 for v in vin["unmatched_b"])
+
+
 def test_verify_malformed_voronoi_inputs(tmp_path, capsys):
     out = str(tmp_path / "run")
     voronoi = ["tiling=voronoi", "voronoi_r=3"]

@@ -219,6 +219,68 @@ def test_matching_is_a_bijection_on_feasible_runs():
         assert np.array_equal(m.pair_b, m2.pair_b)
 
 
+def assert_least_first(m, fld):
+    """Every used tile's cross matches carry out its transfers with used
+    neighbors exactly, and use its least points first: the A points it
+    sends, listed by ascending target tile, are its least A points in
+    ascending order, and likewise the B points it takes, listed by
+    ascending source tile.  Returns how many tiles send to or take from
+    two or more tiles."""
+    tf = m.tileflow
+    tid = tf.tiling.tile_id.ravel()
+    ta, tb = tid[m.pair_a], tid[m.pair_b]
+    cross = ta != tb
+    assert (m.used[ta[cross]] & m.used[tb[cross]]).all()
+    sent = np.zeros((tf.n, tf.n), dtype=np.int64)
+    np.add.at(sent, (ta[cross], tb[cross]), 1)
+    want = np.zeros_like(sent)
+    serve = m.used[tf.pair_src] & m.used[tf.pair_dst]
+    want[tf.pair_src[serve], tf.pair_dst[serve]] = np.maximum(
+        tf.pair_val[serve], 0)
+    assert np.array_equal(sent, want)
+    multi = 0
+    for t in np.flatnonzero(m.used):
+        for own, other, chi in ((ta, tb, fld.chi_a), (tb, ta, fld.chi_b)):
+            rows = cross & (own == t)
+            pts = (m.pair_a if chi is fld.chi_a else m.pair_b)[rows]
+            order = np.lexsort((pts, other[rows]))
+            least = np.flatnonzero(chi.ravel() & (tid == t))[:len(pts)]
+            assert np.array_equal(pts[order], least), t
+            multi += len(np.unique(other[rows])) > 1
+    return multi
+
+
+def test_matching_serves_least_points_first():
+    from equidecomp.config import build_config
+    from equidecomp.pipeline import run_pipeline
+    # the TOY run of test_cli: 5 of its 8 tiles are infeasible
+    cfg = build_config({"L": "16", "margin": "4", "n0": "1", "seed": "3"})
+    res = run_pipeline(cfg.window(), cfg.action(), *cfg.shapes(), n0=cfg.n0)
+    assert (~res.matching.used).sum() == 5
+    assert res.matching.info["cross_matched"] > 0
+    assert_least_first(res.matching, res.field)
+    # short random steps at K=3: tiles trade with several neighbors, so
+    # the order across neighbors is pinned too, and a diagonal step that
+    # detours through a third tile excludes it
+    rng = np.random.default_rng(7)
+    w = LatticeWindow(d=2, L=20, margin=2)
+    lo, hi = w.core_bounds
+    multi = excluded = 0
+    for trial in range(5):
+        taken, pairs = set(), []
+        for a in map(tuple, rng.integers(lo, hi, size=(80, 2))):
+            b = tuple(np.clip(np.add(a, rng.integers(-1, 2, size=2)),
+                              lo, hi - 1))
+            if a != b and not {a, b} & taken:
+                taken |= {a, b}
+                pairs.append((a, b))
+        psi, fld = path_flow(w, pairs)
+        m = build_matching(tile_flow(psi, rect_tiling(w, 3), fld), fld)
+        excluded += int((~m.used).sum())
+        multi += assert_least_first(m, fld)
+    assert excluded > 0 and multi > 0, (excluded, multi)
+
+
 def pieces_for(w, pairs, K):
     psi, fld = path_flow(w, pairs)
     tf = tile_flow(psi, rect_tiling(w, K), fld)

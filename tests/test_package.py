@@ -82,3 +82,10 @@ def test_one_line_sum():
                          for alias in node.names]
     shared = [m for m in imported if m.startswith("equidecomp._kernels")]
     assert not shared, shared
+
+
+def test_distances_are_ball_tests():
+    """Every distance hypothesis of the cover path is a threshold, tested
+    with ball_mask: the distance transforms stay deleted."""
+    gone = defined({"dist_to", "_pairwise_min_distance"})
+    assert not gone, gone

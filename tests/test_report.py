@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from equidecomp.equidecompose import (build_matching, extract_pieces,
-                                      tile_flow)
+                                      tile_flow, verify_equidecomposition)
 from equidecomp.lattice import ActionSpec, LatticeWindow
 from equidecomp.report import (
     SchemaError,
@@ -20,7 +20,7 @@ from equidecomp.report import (
 )
 from equidecomp.tiling import rect_tiling
 
-from test_equidecompose import path_flow
+from test_equidecompose import path_flow, pieces_for
 
 
 def small_pieces(seed=3, K=5):
@@ -66,6 +66,34 @@ def test_pieces_csv_round_trip(tmp_path):
     assert np.array_equal(pid, pieces.piece_id)
     write_pieces_csv(tmp_path / "again.csv", pieces)
     assert p.read_bytes() == (tmp_path / "again.csv").read_bytes()
+
+
+def test_empty_piece_map_end_to_end(tmp_path):
+    """A field without points, and a path whose middle tiles are all
+    excluded: no assignment is made, and every stage takes the empty map
+    as it comes."""
+    w = LatticeWindow(d=2, L=16, margin=2)
+    full, fld_full = pieces_for(w, [((3, 3), (4, 5))], 3)
+    assert len(full.a_flat) == 1
+    names = sorted(verify_equidecomposition(full, fld_full)["checks"])
+    act = ActionSpec.from_seed(2, 2, seed=5)
+    for pairs, unmatched in (([], 0), ([((3, 3), (3, 12))], 1)):
+        psi, fld = path_flow(w, pairs)
+        tf = tile_flow(psi, rect_tiling(w, 3), fld)
+        pieces = extract_pieces(build_matching(tf, fld), 3)
+        assert len(pieces.a_flat) == pieces.n_pieces == 0
+        assert pieces.gamma.shape == (0, 2) and pieces.gammas.shape == (0, 2)
+        assert len(pieces.unmatched_a) == len(pieces.unmatched_b) == unmatched
+        report = verify_equidecomposition(pieces, fld)
+        assert report["ok"] and sorted(report["checks"]) == names, report
+        p = tmp_path / "pieces.csv"
+        write_pieces_csv(p, pieces)
+        assert p.read_bytes() == (",".join(pieces_csv_header(2))
+                                  + "\r\n").encode()
+        a_flat, gamma, pid = read_pieces_csv(p, w)
+        assert a_flat.shape == pid.shape == (0,) and gamma.shape == (0, 2)
+        for which in ("source", "target"):
+            assert (piece_raster(pieces, act, 8, which) == 255).all()
 
 
 def test_pieces_csv_schema_errors(tmp_path):

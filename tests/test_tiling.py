@@ -15,7 +15,6 @@ from equidecomp.tiling import (
     boundary,
     boundary_disjoint_cover,
     boundary_n,
-    dist_to,
     enlarge,
     fill_holes,
     greedy_net,
@@ -155,16 +154,6 @@ def test_ball_mask_matches_distance_oracle():
                 assert np.array_equal(ball_mask(w, mask, r), dist <= r)
     with pytest.raises(ValueError):
         ball_mask(w, mask, -1)
-
-
-def test_dist_to_matches_oracle():
-    rng = np.random.default_rng(19)
-    w = LatticeWindow(d=2, L=9)
-    mask = rng.random(w.shape) < 0.1
-    mask[4, 4] = True
-    assert np.array_equal(dist_to(mask), brute_dist(w, mask))
-    with pytest.raises(ValueError):
-        dist_to(np.zeros(w.shape, dtype=bool))
 
 
 def test_greedy_net_discrete_and_maximal():
