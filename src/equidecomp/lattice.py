@@ -171,24 +171,32 @@ def orbit_points(action: ActionSpec, n: int,
 
 def min_orbit_separation(action: ActionSpec, extent: int) -> Tuple[float, Tuple[int, ...]]:
     """Minimum l-infinity torus distance between distinct orbit points over a
-    window of the given extent, found by scanning the difference set
-    [-(extent-1), extent-1]^d.  Returns (distance, witness delta)."""
-    m = 2 * extent - 1
-    lo = -(extent - 1)
-    total = np.zeros((m,) * action.d + (action.k,), dtype=np.float64)
-    for i in range(action.d):
-        ax = np.arange(lo, extent, dtype=np.float64)
-        view = [1] * action.d + [1]
-        view[i] = m
-        total += ax.reshape(view) * action.u[i].reshape([1] * action.d + [action.k])
-    frac = np.mod(total, 1.0)
-    circ = np.minimum(frac, 1.0 - frac)
-    dist = circ.max(axis=-1)
-    center = (extent - 1,) * action.d
-    dist[center] = np.inf
-    flat = int(np.argmin(dist))
-    idx = np.unravel_index(flat, dist.shape)
-    delta = tuple(int(j) + lo for j in idx)
+    window of the given extent.  delta and -delta give the same distance,
+    so only the half box [0, extent) x [-(extent-1), extent-1]^(d-1) of the
+    difference set is scanned, one torus coordinate at a time: with
+    t = sum_i delta_i u_ic, the coordinate's distance |t - rint(t)| is the
+    exact distance of the float t to the nearest integer.  Returns
+    (distance, witness delta); the witness is a minimiser, sign unspecified."""
+    d, m = action.d, 2 * extent - 1
+    axes = [np.arange(extent, dtype=np.float64)] \
+        + [np.arange(1 - extent, extent, dtype=np.float64)] * (d - 1)
+    shape = (extent,) + (m,) * (d - 1)
+    dist = np.zeros(shape)
+    t, near = np.empty(shape), np.empty(shape)
+    for c in range(action.k):
+        # t summed from 0 in axis order, as outer sums; the last in place
+        part = np.zeros(())
+        for i in range(d - 1):
+            part = np.add.outer(part, axes[i] * action.u[i, c])
+        np.add.outer(part, axes[-1] * action.u[-1, c], out=t)
+        np.rint(t, out=near)
+        np.subtract(t, near, out=t)
+        np.abs(t, out=t)
+        np.maximum(dist, t, out=dist)
+    origin = (0,) + (extent - 1,) * (d - 1)
+    dist[origin] = np.inf
+    idx = np.unravel_index(int(np.argmin(dist)), shape)
+    delta = tuple(int(j) - o for j, o in zip(idx, origin))
     return float(dist[idx]), delta
 
 

@@ -9,6 +9,7 @@ every "pick an element" is the lexicographically least choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -392,22 +393,39 @@ def rect_tiling(window: LatticeWindow, K: int) -> Tiling:
 def voronoi_tiling(window: LatticeWindow, net: Net) -> Tiling:
     """Cell of a seed = core vertices whose lexicographically least nearest
     seed it is.  Cross-validation alternative to rect_tiling.  A cell's box
-    is its bounding box; an empty cell keeps its seed's unit box."""
+    is its bounding box; an empty cell keeps its seed's unit box.
+
+    Each seed scans only its (2r+1)^d box, clipped to the core, in seed
+    order with a strict <.  When some seed is within r of a vertex, all of
+    its nearest seeds are, so they all scan it and the least is kept.  Core
+    vertices with no seed within r (the seeds are not an r-net of the
+    core) fall back to a scan over all seeds."""
     if len(net.points) == 0:
         raise ValueError("empty net")
-    core = window.core_mask()
-    coords = np.argwhere(np.ones(window.shape, dtype=bool))
-    best_d = np.full(window.n_vertices, np.iinfo(np.int64).max, dtype=np.int64)
-    best_i = np.full(window.n_vertices, -1, dtype=np.int64)
+    lo, hi = window.core_bounds
+    r = net.r
     seeds = np.asarray(sorted(map(tuple, net.points.tolist())), dtype=np.int64)
+    best_d = np.full((hi - lo,) * window.d, r + 1, dtype=np.int64)
+    best_i = np.full(best_d.shape, -1, dtype=np.int64)
     for i, s in enumerate(seeds):
-        dist = np.abs(coords - s).max(axis=1)
-        better = dist < best_d
-        best_d[better] = dist[better]
-        best_i[better] = i
-    tile_id = np.where(core.ravel(), best_i, -1).reshape(window.shape).astype(np.int32)
-    at = core.ravel()
-    ids, coords = best_i[at], coords[at]
+        a, b = np.maximum(s - r, lo), np.minimum(s + r + 1, hi)
+        if (a >= b).any():
+            continue
+        dist = reduce(np.maximum, np.ix_(*[np.abs(np.arange(x, y) - c)
+                                           for x, y, c in zip(a, b, s)]))
+        box = tuple(slice(x - lo, y - lo) for x, y in zip(a, b))
+        better = dist < best_d[box]
+        best_d[box][better] = dist[better]
+        best_i[box][better] = i
+    far = best_i < 0
+    if far.any():
+        pts = np.argwhere(far) + lo
+        best_i[far] = np.stack([np.abs(pts - s).max(axis=1)
+                                for s in seeds]).argmin(axis=0)
+    tile_id = np.full(window.shape, -1, dtype=np.int32)
+    tile_id[(slice(lo, hi),) * window.d] = best_i
+    ids = best_i.ravel()
+    coords = np.indices(best_i.shape).reshape(window.d, -1).T + lo
     tiles = np.stack([np.full_like(seeds, window.L), np.zeros_like(seeds)],
                      axis=1)
     np.minimum.at(tiles[:, 0], ids, coords)

@@ -2,19 +2,23 @@
 
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equidecomp.lattice import (ActionSpec, IndicatorField, LatticeWindow,
-                                all_directions, choose_lattice_dimension,
-                                directions, discrepancy, edge_mask,
+from equidecomp.lattice import (FREENESS_TOL, ActionSpec, IndicatorField,
+                                LatticeWindow, all_directions,
+                                choose_lattice_dimension, directions,
+                                discrepancy, edge_mask,
                                 edge_slots, fit_discrepancy_envelope,
                                 flat_shifts,
                                 min_orbit_separation, orbit_points,
                                 reduce_mod1, sample_field)
 from equidecomp.shapes import parse_shape
+from oracle import freeness
 
 
 def test_directions_are_half_of_nonzero():
@@ -166,6 +170,83 @@ def test_min_orbit_separation_positive_for_seeded_action():
     frac = np.mod(diff, 1.0)
     circ = np.minimum(frac, 1.0 - frac).max()
     assert sep == pytest.approx(circ)
+
+
+def _exact_dist(action, delta):
+    """max_c |t - round(t)|, t = sum_i delta_i u_ic summed from 0 in axis
+    order: the scan's float arithmetic, one offset at a time."""
+    out = 0.0
+    for c in range(action.k):
+        t = 0.0
+        for i, g in enumerate(delta):
+            t += float(g) * float(action.u[i, c])
+        out = max(out, abs(t - round(t)))
+    return out
+
+
+def _check_against_oracle(action, extent):
+    """The half-box scan against the full-box oracle: the same decision,
+    distances within 2^-52, both witnesses nonzero offsets in the box, the
+    scan's witness attaining its minimum exactly and the oracle's within
+    2^-52."""
+    sep, delta = min_orbit_separation(action, extent)
+    sep_o, delta_o = freeness.min_orbit_separation(action, extent)
+    assert (sep <= FREENESS_TOL) == (sep_o <= FREENESS_TOL)
+    assert abs(sep - sep_o) <= 2.0 ** -52
+    for w in (delta, delta_o):
+        assert len(w) == action.d and any(w)
+        assert all(abs(g) < extent for g in w)
+    assert _exact_dist(action, delta) == sep
+    assert abs(_exact_dist(action, delta_o) - sep) <= 2.0 ** -52
+    return sep
+
+
+@pytest.mark.parametrize("k,d,seed,extent", [
+    (2, 5, 7, 10), (2, 5, 3, 10), (1, 3, 7, 32), (1, 3, 7, 40),
+    (1, 2, 7, 128), (2, 2, 1, 64), (3, 3, 2, 16), (1, 3, 7, 8)])
+def test_min_orbit_separation_matches_full_box_oracle(k, d, seed, extent):
+    sep = _check_against_oracle(ActionSpec.from_seed(k, d, seed), extent)
+    assert sep > FREENESS_TOL
+
+
+# generator entries: multiples of 1/8 (exact float sums, often not free)
+# or arbitrary floats in [0, 1)
+_eighths = st.integers(min_value=0, max_value=7).map(lambda j: j / 8)
+_entry = st.one_of(_eighths,
+                   st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=2),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=2, max_value=9), st.data())
+def test_min_orbit_separation_property(k, d, extent, data):
+    u = data.draw(st.lists(_entry, min_size=d * k, max_size=d * k))
+    act = ActionSpec(k=k, d=d, u=u, x0=[0.0] * k)
+    sep = _check_against_oracle(act, extent)
+    box = [g for g in itertools.product(range(1 - extent, extent), repeat=d)
+           if any(g)]
+    assert sep == min(_exact_dist(act, g) for g in box)
+    if all(v * 8 == int(v * 8) for v in u):
+        # exact rationals: not free on the window iff some offset's
+        # translation is integral in every coordinate
+        free = all(any(sum(Fraction(g_i) * Fraction(act.u[i, c])
+                           for i, g_i in enumerate(g)).denominator != 1
+                       for c in range(k)) for g in box)
+        assert (sep == 0.0) == (not free)
+
+
+def test_min_orbit_separation_memory():
+    """The demo-sized scan holds three half-box float64 arrays (31 MiB)
+    and no (..., k) temporary."""
+    act = ActionSpec.from_seed(2, 5, seed=7)
+    tracemalloc.start()
+    try:
+        min_orbit_separation(act, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2 ** 20
 
 
 def test_from_seed_deterministic_and_small():

@@ -357,3 +357,44 @@ def test_voronoi_tiling_lex_least_nearest_seed():
         assert t.tile_id[tuple(v)] == dists.index(best)  # earliest == lex-least
     with pytest.raises(ValueError):
         voronoi_tiling(w, Net(points=np.empty((0, 2), dtype=np.int64), r=1))
+
+
+def _full_scan_tile_id(window, seeds):
+    """Every seed scans the whole window, in lex order with a strict <."""
+    coords = np.argwhere(np.ones(window.shape, dtype=bool))
+    best_d = np.full(len(coords), np.iinfo(np.int64).max, dtype=np.int64)
+    best_i = np.full(len(coords), -1, dtype=np.int64)
+    for i, s in enumerate(sorted(map(tuple, seeds.tolist()))):
+        dist = np.abs(coords - s).max(axis=1)
+        better = dist < best_d
+        best_d[better] = dist[better]
+        best_i[better] = i
+    return np.where(window.core_mask().ravel(), best_i, -1) \
+        .reshape(window.shape)
+
+
+@pytest.mark.parametrize("d,L,margin,r", [(2, 40, 5, 3), (3, 16, 2, 2)])
+def test_voronoi_local_scan_equals_full_scan(d, L, margin, r):
+    """The per-seed (2r+1)^d scan gives the full scan's cells and boxes on
+    a greedy net of the core, and, through its fallback, on sparse seed
+    sets that leave core vertices farther than r from every seed (seeds
+    drawn from the whole window, frontier included)."""
+    w = LatticeWindow(d=d, L=L, margin=margin)
+    rng = np.random.default_rng(L + d)
+    every = np.argwhere(np.ones(w.shape, dtype=bool))
+    nets = [greedy_net(w, r, restrict=w.core_mask())] + [
+        Net(points=every[rng.choice(len(every), size=n, replace=False)], r=r)
+        for n in (1, 3, 7)]
+    for net in nets:
+        t = voronoi_tiling(w, net)
+        want = _full_scan_tile_id(w, net.points)
+        assert np.array_equal(t.tile_id, want)
+        for i, s in enumerate(sorted(map(tuple, net.points.tolist()))):
+            vs = np.argwhere(want == i)
+            box = ([vs.min(axis=0), vs.max(axis=0) + 1] if len(vs)
+                   else [s, np.add(s, 1)])
+            assert np.array_equal(t.tiles[i], box)
+    # the sparse sets do reach the fallback
+    core = np.argwhere(w.core_mask())
+    assert (np.abs(core[:, None] - nets[1].points[None]).max(axis=2)
+            > r).all(axis=1).any()
