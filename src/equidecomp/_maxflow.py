@@ -26,6 +26,17 @@ _PHASE_BITS = 30
 _MAX_SIZE = 1 << (_PHASE_BITS - 2)
 
 
+def _sort_arcs(tail: np.ndarray, head: np.ndarray,
+               n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(order, key): the permutation np.lexsort((head, tail)) of distinct
+    arcs between n vertices, and the sorted keys tail * n + head.  Below
+    _MAX_SIZE vertices a key stays under 2^56, so it cannot overflow
+    int64, and distinct arcs have distinct keys, so no sort can tie them."""
+    key = tail * n + head
+    order = np.argsort(key)
+    return order, key[order]
+
+
 def solve_supply_flow(u, v, cap_uv, cap_vu,
                       supply) -> Tuple[bool, np.ndarray]:
     """Route integer vertex supplies (positive = excess to ship, negative =
@@ -73,13 +84,14 @@ def solve_supply_flow(u, v, cap_uv, cap_vu,
                            np.full(len(neg), t), neg])
     resid = np.concatenate([cuv, cvu, supply[pos], np.zeros(len(pos), np.int64),
                             -supply[neg], np.zeros(len(neg), np.int64)])
-    order = np.lexsort((head, tail))
-    tail_s, head_s = tail[order], head[order]
-    if ((tail_s[1:] == tail_s[:-1]) & (head_s[1:] == head_s[:-1])).any():
+    order, key = _sort_arcs(tail, head, n + 2)
+    del tail, head
+    if (key[1:] == key[:-1]).any():
         raise ValueError("duplicate edge")
-    indptr = np.searchsorted(tail_s, np.arange(n + 3)).astype(np.int32)
-    indices = head_s.astype(np.int32)
-    del tail, head, tail_s, head_s
+    # the arcs out of vertex i start at the first key >= i * (n + 2)
+    indptr = np.searchsorted(key, np.arange(n + 3) * (n + 2)).astype(np.int32)
+    indices = (key % (n + 2)).astype(np.int32)
+    del key
     src_arcs = slice(2 * m, 2 * m + len(pos))
 
     remaining = int(supply[pos].sum())

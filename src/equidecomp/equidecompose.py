@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .flowgrid import EdgeField
-from .lattice import IndicatorField, LatticeWindow, _shift_slices, directions
+from .lattice import (IndicatorField, LatticeWindow, _shift_slices, directions,
+                      flat_shifts)
 from .tiling import Tiling, _axis_sides, rect_tiling
 
 
@@ -105,47 +106,65 @@ def select_K_empirical(window: LatticeWindow, psi: EdgeField,
     transfers from their own point counts.  If no K is fully clean,
     returns those of the K minimizing the number of infeasible tiles, with
     diagnostics["clean"] = False so the caller can flag the run as
-    best-effort.
+    best-effort.  Each scanned K is judged, and its balance checked, from
+    the flow's nonzero edges and the tiles' point counts alone; only the
+    returned K's tile flow is built in full.
     """
+    if psi.window != window or field.window != window:
+        raise ValueError("flow, tiling and field must share a window")
     lo, hi = window.core_bounds
     side = hi - lo
     if k_max is None:
         k_max = side // 2
+    edges = _flow_edges(psi)
+    core = window.core_mask()
+    pts = [np.flatnonzero(chi & core) for chi in (field.chi_a, field.chi_b)]
     scanned: Dict[int, object] = {}
-    best = None                                  # (bad count, K, tiling, tf)
+    best = None                                  # (bad count, K, tiling)
     for K in range(max(1, k_min), max(int(k_max), 0) + 1):
         t = rect_tiling(window, K)
         if t.improper:
             scanned[K] = "improper"
             continue
-        tf = tile_flow(psi, t, field)
-        bad = int((~tf.feasible).sum())
+        bad = int((~_edge_tile_flow(t, edges, pts).feasible).sum())
         scanned[K] = bad
-        if bad == 0:
-            return K, t, tf, {"clean": True, "scanned": scanned,
-                              "infeasible": 0}
         if best is None or bad < best[0]:
-            best = (bad, K, t, tf)
+            best = (bad, K, t)
+        if bad == 0:
+            break
     if best is None:
         raise KSelectionError("no proper tiling in K range [%d, %d]"
                               % (k_min, k_max), scanned)
-    bad, K, t, tf = best
-    return K, t, tf, {"clean": False, "scanned": scanned, "infeasible": bad}
+    bad, K, t = best
+    return K, t, tile_flow(psi, t, field, edges=edges), {
+        "clean": bad == 0, "scanned": scanned, "infeasible": bad}
+
+
+def _flow_edges(psi: EdgeField) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tail, head, value) of the in-window edges carrying nonzero flow,
+    as flat vertex indices and whole units, in slot order."""
+    window = psi.window
+    di, ui = np.divmod(np.flatnonzero(psi.values), window.n_vertices)
+    val = psi.values[di, ui]
+    if (val % (1 << psi.scale_exp)).any():
+        raise ValueError("flow is not integral")
+    head = np.array(np.unravel_index(ui, window.shape)).T + psi.dirs[di]
+    inside = ((head >= 0) & (head < window.L)).all(axis=1)
+    return (ui[inside], (ui + flat_shifts(window)[di])[inside],
+            val[inside] >> psi.scale_exp)
 
 
 def _tile_edges(tiling: Tiling):
-    """Per canonical direction g_i, (i, src, a, b): the window slice src of
-    the tails of the edges (x, x + g_i) within the core plus a one-vertex
-    ring -- every edge with a tiled end -- and the tile ids a, b of both
-    ends (-1 untiled)."""
+    """Per canonical direction g, the tile ids (a, b) of both ends of the
+    edges (x, x + g) within the core plus a one-vertex ring -- every edge
+    with a tiled end -- with -1 for untiled."""
     window = tiling.window
     lo, hi = window.core_bounds
     c0, c1 = max(lo - 1, 0), min(hi + 1, window.L)
     tid = tiling.tile_id[(slice(c0, c1),) * window.d]
-    for i, g in enumerate(directions(window.d)):
+    for g in directions(window.d):
         src, dst = _shift_slices(c1 - c0, g)
-        at = tuple(slice(c0 + sl.start, c0 + sl.stop) for sl in src)
-        yield i, at, tid[src].ravel(), tid[dst].ravel()
+        yield tid[src].ravel(), tid[dst].ravel()
 
 
 @dataclass
@@ -216,61 +235,38 @@ class TileFlow:
         return (total < self.count_a) & (total < self.count_b)
 
 
-def tile_flow(psi: EdgeField, tiling: Tiling, field: IndicatorField) -> TileFlow:
-    """Aggregate an integral flow into per-tile-pair transfer counts.
-
-    Requires div psi = chi_A - chi_B on the core (checked through the
-    conservation identity on interior tiles, which is an exact consequence).
-    """
-    window = psi.window
-    if tiling.window != window or field.window != window:
-        raise ValueError("flow, tiling and field must share a window")
-    n = len(tiling.tiles)
-    if psi.scale_exp and (psi.values % (1 << psi.scale_exp)).any():
-        raise ValueError("flow is not integral")
-    keys, vals = [], []
-    outflux = np.zeros(n, dtype=np.int64)
-    touches = np.zeros(n, dtype=bool)
-    for i, src, a, b in _tile_edges(tiling):
-        v = psi.grid(i)[src].ravel() >> psi.scale_exp
-        for t, u, w in ((a, b, v), (b, a, -v)):      # both orientations
-            pair = (t >= 0) & (u >= 0) & (t != u)
-            keys.append(t[pair].astype(np.int64) * n + u[pair])
-            vals.append(w[pair])
-            leak = (t >= 0) & (u < 0)
-            np.add.at(outflux, t[leak], w[leak])
-            touches[t[leak]] = True
-    # summed per (src, dst) pair in exact int64; the dels keep at most
-    # four pair-sized arrays alive at once
-    key, val = np.concatenate(keys), np.concatenate(vals)
-    del keys, vals
-    order = np.argsort(key)
-    key = key[order]
-    val = val[order]
-    del order
-    first = np.flatnonzero(np.diff(key, prepend=-1))     # keys are >= 0
-    pair_val = np.add.reduceat(val, first) if len(first) else val
-    del val
-    key = key[first]
-    del first
-    pair_src = (key // n).astype(np.int32)
-    pair_dst = (key % n).astype(np.int32)
-    del key
+def _edge_tile_flow(tiling: Tiling, edges, pts) -> TileFlow:
+    """The tile flow of the edges (tail, head, value) from _flow_edges,
+    listing only the tile pairs that a nonzero edge joins; pts are the
+    flat indices of the tiled A and B points.  Zero pairs change no
+    transfer sum, so feasibility and balance are already exact; interior
+    is left all False.  Raises AssertionError when balance fails."""
+    tail, head, val = edges
     tid = tiling.tile_id.ravel()
-    tiled = tid >= 0
-    count_a = np.bincount(tid[tiled & field.chi_a.ravel()], minlength=n)
-    count_b = np.bincount(tid[tiled & field.chi_b.ravel()], minlength=n)
-    tf = TileFlow(tiling=tiling, pair_src=pair_src, pair_dst=pair_dst,
+    a, b = tid[tail], tid[head]
+    n = len(tiling.tiles)
+    cross = (a >= 0) & (b >= 0) & (a != b)
+    # both orientations, summed per (src, dst) pair in exact int64
+    key = np.concatenate([a[cross].astype(np.int64) * n + b[cross],
+                          b[cross].astype(np.int64) * n + a[cross]])
+    flow = np.concatenate([val[cross], -val[cross]])
+    order = np.argsort(key, kind="stable")
+    key, flow = key[order], flow[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))     # keys are >= 0
+    pair_val = np.add.reduceat(flow, first) if len(first) else flow
+    pair_src = (key[first] // n).astype(np.int32)
+    outflux = np.zeros(n, dtype=np.int64)
+    leak = (a >= 0) & (b < 0)
+    np.add.at(outflux, a[leak], val[leak])
+    leak = (b >= 0) & (a < 0)
+    np.add.at(outflux, b[leak], -val[leak])
+    count_a, count_b = (np.bincount(tid[p], minlength=n) for p in pts)
+    tf = TileFlow(tiling=tiling, pair_src=pair_src,
+                  pair_dst=(key[first] % n).astype(np.int32),
                   pair_val=pair_val,
                   row_ptr=np.searchsorted(pair_src, np.arange(n + 1)),
-                  count_a=count_a, count_b=count_b,
-                  outflux=outflux, interior=~touches)
-    # sorted by (src, dst), the reverse of pair p is pair rev[p]
-    rev = np.argsort(pair_dst, kind="stable")
-    if ((pair_src[rev] != pair_dst).any() or (pair_dst[rev] != pair_src).any()
-            or (pair_val[rev] + pair_val).any()):
-        raise AssertionError("tile transfers are not antisymmetric")
-    del rev
+                  count_a=count_a, count_b=count_b, outflux=outflux,
+                  interior=np.zeros(n, dtype=bool))
     bad = ~tf.balanced
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -278,6 +274,60 @@ def tile_flow(psi: EdgeField, tiling: Tiling, field: IndicatorField) -> TileFlow
             "balance fails on tile %d: net %d + outflux %d vs counts %d - %d"
             % (i, int(tf.net[i]), int(outflux[i]),
                int(count_a[i]), int(count_b[i])))
+    return tf
+
+
+def tile_flow(psi: EdgeField, tiling: Tiling, field: IndicatorField,
+              edges=None) -> TileFlow:
+    """Aggregate an integral flow into per-tile-pair transfer counts.
+
+    Requires div psi = chi_A - chi_B on the core (checked through the
+    conservation identity on interior tiles, which is an exact consequence).
+    The pair sums come from the flow's nonzero edges, edges = _flow_edges(psi)
+    unless the caller has them already; the adjacent pairs with no such
+    edge, listed with 0, and the interior flags come from the tile-id grid.
+    """
+    window = psi.window
+    if tiling.window != window or field.window != window:
+        raise ValueError("flow, tiling and field must share a window")
+    n = len(tiling.tiles)
+    if edges is None:
+        edges = _flow_edges(psi)
+    tiled = tiling.tile_id.ravel() >= 0
+    pts = [np.flatnonzero(chi.ravel() & tiled)
+           for chi in (field.chi_a, field.chi_b)]
+    tf = _edge_tile_flow(tiling, edges, pts)
+    keys = []
+    touches = np.zeros(n, dtype=bool)
+    for a, b in _tile_edges(tiling):
+        cross = (a >= 0) & (b >= 0) & (a != b)
+        keys.append(a[cross].astype(np.int64) * n + b[cross])
+        keys.append(b[cross].astype(np.int64) * n + a[cross])
+        touches[a[(a >= 0) & (b < 0)]] = True
+        touches[b[(b >= 0) & (a < 0)]] = True
+    key = np.sort(np.concatenate(keys))
+    del keys
+    key = key[np.flatnonzero(np.diff(key, prepend=-1))]   # keys are >= 0
+    # every pair a nonzero edge joins is adjacent
+    nonzero = tf.pair_src.astype(np.int64) * n + tf.pair_dst
+    at = np.searchsorted(key, nonzero)
+    if (at == len(key)).any() or (key[at] != nonzero).any():
+        raise AssertionError("flow between tiles that are not adjacent")
+    pair_val = np.zeros(len(key), dtype=np.int64)
+    pair_val[at] = tf.pair_val
+    pair_src = (key // n).astype(np.int32)
+    pair_dst = (key % n).astype(np.int32)
+    del key
+    tf = TileFlow(tiling=tiling, pair_src=pair_src, pair_dst=pair_dst,
+                  pair_val=pair_val,
+                  row_ptr=np.searchsorted(pair_src, np.arange(n + 1)),
+                  count_a=tf.count_a, count_b=tf.count_b,
+                  outflux=tf.outflux, interior=~touches)
+    # sorted by (src, dst), the reverse of pair p is pair rev[p]
+    rev = np.argsort(pair_dst, kind="stable")
+    if ((pair_src[rev] != pair_dst).any() or (pair_dst[rev] != pair_src).any()
+            or (pair_val[rev] + pair_val).any()):
+        raise AssertionError("tile transfers are not antisymmetric")
     return tf
 
 
@@ -512,7 +562,7 @@ def verify_equidecomposition(pieces: PieceMap, field: IndicatorField) -> dict:
     # to an untiled vertex or to a vertex of an unused tile
     opened = np.append(~pieces.used, True)     # index -1: untiled
     allowed = ~pieces.used
-    for _, _, ta, tb in _tile_edges(pieces.tiling):
+    for ta, tb in _tile_edges(pieces.tiling):
         allowed[ta[(ta >= 0) & opened[tb]]] = True
         allowed[tb[(tb >= 0) & opened[ta]]] = True
     un_tiles = np.unique(

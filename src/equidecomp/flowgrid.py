@@ -25,8 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._kernels import level_box, level_edge_grid, subbox_sums
-from .lattice import (IndicatorField, LatticeWindow, _shift_slices, directions,
-                      edge_mask)
+from .lattice import IndicatorField, LatticeWindow, directions, edge_mask
 
 
 def _as_tuple(v) -> Tuple[int, ...]:
@@ -68,22 +67,30 @@ class EdgeField:
         """Direction dir_index's values as a window grid (a view)."""
         return self.values[dir_index].reshape(self.window.shape)
 
-    def divergence_num(self) -> np.ndarray:
-        """Divergence numerators at this field's scale, as a window grid.
-        values[i, v] counts out of v, and into v + dirs[i] when that lies
-        in the window; the pipeline keeps the slots of edges that leave
-        the window at zero."""
-        div = np.zeros(self.window.shape, dtype=np.int64)
-        for i, g in enumerate(self.dirs):
+    def divergence_num(self, core: bool = False) -> np.ndarray:
+        """Divergence numerators at this field's scale, as a window grid,
+        or as a grid over the core box [margin, L - margin)^d when core is
+        set.  values[i, v] counts out of v, and into v + dirs[i] when that
+        lies in the window; the pipeline keeps the slots of edges that
+        leave the window at zero."""
+        L = self.window.L
+        lo, hi = self.window.core_bounds if core else (0, L)
+        box = (slice(lo, hi),) * self.window.d
+        div = np.zeros((hi - lo,) * self.window.d, dtype=np.int64)
+        for i, g in enumerate(self.dirs.tolist()):
             v = self.grid(i)
-            div += v
-            src, dst = _shift_slices(self.window.L, g)
-            div[dst] -= v[src]
+            div += v[box]
+            # into each head x in the box whose tail x - g is in the window
+            heads = [(max(lo, c), min(hi, L + c)) for c in g]
+            div[tuple(slice(a - lo, b - lo) for a, b in heads)] -= \
+                v[tuple(slice(a - c, b - c) for (a, b), c in zip(heads, g))]
         return div
 
     def max_abs(self) -> float:
         """Largest |flow| on any edge, as the nearest float."""
-        return int(np.abs(self.values).max(initial=0)) / (1 << self.scale_exp)
+        top = max(int(self.values.max(initial=0)),
+                  -int(self.values.min(initial=0)))
+        return top / (1 << self.scale_exp)
 
 
 def psi_num_bound(d: int, n0: int) -> int:
@@ -132,8 +139,11 @@ def truncated_psi(field: IndicatorField, n0: int) -> EdgeField:
 
 
 def residual_num(field: IndicatorField, psi: EdgeField) -> np.ndarray:
-    """(f - div psi) numerators at psi's scale, as a window grid."""
-    return (field.f.astype(np.int64) << psi.scale_exp) - psi.divergence_num()
+    """(f - div psi) numerators at psi's scale, as a grid over the core box
+    [margin, L - margin)^d."""
+    lo, hi = field.window.core_bounds
+    f = field.f[(slice(lo, hi),) * field.window.d].astype(np.int64)
+    return (f << psi.scale_exp) - psi.divergence_num(core=True)
 
 
 # ---------------------------------------------------------------------------

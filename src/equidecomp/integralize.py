@@ -236,13 +236,15 @@ class PipelineError(RuntimeError):
 
 
 @lru_cache(maxsize=1)
-def _core_edge_masks(window: LatticeWindow) -> np.ndarray:
-    """mask[i, v] flags the edges (v, v + dirs[i]), v a flat vertex index,
-    with both endpoints in the core.  Read-only and cached for the last
-    window, so repair and rounding share one build per run."""
-    out = edge_mask(window, window.core_mask(), np.logical_and)
-    out.setflags(write=False)
-    return out
+def _core_edges(window: LatticeWindow) -> Tuple[np.ndarray, np.ndarray]:
+    """(di, ui): the edges (ui[k], ui[k] + dirs[di[k]]), ui a flat vertex
+    index, with both endpoints in the core, in EdgeField.values slot order.
+    Read-only and cached for the last window, so repair and rounding share
+    one build per run."""
+    di, ui = np.nonzero(edge_mask(window, window.core_mask(), np.logical_and))
+    di.setflags(write=False)
+    ui.setflags(write=False)
+    return di, ui
 
 
 @lru_cache(maxsize=1)
@@ -253,7 +255,7 @@ def _rim_frontier_slots(window: LatticeWindow) -> Tuple[np.ndarray, np.ndarray]:
     rim[r] - dirs[i] (sign 1) is a frontier vertex.  The core is the box
     [margin, L - margin)^d, so with margin >= 1 the rim is its outer layer
     and every frontier neighbor lies in the window; margin 0 has no rim.
-    Read-only and cached for the last window, like _core_edge_masks."""
+    Read-only and cached for the last window, like _core_edges."""
     lo, hi = window.core_bounds
     core = window.core_mask()
     rim_mask = core.copy() if lo else np.zeros_like(core)
@@ -341,9 +343,9 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
     """Correct the truncated flow so its divergence equals f exactly on
     every core vertex, pushing the leftover error out to the frontier ring.
 
-    residual is residual_num(field, psi), which the caller has already
-    computed; the repaired flow's own residual is recomputed from field
-    and checked.  _route_to_frontier routes the correction over core-core
+    residual is residual_num(field, psi) over the core box, which the
+    caller has already computed; the repaired flow's own residual is
+    recomputed from field and checked.  _route_to_frontier routes the correction over core-core
     edges of capacity capacity_units (in flow units; the tail bound
     rounded up plus one), and each rim vertex's arc carries the capacity
     of all its frontier edges, which then take up to that capacity each.
@@ -356,11 +358,12 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
     if capacity_units < 1:
         raise ValueError("capacity must be at least one unit")
     s = psi.scale_exp
-    core_flat = window.core_mask().ravel()
-    r = np.where(core_flat, residual.ravel(), 0)
-    supply_abs = int(np.abs(r).sum())
+    r = np.zeros(window.shape, dtype=np.int64)
+    r[(slice(*window.core_bounds),) * window.d] = residual
+    r = r.ravel()
+    supply_abs = int(np.abs(residual).sum())
 
-    di, ui = np.nonzero(_core_edge_masks(window))
+    di, ui = _core_edges(window)
     k_cnt = _rim_frontier_slots(window)[1].sum(axis=0, dtype=np.int64)
     doublings = 0
     while True:
@@ -383,7 +386,7 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
                              "doublings": doublings - 1})
 
     phi = EdgeField(window, s, h, np.ones_like(psi.valid))
-    if residual_num(field, phi).ravel()[core_flat].any():
+    if residual_num(field, phi).any():
         raise AssertionError("repair left a core residual")
     info = {
         "capacity_units": int(capacity_units),
@@ -418,7 +421,9 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
         raise ValueError("field window mismatch")
     s = phi.scale_exp
     mod = 1 << s
-    cc = _core_edge_masks(window)
+    core = (slice(*window.core_bounds),) * window.d
+    f_core = np.asarray(f)[core]
+    ci, cu = _core_edges(window)
     rim, fslots = _rim_frontier_slots(window)
     # each rim vertex's summed flow toward its frontier neighbors
     agg = np.zeros(len(rim), dtype=np.int64)
@@ -426,19 +431,18 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
         agg += np.where(fslots[2 * i], phi.values[i, rim], 0)
         # flow out of the rim endpoint equals minus the stored value
         agg -= np.where(fslots[2 * i + 1], phi.values[i, rim - shift], 0)
-    if fixed_mask is None:
-        fixed_mask = np.zeros_like(cc)
-    if (fixed_mask & ~cc).any():
-        raise ValueError("fixed edges must join core vertices")
-    if (phi.values[fixed_mask] % mod).any():
-        raise ValueError("fixed edges carry fractional values")
-    free = cc & ~fixed_mask
-
-    di, ui = np.nonzero(free)
-    vals = phi.values[di, ui]
     out_vals = np.zeros_like(phi.values)
+    di, ui = ci, cu
+    if fixed_mask is not None:
+        fixed = fixed_mask[ci, cu]
+        if np.count_nonzero(fixed) != np.count_nonzero(fixed_mask):
+            raise ValueError("fixed edges must join core vertices")
+        if (phi.values[fixed_mask] % mod).any():
+            raise ValueError("fixed edges carry fractional values")
+        di, ui = ci[~fixed], cu[~fixed]
+        out_vals[fixed_mask] = phi.values[fixed_mask]
+    vals = phi.values[di, ui]
     out_vals[di, ui] = _trunc_toward_zero(vals, s) << s
-    out_vals[fixed_mask] = phi.values[fixed_mask]
     # the free edges with a discarded fraction, and that fraction
     fr = vals - out_vals[di, ui]
     keep = fr != 0
@@ -448,11 +452,13 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     agg_int = _trunc_toward_zero(agg, s)
     agg_frac = agg - (agg_int << s)
 
-    div_num = EdgeField(window, s, out_vals, np.ones_like(cc)).divergence_num().ravel()
-    core_flat = window.core_mask().ravel()
-    if (div_num[core_flat] % mod).any():
+    div_num = EdgeField(window, s, out_vals,
+                        np.ones_like(phi.valid)).divergence_num(core=True)
+    if (div_num % mod).any():
         raise AssertionError("truncated core divergence not integral")
-    r = np.where(core_flat, np.asarray(f).ravel() - (div_num >> s), 0)
+    r = np.zeros(window.shape, dtype=np.int64)
+    r[core] = f_core - (div_num >> s)
+    r = r.ravel()
     r[rim] -= agg_int
 
     out_vals >>= s        # the truncated field, in place at scale 0
@@ -461,11 +467,10 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     if _route_to_frontier(lambda: out_vals, window, r, di, ui, (fr > 0, fr < 0),
                           (agg_frac > 0, agg_frac < 0), uncapped)[0] is None:
         raise AssertionError("interior rounding infeasible; flow is corrupt")
-    out = EdgeField(window, 0, out_vals, np.ones_like(cc))
-    div_out = out.divergence_num().ravel()
-    if not np.array_equal(div_out[core_flat], np.asarray(f).ravel()[core_flat]):
+    out = EdgeField(window, 0, out_vals, np.ones_like(phi.valid))
+    if not np.array_equal(out.divergence_num(core=True), f_core):
         raise AssertionError("rounded flow has wrong core divergence")
-    dev_num = np.abs((out_vals[cc] << s) - phi.values[cc])
+    dev_num = np.abs((out_vals[ci, cu] << s) - phi.values[ci, cu])
     info = {
         "max_dev_core": float(int(dev_num.max(initial=0))) / mod,
         "edges_rounded": int(len(ui)),
@@ -521,8 +526,9 @@ def integralize_flow(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     info["cover"] = cover.summary()
     adj_dev = np.abs(cur.values - phi.values).max(initial=0)
     info["max_adjust_dev"] = float(int(adj_dev)) / (1 << phi.scale_exp)
+    ci, cu = _core_edges(window)
     info["max_dev_core"] = float(
-        int(np.abs((out.values.astype(np.int64) << phi.scale_exp)
-                   - phi.values)[_core_edge_masks(window)].max(initial=0))
+        int(np.abs((out.values[ci, cu] << phi.scale_exp)
+                   - phi.values[ci, cu]).max(initial=0))
     ) / (1 << phi.scale_exp)
     return out, info

@@ -81,11 +81,10 @@ def build_flow(window: LatticeWindow, action: ActionSpec,
 
     psi_t = truncated_psi(fld, n0)
     res = residual_num(fld, psi_t)
-    core = window.core_mask()
     summary["truncation"] = {
         "n0": n0,
         "scale_exp": psi_t.scale_exp,
-        "max_core_residual": float(int(np.abs(res[core]).max(initial=0)))
+        "max_core_residual": float(int(np.abs(res).max(initial=0)))
         / (1 << psi_t.scale_exp),
         "max_edge": psi_t.max_abs(),
     }

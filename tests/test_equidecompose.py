@@ -5,7 +5,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from equidecomp.config import build_config
 from equidecomp.equidecompose import (
     KSelectionError,
     box_boundary_edges,
@@ -19,6 +21,7 @@ from equidecomp.equidecompose import (
 from equidecomp.flowgrid import EdgeField
 from equidecomp.lattice import IndicatorField, LatticeWindow, all_directions
 from equidecomp import equidecompose
+from equidecomp.pipeline import run_pipeline
 from equidecomp.tiling import rect_tiling
 from oracle.edges import add_flow, flow_num
 
@@ -526,3 +529,97 @@ def test_select_k_diagnostics_match_tile_scan():
                                    "A=%d B=%d" % (index, need, na, nb))
                         break
             assert exc.value.diagnostics == want
+
+
+def assert_scan_matches_tile_flow(w, psi, fld):
+    """At every K of the default scan range, one-K scans count exactly the
+    tiles that the full aggregation finds infeasible, and the full scan
+    hands back that aggregation for the K it picks."""
+    side = w.core_bounds[1] - w.core_bounds[0]
+    for K in range(1, side // 2 + 1):
+        t = rect_tiling(w, K)
+        if t.improper:
+            continue
+        _, _, _, diag = select_K_empirical(w, psi, fld, k_min=K, k_max=K)
+        bad = int((~tile_flow(psi, t, fld).feasible).sum())
+        assert diag["scanned"] == {K: bad}
+    K, til, tf, diag = select_K_empirical(w, psi, fld)
+    again = tile_flow(psi, rect_tiling(w, K), fld)
+    for name in ("pair_src", "pair_dst", "pair_val", "row_ptr", "count_a",
+                 "count_b", "outflux", "interior"):
+        assert np.array_equal(getattr(tf, name), getattr(again, name)), name
+    assert diag["infeasible"] == int((~tf.feasible).sum())
+
+
+def random_path_flow(w, n_pairs, seed):
+    rng = np.random.default_rng(seed)
+    pts = [tuple(p) for p in np.argwhere(w.core_mask())]
+    picks = rng.choice(len(pts), size=2 * n_pairs, replace=False)
+    return path_flow(w, list(zip([pts[i] for i in picks[:n_pairs]],
+                                 [pts[i] for i in picks[n_pairs:]])))
+
+
+def test_scan_counts_match_tile_flow_flagship():
+    cfg = build_config({})
+    res = run_pipeline(cfg.window(), cfg.action(), *cfg.shapes(), n0=cfg.n0)
+    assert_scan_matches_tile_flow(cfg.window(), res.psi_int, res.field)
+
+
+def test_scan_counts_match_tile_flow_d5():
+    w = LatticeWindow(d=5, L=10, margin=2)
+    psi, fld = random_path_flow(w, 30, seed=5)
+    assert_scan_matches_tile_flow(w, psi, fld)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 3), margin=st.integers(1, 3), core=st.integers(2, 7),
+       n_pairs=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_scan_counts_match_tile_flow_property(d, margin, core, n_pairs, seed):
+    w = LatticeWindow(d=d, L=core + 2 * margin, margin=margin)
+    n_pairs = min(n_pairs, core ** d // 2)
+    assert_scan_matches_tile_flow(w, *random_path_flow(w, n_pairs, seed))
+
+
+def test_scan_checks_balance_at_rejected_k():
+    """The flow says one unit goes (2,2) -> (2,3) but the field puts B at
+    (3,3).  K=1 is infeasible, and its balance fails; K=2 puts all three
+    vertices in one tile, which is clean and balanced.  The scan must not
+    skip past K=1 to return K=2."""
+    w = LatticeWindow(d=2, L=8, margin=2)
+    psi, _ = path_flow(w, [((2, 2), (2, 3))])
+    chi_a = np.zeros(w.shape, dtype=bool)
+    chi_b = np.zeros(w.shape, dtype=bool)
+    chi_a[2, 2] = chi_b[3, 3] = True
+    lying = IndicatorField(window=w, chi_a=chi_a, chi_b=chi_b)
+    K, _, _, diag = select_K_empirical(w, psi, lying, k_min=2)
+    assert K == 2 and diag["clean"]
+    with pytest.raises(AssertionError, match="balance fails"):
+        tile_flow(psi, rect_tiling(w, 1), lying)
+    with pytest.raises(AssertionError, match="balance fails"):
+        select_K_empirical(w, psi, lying)
+
+
+def test_scan_rejects_fractional_flow():
+    w = LatticeWindow(d=2, L=10, margin=2)
+    _, fld = path_flow(w, [((3, 3), (3, 4))])
+    frac = EdgeField(w, 2)
+    add_flow(frac, (3, 3), (3, 4), 1)          # quarter unit: not integral
+    with pytest.raises(ValueError, match="not integral"):
+        select_K_empirical(w, frac, fld)
+
+
+def test_scan_aggregates_once(monkeypatch):
+    calls = []
+    real = equidecompose.tile_flow
+    monkeypatch.setattr(equidecompose, "tile_flow",
+                        lambda *a, **kw: calls.append(a[1].K)
+                        or real(*a, **kw))
+    w = LatticeWindow(d=2, L=20, margin=2)
+    clean = path_flow(w, [((x, y), (x, y + 1))
+                          for x in range(3, 17, 2) for y in range(3, 16, 4)])
+    dirty = path_flow(w, [((2, 2), (17, 17))])
+    for psi, fld in (clean, dirty):
+        calls.clear()
+        K, _, _, diag = select_K_empirical(w, psi, fld)
+        assert calls == [K]
+    assert len(diag["scanned"]) > 1 and not diag["clean"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equidecomp._maxflow import solve_supply_flow
+from equidecomp._maxflow import _sort_arcs, solve_supply_flow
 from oracle.dyadic import Dyadic
 from oracle.finiteflow import (
     CutCertificate,
@@ -403,3 +403,20 @@ def test_supply_flow_agrees_with_oracle(data):
     assert ok == isinstance(want, FlowValues)
     if ok:
         check_routed(g, caps, supply, net)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3000), m=st.integers(0, 400),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_arc_order_is_lexsort(n, m, seed):
+    """One sort of tail * n + head orders distinct arcs exactly as
+    np.lexsort((head, tail)) does, and the sorted keys decode to the
+    sorted arcs."""
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(n * n, size=min(m, n * n), replace=False)
+    tail, head = np.divmod(flat, n)
+    order, key = _sort_arcs(tail, head, n)
+    want = np.lexsort((head, tail))
+    assert np.array_equal(order, want)
+    assert np.array_equal(key // n, tail[want])
+    assert np.array_equal(key % n, head[want])

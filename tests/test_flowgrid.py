@@ -332,6 +332,44 @@ def test_value_num_and_max_abs():
     assert big.max_abs() == float(Dyadic((3 << 60) + 2, 61))
 
 
+def test_max_abs_negative_extremes():
+    w = LatticeWindow(d=2, L=3, margin=0)
+    ef = EdgeField(w, scale_exp=1)
+    ef.values[2, 4] = 5
+    ef.values[0, 1] = -7                     # the negative side is larger
+    assert ef.max_abs() == 3.5
+    ef.values[0, 1] = -5                     # a tie
+    assert ef.max_abs() == 2.5
+    # the int64 minimum, which np.abs leaves negative
+    ef.values[3, 0] = np.iinfo(np.int64).min
+    assert ef.max_abs() == 2.0 ** 62
+    assert EdgeField(w, 0).max_abs() == 0.0
+    empty = EdgeField(w, 0)
+    empty.values = empty.values[:, :0]
+    assert empty.max_abs() == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("margin", [0, 1, 2])
+def test_core_divergence_is_window_divergence_on_core(d, margin):
+    """divergence_num(core=True) is divergence_num() cut to the core box,
+    and residual_num is f - div on that box; margin 0 makes the core the
+    whole window, where some tails x - g leave it."""
+    L = 2 * margin + (3 if d < 5 else 2)
+    rng = np.random.default_rng(100 * d + margin)
+    w = LatticeWindow(d=d, L=L, margin=margin)
+    dirs = directions(d)
+    psi = EdgeField(w, 3, rng.integers(-1000, 1000,
+                                       size=(len(dirs), w.n_vertices)))
+    core = (slice(margin, L - margin),) * d
+    full = psi.divergence_num()
+    assert np.array_equal(psi.divergence_num(core=True), full[core])
+    f = rng.integers(-1, 2, size=w.shape)
+    fld = IndicatorField(window=w, chi_a=f > 0, chi_b=f < 0)
+    assert np.array_equal(residual_num(fld, psi),
+                          ((f.astype(np.int64) << 3) - full)[core])
+
+
 _SIDES = {2: (2, 6), 3: (2, 4), 4: (2, 3)}
 
 

@@ -29,7 +29,9 @@ def test_repair_zeroes_core_residual():
     window, action, a, b, n0 = toy_setup()
     res = run_pipeline(window, action, a, b, n0)
     core = window.core_mask()
-    assert not residual_num(res.field, res.phi)[core].any()
+    res_core = residual_num(res.field, res.phi)
+    assert res_core.shape == (6, 6, 6)            # the core box
+    assert not res_core.any()
     # and the integral flow keeps that divergence on the nose
     div = res.psi_int.divergence_num()
     assert np.array_equal(div[core], res.field.f.astype(np.int64)[core])
@@ -41,9 +43,9 @@ def test_repair_in_isolation_and_doubling():
     fld = sample_field(window, action, a, b)
     psi = truncated_psi(fld, n0)
     res = residual_num(fld, psi)
+    assert res.shape == (6, 6, 6)                 # the core box
     phi, info = repair_to_frontier(fld, psi, res, capacity_units=3)
-    core = window.core_mask()
-    assert not residual_num(fld, phi)[core].any()
+    assert not residual_num(fld, phi).any()
     assert info["doublings"] >= 0 and info["capacity_units"] == 3
     phi2, _ = repair_to_frontier(fld, psi, res, capacity_units=3)
     assert np.array_equal(phi.values, phi2.values)
@@ -56,9 +58,10 @@ def test_repair_in_isolation_and_doubling():
     spike = EdgeField(w2, 0)
     add_flow(spike, (3, 3), (3, 4), 10)
     spike_res = residual_num(empty, spike)
+    assert spike_res.shape == (4, 4)
     fixed, info = repair_to_frontier(empty, spike, spike_res, capacity_units=1)
     assert info["doublings"] == 1
-    assert not residual_num(empty, fixed)[w2.core_mask()].any()
+    assert not residual_num(empty, fixed).any()
     with pytest.raises(PipelineError) as exc:
         repair_to_frontier(empty, spike, spike_res, capacity_units=1,
                            max_doublings=0)
@@ -82,13 +85,13 @@ def test_repair_validation():
 
 
 def test_frontier_tables_built_once_per_run():
-    """Repair and rounding read one cached core-edge mask and rim table."""
-    from equidecomp.integralize import _core_edge_masks, _rim_frontier_slots
-    _core_edge_masks.cache_clear()
+    """Repair and rounding read one cached core edge list and rim table."""
+    from equidecomp.integralize import _core_edges, _rim_frontier_slots
+    _core_edges.cache_clear()
     _rim_frontier_slots.cache_clear()
     res = run_pipeline(*toy_setup())
     assert res.report["ok"]
-    assert _core_edge_masks.cache_info().misses == 1
+    assert _core_edges.cache_info().misses == 1
     assert _rim_frontier_slots.cache_info().misses == 1
 
 
