@@ -198,7 +198,11 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
         print("schema error: pieces: %s" % exc)
         return EXIT_VERIFY
     if cfg is None:
-        cfg = _config_from_summary(summary)
+        try:
+            cfg = _config_from_summary(summary)
+        except ConfigError as exc:
+            print("schema error: config: %s" % exc)
+            return EXIT_VERIFY
     window = cfg.window()
     action = cfg.action()
     shape_a, shape_b = cfg.shapes()

@@ -106,9 +106,9 @@ def select_K_empirical(window: LatticeWindow, psi: EdgeField,
     transfers from their own point counts.  If no K is fully clean,
     returns those of the K minimizing the number of infeasible tiles, with
     diagnostics["clean"] = False so the caller can flag the run as
-    best-effort.  Each scanned K is judged, and its balance checked, from
-    the flow's nonzero edges and the tiles' point counts alone; only the
-    returned K's tile flow is built in full.
+    best-effort.  Each scanned K's tile flow is built from the flow's
+    nonzero edges and the tiles' point counts, which also checks its
+    balance; the returned one is that of the returned K.
     """
     if psi.window != window or field.window != window:
         raise ValueError("flow, tiling and field must share a window")
@@ -120,23 +120,24 @@ def select_K_empirical(window: LatticeWindow, psi: EdgeField,
     core = window.core_mask()
     pts = [np.flatnonzero(chi & core) for chi in (field.chi_a, field.chi_b)]
     scanned: Dict[int, object] = {}
-    best = None                                  # (bad count, K, tiling)
+    best = None                                  # (bad count, K, tile flow)
     for K in range(max(1, k_min), max(int(k_max), 0) + 1):
         t = rect_tiling(window, K)
         if t.improper:
             scanned[K] = "improper"
             continue
-        bad = int((~_edge_tile_flow(t, edges, pts).feasible).sum())
+        tf = _tile_flow(t, edges, pts)
+        bad = int((~tf.feasible).sum())
         scanned[K] = bad
         if best is None or bad < best[0]:
-            best = (bad, K, t)
+            best = (bad, K, tf)
         if bad == 0:
             break
     if best is None:
         raise KSelectionError("no proper tiling in K range [%d, %d]"
                               % (k_min, k_max), scanned)
-    bad, K, t = best
-    return K, t, tile_flow(psi, t, field, edges=edges), {
+    bad, K, tf = best
+    return K, tf.tiling, tf, {
         "clean": bad == 0, "scanned": scanned, "infeasible": bad}
 
 
@@ -171,11 +172,13 @@ def _tile_edges(tiling: Tiling):
 class TileFlow:
     """Integral flow aggregated over tile interfaces.
 
-    Adjacent tile pairs are listed in both orientations, sorted by (src,
-    dst); pair_val is the net flow from src to dst (antisymmetric, possibly
-    0) and tile i owns rows row_ptr[i]:row_ptr[i + 1].  outflux[i] leaves
-    tile i for untiled in-window vertices; a tile without such a leakage
-    path is interior and satisfies sum_S Psi(R,S) = |R cap A| - |R cap B|.
+    The tile pairs that carry flow are listed in both orientations, sorted
+    by (src, dst); pair_val is the net flow from src to dst (antisymmetric,
+    never 0) and tile i owns rows row_ptr[i]:row_ptr[i + 1].  outflux[i]
+    leaves tile i for untiled in-window vertices.  A tile that holds no
+    vertex of the core's outer layer (every tile at margin 0) has no edge
+    to untiled space; it is interior and satisfies
+    sum_S Psi(R,S) = |R cap A| - |R cap B|.
     """
 
     tiling: Tiling
@@ -235,12 +238,11 @@ class TileFlow:
         return (total < self.count_a) & (total < self.count_b)
 
 
-def _edge_tile_flow(tiling: Tiling, edges, pts) -> TileFlow:
+def _tile_flow(tiling: Tiling, edges, pts) -> TileFlow:
     """The tile flow of the edges (tail, head, value) from _flow_edges,
-    listing only the tile pairs that a nonzero edge joins; pts are the
-    flat indices of the tiled A and B points.  Zero pairs change no
-    transfer sum, so feasibility and balance are already exact; interior
-    is left all False.  Raises AssertionError when balance fails."""
+    listing the tile pairs whose net flow is nonzero; pts are the flat
+    indices of the tiled A and B points.  Raises AssertionError when
+    balance fails."""
     tail, head, val = edges
     tid = tiling.tile_id.ravel()
     a, b = tid[tail], tid[head]
@@ -253,20 +255,29 @@ def _edge_tile_flow(tiling: Tiling, edges, pts) -> TileFlow:
     order = np.argsort(key, kind="stable")
     key, flow = key[order], flow[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))     # keys are >= 0
-    pair_val = np.add.reduceat(flow, first) if len(first) else flow
-    pair_src = (key[first] // n).astype(np.int32)
+    pair_val = np.add.reduceat(flow, first)
+    carry = pair_val != 0
+    key, pair_val = key[first][carry], pair_val[carry]
+    pair_src = (key // n).astype(np.int32)
     outflux = np.zeros(n, dtype=np.int64)
     leak = (a >= 0) & (b < 0)
     np.add.at(outflux, a[leak], val[leak])
     leak = (b >= 0) & (a < 0)
     np.add.at(outflux, b[leak], -val[leak])
     count_a, count_b = (np.bincount(tid[p], minlength=n) for p in pts)
+    # the tiles partition the core, so only its outer layer has untiled
+    # neighbours, and none at margin 0
+    window = tiling.window
+    lo, hi = window.core_bounds
+    layer = window.core_mask() & (window.margin > 0)
+    layer[(slice(lo + 1, hi - 1),) * window.d] = False
+    interior = np.ones(n, dtype=bool)
+    interior[tiling.tile_id[layer]] = False
     tf = TileFlow(tiling=tiling, pair_src=pair_src,
-                  pair_dst=(key[first] % n).astype(np.int32),
-                  pair_val=pair_val,
+                  pair_dst=(key % n).astype(np.int32), pair_val=pair_val,
                   row_ptr=np.searchsorted(pair_src, np.arange(n + 1)),
                   count_a=count_a, count_b=count_b, outflux=outflux,
-                  interior=np.zeros(n, dtype=bool))
+                  interior=interior)
     bad = ~tf.balanced
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -277,58 +288,21 @@ def _edge_tile_flow(tiling: Tiling, edges, pts) -> TileFlow:
     return tf
 
 
-def tile_flow(psi: EdgeField, tiling: Tiling, field: IndicatorField,
-              edges=None) -> TileFlow:
+def tile_flow(psi: EdgeField, tiling: Tiling,
+              field: IndicatorField) -> TileFlow:
     """Aggregate an integral flow into per-tile-pair transfer counts.
 
-    Requires div psi = chi_A - chi_B on the core (checked through the
-    conservation identity on interior tiles, which is an exact consequence).
-    The pair sums come from the flow's nonzero edges, edges = _flow_edges(psi)
-    unless the caller has them already; the adjacent pairs with no such
-    edge, listed with 0, and the interior flags come from the tile-id grid.
+    Requires div psi = chi_A - chi_B on the core, checked through the
+    balance identity net + outflux = |A| - |B| on every tile, which is an
+    exact consequence.
     """
     window = psi.window
     if tiling.window != window or field.window != window:
         raise ValueError("flow, tiling and field must share a window")
-    n = len(tiling.tiles)
-    if edges is None:
-        edges = _flow_edges(psi)
     tiled = tiling.tile_id.ravel() >= 0
     pts = [np.flatnonzero(chi.ravel() & tiled)
            for chi in (field.chi_a, field.chi_b)]
-    tf = _edge_tile_flow(tiling, edges, pts)
-    keys = []
-    touches = np.zeros(n, dtype=bool)
-    for a, b in _tile_edges(tiling):
-        cross = (a >= 0) & (b >= 0) & (a != b)
-        keys.append(a[cross].astype(np.int64) * n + b[cross])
-        keys.append(b[cross].astype(np.int64) * n + a[cross])
-        touches[a[(a >= 0) & (b < 0)]] = True
-        touches[b[(b >= 0) & (a < 0)]] = True
-    key = np.sort(np.concatenate(keys))
-    del keys
-    key = key[np.flatnonzero(np.diff(key, prepend=-1))]   # keys are >= 0
-    # every pair a nonzero edge joins is adjacent
-    nonzero = tf.pair_src.astype(np.int64) * n + tf.pair_dst
-    at = np.searchsorted(key, nonzero)
-    if (at == len(key)).any() or (key[at] != nonzero).any():
-        raise AssertionError("flow between tiles that are not adjacent")
-    pair_val = np.zeros(len(key), dtype=np.int64)
-    pair_val[at] = tf.pair_val
-    pair_src = (key // n).astype(np.int32)
-    pair_dst = (key % n).astype(np.int32)
-    del key
-    tf = TileFlow(tiling=tiling, pair_src=pair_src, pair_dst=pair_dst,
-                  pair_val=pair_val,
-                  row_ptr=np.searchsorted(pair_src, np.arange(n + 1)),
-                  count_a=tf.count_a, count_b=tf.count_b,
-                  outflux=tf.outflux, interior=~touches)
-    # sorted by (src, dst), the reverse of pair p is pair rev[p]
-    rev = np.argsort(pair_dst, kind="stable")
-    if ((pair_src[rev] != pair_dst).any() or (pair_dst[rev] != pair_src).any()
-            or (pair_val[rev] + pair_val).any()):
-        raise AssertionError("tile transfers are not antisymmetric")
-    return tf
+    return _tile_flow(tiling, _flow_edges(psi), pts)
 
 
 @dataclass
@@ -366,9 +340,10 @@ def build_matching(tf: TileFlow, field: IndicatorField) -> Matching:
     tile takes part; infeasible tiles contribute unmatched points, and a
     pair is served only when both tiles take part.  A used tile's leftover
     imbalance equals its flow leakage into untiled space plus its transfers
-    with unused neighbors; when neither exists the leftovers must pair off
-    exactly — that balance is asserted, a failure means an upstream flow
-    bug.
+    with unused neighbors; tf.neighbors lists only the neighbors that
+    carry flow, so when the tile has no outflux and all of those are used
+    the leftovers must pair off exactly — that balance is asserted, a
+    failure means an upstream flow bug.
     """
     tiling = tf.tiling
     if field.window != tiling.window:

@@ -385,7 +385,7 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
                              "capacity_units": capacity_units,
                              "doublings": doublings - 1})
 
-    phi = EdgeField(window, s, h, np.ones_like(psi.valid))
+    phi = EdgeField(window, s, h)
     if residual_num(field, phi).any():
         raise AssertionError("repair left a core residual")
     info = {
@@ -452,8 +452,7 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     agg_int = _trunc_toward_zero(agg, s)
     agg_frac = agg - (agg_int << s)
 
-    div_num = EdgeField(window, s, out_vals,
-                        np.ones_like(phi.valid)).divergence_num(core=True)
+    div_num = EdgeField(window, s, out_vals).divergence_num(core=True)
     if (div_num % mod).any():
         raise AssertionError("truncated core divergence not integral")
     r = np.zeros(window.shape, dtype=np.int64)
@@ -467,7 +466,7 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     if _route_to_frontier(lambda: out_vals, window, r, di, ui, (fr > 0, fr < 0),
                           (agg_frac > 0, agg_frac < 0), uncapped)[0] is None:
         raise AssertionError("interior rounding infeasible; flow is corrupt")
-    out = EdgeField(window, 0, out_vals, np.ones_like(phi.valid))
+    out = EdgeField(window, 0, out_vals)
     if not np.array_equal(out.divergence_num(core=True), f_core):
         raise AssertionError("rounded flow has wrong core divergence")
     dev_num = np.abs((out_vals[ci, cu] << s) - phi.values[ci, cu])

@@ -103,7 +103,12 @@ def test_verify_missing_and_malformed_artifacts(tmp_path, capsys):
                                  good["verify_inputs"]["used_tiles"]))),
                          ("tiles", dict(good["tiles"], K="abc")),
                          ("tiles", dict(good["tiles"], K_eff=float("inf"))),
-                         ("pieces", dict(good["pieces"], count=[2]))):
+                         ("pieces", dict(good["pieces"], count=[2])),
+                         ("config", dict(good["config"], L="zero")),
+                         ("config", dict(good["config"], k=3)),
+                         ("config", dict(good["config"], wat=1)),
+                         ("config", dict(good["config"], margin=0)),
+                         ("config", dict(good["config"], x0="abc"))):
         with open(os.path.join(out, "summary.json"), "w") as fh:
             json.dump(dict(good, **{section: bad}), fh)
         assert main(["verify", "--dir", out]) == EXIT_VERIFY
@@ -316,7 +321,7 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     import equidecomp.pipeline as pipeline
 
     def broken(*args, **kwargs):
-        raise AssertionError("tile transfers are not antisymmetric")
+        raise AssertionError("balance fails on tile 0")
 
     monkeypatch.setattr(pipeline, "tile_flow", broken)
     capsys.readouterr()
@@ -324,7 +329,7 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     assert run("square", str(tmp_path / "run"), extra=["K=2"]) \
         == EXIT_INTERNAL == 5
     err = capsys.readouterr().err
-    assert "internal error: tile transfers are not antisymmetric" in err
+    assert "internal error: balance fails on tile 0" in err
     assert "Traceback" not in err
 
 

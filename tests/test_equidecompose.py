@@ -22,7 +22,7 @@ from equidecomp.flowgrid import EdgeField
 from equidecomp.lattice import IndicatorField, LatticeWindow, all_directions
 from equidecomp import equidecompose
 from equidecomp.pipeline import run_pipeline
-from equidecomp.tiling import rect_tiling
+from equidecomp.tiling import Net, greedy_net, rect_tiling, voronoi_tiling
 from oracle.edges import add_flow, flow_num
 
 
@@ -77,22 +77,25 @@ def path_flow(window, pairs):
 
 
 def recount(psi, t):
-    """Dense reference, vertex by vertex: (mat, adj, out) with mat[i, j]
-    the net flow from tile i to tile j, adj the tile adjacency and out the
-    flow from each tile into untiled vertices."""
+    """Dense reference, vertex by vertex: (mat, out, touches) with
+    mat[i, j] the net flow from tile i to tile j, out the flow from each
+    tile into untiled vertices, and touches[i] whether some edge of tile i
+    reaches an untiled vertex."""
     w = psi.window
     n = len(t.tiles)
     mat = np.zeros((n, n), dtype=np.int64)
-    adj = np.zeros((n, n), dtype=bool)
     out = np.zeros(n, dtype=np.int64)
+    touches = np.zeros(n, dtype=bool)
     for v in np.argwhere(np.ones(w.shape, dtype=bool)):
         for g in all_directions(w.d):
             u = v + np.asarray(g)
             if ((u < 0) | (u >= w.L)).any():
                 continue
             ti, tj = int(t.tile_id[tuple(v)]), int(t.tile_id[tuple(u)])
-            if ti >= 0 and tj >= 0 and ti != tj:
-                adj[ti, tj] = True
+            if ti == tj:
+                continue
+            if ti >= 0 and tj < 0:
+                touches[ti] = True
             val = flow_num(psi, v, u) >> psi.scale_exp
             if val <= 0:                        # count each flow once, at its tail
                 continue
@@ -103,23 +106,22 @@ def recount(psi, t):
                 out[ti] += val
             elif tj >= 0 and ti < 0:
                 out[tj] -= val
-    return mat, adj, out
+    return mat, out, touches
 
 
-def assert_pairs_match(tf, mat, adj):
-    """The pair list is sorted by (src, dst), lists exactly the adjacent
-    pairs, and carries mat's value on each; mat is 0 off the list."""
+def assert_pairs_match(tf, mat):
+    """The pair list is sorted by (src, dst), lists exactly the pairs with
+    nonzero net flow, and carries mat's value on each."""
     n = tf.n
     key = tf.pair_src.astype(np.int64) * n + tf.pair_dst
     assert (np.diff(key) > 0).all()
     listed = np.zeros((n, n), dtype=bool)
     listed[tf.pair_src, tf.pair_dst] = True
-    assert np.array_equal(listed, adj)
+    assert np.array_equal(listed, mat != 0)
     assert np.array_equal(tf.pair_val, mat[tf.pair_src, tf.pair_dst])
-    assert not mat[~listed].any()
     for i in range(n):
-        assert np.array_equal(tf.neighbors(i), np.flatnonzero(adj[i]))
-        assert np.array_equal(tf.transfers(i), mat[i, adj[i]])
+        assert np.array_equal(tf.neighbors(i), np.flatnonzero(mat[i]))
+        assert np.array_equal(tf.transfers(i), mat[i, mat[i] != 0])
     assert np.array_equal(tf.net, mat.sum(axis=1))
     assert np.array_equal(tf.need_out, np.where(mat > 0, mat, 0).sum(axis=1))
     assert np.array_equal(tf.need_in, np.where(mat < 0, -mat, 0).sum(axis=1))
@@ -132,9 +134,9 @@ def test_tile_flow_hand_example():
     tf = tile_flow(psi, t, fld)
     i, j = t.tile_id[3, 3], t.tile_id[3, 4]
     assert i != j
-    mat, adj, _ = recount(psi, t)
+    mat, _, _ = recount(psi, t)
     assert mat[i, j] == 1 and mat[j, i] == -1
-    assert_pairs_match(tf, mat, adj)
+    assert_pairs_match(tf, mat)
     assert tf.net[i] == 1 and tf.net[j] == -1
     assert not tf.outflux.any()
     assert tf.count_a[i] == 1 and tf.count_b[j] == 1
@@ -171,11 +173,43 @@ def test_tile_flow_matches_recount():
     t = rect_tiling(w, 3)
     tf = tile_flow(psi, t, fld)
     n = len(t.tiles)
-    mat, adj, out = recount(psi, t)
-    assert_pairs_match(tf, mat, adj)
+    mat, out, _ = recount(psi, t)
+    assert_pairs_match(tf, mat)
     assert np.array_equal(tf.outflux, out)
     assert np.array_equal(tf.count_a, np.bincount(
         [t.tile_id[p] for p, _ in pairs], minlength=n))
+
+
+def test_interior_matches_recount():
+    """interior is exactly "no edge reaches an untiled vertex": on rect
+    tilings at margins 0-3, on Voronoi tilings of a greedy net, and on a
+    sparse seed set whose cells include empty ones."""
+    cases = []
+    for d, core, Ks in ((2, 10, (1, 3)), (3, 6, (2,))):
+        for margin, K in itertools.product(range(4), Ks):
+            w = LatticeWindow(d=d, L=core + 2 * margin, margin=margin)
+            cases.append((w, rect_tiling(w, K)))
+    for d, L, margin, r in ((2, 24, 3, 2), (3, 10, 2, 1)):
+        w = LatticeWindow(d=d, L=L, margin=margin)
+        cases.append((w, voronoi_tiling(
+            w, greedy_net(w, r, restrict=w.core_mask()))))
+        # (1, ..., 1) is nearer than (0, ..., 0) to every core vertex
+        rng = np.random.default_rng(L)
+        seeds = np.concatenate([np.zeros((1, d), np.int64),
+                                np.ones((1, d), np.int64),
+                                rng.integers(0, L, size=(3, d))])
+        t = voronoi_tiling(w, Net(points=np.unique(seeds, axis=0), r=r))
+        assert (np.bincount(t.tile_id[t.tile_id >= 0],
+                            minlength=len(t.tiles)) == 0).any()
+        cases.append((w, t))
+    for seed, (w, t) in enumerate(cases):
+        psi, fld = random_path_flow(w, 5, seed)
+        tf = tile_flow(psi, t, fld)
+        mat, out, touches = recount(psi, t)
+        assert np.array_equal(tf.interior, ~touches)
+        assert touches.any() == (w.margin > 0)
+        assert_pairs_match(tf, mat)
+        assert np.array_equal(tf.outflux, out)
 
 
 def test_tile_flow_validation():
@@ -442,14 +476,20 @@ def test_tile_adjacency_grid():
     w = LatticeWindow(d=2, L=12, margin=2)
     t = rect_tiling(w, 4)                         # 2x2 tiles
     empty = np.zeros(w.shape, dtype=bool)
-    tf = tile_flow(EdgeField(w, 0), t,
-                   IndicatorField(window=w, chi_a=empty, chi_b=empty))
-    assert len(tf.pair_src) == 12                 # all pairs incl. diagonals
-    assert not tf.interior.any()                  # all touch untiled space
-    assert (tf.pair_src != tf.pair_dst).all()
-    assert not tf.pair_val.any()                  # zero flow, still listed
-    for i in range(4):
-        assert tf.neighbors(i).tolist() == [j for j in range(4) if j != i]
+    # a zero flow, and one whose two crossings between tiles 0 and 1
+    # cancel: adjacent tiles that carry no net flow are not listed
+    zero = (EdgeField(w, 0), IndicatorField(window=w, chi_a=empty,
+                                            chi_b=empty))
+    for psi, fld in (zero, path_flow(w, [((5, 5), (5, 6)),
+                                         ((4, 6), (4, 5))])):
+        tf = tile_flow(psi, t, fld)
+        assert len(tf.pair_src) == len(tf.pair_val) == 0
+        assert tf.row_ptr.tolist() == [0] * 5
+        assert not tf.interior.any()              # all touch untiled space
+        assert tf.balanced.all()
+        for i in range(4):
+            assert tf.neighbors(i).tolist() == []
+    assert tf.count_a.tolist() == tf.count_b.tolist() == [1, 1, 0, 0]
 
 
 def test_single_tile_has_no_pairs():
@@ -477,8 +517,8 @@ def test_tile_layer_past_4096_tiles():
     t = rect_tiling(w, 1)
     assert len(t.tiles) == 66 * 66 > 4096
     tf = tile_flow(psi, t, fld)
-    mat, adj, out = recount(psi, t)
-    assert_pairs_match(tf, mat, adj)
+    mat, out, _ = recount(psi, t)
+    assert_pairs_match(tf, mat)
     assert np.array_equal(tf.outflux, out)
     K, _, tf1, diag = select_K_empirical(w, psi, fld, k_max=1)
     assert K == 1 and np.array_equal(tf1.pair_val, tf.pair_val)
@@ -609,17 +649,29 @@ def test_scan_rejects_fractional_flow():
 
 
 def test_scan_aggregates_once(monkeypatch):
-    calls = []
-    real = equidecompose.tile_flow
+    """The scan builds one tile flow per proper K it scans, calls
+    tile_flow not at all, and returns the tile flow tile_flow gives."""
+    calls, built = [], []
+    real, build = equidecompose.tile_flow, equidecompose._tile_flow
     monkeypatch.setattr(equidecompose, "tile_flow",
                         lambda *a, **kw: calls.append(a[1].K)
                         or real(*a, **kw))
+    monkeypatch.setattr(equidecompose, "_tile_flow",
+                        lambda *a: built.append(a[0].K) or build(*a))
     w = LatticeWindow(d=2, L=20, margin=2)
     clean = path_flow(w, [((x, y), (x, y + 1))
                           for x in range(3, 17, 2) for y in range(3, 16, 4)])
     dirty = path_flow(w, [((2, 2), (17, 17))])
     for psi, fld in (clean, dirty):
         calls.clear()
-        K, _, _, diag = select_K_empirical(w, psi, fld)
-        assert calls == [K]
+        built.clear()
+        K, til, tf, diag = select_K_empirical(w, psi, fld)
+        assert calls == []
+        assert built == [k for k, v in diag["scanned"].items()
+                         if v != "improper"]
+        again = real(psi, til, fld)
+        for name in ("pair_src", "pair_dst", "pair_val", "row_ptr",
+                     "count_a", "count_b", "outflux", "interior"):
+            assert np.array_equal(getattr(tf, name), getattr(again, name)), \
+                name
     assert len(diag["scanned"]) > 1 and not diag["clean"]

@@ -2,6 +2,7 @@
 tests compare against live in tests/oracle and are never imported by it."""
 
 import ast
+import inspect
 import os
 import pkgutil
 import re
@@ -20,6 +21,18 @@ def defined(names):
             for m in re.finditer(r"^\s*(?:class|def)\s+(\w+)\b",
                                  path.read_text(), re.M)
             if m.group(1) in names]
+
+
+def callers(name):
+    """(file, function) of every call to name under src/."""
+    calls = []
+    for path in sorted(SRC.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                calls += [(path.name, fn.name) for node in ast.walk(fn)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", None) == name]
+    return calls
 
 
 def test_package_ships_no_oracle():
@@ -49,14 +62,7 @@ def test_one_edge_address():
 def test_one_frontier_router():
     """Repair and rounding share one residual-routing solve, and pipeline
     reaches integralize through public names only."""
-    calls = []
-    for path in sorted(SRC.rglob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if isinstance(fn, ast.FunctionDef):
-                calls += [(path.name, fn.name) for node in ast.walk(fn)
-                          if isinstance(node, ast.Call)
-                          and getattr(node.func, "id", None)
-                          == "solve_supply_flow"]
+    calls = callers("solve_supply_flow")
     assert calls == [("integralize.py", "_route_to_frontier")], calls
     tree = ast.parse((SRC / "equidecomp" / "pipeline.py").read_text())
     private = [(node.module, alias.name) for node in ast.walk(tree)
@@ -89,3 +95,16 @@ def test_distances_are_ball_tests():
     with ball_mask: the distance transforms stay deleted."""
     gone = defined({"dist_to", "_pairwise_min_distance"})
     assert not gone, gone
+
+
+def test_one_tile_flow_builder():
+    """The K scan and tile_flow share one tile-flow builder, which lists
+    only the pairs that carry flow: the separate scan aggregation, the
+    edges= shortcut and the adjacency pass over the tile-id grid stay
+    deleted, leaving the verifier the only reader of tile adjacency."""
+    from equidecomp.equidecompose import tile_flow
+    gone = defined({"_edge_tile_flow"})
+    assert not gone, gone
+    assert "edges" not in inspect.signature(tile_flow).parameters
+    calls = callers("_tile_edges")
+    assert calls == [("equidecompose.py", "verify_equidecomposition")], calls
