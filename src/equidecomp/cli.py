@@ -102,8 +102,8 @@ def cmd_flow(cfg: RunConfig) -> int:
 def cmd_integralize(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     flow = build_flow(**_flow_args(cfg))
-    psi_int, info = integralize_flow(flow.phi.window, flow.phi, flow.field.f,
-                                     mode=cfg.mode,
+    psi_int, info = integralize_flow(flow.field.window, flow.phi,
+                                     flow.field.f, mode=cfg.mode,
                                      cover_i_max=_cover_i_max(cfg))
     dump_edge_field(os.path.join(out, "integral_flow.bin"), psi_int)
     write_json(os.path.join(out, "integralize.json"),

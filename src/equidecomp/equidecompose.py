@@ -110,7 +110,7 @@ def select_K_empirical(window: LatticeWindow, psi: EdgeField,
     nonzero edges and the tiles' point counts, which also checks its
     balance; the returned one is that of the returned K.
     """
-    if psi.window != window or field.window != window:
+    if psi.crop.full != window or field.window != window:
         raise ValueError("flow, tiling and field must share a window")
     lo, hi = window.core_bounds
     side = hi - lo
@@ -142,8 +142,9 @@ def select_K_empirical(window: LatticeWindow, psi: EdgeField,
 
 
 def _flow_edges(psi: EdgeField) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tail, head, value) of the in-window edges carrying nonzero flow,
-    as flat vertex indices and whole units, in slot order."""
+    """(tail, head, value) of the stored edges carrying nonzero flow, as
+    flat vertex indices of the full window psi.crop.full and whole units,
+    in slot order."""
     window = psi.window
     di, ui = np.divmod(np.flatnonzero(psi.values), window.n_vertices)
     val = psi.values[di, ui]
@@ -151,7 +152,8 @@ def _flow_edges(psi: EdgeField) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("flow is not integral")
     head = np.array(np.unravel_index(ui, window.shape)).T + psi.dirs[di]
     inside = ((head >= 0) & (head < window.L)).all(axis=1)
-    return (ui[inside], (ui + flat_shifts(window)[di])[inside],
+    return (psi.crop.to_full(ui[inside]),
+            psi.crop.to_full((ui + flat_shifts(window)[di])[inside]),
             val[inside] >> psi.scale_exp)
 
 
@@ -296,7 +298,7 @@ def tile_flow(psi: EdgeField, tiling: Tiling,
     balance identity net + outflux = |A| - |B| on every tile, which is an
     exact consequence.
     """
-    window = psi.window
+    window = psi.crop.full
     if tiling.window != window or field.window != window:
         raise ValueError("flow, tiling and field must share a window")
     tiled = tiling.tile_id.ravel() >= 0

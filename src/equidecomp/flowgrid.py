@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log2
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from ._kernels import level_box, level_edge_grid, subbox_sums
-from .lattice import IndicatorField, LatticeWindow, directions, edge_mask
+from .lattice import (Crop, IndicatorField, LatticeWindow, directions,
+                      edge_crop, edge_mask)
 
 
 def _as_tuple(v) -> Tuple[int, ...]:
@@ -41,38 +42,55 @@ class EdgeField:
 
     values[i, v] is the numerator of the flow on (v, v + dirs[i]) at scale
     2^(-scale_exp), where dirs are the canonical (lexicographically
-    positive) directions and v is a flat vertex index.  The arrays are
-    direction-major, so each direction's edges are one contiguous row.
-    Edges flagged invalid carry zero.  lattice.edge_slots maps an ordered
-    vertex pair to its slot, and edge sets are slot masks of this shape.
+    positive) directions and v is a flat vertex index of `window`.  The
+    arrays are direction-major, so each direction's edges are one
+    contiguous row.  lattice.edge_slots maps an ordered vertex pair to its
+    slot, and edge sets are slot masks of this shape.
+
+    A field lives on `window`, which is crop.window: built from a Crop,
+    the field covers only that sub-box of crop.full (the pipeline's
+    fields live on lattice.edge_crop, the core box plus one ring, which
+    holds every edge with an end in the core); built from a window, crop
+    is the whole of it.  Slots of edges that leave `window` carry zero,
+    and so do the slots valid flags False.  valid defaults to a read-only
+    all-true view that allocates nothing.
     """
 
-    def __init__(self, window: LatticeWindow, scale_exp: int,
+    def __init__(self, window: Union[LatticeWindow, Crop], scale_exp: int,
                  values: Optional[np.ndarray] = None,
                  valid: Optional[np.ndarray] = None):
-        self.window = window
+        self.crop = window if isinstance(window, Crop) else Crop(window)
+        self.window = self.crop.window
         self.scale_exp = int(scale_exp)
-        self.dirs = directions(window.d)
-        shape = (len(self.dirs), window.n_vertices)
+        self.dirs = directions(self.window.d)
+        shape = (len(self.dirs), self.window.n_vertices)
         self.values = np.zeros(shape, dtype=np.int64) if values is None else values
-        self.valid = np.ones(shape, dtype=bool) if valid is None else valid
+        self.valid = np.broadcast_to(np.True_, shape) if valid is None else valid
         if self.values.shape != shape or self.valid.shape != shape:
             raise ValueError("bad edge array shape")
 
     def copy(self) -> "EdgeField":
-        return EdgeField(self.window, self.scale_exp,
-                         self.values.copy(), self.valid.copy())
+        """A copy of values; a read-only valid is shared, not copied."""
+        valid = self.valid.copy() if self.valid.flags.writeable else self.valid
+        return EdgeField(self.crop, self.scale_exp, self.values.copy(), valid)
+
+    def with_values(self, values: np.ndarray,
+                    scale_exp: Optional[int] = None) -> "EdgeField":
+        """A field on the same crop holding `values` itself (not a copy),
+        at this field's scale unless scale_exp is given."""
+        return EdgeField(self.crop, self.scale_exp if scale_exp is None
+                         else scale_exp, values)
 
     def grid(self, dir_index: int) -> np.ndarray:
         """Direction dir_index's values as a window grid (a view)."""
         return self.values[dir_index].reshape(self.window.shape)
 
     def divergence_num(self, core: bool = False) -> np.ndarray:
-        """Divergence numerators at this field's scale, as a window grid,
-        or as a grid over the core box [margin, L - margin)^d when core is
-        set.  values[i, v] counts out of v, and into v + dirs[i] when that
-        lies in the window; the pipeline keeps the slots of edges that
-        leave the window at zero."""
+        """Divergence numerators at this field's scale, as a grid over
+        its window, or over the core box [margin, L - margin)^d of that
+        window when core is set (a crop has the full window's core).
+        values[i, v] counts out of v, and into v + dirs[i] when that lies
+        in the window; the slots of edges that leave it carry zero."""
         L = self.window.L
         lo, hi = self.window.core_bounds if core else (0, L)
         box = (slice(lo, hi),) * self.window.d
@@ -87,7 +105,7 @@ class EdgeField:
         return div
 
     def max_abs(self) -> float:
-        """Largest |flow| on any edge, as the nearest float."""
+        """Largest |flow| on any stored edge, as the nearest float."""
         top = max(int(self.values.max(initial=0)),
                   -int(self.values.min(initial=0)))
         return top / (1 << self.scale_exp)
@@ -109,11 +127,15 @@ def psi_num_bound(d: int, n0: int) -> int:
 
 
 def truncated_psi(field: IndicatorField, n0: int) -> EdgeField:
-    """The flow psi truncated to levels 1..n0, computed by the kernel path.
+    """The flow psi truncated to levels 1..n0, computed by the kernel path,
+    on lattice.edge_crop of the field's window.
 
-    Values live at scale 2^(2 n0 d) and are bounded by psi_num_bound.  An
-    edge is valid when the full phase neighborhoods of both endpoints fit
-    in the window; others carry zero and are flagged invalid.
+    The levels are box-summed over the whole window, then summed one
+    direction at a time into a window grid of which only the crop's slots
+    are kept.  Values live at scale 2^(2 n0 d) and are bounded by
+    psi_num_bound.  An edge is valid when it stays in the crop and the
+    full phase neighborhoods of both endpoints fit in the window; others
+    carry zero and are flagged invalid.
     """
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
@@ -121,20 +143,23 @@ def truncated_psi(field: IndicatorField, n0: int) -> EdgeField:
     L, d = window.L, window.d
     if (1 << (n0 + 1)) > L:
         raise ValueError("window side %d too small for level %d boxes" % (L, n0))
-    dirs = directions(d)
+    crop = edge_crop(window)
     # level-n0 phase neighborhoods fit in the window at [2^n0 - 1, L - 2^n0]
     inner = np.zeros(window.shape, dtype=bool)
     inner[(slice((1 << n0) - 1, L - (1 << n0) + 1),) * d] = True
-    out = EdgeField(window, 2 * n0 * d,
-                    valid=edge_mask(window, inner, np.logical_and))
+    out = EdgeField(crop, 2 * n0 * d,
+                    valid=edge_mask(crop.window, crop.take(inner),
+                                    np.logical_and))
     f64 = field.f.astype(np.int64)
-    for n in range(1, n0 + 1):
-        box = level_box(f64, n)
-        weight = 1 << (2 * (n0 - n) * d)
-        for i, g in enumerate(dirs):
-            grid = level_edge_grid(box, L, n, _as_tuple(g)).ravel()
-            np.multiply(grid, weight, out=grid)
-            np.add(out.values[i], grid, out=out.values[i], where=out.valid[i])
+    boxes = [level_box(f64, n) for n in range(1, n0 + 1)]
+    for i, g in enumerate(directions(d)):
+        total = np.zeros(window.shape, dtype=np.int64)
+        for n, box in enumerate(boxes, start=1):
+            grid = level_edge_grid(box, L, n, _as_tuple(g))
+            np.multiply(grid, 1 << (2 * (n0 - n) * d), out=grid)
+            total += grid
+        np.copyto(out.grid(i), crop.take(total),
+                  where=out.valid[i].reshape(crop.window.shape))
     return out
 
 
@@ -234,62 +259,67 @@ def integral_flow_bound(env: BoxEnvelope, repair_capacity: int) -> int:
 # serialization
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"EQDF1\n"
+_MAGIC = b"EQDF2\n"
 _DUMP_BLOCK = 2048          # vertices per block of records written
 
 
 def dump_edge_field(path, field: EdgeField) -> None:
-    """Binary dump: magic, one ASCII header line 'd L margin scale nrec',
-    then nrec little-endian int64 records (vertex, direction, numerator,
-    exponent) for every valid edge, numerators canonical.  The records are
-    in vertex-major (vertex, direction) order, although the field stores
-    values[i, v]; they are built and written one vertex block at a time,
-    so the dump holds only one block's records at once."""
+    """Binary dump: magic, one ASCII header line 'd L margin scale nrec' of
+    the full window (field.crop.full), then nrec little-endian int64
+    records (vertex, direction, numerator, exponent), one per nonzero
+    slot, with vertex a flat index of the full window and the numerator
+    canonical.  The field must live on lattice.edge_crop of its window,
+    where load_edge_field puts it back.  The records are in vertex-major
+    (vertex, direction) order, although the field stores values[i, v];
+    they are built and written one vertex block at a time, so the dump
+    holds only one block's records at once."""
     ndir, nvert = field.values.shape
-    w = field.window
-    nrec = np.count_nonzero(field.valid)
+    w = field.crop.full
+    if field.crop != edge_crop(w):
+        raise ValueError("only a field on edge_crop of its window is dumped")
+    nrec = np.count_nonzero(field.values)
     cuts = range(_DUMP_BLOCK, nvert, _DUMP_BLOCK)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(("%d %d %d %d %d\n" % (w.d, w.L, w.margin, field.scale_exp,
                                         nrec)).encode())
-        for v0, vals, valid in zip(range(0, nvert, _DUMP_BLOCK),
-                                   np.split(field.values, cuts, axis=1),
-                                   np.split(field.valid, cuts, axis=1)):
-            # transposed block views: C order is (vertex, direction)
-            flat = np.flatnonzero(valid.T)
+        for v0, vals in zip(range(0, nvert, _DUMP_BLOCK),
+                            np.split(field.values, cuts, axis=1)):
+            # C order of the transposed block is (vertex, direction)
+            flat = np.flatnonzero(vals.T)
             rec = np.empty((len(flat), 4), dtype="<i8")
-            np.divmod(flat, ndir, out=(rec[:, 0], rec[:, 1]))
-            rec[:, 0] += v0
+            vert, di = np.divmod(flat, ndir)
             nums, exps = rec[:, 2], rec[:, 3]
-            nums[:] = vals.T[valid.T]
+            nums[:] = vals[di, vert]
+            rec[:, 0] = field.crop.to_full(vert + v0)
+            rec[:, 1] = di
             # canonical numerators: shift out up to scale_exp trailing
             # zero bits
             np.negative(nums, out=exps)
             exps &= nums                                   # lowest set bit
-            exps[nums == 0] = 1
             low = exps.view(np.uint64).astype(np.float64)
             np.log2(low, out=low)
             shift = np.minimum(low, field.scale_exp, out=low).astype(np.uint8)
             nums >>= shift
             np.subtract(field.scale_exp, shift, out=exps)
-            exps[nums == 0] = 0
             fh.write(rec.data)
 
 
 def load_edge_field(path) -> EdgeField:
-    """Read a dump_edge_field file.  Records are read and scattered into
-    the field one block at a time, so only one block is held besides the
-    field.  A file that ends before its header's record count, or a record
-    whose vertex, direction or exponent (0..scale) is out of range, raises
-    ValueError."""
+    """Read a dump_edge_field file into a field on lattice.edge_crop of
+    its window; a slot with no record holds 0.  Records are read and
+    scattered one block at a time, so only one block is held besides the
+    field.  A file that ends before its header's record count, a record
+    whose vertex, direction or exponent (0..scale) is out of range, or a
+    record whose vertex lies outside the crop raises ValueError."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError("bad magic")
         d, L, margin, scale, nrec = (int(v) for v in fh.readline().split())
-        out = EdgeField(LatticeWindow(d=d, L=L, margin=margin), scale)
-        out.valid[:] = False
-        ndir, nvert = out.values.shape
+        crop = edge_crop(LatticeWindow(d=d, L=L, margin=margin))
+        out = EdgeField(crop, scale)
+        ndir = len(out.dirs)
+        nvert = crop.full.n_vertices
         block = _DUMP_BLOCK * ndir
         for start in range(0, nrec, block):
             count = min(block, nrec - start)
@@ -308,7 +338,12 @@ def load_edge_field(path) -> EdgeField:
                     "%d) is out of range: %d vertices, %d directions, "
                     "scale %d" % (start + k, vi[k], di[k], exps[k], nvert,
                                   ndir, scale))
-            out.values[di, vi] = nums << (scale - exps)
-            out.valid[di, vi] = True
+            ci, inside = crop.from_full(vi)
+            if not inside.all():
+                k = int(np.argmin(inside))
+                raise ValueError(
+                    "edge field record %d (vertex %d) lies outside the "
+                    "stored box [%d, %d)^%d" % (start + k, vi[k], crop.offset,
+                                               L - crop.offset, d))
+            out.values[di, ci] = nums << (scale - exps)
     return out
-

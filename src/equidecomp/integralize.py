@@ -337,21 +337,27 @@ def _route_to_frontier(values: Callable[[], np.ndarray],
                                       spill_cap))
 
 
-def repair_to_frontier(field: IndicatorField, psi: EdgeField,
+def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
                        residual: np.ndarray, capacity_units: int,
                        max_doublings: int = 32) -> Tuple[EdgeField, dict]:
     """Correct the truncated flow so its divergence equals f exactly on
     every core vertex, pushing the leftover error out to the frontier ring.
 
-    residual is residual_num(field, psi) over the core box, which the
-    caller has already computed; the repaired flow's own residual is
-    recomputed from field and checked.  _route_to_frontier routes the correction over core-core
-    edges of capacity capacity_units (in flow units; the tail bound
-    rounded up plus one), and each rim vertex's arc carries the capacity
-    of all its frontier edges, which then take up to that capacity each.
-    When the tail estimate is too tight — small margins legitimately
-    exceed it — the capacity doubles and the solve repeats.
+    The correction is routed into consumed_psi's own values array, which
+    the returned flow then holds: consumed_psi is used up, and a caller
+    that still needs the truncated flow passes a copy.  The repair runs on
+    consumed_psi's window (the pipeline's crop of the core plus one ring).
+    residual is residual_num(field, consumed_psi) over the core box, which
+    the caller has already computed; the repaired flow's own residual is
+    recomputed from field and checked.  _route_to_frontier routes the
+    correction over core-core edges of capacity capacity_units (in flow
+    units; the tail bound rounded up plus one), and each rim vertex's arc
+    carries the capacity of all its frontier edges, which then take up to
+    that capacity each.  When the tail estimate is too tight — small
+    margins legitimately exceed it — the capacity doubles and the solve
+    repeats; the values change only once a solve succeeds.
     """
+    psi = consumed_psi
     window = psi.window
     if window.margin < 1:
         raise ValueError("repair needs a frontier ring (margin >= 1)")
@@ -372,7 +378,7 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
         # phi = psi + correction; every corrected edge is corrected once,
         # by its core-core net flow or by one frontier take
         h, max_correction = _route_to_frontier(
-            psi.values.copy, window, r, di, ui, (caps, caps),
+            lambda: psi.values, window, r, di, ui, (caps, caps),
             (k_cnt * cap,) * 2, cap)
         if h is not None:
             break
@@ -385,7 +391,7 @@ def repair_to_frontier(field: IndicatorField, psi: EdgeField,
                              "capacity_units": capacity_units,
                              "doublings": doublings - 1})
 
-    phi = EdgeField(window, s, h)
+    phi = psi.with_values(h)
     if residual_num(field, phi).any():
         raise AssertionError("repair left a core residual")
     info = {
@@ -452,7 +458,7 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     agg_int = _trunc_toward_zero(agg, s)
     agg_frac = agg - (agg_int << s)
 
-    div_num = EdgeField(window, s, out_vals).divergence_num(core=True)
+    div_num = phi.with_values(out_vals).divergence_num(core=True)
     if (div_num % mod).any():
         raise AssertionError("truncated core divergence not integral")
     r = np.zeros(window.shape, dtype=np.int64)
@@ -466,7 +472,7 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     if _route_to_frontier(lambda: out_vals, window, r, di, ui, (fr > 0, fr < 0),
                           (agg_frac > 0, agg_frac < 0), uncapped)[0] is None:
         raise AssertionError("interior rounding infeasible; flow is corrupt")
-    out = EdgeField(window, 0, out_vals)
+    out = phi.with_values(out_vals, 0)
     if not np.array_equal(out.divergence_num(core=True), f_core):
         raise AssertionError("rounded flow has wrong core divergence")
     dev_num = np.abs((out_vals[ci, cu] << s) - phi.values[ci, cu])
@@ -494,14 +500,21 @@ def max_cover_levels(window: LatticeWindow, n: int) -> int:
 def integralize_flow(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
                      mode: str = "direct", cover_i_max: Optional[int] = None
                      ) -> Tuple[EdgeField, dict]:
-    """Turn an exact f-flow on the core into an integral one.
+    """Turn an exact f-flow on the core of `window` into an integral one,
+    on the same crop as phi; f is a window grid.
 
     direct: one global rounding, per-edge deviation < 1.
     cover:  boundary-walk adjustment on a disjoint-boundary cover, then
-            rounding of the remaining free edges; deviation <= 3^d.
+            rounding of the remaining free edges; deviation <= 3^d.  The
+            cover is built on `window` and each region is then moved into
+            phi's crop, where the walks run.
     """
+    if phi.crop.full != window:
+        raise ValueError("field window mismatch")
+    crop = phi.crop
+    f = crop.take(np.asarray(f))
     if mode == "direct":
-        out, info = round_edge_field(window, phi, f)
+        out, info = round_edge_field(phi.window, phi, f)
         info["mode"] = "direct"
         return out, info
     if mode != "cover":
@@ -514,18 +527,19 @@ def integralize_flow(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     cover = boundary_disjoint_cover(window, COVER_SEPARATION, cover_i_max)
     cur = phi
     core = window.core_mask()
-    fixed = np.zeros_like(phi.valid)
+    fixed = np.zeros(phi.values.shape, dtype=bool)
     for F in cover.regions:
         if (ball_mask(window, F.mask, 2) & ~core).any():
             raise AssertionError("cover region's 2-neighborhood leaves the core")
+        F = Region(crop.window, crop.take(F.mask))
         cur = adjust_on_region(cur, F)
         fixed |= boundary_n(F, 1)
-    out, info = round_edge_field(window, cur, f, fixed_mask=fixed)
+    out, info = round_edge_field(phi.window, cur, f, fixed_mask=fixed)
     info["mode"] = "cover"
     info["cover"] = cover.summary()
     adj_dev = np.abs(cur.values - phi.values).max(initial=0)
     info["max_adjust_dev"] = float(int(adj_dev)) / (1 << phi.scale_exp)
-    ci, cu = _core_edges(window)
+    ci, cu = _core_edges(phi.window)
     info["max_dev_core"] = float(
         int(np.abs((out.values[ci, cu] << phi.scale_exp)
                    - phi.values[ci, cu]).max(initial=0))

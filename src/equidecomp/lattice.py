@@ -244,6 +244,59 @@ class LatticeWindow:
 
 
 @dataclass(frozen=True)
+class Crop:
+    """The centred sub-box [offset, L - offset)^d of the window full, as a
+    window of its own with coordinates shifted down by offset.  Its core
+    is full's core, and flat indices inside it keep full's order.  This
+    is the only place where flat indices move between the two windows."""
+
+    full: LatticeWindow
+    offset: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.offset <= self.full.margin:
+            raise ValueError("crop offset %d outside 0..margin %d"
+                             % (self.offset, self.full.margin))
+
+    @property
+    def window(self) -> LatticeWindow:
+        if not self.offset:
+            return self.full
+        w = self.full
+        return LatticeWindow(d=w.d, L=w.L - 2 * self.offset,
+                             margin=w.margin - self.offset)
+
+    def take(self, grid: np.ndarray) -> np.ndarray:
+        """The crop's part of a full-window grid, as a view."""
+        o = self.offset
+        return grid[(slice(o, self.full.L - o),) * self.full.d]
+
+    def to_full(self, flat) -> np.ndarray:
+        """Full-window flat indices of crop flat indices."""
+        coords = np.unravel_index(np.asarray(flat, dtype=np.int64),
+                                  self.window.shape)
+        return np.ravel_multi_index(tuple(c + self.offset for c in coords),
+                                    self.full.shape).astype(np.int64)
+
+    def from_full(self, flat) -> Tuple[np.ndarray, np.ndarray]:
+        """(crop flat indices, inside) for full-window flat indices; an
+        index outside the crop gets inside False and crop index 0."""
+        coords = np.stack(np.unravel_index(np.asarray(flat, dtype=np.int64),
+                                           self.full.shape)) - self.offset
+        inside = ((coords >= 0) & (coords < self.window.L)).all(axis=0)
+        coords[:, ~inside] = 0
+        return (np.ravel_multi_index(tuple(coords), self.window.shape)
+                .astype(np.int64), inside)
+
+
+def edge_crop(window: LatticeWindow) -> Crop:
+    """Where edge fields on the window live: the core box plus one ring,
+    which holds every edge with an end in the core.  At margin 0 (no
+    frontier) and margin 1 that is the whole window."""
+    return Crop(window, max(window.margin - 1, 0))
+
+
+@dataclass(frozen=True)
 class IndicatorField:
     """f = chi_A - chi_B sampled on a window lattice."""
 

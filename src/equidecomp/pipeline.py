@@ -32,7 +32,8 @@ from .tiling import Net, Tiling, greedy_net, rect_tiling, voronoi_tiling
 class FlowResult:
     field: IndicatorField
     envelope: BoxEnvelope
-    phi: EdgeField                 # exact f-flow on the core (dyadic)
+    phi: EdgeField                 # exact f-flow on the core (dyadic), on
+                                   # lattice.edge_crop(window)
     summary: dict                  # field, envelope, truncation, repair
 
 
@@ -41,7 +42,7 @@ class PipelineResult:
     field: IndicatorField
     envelope: BoxEnvelope
     phi: EdgeField                 # exact f-flow on the core (dyadic)
-    psi_int: EdgeField             # integral f-flow (scale 0)
+    psi_int: EdgeField             # integral f-flow (scale 0), on phi's crop
     tiling: Tiling
     tileflow: TileFlow
     matching: Matching
@@ -56,7 +57,9 @@ def build_flow(window: LatticeWindow, action: ActionSpec,
                eps: Optional[float] = None,
                x0: Optional[np.ndarray] = None) -> FlowResult:
     """Sample the field, certify its envelope, build the level-n0 truncated
-    flow and repair it to an exact f-flow on the core."""
+    flow and repair it to an exact f-flow on the core.  Both flows live on
+    lattice.edge_crop(window), and the repair takes over the truncated
+    flow's array."""
     summary: Dict[str, object] = {}
 
     try:

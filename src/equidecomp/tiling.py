@@ -163,12 +163,26 @@ def greedy_net(window: LatticeWindow, r: int, restrict: np.ndarray) -> Net:
     if r < 1:
         raise ValueError("r >= 1")
     blocked = np.zeros(window.shape, dtype=bool)
+    flat_blocked = blocked.reshape(-1)
+    cand = np.flatnonzero(restrict)
     pts = []
     L = window.L
-    for v in np.argwhere(restrict):
-        tv = tuple(int(c) for c in v)
-        if blocked[tv]:
+    # a cursor over the candidates in flat (= lexicographic) order: blocks
+    # only grow, so every candidate before it stays blocked, and the next
+    # free one is found by argmin over a window that doubles while it
+    # holds none
+    pos, step = 0, 64
+    while pos < len(cand):
+        ahead = flat_blocked[cand[pos:pos + step]]
+        k = int(np.argmin(ahead))
+        if ahead[k]:
+            pos += step
+            step *= 2
             continue
+        pos += k + 1
+        step = 64
+        tv = tuple(int(c) for c in np.unravel_index(cand[pos - 1],
+                                                    window.shape))
         pts.append(tv)
         sl = tuple(slice(max(0, c - r), min(L, c + r + 1)) for c in tv)
         blocked[sl] = True

@@ -1,5 +1,7 @@
 """One edge flow read or written by vertex coordinates, through
-lattice.edge_slots, the package's one conversion to EdgeField slots."""
+lattice.edge_slots, the package's one conversion to EdgeField slots.
+Coordinates are in the field's full window (field.crop.full); both
+endpoints must lie in the box the field stores."""
 
 import numpy as np
 
@@ -7,9 +9,12 @@ from equidecomp.lattice import edge_slots
 
 
 def _slot(field, u, v):
-    flat = [np.ravel_multi_index(tuple(int(c) for c in x), field.window.shape)
-            for x in (u, v)]
-    return (int(a[0]) for a in edge_slots(field.window, *flat))
+    full = [np.ravel_multi_index(tuple(int(c) for c in x),
+                                 field.crop.full.shape) for x in (u, v)]
+    flat, inside = field.crop.from_full(full)
+    if not inside.all():
+        raise ValueError("edge %r -> %r leaves the stored box" % (u, v))
+    return (int(a[0]) for a in edge_slots(field.window, *flat[:, None]))
 
 
 def flow_num(field, u, v) -> int:

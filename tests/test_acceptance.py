@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from equidecomp import pipeline
 from equidecomp.cli import EXIT_OK, main
 from equidecomp.config import build_config
 from equidecomp.flowgrid import (certify_box_envelope, phi_envelope,
@@ -435,6 +436,30 @@ def test_10_circle_squaring_demo(tmp_path, capsys):
               "d=5, L=10: %d matched in %d pieces, raster emitted"
               % (s["pieces"]["matched"], s["pieces"]["count"]),
               time.perf_counter() - t0, 1800)
+
+
+@pytest.mark.demo
+def test_10_demo_edge_fields_live_on_the_crop(monkeypatch):
+    """On the demo window (d=5, L=10, margin=2) the truncated flow, the
+    repaired flow and the integral flow each store the 121 directions
+    over the 8^5 vertices of the core box plus one ring, not over the
+    window's 10^5."""
+    seen = []
+
+    def truncated(*args, **kwargs):
+        seen.append(truncated_psi(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(pipeline, "truncated_psi", truncated)
+    cfg = build_config({
+        "k": "2", "delta": "1", "L": "10", "margin": "2", "n0": "1",
+        "shape_a": "disk:1/4:1/4:44280/221987",
+        "shape_b": "rect:1/20:1/20:235416/665857:235416/665857"})
+    res = run_pipeline(cfg.window(), cfg.action(), *cfg.shapes(), n0=cfg.n0)
+    assert res.report["ok"]
+    for field in (seen[0], res.phi, res.psi_int):
+        assert field.values.shape == (121, 8 ** 5)
+        assert field.crop.full == cfg.window()
 
 
 # -- 11 ---------------------------------------------------------------------

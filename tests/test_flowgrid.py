@@ -24,7 +24,7 @@ from equidecomp.flowgrid import (EdgeField, certify_box_envelope,
                                  tail_bound, truncated_psi,
                                  truncation_error_bound)
 from equidecomp.lattice import (IndicatorField, LatticeWindow, all_directions,
-                                directions)
+                                directions, edge_crop, edge_mask, flat_shifts)
 from oracle.dyadic import Dyadic
 from oracle.edges import flow_num
 from oracle.paperflow import (Chain, box_of, check_error_identity, level_sum,
@@ -119,24 +119,35 @@ def test_level_sum_base_shift_invariance():
 def test_truncated_psi_equals_scalar_reference():
     """Every valid edge of the bulk construction equals the level_sum total,
     on line sums with h up to 8 and in d = 3, where directions have zero
-    coordinates."""
-    for d, L, n0, min_checked in ((2, 12, 2, 100), (1, 64, 4, 30),
-                                  (2, 24, 3, 300), (3, 10, 2, 400)):
-        fld = random_field(d, L, seed=7)
+    coordinates.  The field lives on the core box plus one ring, which is
+    the window at margin 1, smaller than it from margin 2 on, and cuts off
+    valid edges at margins 3 and 4: every stored edge is valid or zero,
+    and every edge with an end in the core is stored."""
+    for d, L, margin, n0, min_checked in (
+            (2, 12, 0, 2, 100), (1, 64, 0, 4, 30), (2, 24, 0, 3, 300),
+            (3, 10, 0, 2, 400), (2, 12, 1, 2, 100), (2, 16, 4, 1, 300),
+            (2, 12, 2, 1, 100), (1, 64, 3, 4, 30), (3, 8, 3, 1, 300)):
+        fld = random_field(d, L, seed=7, margin=margin)
+        w = fld.window
         psi = truncated_psi(fld, n0)
-        dirs = [tuple(g) for g in directions(d)]
+        crop = psi.crop
+        assert crop.full == w and psi.window.L == L - 2 * max(margin - 1, 0)
+        assert not psi.values[~psi.valid].any()
+        # every edge with an end in the core has both ends in the crop
+        di, tail = np.nonzero(edge_mask(w, w.core_mask(), np.logical_or))
+        head = tail + flat_shifts(w)[di]
+        assert crop.from_full(tail)[1].all() and crop.from_full(head)[1].all()
         checked = 0
-        for flat, y in enumerate(np.ndindex(*fld.window.shape)):
-            for di, g in enumerate(dirs):
-                if not psi.valid[di, flat]:
-                    continue
-                total = Dyadic(0)
-                for n in range(1, n0 + 1):
-                    total = total + level_sum(fld, y, g, n)
-                head = tuple(c + dc for c, dc in zip(y, g))
-                assert flow_num(psi, y, head) == total.scaled(psi.scale_exp)
-                checked += 1
-        assert checked > min_checked, (d, L, n0, checked)
+        for di, v in zip(*np.nonzero(psi.valid)):
+            y = np.unravel_index(crop.to_full(v), w.shape)
+            g = tuple(int(c) for c in psi.dirs[di])
+            total = Dyadic(0)
+            for n in range(1, n0 + 1):
+                total = total + level_sum(fld, y, g, n)
+            head = tuple(int(c) + dc for c, dc in zip(y, g))
+            assert flow_num(psi, y, head) == total.scaled(psi.scale_exp)
+            checked += 1
+        assert checked > min_checked, (d, L, margin, n0, checked)
 
 
 def test_truncated_psi_antisymmetric_storage():
@@ -218,30 +229,53 @@ def test_psi_chain_telescopes_phi_levels():
 
 
 def test_edge_field_round_trip(tmp_path):
-    fld = random_field(2, 12, seed=16)
-    psi = truncated_psi(fld, 2)
     p = tmp_path / "f.bin"
-    dump_edge_field(p, psi)
-    back = load_edge_field(p)
-    assert back.scale_exp == psi.scale_exp
-    assert np.array_equal(back.values, psi.values)
-    assert np.array_equal(back.valid, psi.valid)
-    assert back.window == psi.window
+    for margin in (0, 3):
+        fld = random_field(2, 12, seed=16, margin=margin)
+        psi = truncated_psi(fld, 2)
+        dump_edge_field(p, psi)
+        back = load_edge_field(p)
+        assert back.scale_exp == psi.scale_exp
+        assert np.array_equal(back.values, psi.values)
+        assert back.crop == psi.crop and back.window == psi.window
+        assert not back.valid.flags.writeable and back.valid.all()
+    # only fields on the core box plus one ring are dumped
+    with pytest.raises(ValueError, match="edge_crop"):
+        dump_edge_field(p, EdgeField(fld.window, 0))
     # one-record files on a d=2, L=4 window (16 vertices, 4 directions,
     # scale 3): the last vertex, direction and exponent load; one past
     # either end of each is refused, naming the record
     for v, i, exp in ((15, 3, 3), (0, 0, 0), (-1, 0, 0), (16, 0, 0),
                       (99, 0, 0), (0, -1, 0), (0, 4, 0), (0, 7, 0),
                       (0, 0, -1), (0, 0, 4)):
-        p.write_bytes(b"EQDF1\n2 4 0 3 1\n"
+        p.write_bytes(b"EQDF2\n2 4 0 3 1\n"
                       + struct.pack("<4q", v, i, 5, exp))
         if 0 <= v < 16 and 0 <= i < 4 and 0 <= exp <= 3:
             back = load_edge_field(p)
-            assert back.valid.sum() == 1 and back.values[i, v] == 5 << (3 - exp)
+            assert np.count_nonzero(back.values) == 1
+            assert back.values[i, v] == 5 << (3 - exp)
         else:
             with pytest.raises(ValueError, match=r"record 0 \(vertex %d, "
                                r"direction %d, exponent %d\)" % (v, i, exp)):
                 load_edge_field(p)
+    # on a d=2, L=6, margin 2 window the stored box is [1, 5)^2: vertex
+    # (1, 1) = 7 loads at the box's first vertex, while (0, 5) = 5 and
+    # (5, 1) = 31 lie outside it
+    for v in (7, 5, 31):
+        p.write_bytes(b"EQDF2\n2 6 2 0 1\n" + struct.pack("<4q", v, 2, -3, 0))
+        if v == 7:
+            back = load_edge_field(p)
+            assert back.window == LatticeWindow(d=2, L=4, margin=1)
+            assert np.flatnonzero(back.values).tolist() == [2 * 16]
+            assert back.values[2, 0] == -3
+        else:
+            with pytest.raises(ValueError, match=r"record 0 \(vertex %d\) "
+                               r"lies outside the stored box \[1, 5\)\^2"
+                               % v):
+                load_edge_field(p)
+    p.write_bytes(b"EQDF1\n2 4 0 3 0\n")
+    with pytest.raises(ValueError, match="bad magic"):
+        load_edge_field(p)
 
 
 def test_edge_field_dump_is_deterministic(tmp_path):
@@ -255,63 +289,72 @@ def test_edge_field_dump_is_deterministic(tmp_path):
 
 def test_edge_field_dump_matches_record_reference(tmp_path):
     """flow.bin bytes equal a record-by-record encoding: header, then per
-    valid edge in index order the little-endian int64 quadruple (vertex,
-    direction, canonical numerator, canonical exponent)."""
-    w = LatticeWindow(d=2, L=5, margin=1)
-    rng = np.random.default_rng(19)
-    shape = (w.n_vertices, len(directions(2)))
-    scale = 4
-    values = rng.integers(-40, 41, size=shape) << rng.integers(0, 6, size=shape)
-    values[rng.random(shape) < 0.2] = 0
-    values[0, 0] = -(1 << 40)
-    valid = rng.random(shape) < 0.8
-    psi = EdgeField(w, scale, np.ascontiguousarray(values.T, dtype=np.int64),
-                    np.ascontiguousarray(valid.T))
-    p = tmp_path / "f.bin"
-    dump_edge_field(p, psi)
-    want = io.BytesIO()
-    want.write(b"EQDF1\n")
-    want.write(("2 5 1 %d %d\n" % (scale, valid.sum())).encode())
-    for v in range(shape[0]):
-        for i in range(shape[1]):
-            if valid[v, i]:
-                dy = Dyadic(int(values[v, i]), scale)
-                want.write(struct.pack("<4q", v, i, dy.num, dy.exp))
-    assert p.read_bytes() == want.getvalue()
+    nonzero slot in (vertex, direction) order the little-endian int64
+    quadruple (vertex, direction, canonical numerator, canonical
+    exponent), with vertex a flat index of the full window.  On the
+    margin-1 window the field covers the window; on the L=9, margin-3
+    window it covers the box [2, 7)^2, whose vertex (y0, y1) is
+    (y0 + 2, y1 + 2) of the window."""
+    for L, margin in ((5, 1), (9, 3)):
+        w = LatticeWindow(d=2, L=L, margin=margin)
+        crop = edge_crop(w)
+        o = crop.offset
+        rng = np.random.default_rng(19)
+        shape = (crop.window.n_vertices, len(directions(2)))
+        scale = 4
+        values = (rng.integers(-40, 41, size=shape)
+                  << rng.integers(0, 6, size=shape))
+        values[rng.random(shape) < 0.2] = 0
+        values[0, 0] = -(1 << 40)
+        psi = EdgeField(crop, scale,
+                        np.ascontiguousarray(values.T, dtype=np.int64))
+        p = tmp_path / "f.bin"
+        dump_edge_field(p, psi)
+        want = io.BytesIO()
+        want.write(b"EQDF2\n")
+        want.write(("2 %d %d %d %d\n" % (L, margin, scale,
+                                         np.count_nonzero(values))).encode())
+        for v in range(shape[0]):
+            y0, y1 = divmod(v, 5)
+            for i in range(shape[1]):
+                if values[v, i]:
+                    dy = Dyadic(int(values[v, i]), scale)
+                    want.write(struct.pack("<4q", (y0 + o) * L + y1 + o, i,
+                                           dy.num, dy.exp))
+        assert p.read_bytes() == want.getvalue()
 
 
 def test_edge_field_dump_spans_vertex_blocks(tmp_path):
     """d=3, L=14: 2744 vertices, more than one write block and not a
     whole number of blocks; the records stay in (vertex, direction)
     order across block seams."""
-    w = LatticeWindow(d=3, L=14, margin=2)
+    w = LatticeWindow(d=3, L=14, margin=1)
     rng = np.random.default_rng(23)
     shape = (len(directions(3)), w.n_vertices)
     scale = 6
     values = rng.integers(-99, 100, size=shape)
     values <<= rng.integers(0, 8, size=shape)
-    valid = rng.random(shape) < 0.7
-    values[~valid] = 0
-    psi = EdgeField(w, scale, values, valid)
+    values[rng.random(shape) < 0.3] = 0
+    psi = EdgeField(w, scale, values)
     p = tmp_path / "f.bin"
     dump_edge_field(p, psi)
     want = io.BytesIO()
-    want.write(b"EQDF1\n")
-    want.write(("3 14 2 %d %d\n" % (scale, valid.sum())).encode())
-    for v, i in zip(*np.nonzero(valid.T)):
+    want.write(b"EQDF2\n")
+    want.write(("3 14 1 %d %d\n" % (scale,
+                                     np.count_nonzero(values))).encode())
+    for v, i in zip(*np.nonzero(values.T)):
         dy = Dyadic(int(values[i, v]), scale)
         want.write(struct.pack("<4q", v, i, dy.num, dy.exp))
     assert p.read_bytes() == want.getvalue()
     back = load_edge_field(p)
     assert np.array_equal(back.values, values)
-    assert np.array_equal(back.valid, valid)
-    # all 35672 edges valid: more records than load_edge_field reads at
+    # all 35672 slots nonzero: more records than load_edge_field reads at
     # once (2048 vertices' worth); a file cut short inside the last
     # record, the second read block or the first is refused
-    full = EdgeField(w, scale, values, np.ones_like(valid))
-    dump_edge_field(p, full)
+    values[values == 0] = 1
+    dump_edge_field(p, EdgeField(w, scale, values))
     back = load_edge_field(p)
-    assert np.array_equal(back.values, values) and back.valid.all()
+    assert np.array_equal(back.values, values)
     data = p.read_bytes()
     for keep in (len(data) - 1, len(data) - 32 * 5000, len(data) - 32 * 30000):
         p.write_bytes(data[:keep])
@@ -330,6 +373,27 @@ def test_value_num_and_max_abs():
     big = EdgeField(w, scale_exp=61)
     big.values[0, 2] = -((3 << 60) + 2)
     assert big.max_abs() == float(Dyadic((3 << 60) + 2, 61))
+
+
+def test_default_valid_allocates_nothing():
+    """An EdgeField built without valid flags every slot through one
+    read-only broadcast of True; copy() shares a read-only valid and
+    copies a writable one, and with_values wraps the given array."""
+    w = LatticeWindow(d=3, L=6, margin=2)
+    ef = EdgeField(edge_crop(w), 4)
+    assert ef.valid.shape == ef.values.shape == (13, 4 ** 3)
+    assert ef.valid.strides == (0, 0) and not ef.valid.flags.writeable
+    assert ef.valid.all()
+    c = ef.copy()
+    assert c.crop == ef.crop and c.valid is ef.valid
+    assert not np.shares_memory(c.values, ef.values)
+    flags = np.ones(ef.values.shape, dtype=bool)
+    owned = EdgeField(ef.crop, 4, ef.values, flags).copy()
+    assert not np.shares_memory(owned.valid, flags)
+    vals = np.ones_like(ef.values)
+    wrapped = ef.with_values(vals, 0)
+    assert wrapped.values is vals and wrapped.scale_exp == 0
+    assert wrapped.crop == ef.crop and ef.with_values(vals).scale_exp == 4
 
 
 def test_max_abs_negative_extremes():
@@ -411,7 +475,7 @@ def test_direction_major_layout_properties(data):
         assert np.shares_memory(grid, psi.values)
         assert np.array_equal(grid.ravel(), values[i])
 
-    # invalid edges carry zero, so the dump holds the whole field
+    # the dump holds every nonzero slot, and a missing one loads as 0
     held = EdgeField(w, scale, np.where(valid, values, 0), valid)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "f.bin")
@@ -419,7 +483,6 @@ def test_direction_major_layout_properties(data):
         back = load_edge_field(path)
     assert back.window == w and back.scale_exp == scale
     assert np.array_equal(back.values, held.values)
-    assert np.array_equal(back.valid, valid)
 
 
 def test_no_column_indexing_of_edge_arrays():

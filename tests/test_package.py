@@ -50,12 +50,15 @@ def test_package_ships_no_oracle():
 
 def test_one_edge_address():
     """lattice alone converts between coordinates, flat pairs and edge
-    slots; the coordinate-tuple edge API and the private copies are gone."""
+    slots, and alone moves flat indices between a window and the crop its
+    edge fields live on; the coordinate-tuple edge API and the private
+    copies are gone."""
     gone = defined({"_slot", "value_num", "add_num", "_dir_index",
                     "_flat_shifts", "_undirected", "_incident_edges",
                     "_flat_of_coords"})
     assert not gone, gone
-    owned = ("flat_shifts", "edge_mask", "edge_slots")
+    owned = ("flat_shifts", "edge_mask", "edge_slots", "Crop", "take",
+             "to_full", "from_full", "edge_crop")
     assert defined(set(owned)) == [("lattice.py", n) for n in owned]
 
 

@@ -1,6 +1,7 @@
 """End-to-end pipeline runs at toy scale, plus the frontier repair stage
 in isolation."""
 
+import inspect
 import json
 
 import numpy as np
@@ -28,13 +29,12 @@ def toy_setup(n0=1):
 def test_repair_zeroes_core_residual():
     window, action, a, b, n0 = toy_setup()
     res = run_pipeline(window, action, a, b, n0)
-    core = window.core_mask()
     res_core = residual_num(res.field, res.phi)
     assert res_core.shape == (6, 6, 6)            # the core box
     assert not res_core.any()
     # and the integral flow keeps that divergence on the nose
-    div = res.psi_int.divergence_num()
-    assert np.array_equal(div[core], res.field.f.astype(np.int64)[core])
+    div = res.psi_int.divergence_num(core=True)
+    assert np.array_equal(div, res.field.f[3:9, 3:9, 3:9])
 
 
 def test_repair_in_isolation_and_doubling():
@@ -44,10 +44,10 @@ def test_repair_in_isolation_and_doubling():
     psi = truncated_psi(fld, n0)
     res = residual_num(fld, psi)
     assert res.shape == (6, 6, 6)                 # the core box
+    phi2, _ = repair_to_frontier(fld, psi.copy(), res, capacity_units=3)
     phi, info = repair_to_frontier(fld, psi, res, capacity_units=3)
     assert not residual_num(fld, phi).any()
     assert info["doublings"] >= 0 and info["capacity_units"] == 3
-    phi2, _ = repair_to_frontier(fld, psi, res, capacity_units=3)
     assert np.array_equal(phi.values, phi2.values)
 
     # a 10-unit point divergence cannot pass 8 unit-capacity edges: the
@@ -59,7 +59,8 @@ def test_repair_in_isolation_and_doubling():
     add_flow(spike, (3, 3), (3, 4), 10)
     spike_res = residual_num(empty, spike)
     assert spike_res.shape == (4, 4)
-    fixed, info = repair_to_frontier(empty, spike, spike_res, capacity_units=1)
+    fixed, info = repair_to_frontier(empty, spike.copy(), spike_res,
+                                     capacity_units=1)
     assert info["doublings"] == 1
     assert not residual_num(empty, fixed).any()
     with pytest.raises(PipelineError) as exc:
@@ -67,6 +68,33 @@ def test_repair_in_isolation_and_doubling():
                            max_doublings=0)
     assert exc.value.stage == "repair"
     assert exc.value.certificate["supply_abs"] == 20
+
+
+def test_repair_hands_over_the_truncated_flow(monkeypatch):
+    """run_pipeline's repaired flow is routed into the truncated flow's own
+    array, both on the crop of the core plus one ring: on the toy window
+    (L=12, margin=3) that is the box [2, 10)^3, a window of side 8 with
+    margin 1."""
+    seen = []
+
+    def truncated(*args, **kwargs):
+        seen.append(truncated_psi(*args, **kwargs))
+        return seen[-1]
+
+    params = list(inspect.signature(repair_to_frontier).parameters)
+    assert params[1] == "consumed_psi"
+    monkeypatch.setattr(pipeline, "truncated_psi", truncated)
+    window, action, a, b, n0 = toy_setup()
+    res = run_pipeline(window, action, a, b, n0)
+    psi_t, = seen
+    assert res.phi.values is psi_t.values
+    for field in (psi_t, res.phi, res.psi_int):
+        assert field.window == LatticeWindow(d=3, L=8, margin=1)
+        assert field.crop.full == window and field.crop.offset == 2
+    # repair changed the array it took over
+    again = truncated_psi(res.field, n0)
+    assert not np.array_equal(again.values, res.phi.values)
+    assert np.array_equal(again.valid, psi_t.valid)
 
 
 def test_repair_validation():

@@ -179,6 +179,35 @@ def test_greedy_net_discrete_and_maximal():
         greedy_net(w, 0, w.core_mask())
 
 
+def test_greedy_net_equals_vertex_by_vertex_scan():
+    """The cursor search admits the same points in the same order as a
+    scan of every vertex of `restrict` in lexicographic order, on random
+    masks of every density (the empty one included) in d = 1, 2, 3."""
+    def scan(w, r, restrict):
+        blocked = np.zeros(w.shape, dtype=bool)
+        pts = []
+        for v in np.argwhere(restrict):
+            tv = tuple(int(c) for c in v)
+            if not blocked[tv]:
+                pts.append(tv)
+                blocked[tuple(slice(max(0, c - r), c + r + 1)
+                              for c in tv)] = True
+        return np.asarray(pts, dtype=np.int64).reshape(len(pts), w.d)
+
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        d = int(rng.integers(1, 4))
+        L = int(rng.integers(2, (600, 40, 12)[d - 1]))
+        w = LatticeWindow(d=d, L=L)
+        # radii up to L block long runs of candidates, which the cursor
+        # crosses in doubling steps
+        r = int(rng.integers(1, 6 if rng.random() < 0.5 else L + 1))
+        restrict = rng.random(w.shape) < rng.random()
+        got = greedy_net(w, r, restrict).points
+        want = scan(w, r, restrict)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (d, L, r)
+
+
 # ---------------------------------------------------------------------------
 # enlargement
 # ---------------------------------------------------------------------------
