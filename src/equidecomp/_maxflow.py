@@ -9,11 +9,25 @@ it in units of 2^j first and a final phase finishes exactly at j = 0.
 
 The arcs are laid out in (tail, head) order, so for the same input the
 blocking flows, and hence the returned flow, are deterministic.
+
+Memory.  Below _MAX_SIZE every vertex index fits int32, so the endpoints,
+the CSR's indptr and indices, the capacities handed to scipy and the CSR
+position of each u -> v arc are int32.  Only the sort key (built in int64,
+since tail * (n + 2) passes 2^31 beyond ~46k vertices), the residual
+capacities, which may be wider than int32, and the returned net flow are
+int64.  The key lives only while the layout is built, and the net flow is
+read off the residuals once the last phase is done.  During the max-flow
+call the solve itself holds about 18 bytes per arc (an arc is one
+direction of an edge): residuals 8, indices 4, capacities 4 and forward
+positions 2.  scipy's own copies, the int32 astype of the graph, the graph
+with reverse arcs added, its transpose and the edge pointers, take about
+28 more; that part is the floor.  On the demo's repair graph (1.07M arcs)
+the tracemalloc peak of one solve is 46 bytes per arc.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,15 +40,35 @@ _PHASE_BITS = 30
 _MAX_SIZE = 1 << (_PHASE_BITS - 2)
 
 
-def _sort_arcs(tail: np.ndarray, head: np.ndarray,
-               n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(order, key): the permutation np.lexsort((head, tail)) of distinct
-    arcs between n vertices, and the sorted keys tail * n + head.  Below
-    _MAX_SIZE vertices a key stays under 2^56, so it cannot overflow
-    int64, and distinct arcs have distinct keys, so no sort can tie them."""
-    key = tail * n + head
-    order = np.argsort(key)
-    return order, key[order]
+def _arc_layout(blocks: Sequence[Tuple[object, object]], n: int
+                ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+    """CSR layout of distinct arcs between n < _MAX_SIZE vertices, given
+    as blocks of (tail, head), each an index array or a scalar broadcast
+    against the other.  Returns int32 (indptr, indices, ranks): the arcs
+    sorted as np.lexsort((head, tail)) sorts them, and for each block the
+    position of each of its arcs in that order.
+
+    One sort of the int64 key tail * n + head gives the order: a key stays
+    under 2^56, and distinct arcs have distinct keys, so no sort can tie
+    them."""
+    sizes = [np.broadcast(tail, head).size for tail, head in blocks]
+    bounds = np.cumsum([0] + sizes)
+    key = np.empty(bounds[-1], dtype=np.int64)
+    for (tail, head), lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
+        np.multiply(tail, n, out=key[lo:hi], dtype=np.int64)
+        key[lo:hi] += head
+    order = np.argsort(key).astype(np.int32)
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
+        raise ValueError("duplicate edge")
+    # the arcs out of vertex i start at the first key >= i * n
+    indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(np.int32)
+    indices = np.empty(len(key), dtype=np.int32)
+    np.remainder(key, n, out=indices, casting="unsafe")
+    del key
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    return indptr, indices, np.split(rank, bounds[1:-1])
 
 
 def solve_supply_flow(u, v, cap_uv, cap_vu,
@@ -45,7 +79,9 @@ def solve_supply_flow(u, v, cap_uv, cap_vu,
 
     Returns (feasible, net flow per edge, positive in the u -> v direction).
     When infeasible, the flow is the part of the supply that was routed.
-    Supplies must balance, and no vertex pair may appear twice.
+    Supplies must balance, and no vertex pair may appear twice.  int32
+    endpoints and int64 capacities are used without a copy, so a caller
+    with equal capacities both ways passes one array twice.
     """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import maximum_flow
@@ -55,8 +91,8 @@ def solve_supply_flow(u, v, cap_uv, cap_vu,
         raise ValueError("supply must be one entry per vertex")
     if int(supply.sum()) != 0:
         raise ValueError("supplies must balance")
-    u = np.asarray(u, dtype=np.int64).ravel()
-    v = np.asarray(v, dtype=np.int64).ravel()
+    u = np.asarray(u).ravel()
+    v = np.asarray(v).ravel()
     if u.shape != v.shape:
         raise ValueError("u and v must have one entry per edge")
     cuv = np.broadcast_to(np.asarray(cap_uv, dtype=np.int64), u.shape)
@@ -66,59 +102,55 @@ def solve_supply_flow(u, v, cap_uv, cap_vu,
     n, m = len(supply), len(u)
     if m and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
         raise ValueError("edge endpoint out of range")
-    if (u == v).any():
-        raise ValueError("self-loop edge")
     if n + 2 * m >= _MAX_SIZE:
         raise ValueError("graph of %d vertices and %d edges is too large "
                          "for the int32 solver" % (n, m))
+    # in range, so exact in int32
+    u = u.astype(np.int32, copy=False)
+    v = v.astype(np.int32, copy=False)
+    if (u == v).any():
+        raise ValueError("self-loop edge")
 
     # arcs in blocks u -> v, v -> u, s -> p, p -> s, q -> t, t -> q, where
-    # p and q are the vertices with a supply and a demand; `order` sorts
-    # them into the CSR's (tail, head) order
+    # p and q are the vertices with a supply and a demand, with these
+    # capacities; resid holds them in the CSR's (tail, head) order
     s, t = n, n + 1
-    pos = np.flatnonzero(supply > 0)
-    neg = np.flatnonzero(supply < 0)
-    tail = np.concatenate([u, v, np.full(len(pos), s), pos,
-                           neg, np.full(len(neg), t)])
-    head = np.concatenate([v, u, pos, np.full(len(pos), s),
-                           np.full(len(neg), t), neg])
-    resid = np.concatenate([cuv, cvu, supply[pos], np.zeros(len(pos), np.int64),
-                            -supply[neg], np.zeros(len(neg), np.int64)])
-    order, key = _sort_arcs(tail, head, n + 2)
-    del tail, head
-    if (key[1:] == key[:-1]).any():
-        raise ValueError("duplicate edge")
-    # the arcs out of vertex i start at the first key >= i * (n + 2)
-    indptr = np.searchsorted(key, np.arange(n + 3) * (n + 2)).astype(np.int32)
-    indices = (key % (n + 2)).astype(np.int32)
-    del key
-    src_arcs = slice(2 * m, 2 * m + len(pos))
+    pos = np.flatnonzero(supply > 0).astype(np.int32)
+    neg = np.flatnonzero(supply < 0).astype(np.int32)
+    blocks = ((u, v, cuv), (v, u, cvu), (s, pos, supply[pos]), (pos, s, 0),
+              (neg, t, -supply[neg]), (t, neg, 0))
+    indptr, indices, ranks = _arc_layout([b[:2] for b in blocks], n + 2)
+    resid = np.empty(len(indices), dtype=np.int64)
+    for (_, _, cap), at in zip(blocks, ranks):
+        resid[at] = cap
+    fwd = ranks[0].copy()               # the CSR position of each u -> v
+    del blocks, ranks, at               # the last views of the rank array
+    src_arcs = slice(indptr[s], indptr[s + 1])      # the arcs s -> p
 
-    remaining = int(supply[pos].sum())
-    np.minimum(resid, remaining, out=resid)
-    net = np.zeros(m, dtype=np.int64)
+    total = remaining = int(supply[pos].sum())
+    np.minimum(resid, total, out=resid)
     while remaining:
         # coarse phases route units of 2^j until the rest fits one phase
         j = max(0, remaining.bit_length() - _PHASE_BITS)
-        data = np.minimum(resid >> j, remaining >> j)[order]
+        data = np.minimum(resid >> j, remaining >> j)
         if data.max(initial=0) >> _PHASE_BITS:
             raise AssertionError("max-flow capacity exceeds the int32 range")
         graph = csr_array((data.astype(np.int32), indices, indptr),
                           shape=(n + 2, n + 2))
-        res = maximum_flow(graph, s, t, method="dinic")
-        if not (np.array_equal(res.flow.indices, indices)
-                and np.array_equal(res.flow.indptr, indptr)):
+        del data
+        flow = maximum_flow(graph, s, t, method="dinic").flow
+        del graph
+        if not (np.array_equal(flow.indices, indices)
+                and np.array_equal(flow.indptr, indptr)):
             raise AssertionError("max-flow changed the arc layout")
-        flow = np.empty(len(order), dtype=np.int64)
-        flow[order] = res.flow.data
-        flow <<= j
-        resid -= flow
-        net += flow[:m]
-        remaining -= int(flow[src_arcs].sum())
+        flow = flow.data
+        resid -= np.left_shift(flow, j, dtype=np.int64)
+        remaining -= int(flow[src_arcs].sum(dtype=np.int64)) << j
         # A coarse max flow F has a cut of coarse capacity F; in the
         # exact network that cut holds at most n + 2m arcs, each less than
         # 2^j larger, so a larger remainder cannot be routed at all.  The
         # size bound makes the remainder at most half the phase's supply.
         if j == 0 or remaining > (n + 2 * m) << j:
             break
-    return remaining == 0, net
+    # the net flow on u -> v is its first residual minus its last
+    return remaining == 0, np.minimum(cuv, total) - resid[fwd]

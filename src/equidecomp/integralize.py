@@ -239,9 +239,12 @@ class PipelineError(RuntimeError):
 def _core_edges(window: LatticeWindow) -> Tuple[np.ndarray, np.ndarray]:
     """(di, ui): the edges (ui[k], ui[k] + dirs[di[k]]), ui a flat vertex
     index, with both endpoints in the core, in EdgeField.values slot order.
+    Both are int32, which holds any flat index of a window small enough to
+    repair (see _maxflow), and half the size of np.nonzero's int64.
     Read-only and cached for the last window, so repair and rounding share
     one build per run."""
-    di, ui = np.nonzero(edge_mask(window, window.core_mask(), np.logical_and))
+    di, ui = (a.astype(np.int32) for a in
+              np.nonzero(edge_mask(window, window.core_mask(), np.logical_and)))
     di.setflags(write=False)
     ui.setflags(write=False)
     return di, ui
@@ -315,16 +318,21 @@ def _route_to_frontier(values: Callable[[], np.ndarray],
     to change (the solve's memory is freed by then): its core edges take
     the net flow, and spill_to_frontier(..., spill_cap) spills each rim
     arc's flow onto its frontier edges.  Returns (that array, the largest
-    change of one value), or (None, 0)."""
+    change of one value).  When caps and rim_caps each give one array for
+    both directions, one capacity array serves both.  Returns (None, 0)
+    when the residual cannot be routed."""
     rim, slots = _rim_frontier_slots(window)
     arc = (rim_caps[0] != 0) | (rim_caps[1] != 0)
+    cap_uv = np.concatenate([caps[0], rim_caps[0][arc]])
+    cap_vu = (cap_uv if caps[1] is caps[0] and rim_caps[1] is rim_caps[0]
+              else np.concatenate([caps[1], rim_caps[1][arc]]))
+    shift = flat_shifts(window).astype(np.int32)
     ok, net = solve_supply_flow(
-        np.concatenate([ui, rim[arc]]),
-        np.concatenate([ui + flat_shifts(window)[di],
-                        np.full(int(arc.sum()), window.n_vertices)]),
-        np.concatenate([caps[0], rim_caps[0][arc]]),
-        np.concatenate([caps[1], rim_caps[1][arc]]),
-        np.append(residual, -int(residual.sum())))
+        np.concatenate([ui, rim[arc]], dtype=np.int32),
+        np.concatenate([ui + shift[di],
+                        np.full(int(arc.sum()), window.n_vertices)],
+                       dtype=np.int32),
+        cap_uv, cap_vu, np.append(residual, -int(residual.sum())))
     if not ok:
         return None, 0
     out = values()
@@ -374,7 +382,7 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
     doublings = 0
     while True:
         cap = (capacity_units << doublings) << s
-        caps = np.full(len(ui), cap, dtype=np.int64)
+        caps = np.broadcast_to(np.int64(cap), ui.shape)
         # phi = psi + correction; every corrected edge is corrected once,
         # by its core-core net flow or by one frontier take
         h, max_correction = _route_to_frontier(

@@ -111,3 +111,35 @@ def test_one_tile_flow_builder():
     assert "edges" not in inspect.signature(tile_flow).parameters
     calls = callers("_tile_edges")
     assert calls == [("equidecompose.py", "verify_equidecomposition")], calls
+
+
+def test_scipy_sparse_only_in_the_solve():
+    """scipy.sparse (about 0.25 s to import after numpy, csgraph 0.10 s
+    more) is imported only inside _maxflow.solve_supply_flow, so module
+    import and `verify`, which never solves a flow, do not pay for it."""
+    where = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # walk is breadth first: an inner function overwrites
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["%s.%s" % (node.module, alias.name)
+                         for alias in node.names]
+            else:
+                continue
+            if any((name + ".").startswith("scipy.sparse.") for name in names):
+                where.append((path.name, owner.get(node)))
+    assert where and set(where) == {("_maxflow.py", "solve_supply_flow")}, \
+        where
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, equidecomp.cli; print(sorted("
+         "m for m in sys.modules if m.startswith('scipy.sparse')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
