@@ -147,7 +147,7 @@ def _flow_edges(psi: EdgeField) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     in slot order."""
     window = psi.window
     di, ui = np.divmod(np.flatnonzero(psi.values), window.n_vertices)
-    val = psi.values[di, ui]
+    val = psi.values[di, ui].astype(np.int64)
     if (val % (1 << psi.scale_exp)).any():
         raise ValueError("flow is not integral")
     head = np.array(np.unravel_index(ui, window.shape)).T + psi.dirs[di]

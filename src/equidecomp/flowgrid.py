@@ -10,9 +10,11 @@ matches f up to an explicitly bounded error.  The phase average is not
 taken phase by phase: per level it is one line sum along gamma of a
 tent-weighted box sum of f (see _kernels).
 
-Every value is an exact dyadic rational, stored as an int64 numerator at
-the common scale 2^(2 N0 d).  The per-edge, per-phase definitions that
-truncated_psi computes in bulk are kept as test references in
+Every value is an exact dyadic rational, stored as an integer numerator
+at the common scale 2^(2 N0 d), in the narrowest signed dtype that
+psi_num_bound proves wide enough (narrow_int): int8 at d=5, N0=1, int32
+at d=3, N0=3.  The per-edge, per-phase definitions that truncated_psi
+computes in bulk are kept as test references in
 tests/oracle/paperflow.py.
 """
 
@@ -25,8 +27,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from ._kernels import level_box, level_edge_grid, subbox_sums
-from .lattice import (Crop, IndicatorField, LatticeWindow, directions,
-                      edge_crop, edge_mask)
+from .lattice import (Crop, IndicatorField, LatticeWindow, _shift_slices,
+                      directions, edge_crop)
 
 
 def _as_tuple(v) -> Tuple[int, ...]:
@@ -45,34 +47,41 @@ class EdgeField:
     positive) directions and v is a flat vertex index of `window`.  The
     arrays are direction-major, so each direction's edges are one
     contiguous row.  lattice.edge_slots maps an ordered vertex pair to its
-    slot, and edge sets are slot masks of this shape.
+    slot, and edge sets are slot masks of this shape.  values may be of
+    any signed integer dtype: the truncated and the integral flow are
+    stored as narrow as their proven bounds allow (narrow_int), the
+    repaired flow as int64.  Code that shifts or reduces values upcasts
+    them first.
 
     A field lives on `window`, which is crop.window: built from a Crop,
     the field covers only that sub-box of crop.full (the pipeline's
     fields live on lattice.edge_crop, the core box plus one ring, which
     holds every edge with an end in the core); built from a window, crop
-    is the whole of it.  Slots of edges that leave `window` carry zero,
-    and so do the slots valid flags False.  valid defaults to a read-only
-    all-true view that allocates nothing.
+    is the whole of it.  Slots of edges that leave `window` carry zero.
     """
 
     def __init__(self, window: Union[LatticeWindow, Crop], scale_exp: int,
-                 values: Optional[np.ndarray] = None,
-                 valid: Optional[np.ndarray] = None):
+                 values: Optional[np.ndarray] = None):
         self.crop = window if isinstance(window, Crop) else Crop(window)
         self.window = self.crop.window
         self.scale_exp = int(scale_exp)
         self.dirs = directions(self.window.d)
         shape = (len(self.dirs), self.window.n_vertices)
         self.values = np.zeros(shape, dtype=np.int64) if values is None else values
-        self.valid = np.broadcast_to(np.True_, shape) if valid is None else valid
-        if self.values.shape != shape or self.valid.shape != shape:
+        if self.values.shape != shape:
             raise ValueError("bad edge array shape")
+        if not np.issubdtype(self.values.dtype, np.signedinteger):
+            raise ValueError("edge values must be signed integers, not %s"
+                             % self.values.dtype)
+
+    @property
+    def valid(self) -> np.ndarray:
+        """Every slot is valid: a read-only all-true view that allocates
+        nothing (kept for readers that count its bytes)."""
+        return np.broadcast_to(np.True_, self.values.shape)
 
     def copy(self) -> "EdgeField":
-        """A copy of values; a read-only valid is shared, not copied."""
-        valid = self.valid.copy() if self.valid.flags.writeable else self.valid
-        return EdgeField(self.crop, self.scale_exp, self.values.copy(), valid)
+        return EdgeField(self.crop, self.scale_exp, self.values.copy())
 
     def with_values(self, values: np.ndarray,
                     scale_exp: Optional[int] = None) -> "EdgeField":
@@ -111,6 +120,15 @@ class EdgeField:
         return top / (1 << self.scale_exp)
 
 
+def narrow_int(bound: int) -> np.dtype:
+    """The narrowest of int8, int16, int32 and int64 that holds every
+    integer x with |x| < bound."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bound - 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise ValueError("no int64 holds every |x| < %d" % bound)
+
+
 def psi_num_bound(d: int, n0: int) -> int:
     """Strict bound on |x| for every int64 value x truncated_psi forms.
 
@@ -126,16 +144,38 @@ def psi_num_bound(d: int, n0: int) -> int:
     return 1 << (2 * n0 * d + n0 - d)
 
 
+def _truncation_box(crop: Crop, n0: int, g) -> tuple:
+    """Slices of crop.window selecting the tails v of the direction-g edges
+    that truncated_psi keeps: (v, v + g) stays in the crop, and the
+    level-n0 phase neighborhoods of both endpoints fit in crop.full, which
+    holds for the vertices of [2^n0 - 1, L - 2^n0]^d."""
+    o = crop.offset
+    lo = max((1 << n0) - 1 - o, 0)
+    hi = min(crop.full.L - (1 << n0) + 1 - o, crop.window.L)
+    src, _ = _shift_slices(hi - lo, g)
+    return tuple(slice(lo + s.start, lo + s.stop) for s in src)
+
+
+def truncation_mask(crop: Crop, n0: int) -> np.ndarray:
+    """The slots, laid out as EdgeField.values on crop.window, that
+    truncated_psi(field, n0) computes; it stores zero in all others."""
+    dirs = directions(crop.full.d)
+    out = np.zeros((len(dirs), crop.window.n_vertices), dtype=bool)
+    for i, g in enumerate(dirs):
+        out[i].reshape(crop.window.shape)[_truncation_box(crop, n0, g)] = True
+    return out
+
+
 def truncated_psi(field: IndicatorField, n0: int) -> EdgeField:
     """The flow psi truncated to levels 1..n0, computed by the kernel path,
     on lattice.edge_crop of the field's window.
 
     The levels are box-summed over the whole window, then summed one
-    direction at a time into a window grid of which only the crop's slots
-    are kept.  Values live at scale 2^(2 n0 d) and are bounded by
-    psi_num_bound.  An edge is valid when it stays in the crop and the
-    full phase neighborhoods of both endpoints fit in the window; others
-    carry zero and are flagged invalid.
+    direction at a time into an int64 window grid, of which the crop's
+    slots in truncation_mask are kept; all other slots carry zero.  Values
+    live at scale 2^(2 n0 d) and are bounded by psi_num_bound, so they are
+    stored as narrow_int(psi_num_bound(d, n0)) and the cast from the exact
+    int64 sum loses nothing.
     """
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
@@ -144,22 +184,21 @@ def truncated_psi(field: IndicatorField, n0: int) -> EdgeField:
     if (1 << (n0 + 1)) > L:
         raise ValueError("window side %d too small for level %d boxes" % (L, n0))
     crop = edge_crop(window)
-    # level-n0 phase neighborhoods fit in the window at [2^n0 - 1, L - 2^n0]
-    inner = np.zeros(window.shape, dtype=bool)
-    inner[(slice((1 << n0) - 1, L - (1 << n0) + 1),) * d] = True
-    out = EdgeField(crop, 2 * n0 * d,
-                    valid=edge_mask(crop.window, crop.take(inner),
-                                    np.logical_and))
+    dirs = directions(d)
+    out = EdgeField(crop, 2 * n0 * d, np.zeros(
+        (len(dirs), crop.window.n_vertices),
+        dtype=narrow_int(psi_num_bound(d, n0))))
     f64 = field.f.astype(np.int64)
     boxes = [level_box(f64, n) for n in range(1, n0 + 1)]
-    for i, g in enumerate(directions(d)):
+    for i, g in enumerate(dirs):
         total = np.zeros(window.shape, dtype=np.int64)
         for n, box in enumerate(boxes, start=1):
             grid = level_edge_grid(box, L, n, _as_tuple(g))
             np.multiply(grid, 1 << (2 * (n0 - n) * d), out=grid)
             total += grid
-        np.copyto(out.grid(i), crop.take(total),
-                  where=out.valid[i].reshape(crop.window.shape))
+        keep = _truncation_box(crop, n0, g)
+        # |total| < psi_num_bound: the narrowing cast is exact
+        out.grid(i)[keep] = crop.take(total)[keep]
     return out
 
 
@@ -309,18 +348,26 @@ def load_edge_field(path) -> EdgeField:
     """Read a dump_edge_field file into a field on lattice.edge_crop of
     its window; a slot with no record holds 0.  Records are read and
     scattered one block at a time, so only one block is held besides the
-    field.  A file that ends before its header's record count, a record
-    whose vertex, direction or exponent (0..scale) is out of range, or a
-    record whose vertex lies outside the crop raises ValueError."""
+    field.  Anything the format does not allow raises ValueError: a
+    negative record count, a file that ends before its header's record
+    count or goes on after it; a record whose vertex,
+    direction or exponent (0..scale) is out of range, whose numerator is
+    zero or not canonical (even at an exponent above 0), or whose value
+    does not fit int64 at the field's scale; records not strictly
+    increasing in (vertex, direction), which includes two for one slot;
+    and a record whose vertex lies outside the crop."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError("bad magic")
         d, L, margin, scale, nrec = (int(v) for v in fh.readline().split())
+        if nrec < 0:
+            raise ValueError("negative edge field record count %d" % nrec)
         crop = edge_crop(LatticeWindow(d=d, L=L, margin=margin))
         out = EdgeField(crop, scale)
         ndir = len(out.dirs)
         nvert = crop.full.n_vertices
         block = _DUMP_BLOCK * ndir
+        last = -1                 # (vertex, direction) key of the last record
         for start in range(0, nrec, block):
             count = min(block, nrec - start)
             buf = fh.read(count * 32)
@@ -338,6 +385,34 @@ def load_edge_field(path) -> EdgeField:
                     "%d) is out of range: %d vertices, %d directions, "
                     "scale %d" % (start + k, vi[k], di[k], exps[k], nvert,
                                   ndir, scale))
+            bad = (nums == 0) | ((exps > 0) & (nums & 1 == 0))
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(
+                    "edge field record %d has numerator %d at exponent %d, "
+                    "not a canonical nonzero one" % (start + k, nums[k],
+                                                     exps[k]))
+            # a shift past 63 bits or one that does not shift back has
+            # wrapped: the value does not fit int64
+            shift = scale - exps
+            wide = shift > 63
+            shift[wide] = 63
+            vals = nums << shift
+            bad = wide | ((vals >> shift) != nums)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(
+                    "edge field record %d (%d / 2^%d) does not fit int64 at "
+                    "scale %d" % (start + k, nums[k], exps[k], scale))
+            key = vi * ndir + di
+            bad = np.diff(key, prepend=last) <= 0
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(
+                    "edge field record %d (vertex %d, direction %d) does not "
+                    "follow the record before it in (vertex, direction) order"
+                    % (start + k, vi[k], di[k]))
+            last = int(key[-1])
             ci, inside = crop.from_full(vi)
             if not inside.all():
                 k = int(np.argmin(inside))
@@ -345,5 +420,7 @@ def load_edge_field(path) -> EdgeField:
                     "edge field record %d (vertex %d) lies outside the "
                     "stored box [%d, %d)^%d" % (start + k, vi[k], crop.offset,
                                                L - crop.offset, d))
-            out.values[di, ci] = nums << (scale - exps)
+            out.values[di, ci] = vals
+        if fh.read(1):
+            raise ValueError("edge field goes on after its %d records" % nrec)
     return out

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._maxflow import solve_supply_flow
-from .flowgrid import EdgeField, residual_num
+from .flowgrid import EdgeField, narrow_int, residual_num
 from .lattice import (IndicatorField, LatticeWindow, all_directions,
                       directions, edge_mask, edge_slots, flat_shifts)
 from .tiling import (Region, ball_mask, boundary_disjoint_cover, boundary_n,
@@ -351,9 +351,13 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
     """Correct the truncated flow so its divergence equals f exactly on
     every core vertex, pushing the leftover error out to the frontier ring.
 
-    The correction is routed into consumed_psi's own values array, which
-    the returned flow then holds: consumed_psi is used up, and a caller
-    that still needs the truncated flow passes a copy.  The repair runs on
+    The returned flow is int64.  Once the solve has succeeded and freed
+    its memory, the correction is added to consumed_psi's values widened
+    to int64: a new array when consumed_psi is narrower (the truncated
+    flow is stored as narrow_int of its bound), its own array otherwise,
+    which the returned flow then holds.  Either way consumed_psi is
+    handed over, and a caller that still needs the truncated flow passes
+    a copy.  The repair runs on
     consumed_psi's window (the pipeline's crop of the core plus one ring).
     residual is residual_num(field, consumed_psi) over the core box, which
     the caller has already computed; the repaired flow's own residual is
@@ -386,8 +390,8 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
         # phi = psi + correction; every corrected edge is corrected once,
         # by its core-core net flow or by one frontier take
         h, max_correction = _route_to_frontier(
-            lambda: psi.values, window, r, di, ui, (caps, caps),
-            (k_cnt * cap,) * 2, cap)
+            lambda: psi.values.astype(np.int64, copy=False), window, r,
+            di, ui, (caps, caps), (k_cnt * cap,) * 2, cap)
         if h is not None:
             break
         doublings += 1
@@ -430,6 +434,12 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     edges and rim sums alike, onto the same first edges.  fixed_mask is
     laid out like phi.values, [i, v] for the edge (v, v + dirs[i]); the
     edges it flags must already be integral and are left exactly alone.
+
+    The result is built at scale 0 from the start, in the narrowest dtype
+    that holds its values (narrow_int): a fixed edge is phi >> s, a free
+    core edge is trunc(phi) plus at most one routed unit, and a rim
+    vertex's first frontier edge is its truncated sum plus at most one
+    unit, so every |value| is below max(max |phi| >> s, max |sum|) + 2.
     """
     if phi.window != window:
         raise ValueError("field window mismatch")
@@ -445,7 +455,13 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
         agg += np.where(fslots[2 * i], phi.values[i, rim], 0)
         # flow out of the rim endpoint equals minus the stored value
         agg -= np.where(fslots[2 * i + 1], phi.values[i, rim - shift], 0)
-    out_vals = np.zeros_like(phi.values)
+    agg_int = _trunc_toward_zero(agg, s)
+    agg_frac = agg - (agg_int << s)
+    top = max(int(phi.values.max(initial=0)), -int(phi.values.min(initial=0)))
+    # every write below (fixed edges, truncation, spill, routed units)
+    # stays under this bound, so no in-place add into out_vals wraps
+    out_vals = np.zeros(phi.values.shape, dtype=narrow_int(
+        max(top >> s, int(np.abs(agg_int).max(initial=0))) + 2))
     di, ui = ci, cu
     if fixed_mask is not None:
         fixed = fixed_mask[ci, cu]
@@ -454,27 +470,21 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
         if (phi.values[fixed_mask] % mod).any():
             raise ValueError("fixed edges carry fractional values")
         di, ui = ci[~fixed], cu[~fixed]
-        out_vals[fixed_mask] = phi.values[fixed_mask]
+        out_vals[fixed_mask] = phi.values[fixed_mask] >> s
     vals = phi.values[di, ui]
-    out_vals[di, ui] = _trunc_toward_zero(vals, s) << s
+    whole = _trunc_toward_zero(vals, s)
+    out_vals[di, ui] = whole
     # the free edges with a discarded fraction, and that fraction
-    fr = vals - out_vals[di, ui]
+    fr = vals - (whole << s)
     keep = fr != 0
     ui, di, fr = ui[keep], di[keep], fr[keep]
-    del vals, keep
+    del vals, whole, keep
 
-    agg_int = _trunc_toward_zero(agg, s)
-    agg_frac = agg - (agg_int << s)
-
-    div_num = phi.with_values(out_vals).divergence_num(core=True)
-    if (div_num % mod).any():
-        raise AssertionError("truncated core divergence not integral")
     r = np.zeros(window.shape, dtype=np.int64)
-    r[core] = f_core - (div_num >> s)
+    r[core] = f_core - phi.with_values(out_vals, 0).divergence_num(core=True)
     r = r.ravel()
     r[rim] -= agg_int
 
-    out_vals >>= s        # the truncated field, in place at scale 0
     uncapped = np.iinfo(np.int64).max      # all on the first frontier edge
     spill_to_frontier(out_vals, window, rim, fslots, agg_int, uncapped)
     if _route_to_frontier(lambda: out_vals, window, r, di, ui, (fr > 0, fr < 0),
@@ -483,13 +493,21 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     out = phi.with_values(out_vals, 0)
     if not np.array_equal(out.divergence_num(core=True), f_core):
         raise AssertionError("rounded flow has wrong core divergence")
-    dev_num = np.abs((out_vals[ci, cu] << s) - phi.values[ci, cu])
     info = {
-        "max_dev_core": float(int(dev_num.max(initial=0))) / mod,
+        "max_dev_core": _max_dev_core(out, phi),
         "edges_rounded": int(len(ui)),
         "supply": int(np.abs(r).sum()),
     }
     return out, info
+
+
+def _max_dev_core(rounded: EdgeField, phi: EdgeField) -> float:
+    """Largest |rounded - phi| over the core edges, in flow units; rounded
+    is at scale 0 and may be narrow, so it is widened before the shift."""
+    ci, cu = _core_edges(phi.window)
+    dev = np.abs((rounded.values[ci, cu].astype(np.int64) << phi.scale_exp)
+                 - phi.values[ci, cu])
+    return float(int(dev.max(initial=0))) / (1 << phi.scale_exp)
 
 
 # boundary separation n of the cover that integralize_flow builds
@@ -547,9 +565,5 @@ def integralize_flow(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     info["cover"] = cover.summary()
     adj_dev = np.abs(cur.values - phi.values).max(initial=0)
     info["max_adjust_dev"] = float(int(adj_dev)) / (1 << phi.scale_exp)
-    ci, cu = _core_edges(phi.window)
-    info["max_dev_core"] = float(
-        int(np.abs((out.values[ci, cu] << phi.scale_exp)
-                   - phi.values[ci, cu]).max(initial=0))
-    ) / (1 << phi.scale_exp)
+    info["max_dev_core"] = _max_dev_core(out, phi)
     return out, info

@@ -18,7 +18,7 @@ from equidecomp import pipeline
 from equidecomp.cli import EXIT_OK, main
 from equidecomp.config import build_config
 from equidecomp.flowgrid import (certify_box_envelope, phi_envelope,
-                                 residual_num, truncated_psi)
+                                 residual_num, truncated_psi, truncation_mask)
 from equidecomp.integralize import (build_boundary_cycle_graph, euler_cycle,
                                     integralize_flow)
 from equidecomp.lattice import LatticeWindow, directions, edge_mask, \
@@ -113,13 +113,14 @@ def test_02_base_point_invariance():
 
 # -- 3 ----------------------------------------------------------------------
 
-def _fully_valid_vertices(psi):
+def _fully_valid_vertices(psi, n0):
     """Vertices all of whose incident edge slots are computed (valid)."""
     w = psi.window
     L = w.L
+    valid = truncation_mask(psi.crop, n0)
     full = np.ones(w.shape, dtype=bool)
     for i, g in enumerate(directions(w.d)):
-        V = psi.valid[i].reshape(w.shape)
+        V = valid[i].reshape(w.shape)
         src = tuple(slice(max(0, -int(c)), L - max(0, int(c))) for c in g)
         dst = tuple(slice(max(0, int(c)), L - max(0, -int(c))) for c in g)
         outgoing = np.zeros(w.shape, dtype=bool)
@@ -142,7 +143,7 @@ def test_03_truncation_envelope():
         env = certify_box_envelope(fld)
         psi = truncated_psi(fld, n0)
         res = residual_num(fld, psi)
-        full = _fully_valid_vertices(psi)
+        full = _fully_valid_vertices(psi, n0)
         assert full.any()
         got = Fraction(int(np.abs(res[full]).max()), 1 << psi.scale_exp)
         bound = Fraction(phi_envelope(n0, env.m_const, env.eps, env.d)) \
@@ -443,7 +444,8 @@ def test_10_demo_edge_fields_live_on_the_crop(monkeypatch):
     """On the demo window (d=5, L=10, margin=2) the truncated flow, the
     repaired flow and the integral flow each store the 121 directions
     over the 8^5 vertices of the core box plus one ring, not over the
-    window's 10^5."""
+    window's 10^5.  The truncated flow's bound (2^6 at n0=1) makes it
+    int8, one byte per slot; the repaired flow is int64."""
     seen = []
 
     def truncated(*args, **kwargs):
@@ -460,6 +462,8 @@ def test_10_demo_edge_fields_live_on_the_crop(monkeypatch):
     for field in (seen[0], res.phi, res.psi_int):
         assert field.values.shape == (121, 8 ** 5)
         assert field.crop.full == cfg.window()
+    assert seen[0].values.nbytes == 121 * 8 ** 5
+    assert res.phi.values.dtype == np.int64
 
 
 # -- 11 ---------------------------------------------------------------------

@@ -20,9 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 from equidecomp.flowgrid import (EdgeField, certify_box_envelope,
                                  dump_edge_field, flow_bound, load_edge_field,
-                                 measure_box_sums, phi_envelope, residual_num,
-                                 tail_bound, truncated_psi,
-                                 truncation_error_bound)
+                                 measure_box_sums, narrow_int, phi_envelope,
+                                 psi_num_bound, residual_num, tail_bound,
+                                 truncated_psi,
+                                 truncation_error_bound, truncation_mask)
 from equidecomp.lattice import (IndicatorField, LatticeWindow, all_directions,
                                 directions, edge_crop, edge_mask, flat_shifts)
 from oracle.dyadic import Dyadic
@@ -132,13 +133,15 @@ def test_truncated_psi_equals_scalar_reference():
         psi = truncated_psi(fld, n0)
         crop = psi.crop
         assert crop.full == w and psi.window.L == L - 2 * max(margin - 1, 0)
-        assert not psi.values[~psi.valid].any()
+        assert psi.values.dtype == narrow_int(psi_num_bound(d, n0))
+        valid = truncation_mask(crop, n0)
+        assert not psi.values[~valid].any()
         # every edge with an end in the core has both ends in the crop
         di, tail = np.nonzero(edge_mask(w, w.core_mask(), np.logical_or))
         head = tail + flat_shifts(w)[di]
         assert crop.from_full(tail)[1].all() and crop.from_full(head)[1].all()
         checked = 0
-        for di, v in zip(*np.nonzero(psi.valid)):
+        for di, v in zip(*np.nonzero(valid)):
             y = np.unravel_index(crop.to_full(v), w.shape)
             g = tuple(int(c) for c in psi.dirs[di])
             total = Dyadic(0)
@@ -276,6 +279,90 @@ def test_edge_field_round_trip(tmp_path):
     p.write_bytes(b"EQDF1\n2 4 0 3 0\n")
     with pytest.raises(ValueError, match="bad magic"):
         load_edge_field(p)
+    # the header's record count is the whole file: not negative, and no
+    # bytes after the last record
+    one = struct.pack("<4q", 3, 1, 5, 0)
+    p.write_bytes(b"EQDF2\n2 4 0 3 -1\n" + one)
+    with pytest.raises(ValueError, match="negative edge field record count"):
+        load_edge_field(p)
+    p.write_bytes(b"EQDF2\n2 4 0 3 1\n" + one + b"\0")
+    with pytest.raises(ValueError, match="goes on after its 1 records"):
+        load_edge_field(p)
+
+
+def _one_field_file(path, records, scale=18):
+    """A d=2, L=4 (16 vertices, 4 directions) EQDF2 file of the given
+    (vertex, direction, numerator, exponent) records."""
+    path.write_bytes(b"EQDF2\n2 4 0 %d %d\n" % (scale, len(records))
+                     + b"".join(struct.pack("<4q", *r) for r in records))
+    return path
+
+
+def test_load_refuses_a_value_past_int64(tmp_path):
+    """2^62 at exponent 0 is 2^80 at scale 18, which used to wrap to 0;
+    the largest value that fits, and -2^63, still load."""
+    p = tmp_path / "f.bin"
+    with pytest.raises(ValueError, match=r"record 0 \(%d / 2\^0\) does "
+                       r"not fit int64 at scale 18" % (1 << 62)):
+        load_edge_field(_one_field_file(p, [(3, 1, 1 << 62, 0)]))
+    with pytest.raises(ValueError, match="does not fit int64"):
+        load_edge_field(_one_field_file(p, [(3, 1, 1, 0)], scale=64))
+    back = load_edge_field(_one_field_file(p, [(3, 1, (1 << 45) - 1, 0)]))
+    assert int(back.values[1, 3]) == ((1 << 45) - 1) << 18
+    back = load_edge_field(_one_field_file(p, [(3, 1, -1, 0)], scale=63))
+    assert int(back.values[1, 3]) == -(1 << 63)
+
+
+def test_load_refuses_two_records_for_one_slot(tmp_path):
+    """Records must be strictly increasing in (vertex, direction): a
+    repeated slot, which used to load with the last record winning, and
+    a slot out of order are refused, naming the record."""
+    p = tmp_path / "f.bin"
+    for second in ((3, 1, 7, 0), (3, 0, 7, 0), (2, 3, 7, 0)):
+        with pytest.raises(ValueError, match=r"record 1 \(vertex %d, "
+                           r"direction %d\) does not follow" % second[:2]):
+            load_edge_field(_one_field_file(p, [(3, 1, 5, 0), second]))
+    back = load_edge_field(_one_field_file(p, [(3, 1, 5, 0), (3, 2, 7, 0)]))
+    assert back.values[1, 3] == 5 << 18 and back.values[2, 3] == 7 << 18
+
+
+def test_load_refuses_a_zero_numerator(tmp_path):
+    p = tmp_path / "f.bin"
+    with pytest.raises(ValueError, match=r"record 0 has numerator 0 at "
+                       r"exponent 0, not a canonical nonzero one"):
+        load_edge_field(_one_field_file(p, [(3, 1, 0, 0)]))
+
+
+def test_load_refuses_a_non_canonical_numerator(tmp_path):
+    """Above exponent 0 the numerator must be odd; at exponent 0 any
+    nonzero one is canonical."""
+    p = tmp_path / "f.bin"
+    with pytest.raises(ValueError, match=r"record 0 has numerator -6 at "
+                       r"exponent 2, not a canonical nonzero one"):
+        load_edge_field(_one_field_file(p, [(3, 1, -6, 2)]))
+    back = load_edge_field(_one_field_file(p, [(3, 1, -6, 0), (4, 0, -3, 2)]))
+    assert back.values[1, 3] == -6 << 18 and back.values[0, 4] == -3 << 16
+
+
+def test_narrow_int_boundaries():
+    """narrow_int(b) holds every |x| < b: int8 up to b = 128, int64 up to
+    b = 2^63; beyond that no dtype does."""
+    for bound, dtype in ((1, np.int8), (128, np.int8), (129, np.int16),
+                         (1 << 15, np.int16), ((1 << 15) + 1, np.int32),
+                         (1 << 31, np.int32), ((1 << 31) + 1, np.int64),
+                         (1 << 63, np.int64)):
+        assert narrow_int(bound) == dtype, bound
+    with pytest.raises(ValueError):
+        narrow_int((1 << 63) + 1)
+
+
+def test_edge_field_values_are_signed_integers():
+    w = LatticeWindow(d=2, L=4)
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        assert EdgeField(w, 0, np.zeros((4, 16), dtype)).values.dtype == dtype
+    for dtype in (np.float64, np.uint8, np.uint64, bool):
+        with pytest.raises(ValueError, match="signed integers"):
+            EdgeField(w, 0, np.zeros((4, 16), dtype))
 
 
 def test_edge_field_dump_is_deterministic(tmp_path):
@@ -376,20 +463,16 @@ def test_value_num_and_max_abs():
 
 
 def test_default_valid_allocates_nothing():
-    """An EdgeField built without valid flags every slot through one
-    read-only broadcast of True; copy() shares a read-only valid and
-    copies a writable one, and with_values wraps the given array."""
+    """An EdgeField flags every slot valid through one read-only broadcast
+    of True, and so does its copy; with_values wraps the given array."""
     w = LatticeWindow(d=3, L=6, margin=2)
     ef = EdgeField(edge_crop(w), 4)
     assert ef.valid.shape == ef.values.shape == (13, 4 ** 3)
     assert ef.valid.strides == (0, 0) and not ef.valid.flags.writeable
     assert ef.valid.all()
     c = ef.copy()
-    assert c.crop == ef.crop and c.valid is ef.valid
+    assert c.crop == ef.crop and c.valid.strides == (0, 0)
     assert not np.shares_memory(c.values, ef.values)
-    flags = np.ones(ef.values.shape, dtype=bool)
-    owned = EdgeField(ef.crop, 4, ef.values, flags).copy()
-    assert not np.shares_memory(owned.valid, flags)
     vals = np.ones_like(ef.values)
     wrapped = ef.with_values(vals, 0)
     assert wrapped.values is vals and wrapped.scale_exp == 0
@@ -453,8 +536,8 @@ def test_direction_major_layout_properties(data):
     values = rng.integers(-(1 << 40), 1 << 40, size=shape)
     values <<= rng.integers(0, 8, size=shape)
     values[rng.random(shape) < 0.3] = 0
-    valid = rng.random(shape) < 0.7
-    psi = EdgeField(w, scale, values, valid)
+    held = rng.random(shape) < 0.7
+    psi = EdgeField(w, scale, values)
 
     # every slot counts out of its tail and, when the head is in the
     # window, into its head
@@ -476,7 +559,7 @@ def test_direction_major_layout_properties(data):
         assert np.array_equal(grid.ravel(), values[i])
 
     # the dump holds every nonzero slot, and a missing one loads as 0
-    held = EdgeField(w, scale, np.where(valid, values, 0), valid)
+    held = EdgeField(w, scale, np.where(held, values, 0))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "f.bin")
         dump_edge_field(path, held)

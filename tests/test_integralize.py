@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from equidecomp import integralize
 from equidecomp.flowgrid import EdgeField
 from equidecomp.integralize import (
     BoundaryCycleGraph,
@@ -151,7 +152,6 @@ def random_dyadic_field(rng, w, s, pushes=120, avoid=None):
     # drawn vertex-major, so every edge gets the value it always had
     fld.values[:] = (rng.integers(-4, 5, size=fld.values.shape[::-1])
                      .astype(np.int64) << s).T
-    fld.values[~fld.valid] = 0
     done = 0
     while done < pushes:
         x = int(rng.integers(1, w.L - 2))
@@ -230,11 +230,37 @@ def test_round_edge_field_respects_fixed_edges():
     assert np.array_equal(out.values[fixed] << s, fld.values[fixed])
 
 
+def test_round_edge_field_widens_past_int8(monkeypatch):
+    """The integral flow is stored as narrow as its bound allows, which
+    passes int8 once through one edge of 300 units, and once through the
+    core corner (3, 3), whose five frontier edges each carry about 100
+    units: every edge fits int8, their sum does not.  Either way it
+    equals the same rounding done in int64."""
+    rng = np.random.default_rng(37)
+    w = LatticeWindow(d=2, L=16, margin=3)
+    s = 4
+    one_edge = random_dyadic_field(rng, w, s, pushes=60)
+    add_flow(one_edge, (7, 7), (7, 8), 300 << s)
+    corner = random_dyadic_field(rng, w, s, pushes=60)
+    for nb in ((2, 2), (2, 3), (2, 4), (3, 2), (4, 2)):
+        add_flow(corner, (3, 3), nb, (100 << s) + 3)
+    assert np.abs(corner.values).max() >> s < 127
+    for fld in (one_edge, corner):
+        f = fld.divergence_num() >> s
+        out, info = round_edge_field(w, fld, f)
+        with monkeypatch.context() as m:
+            m.setattr(integralize, "narrow_int", lambda bound: np.dtype(np.int64))
+            want, want_info = round_edge_field(w, fld, f)
+        assert out.values.dtype == np.int16 and want.values.dtype == np.int64
+        assert np.array_equal(out.values, want.values)
+        assert info == want_info
+
+
 def test_round_edge_field_validation():
     w = LatticeWindow(d=2, L=16, margin=3)
     fld = EdgeField(w, 2)
     f = np.zeros(w.shape, dtype=np.int64)
-    bad = np.ones_like(fld.valid)
+    bad = np.ones(fld.values.shape, dtype=bool)
     with pytest.raises(ValueError):
         round_edge_field(w, fld, f, fixed_mask=bad)    # non-core edges flagged
     frac = EdgeField(w, 2)

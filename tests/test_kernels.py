@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 
 from equidecomp._kernels import level_box, level_edge_grid, subbox_sums
-from equidecomp.flowgrid import truncated_psi
+from equidecomp.flowgrid import truncated_psi, truncation_mask
 from equidecomp.lattice import IndicatorField, LatticeWindow
 from oracle.paperflow import box_of, segment_count, sub_box
 
@@ -82,7 +82,7 @@ def test_edge_valid_mask_geometry():
     w = LatticeWindow(d=2, L=16)
     empty = np.zeros(w.shape, dtype=bool)
     psi = truncated_psi(IndicatorField(window=w, chi_a=empty, chi_b=empty), 2)
-    m = psi.valid[1].reshape(w.shape)     # direction (1, -1)
+    m = truncation_mask(psi.crop, 2)[1].reshape(w.shape)   # direction (1, -1)
     # level-2 phase neighborhoods need [3, 12] for both endpoints
     assert m[3, 4] and m[11, 4]
     assert not m[2, 4] and not m[12, 4]   # y outside

@@ -75,6 +75,16 @@ def test_one_frontier_router():
     assert not private, private
 
 
+def test_narrow_fields_are_reviewed():
+    """Edge fields are stored narrower than int64 only where a proven
+    bound sets the width: narrow_int lives in flowgrid and is called by
+    truncated_psi and round_edge_field alone."""
+    assert defined({"narrow_int"}) == [("flowgrid.py", "narrow_int")]
+    calls = callers("narrow_int")
+    assert sorted(calls) == [("flowgrid.py", "truncated_psi"),
+                             ("integralize.py", "round_edge_field")], calls
+
+
 def test_one_line_sum():
     """The truncated flow is one line sum per level: the per-phase tables
     and the phase loop stay deleted, and the scalar oracle shares no code

@@ -3,11 +3,13 @@ in isolation."""
 
 import inspect
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from equidecomp import equidecompose, pipeline
+from equidecomp import equidecompose, integralize, pipeline
+from equidecomp._maxflow import solve_supply_flow
 from equidecomp.config import build_config
 from equidecomp.flowgrid import EdgeField, residual_num, truncated_psi
 from equidecomp.lattice import ActionSpec, IndicatorField, LatticeWindow
@@ -70,31 +72,60 @@ def test_repair_in_isolation_and_doubling():
     assert exc.value.certificate["supply_abs"] == 20
 
 
-def test_repair_hands_over_the_truncated_flow(monkeypatch):
-    """run_pipeline's repaired flow is routed into the truncated flow's own
-    array, both on the crop of the core plus one ring: on the toy window
-    (L=12, margin=3) that is the box [2, 10)^3, a window of side 8 with
-    margin 1."""
-    seen = []
+def test_repair_widens_a_narrow_truncated_flow_after_the_solve(monkeypatch):
+    """The toy truncated flow (d=3, n0=1) is int8.  run_pipeline's repair
+    widens it to an int64 flow only once the solve has returned: at the
+    solve's entry no traced block is as large as that int64 field.  The
+    truncated flow itself is left as it was, and every flow lives on the
+    crop of the core plus one ring: on the toy window (L=12, margin=3)
+    the box [2, 10)^3, a window of side 8 with margin 1."""
+    seen, largest = [], []
 
     def truncated(*args, **kwargs):
         seen.append(truncated_psi(*args, **kwargs))
         return seen[-1]
 
+    def solve(*args, **kwargs):
+        largest.append(max(t.size for t in
+                           tracemalloc.take_snapshot().traces))
+        return solve_supply_flow(*args, **kwargs)
+
     params = list(inspect.signature(repair_to_frontier).parameters)
     assert params[1] == "consumed_psi"
     monkeypatch.setattr(pipeline, "truncated_psi", truncated)
+    monkeypatch.setattr(integralize, "solve_supply_flow", solve)
     window, action, a, b, n0 = toy_setup()
-    res = run_pipeline(window, action, a, b, n0)
+    tracemalloc.start()
+    try:
+        res = run_pipeline(window, action, a, b, n0)
+    finally:
+        tracemalloc.stop()
     psi_t, = seen
-    assert res.phi.values is psi_t.values
+    assert psi_t.values.dtype == np.int8 and res.phi.values.dtype == np.int64
+    # one solve in repair, one in rounding
+    assert len(largest) == 2 and largest[0] < psi_t.values.size * 8
     for field in (psi_t, res.phi, res.psi_int):
         assert field.window == LatticeWindow(d=3, L=8, margin=1)
         assert field.crop.full == window and field.crop.offset == 2
-    # repair changed the array it took over
     again = truncated_psi(res.field, n0)
+    assert np.array_equal(again.values, psi_t.values)
     assert not np.array_equal(again.values, res.phi.values)
-    assert np.array_equal(again.valid, psi_t.valid)
+
+
+def test_repair_hands_over_the_truncated_flow():
+    """A truncated flow whose bound needs int64 (d=2, n0=7: 2^33, on a
+    side-256 window whose wide margin keeps the repair to a side-32 core)
+    is repaired in place: the repaired flow holds its array."""
+    w = LatticeWindow(d=2, L=256, margin=112)
+    rng = np.random.default_rng(5)
+    f = rng.integers(-1, 2, size=w.shape)
+    fld = IndicatorField(window=w, chi_a=f > 0, chi_b=f < 0)
+    psi = truncated_psi(fld, 7)
+    assert psi.values.dtype == np.int64
+    phi, _ = repair_to_frontier(fld, psi, residual_num(fld, psi),
+                                capacity_units=4)
+    assert phi.values is psi.values
+    assert not residual_num(fld, phi).any()
 
 
 def test_repair_validation():
