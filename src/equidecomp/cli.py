@@ -162,6 +162,17 @@ def _config_from_summary(summary: dict) -> RunConfig:
     return build_config(pairs)
 
 
+def _is_json_int(value) -> bool:
+    """A JSON integer: not a bool, nor a float or a string int() takes."""
+    return type(value) is int
+
+
+def _json_int(value, name: str) -> int:
+    if not _is_json_int(value):
+        raise SchemaError("%s is not an integer: %r" % (name, value))
+    return value
+
+
 def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
     """Re-check serialized artifacts with no shared in-process state."""
     pieces_path = os.path.join(directory, "pieces.csv")
@@ -186,15 +197,15 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
     vin = summary.get("verify_inputs", {})
     counts = summary.get("pieces", {})
     try:
-        k_sel = int(tiles_meta.get("K", 0))
-        want_k_eff = int(tiles_meta.get("K_eff", -1))
-    except (TypeError, ValueError, OverflowError) as exc:
+        k_sel = _json_int(tiles_meta.get("K", 0), "K")
+        want_k_eff = _json_int(tiles_meta.get("K_eff", -1), "K_eff")
+    except SchemaError as exc:
         print("schema error: tiles: %s" % exc)
         return EXIT_VERIFY
     try:
-        want_counts = (int(counts.get("matched", -1)),
-                       int(counts.get("count", -1)))
-    except (TypeError, ValueError, OverflowError) as exc:
+        want_counts = (_json_int(counts.get("matched", -1), "matched"),
+                       _json_int(counts.get("count", -1), "count"))
+    except SchemaError as exc:
         print("schema error: pieces: %s" % exc)
         return EXIT_VERIFY
     if cfg is None:
@@ -217,8 +228,14 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
         return EXIT_VERIFY
     try:
         if cfg.tiling == "voronoi":
-            seeds = np.array(vin["voronoi_seeds"], dtype=np.int64)
-            r = int(vin["voronoi_r"])
+            r = _json_int(vin["voronoi_r"], "voronoi_r")
+            seeds = vin["voronoi_seeds"]
+            if not (isinstance(seeds, list)
+                    and all(isinstance(p, list) and all(map(_is_json_int, p))
+                            for p in seeds)):
+                raise SchemaError("voronoi_seeds is not a list of integer "
+                                  "points")
+            seeds = np.array(seeds, dtype=np.int64)
             if r != cfg.voronoi_r:
                 print("FAIL voronoi_net: voronoi_r %d is not the config's "
                       "voronoi_r %d" % (r, cfg.voronoi_r))
@@ -231,6 +248,9 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
             til = voronoi_tiling(window, net)
         else:
             til = rect_tiling(window, cfg.K or k_sel)
+    except SchemaError as exc:
+        print("schema error: verify_inputs: %s" % exc)
+        return EXIT_VERIFY
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         print("cannot rebuild tiling: %s" % exc)
         return EXIT_VERIFY
@@ -242,16 +262,12 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
         return EXIT_VERIFY
 
     def _flats(rows) -> np.ndarray:
-        if not rows:
-            return np.zeros(0, dtype=np.int64)
-        try:
-            arr = np.asarray(rows, dtype=np.int64)
-            ok = (arr.ndim == 2 and arr.shape[1] == window.d
-                  and ((arr >= 0) & (arr < window.L)).all())
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
+        if not (isinstance(rows, list) and all(
+                isinstance(v, list) and len(v) == window.d
+                and all(_is_json_int(c) and 0 <= c < window.L for c in v)
+                for v in rows)):
             raise SchemaError("verify_inputs: bad unmatched coordinate list")
+        arr = np.array(rows, dtype=np.int64).reshape(len(rows), window.d)
         return np.sort(np.ravel_multi_index(tuple(arr.T), window.shape))
 
     try:

@@ -26,8 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .flowgrid import EdgeField
-from .lattice import (IndicatorField, LatticeWindow, _shift_slices, directions,
-                      flat_shifts)
+from .lattice import IndicatorField, LatticeWindow, flat_shifts
 from .tiling import Tiling, _axis_sides, rect_tiling
 
 
@@ -155,19 +154,6 @@ def _flow_edges(psi: EdgeField) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (psi.crop.to_full(ui[inside]),
             psi.crop.to_full((ui + flat_shifts(window)[di])[inside]),
             val[inside] >> psi.scale_exp)
-
-
-def _tile_edges(tiling: Tiling):
-    """Per canonical direction g, the tile ids (a, b) of both ends of the
-    edges (x, x + g) within the core plus a one-vertex ring -- every edge
-    with a tiled end -- with -1 for untiled."""
-    window = tiling.window
-    lo, hi = window.core_bounds
-    c0, c1 = max(lo - 1, 0), min(hi + 1, window.L)
-    tid = tiling.tile_id[(slice(c0, c1),) * window.d]
-    for g in directions(window.d):
-        src, dst = _shift_slices(c1 - c0, g)
-        yield tid[src].ravel(), tid[dst].ravel()
 
 
 @dataclass
@@ -536,12 +522,21 @@ def verify_equidecomposition(pieces: PieceMap, field: IndicatorField) -> dict:
             all_b)))
 
     # a tile may hold unmatched points when it is unused or has an edge
-    # to an untiled vertex or to a vertex of an unused tile
-    opened = np.append(~pieces.used, True)     # index -1: untiled
+    # to an untiled vertex or to a vertex of an unused tile.  Edges join
+    # L-inf neighbours, so the tiles with such an edge are those holding a
+    # vertex of the one-step L-inf dilation of the opened (untiled or
+    # unused-tile) vertices.  Every neighbour of a core vertex lies in the
+    # core plus one ring, so the dilation runs on that box, without wrap.
+    lo, hi = window.core_bounds
+    box = pieces.tiling.tile_id[(slice(max(lo - 1, 0), min(hi + 1, L)),) * d]
+    near = np.append(~pieces.used, True)[box]  # index -1: untiled
+    for axis in range(d):
+        moved = np.moveaxis(near, axis, 0)      # a view: writes reach near
+        opened = moved.copy()
+        moved[1:] |= opened[:-1]
+        moved[:-1] |= opened[1:]
     allowed = ~pieces.used
-    for ta, tb in _tile_edges(pieces.tiling):
-        allowed[ta[(ta >= 0) & opened[tb]]] = True
-        allowed[tb[(tb >= 0) & opened[ta]]] = True
+    allowed[box[near & (box >= 0)]] = True
     un_tiles = np.unique(
         tid[np.concatenate([pieces.unmatched_a, pieces.unmatched_b])])
     bad_tiles = [int(t) for t in un_tiles if t < 0 or not allowed[t]]

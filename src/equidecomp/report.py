@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import colorsys
 import csv
+import itertools
 import json
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
@@ -80,13 +81,13 @@ def read_pieces_csv(path, window: LatticeWindow
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(source flat indices, gamma rows, piece ids) from a piece CSV.
 
-    Raises SchemaError with a row number on any malformed content.
+    Raises SchemaError naming the first malformed row.  Each row is
+    checked for its column count, integer cells (Python `int`), the int64
+    range and a source vertex inside the window, in that order.
     """
     d = window.d
     want = pieces_csv_header(d)
-    a_flat: List[int] = []
-    gam: List[List[int]] = []
-    pid: List[int] = []
+    rows: List[List[str]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -95,26 +96,57 @@ def read_pieces_csv(path, window: LatticeWindow
             raise SchemaError("empty file %s" % path)
         if header != want:
             raise SchemaError("bad header %r, expected %r" % (header, want))
-        for ln, row in enumerate(reader, start=2):
-            if len(row) != 2 * d + 1:
-                raise SchemaError("row %d: %d columns, expected %d"
-                                  % (ln, len(row), 2 * d + 1))
-            try:
-                vals = [int(v) for v in row]
-            except ValueError:
-                raise SchemaError("row %d: non-integer value" % ln)
-            if not all(-2 ** 63 <= c < 2 ** 63 for c in vals):
-                raise SchemaError("row %d: value outside int64" % ln)
-            v = vals[:d]
-            if not all(0 <= c < window.L for c in v):
-                raise SchemaError("row %d: vertex %r outside the window"
-                                  % (ln, v))
-            a_flat.append(int(np.ravel_multi_index(tuple(v), window.shape)))
-            gam.append(vals[d:2 * d])
-            pid.append(vals[2 * d])
-    return (np.array(a_flat, dtype=np.int64),
-            np.array(gam, dtype=np.int64).reshape(len(gam), d),
-            np.array(pid, dtype=np.int64))
+        try:
+            rows.extend(reader)
+        except (ValueError, csv.Error):
+            # a malformed row read before the failure still comes first
+            _rows_array(rows, window)
+            raise
+    vals = _rows_array(rows, window)
+    return (np.ravel_multi_index(tuple(vals[:, :d].T), window.shape),
+            vals[:, d:2 * d], vals[:, 2 * d])
+
+
+def _rows_array(rows: List[List[str]], window: LatticeWindow) -> np.ndarray:
+    """The rows as one (n, 2d + 1) int64 array, or SchemaError naming the
+    first row (file row = index + 2) that fails a check."""
+    width = 2 * window.d + 1
+    bad_width = np.fromiter(map(len, rows), dtype=np.int64,
+                            count=len(rows)) != width
+    n = int(np.argmax(bad_width)) if bad_width.any() else len(rows)
+    err = ("row %d: %d columns, expected %d" % (n + 2, len(rows[n]), width)
+           if n < len(rows) else None)
+    try:
+        cells = list(map(int, itertools.chain.from_iterable(rows[:n])))
+    except ValueError:
+        n = next(i for i, row in enumerate(rows)
+                 if not all(map(_is_int, row)))
+        err = "row %d: non-integer value" % (n + 2)
+        cells = list(map(int, itertools.chain.from_iterable(rows[:n])))
+    try:
+        vals = np.array(cells, dtype=np.int64).reshape(n, width)
+    except OverflowError:
+        n = next(i for i, c in enumerate(cells)
+                 if not -2 ** 63 <= c < 2 ** 63) // width
+        err = "row %d: value outside int64" % (n + 2)
+        vals = np.array(cells[:n * width], dtype=np.int64).reshape(n, width)
+    v = vals[:, :window.d]
+    outside = ((v < 0) | (v >= window.L)).any(axis=1)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise SchemaError("row %d: vertex %r outside the window"
+                          % (i + 2, v[i].tolist()))
+    if err is not None:
+        raise SchemaError(err)
+    return vals
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ flow layer with its own Dinic, and `paperflow` the per-edge, per-phase
 definitions of the box flow.  `edges` reads and writes one edge flow by
 vertex coordinates, and `cyclegraph` builds the boundary 3-cycle graph
 from shared vertices.  `freeness` is the full-box orbit separation
-scan, within 2^-52 of the exact distance.  None of them is imported by
-the package.
+scan, within 2^-52 of the exact distance.  `locality` is the
+verifier's unmatched-locality check one edge direction at a time, and
+`piecescsv` the piece CSV read one row at a time.  None of them is
+imported by the package.
 """

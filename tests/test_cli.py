@@ -123,7 +123,7 @@ def test_verify_rebuilds_bounds_and_reads_full_ids(tmp_path, capsys):
     summary_path = tmp_path / "run" / "summary.json"
     good = json.loads(summary_path.read_text())
     summary_path.write_text(json.dumps(
-        dict(good, tiles=dict(good["tiles"], K_eff=1e300))))
+        dict(good, tiles=dict(good["tiles"], K_eff=10 ** 300))))
     assert main(["verify", "--dir", out]) == EXIT_VERIFY
     assert "FAIL summary_counts" in capsys.readouterr().out
     summary_path.write_text(json.dumps(good))
@@ -200,12 +200,15 @@ def test_verify_malformed_voronoi_inputs(tmp_path, capsys):
     assert run("square", out, extra=voronoi) == EXIT_OK
     summary_path = tmp_path / "run" / "summary.json"
     good = json.loads(summary_path.read_text())
-    for key, bad in (("voronoi_r", None), ("voronoi_r", float("inf")),
-                     ("voronoi_seeds", [[2 ** 70, 1]])):
+    for key, bad, why in (
+            ("voronoi_r", None, "schema error: verify_inputs: voronoi_r"),
+            ("voronoi_r", float("inf"),
+             "schema error: verify_inputs: voronoi_r"),
+            ("voronoi_seeds", [[2 ** 70, 1]], "cannot rebuild tiling")):
         summary_path.write_text(json.dumps(dict(
             good, verify_inputs=dict(good["verify_inputs"], **{key: bad}))))
         assert main(["verify", "--dir", out]) == EXIT_VERIFY, key
-        assert "cannot rebuild tiling" in capsys.readouterr().out
+        assert why in capsys.readouterr().out
     # the radius must be the config's and the seeds the greedy net of the
     # core: a radius of 10^6 would switch off gamma_bound and the piece
     # bound
@@ -222,6 +225,60 @@ def test_verify_malformed_voronoi_inputs(tmp_path, capsys):
         assert main(["verify", "--dir", out]) == EXIT_VERIFY, r
         text = capsys.readouterr().out
         assert "FAIL voronoi_net" in text and why in text, text
+
+
+def _coords_as(kind, rows):
+    return [[kind(c) for c in v] for v in rows]
+
+
+def _first_bool(rows):
+    """rows with the first coordinate 0 or 1 written as a JSON boolean."""
+    rows = [list(v) for v in rows]
+    i, j = next((i, j) for i, v in enumerate(rows)
+                for j, c in enumerate(v) if c in (0, 1))
+    rows[i][j] = bool(rows[i][j])
+    return rows
+
+
+# (extra config, section, key, forged value from the good one): each is a
+# number that int() or numpy reads as the right integer, so the parent of
+# the JSON-integer check verified every one of them ok
+FORGERIES = {
+    "float_unmatched_a": ((), "verify_inputs", "unmatched_a",
+                          lambda v: _coords_as(float, v)),
+    "string_unmatched_b": ((), "verify_inputs", "unmatched_b",
+                           lambda v: _coords_as(str, v)),
+    "bool_unmatched_b": (("margin=1",), "verify_inputs", "unmatched_b",
+                         _first_bool),
+    "float_K": ((), "tiles", "K", lambda k: k + 0.9),
+    "float_K_eff": ((), "tiles", "K_eff", float),
+    "string_matched": ((), "pieces", "matched", str),
+    "string_count": ((), "pieces", "count", str),
+    "float_voronoi_r": (("tiling=voronoi", "voronoi_r=3"), "verify_inputs",
+                        "voronoi_r", float),
+    "float_voronoi_seeds": (("tiling=voronoi", "voronoi_r=3"),
+                            "verify_inputs", "voronoi_seeds",
+                            lambda v: _coords_as(float, v)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGERIES))
+def test_verify_requires_json_integers(tmp_path, capsys, name):
+    """Counts, tile scales, Voronoi inputs and unmatched coordinates must
+    be JSON integers: a float, a numeric string or a boolean that reads
+    as the right value is a schema error, not a pass."""
+    extra, section, key, forge = FORGERIES[name]
+    out = str(tmp_path / "run")
+    assert run("square", out, extra=extra) == EXIT_OK
+    assert main(["verify", "--dir", out]) == EXIT_OK
+    summary_path = tmp_path / "run" / "summary.json"
+    good = json.loads(summary_path.read_text())
+    assert good[section][key] not in ([], None)
+    summary_path.write_text(json.dumps(dict(good, **{section: dict(
+        good[section], **{key: forge(good[section][key])})})))
+    capsys.readouterr()
+    assert main(["verify", "--dir", out]) == EXIT_VERIFY
+    assert "schema error: %s" % section in capsys.readouterr().out
 
 
 def test_verify_config_override_changes_field(tmp_path, capsys):

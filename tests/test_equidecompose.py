@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from equidecomp.config import build_config
 from equidecomp.equidecompose import (
@@ -24,6 +24,7 @@ from equidecomp import equidecompose
 from equidecomp.pipeline import run_pipeline
 from equidecomp.tiling import Net, greedy_net, rect_tiling, voronoi_tiling
 from oracle.edges import add_flow, flow_num
+from oracle.locality import unmatched_locality
 
 
 def box_slices(box):
@@ -412,6 +413,41 @@ def test_verifier_flags_corruption():
                      used=pieces.used), fld)
     assert not hidden["ok"]
     assert not hidden["checks"]["a_partition"]["ok"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(d=st.integers(1, 4), margin=st.integers(0, 3), core=st.integers(2, 5),
+       kind=st.sampled_from(["rect", "voronoi"]), scale=st.integers(1, 3),
+       p_used=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+       n_unmatched=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1))
+@example(d=1, margin=0, core=6, kind="rect", scale=2, p_used=0.8,
+         n_unmatched=6, seed=2)         # no wrap: tiles at opposite faces
+def test_unmatched_locality_matches_reference(d, margin, core, kind, scale,
+                                              p_used, n_unmatched, seed):
+    """The verifier's one-dilation locality check gives the same entry as
+    the per-direction reference on rect and Voronoi tilings, for random
+    used masks and random unmatched points anywhere in the window."""
+    w = LatticeWindow(d=d, L=core + 2 * margin, margin=margin)
+    if kind == "rect":
+        til = rect_tiling(w, min(scale, core))
+    else:
+        til = voronoi_tiling(w, greedy_net(w, scale, restrict=w.core_mask()))
+    rng = np.random.default_rng(seed)
+    used = rng.random(len(til.tiles)) < p_used
+    picks = rng.choice(w.n_vertices, size=min(n_unmatched, w.n_vertices),
+                       replace=False)
+    un_a, un_b = np.sort(picks[::2]), np.sort(picks[1::2])
+    none = np.zeros(w.shape, dtype=bool)
+    empty = np.zeros(0, dtype=np.int64)
+    pieces = equidecompose.PieceMap(
+        window=w, K=til.K_eff, a_flat=empty, b_flat=empty,
+        gamma=np.zeros((0, d), dtype=np.int64), piece_id=empty,
+        gammas=np.zeros((0, d), dtype=np.int64), unmatched_a=un_a,
+        unmatched_b=un_b, tiling=til, used=used)
+    report = verify_equidecomposition(
+        pieces, IndicatorField(window=w, chi_a=none, chi_b=none))
+    assert report["checks"]["unmatched_locality"] == unmatched_locality(
+        til, used, np.concatenate([un_a, un_b]))
 
 
 def test_select_k_boundary_criterion():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equidecomp.equidecompose import (build_matching, extract_pieces,
                                       tile_flow, verify_equidecomposition)
@@ -19,6 +20,7 @@ from equidecomp.report import (
     write_csv,
 )
 from equidecomp.tiling import rect_tiling
+from oracle import piecescsv
 
 from test_equidecompose import path_flow, pieces_for
 
@@ -129,6 +131,100 @@ def test_pieces_csv_schema_errors(tmp_path):
     with pytest.raises(SchemaError) as exc:
         read_pieces_csv(p, w)
     assert "row 2" in str(exc.value) and "int64" in str(exc.value)
+
+
+def read_both(path, window):
+    """Both readers' results on one file: equal arrays, or equal
+    SchemaError text."""
+    got = []
+    for read in (read_pieces_csv, piecescsv.read_pieces_csv):
+        try:
+            got.append(read(path, window))
+        except SchemaError as exc:
+            got.append(str(exc))
+    new, ref = got
+    if isinstance(ref, str) or isinstance(new, str):
+        assert new == ref
+        return ref
+    for x, y in zip(new, ref):
+        assert x.dtype == y.dtype == np.int64 and x.shape == y.shape
+        assert np.array_equal(x, y)
+    return ref
+
+
+DEFECTS = ("columns", "nonint", "overflow", "window", "blank")
+
+
+def spoil(row, kind, d, L, rng):
+    """row (cells as text) with one defect of the given kind."""
+    row = list(row)
+    if kind == "columns":
+        return row[:-1] if rng.random() < 0.5 else row + ["0"]
+    if kind == "nonint":
+        row[rng.integers(len(row))] = str(rng.choice(["x1", "1.5", "", "--2"]))
+        return row
+    if kind == "overflow":
+        big = int(rng.integers(0, 5))
+        row[rng.integers(len(row))] = str(
+            2 ** 63 + big if rng.random() < 0.5 else -2 ** 63 - 1 - big)
+        return row
+    if kind == "window":
+        row[rng.integers(d)] = str(L + int(rng.integers(0, 3))
+                                   if rng.random() < 0.5 else -1)
+        return row
+    return []                                   # a blank line
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 3), L=st.integers(2, 12), n=st.integers(0, 25),
+       kinds=st.sampled_from([()] + [(k,) for k in DEFECTS]
+                             + [(a, b) for a in DEFECTS for b in DEFECTS
+                                if a != b]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pieces_csv_reader_matches_row_reference(tmp_path_factory, d, L, n,
+                                                 kinds, seed):
+    """The array reader and the row-by-row reference accept the same files
+    and name the same first bad row: random valid files (cells in any
+    form int() takes), one defect, or two defects of different kinds in
+    different rows, the first kind in the earlier row."""
+    rng = np.random.default_rng(seed)
+    w = LatticeWindow(d=d, L=L)
+    n = max(n, len(kinds))
+    vals = np.concatenate(
+        [rng.integers(0, L, size=(n, d)),
+         rng.integers(-2 ** 63, 2 ** 63 - 1, size=(n, d), endpoint=True),
+         rng.integers(0, 50, size=(n, 1))], axis=1)
+    forms = ("%d", " %d", "%d ", "%05d", "%+d")
+    rows = [[forms[rng.integers(len(forms))] % v for v in r]
+            for r in vals.tolist()]
+    at = np.sort(rng.choice(n, size=len(kinds), replace=False))
+    for i, kind in zip(at, kinds):
+        rows[i] = spoil(rows[i], kind, d, L, rng)
+    path = tmp_path_factory.mktemp("csv") / "pieces.csv"
+    path.write_text("\r\n".join([",".join(pieces_csv_header(d))]
+                                 + [",".join(r) for r in rows]) + "\r\n",
+                    newline="")
+    got = read_both(path, w)
+    if not kinds:
+        assert np.array_equal(got[2], vals[:, 2 * d])
+    else:
+        assert isinstance(got, str) and got.startswith("row %d:" % (at[0] + 2))
+
+
+def test_pieces_csv_read_error_after_a_bad_row(tmp_path):
+    """A decode error past the first 8 KiB block: a malformed row read
+    before it is reported, as the row reader does; with no such row the
+    decode error itself propagates."""
+    w = LatticeWindow(d=2, L=16)
+    head = ",".join(pieces_csv_header(2)) + "\r\n"
+    good = "1,2,0,1,0\r\n" * 3000
+    p = tmp_path / "pieces.csv"
+    p.write_bytes((head + "1,99,0,1,0\r\n" + good).encode() + b"\xff\r\n")
+    assert read_both(p, w) == "row 2: vertex [1, 99] outside the window"
+    p.write_bytes((head + good).encode() + b"\xff\r\n")
+    for read in (read_pieces_csv, piecescsv.read_pieces_csv):
+        with pytest.raises(UnicodeDecodeError):
+            read(p, w)
 
 
 def test_pgm_ppm_formats(tmp_path):
