@@ -7,27 +7,27 @@ to be routed, which is exact: an acyclic flow never carries more than its
 value on any arc.  When that supply itself is too wide, coarse phases route
 it in units of 2^j first and a final phase finishes exactly at j = 0.
 
-The arcs are laid out in (tail, head) order, so for the same input the
+The caller lays the arcs out as a CSR, each row in increasing head order.
+The source s and the sink t are the two vertices after the caller's, so
+each supply vertex's arc to s or t goes at the end of its row and their
+own rows come last: the layout needs no sort, and for the same input the
 blocking flows, and hence the returned flow, are deterministic.
 
-Memory.  Below _MAX_SIZE every vertex index fits int32, so the endpoints,
-the CSR's indptr and indices, the capacities handed to scipy and the CSR
-position of each u -> v arc are int32.  Only the sort key (built in int64,
-since tail * (n + 2) passes 2^31 beyond ~46k vertices), the residual
-capacities, which may be wider than int32, and the returned net flow are
-int64.  The key lives only while the layout is built, and the net flow is
-read off the residuals once the last phase is done.  During the max-flow
-call the solve itself holds about 18 bytes per arc (an arc is one
-direction of an edge): residuals 8, indices 4, capacities 4 and forward
-positions 2.  scipy's own copies, the int32 astype of the graph, the graph
+Memory.  Below _MAX_SIZE every vertex index fits int32, so the CSR's
+indptr and indices and the capacities handed to scipy are int32.  Only
+the residual capacities, which may be wider than int32, and the returned
+flow are int64.  During the max-flow call the solve itself holds about 17
+bytes per arc (an arc is one direction of an edge, or a source or sink
+arc): residuals 8, indices 4, capacities 4 and the flags of the caller's
+arcs 1.  scipy's own copies, the int32 astype of the graph, the graph
 with reverse arcs added, its transpose and the edge pointers, take about
 28 more; that part is the floor.  On the demo's repair graph (1.07M arcs)
-the tracemalloc peak of one solve is 46 bytes per arc.
+the tracemalloc peak of one solve is 45 bytes per arc.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -40,48 +40,18 @@ _PHASE_BITS = 30
 _MAX_SIZE = 1 << (_PHASE_BITS - 2)
 
 
-def _arc_layout(blocks: Sequence[Tuple[object, object]], n: int
-                ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
-    """CSR layout of distinct arcs between n < _MAX_SIZE vertices, given
-    as blocks of (tail, head), each an index array or a scalar broadcast
-    against the other.  Returns int32 (indptr, indices, ranks): the arcs
-    sorted as np.lexsort((head, tail)) sorts them, and for each block the
-    position of each of its arcs in that order.
-
-    One sort of the int64 key tail * n + head gives the order: a key stays
-    under 2^56, and distinct arcs have distinct keys, so no sort can tie
-    them."""
-    sizes = [np.broadcast(tail, head).size for tail, head in blocks]
-    bounds = np.cumsum([0] + sizes)
-    key = np.empty(bounds[-1], dtype=np.int64)
-    for (tail, head), lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
-        np.multiply(tail, n, out=key[lo:hi], dtype=np.int64)
-        key[lo:hi] += head
-    order = np.argsort(key).astype(np.int32)
-    key = key[order]
-    if (key[1:] == key[:-1]).any():
-        raise ValueError("duplicate edge")
-    # the arcs out of vertex i start at the first key >= i * n
-    indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(np.int32)
-    indices = np.empty(len(key), dtype=np.int32)
-    np.remainder(key, n, out=indices, casting="unsafe")
-    del key
-    rank = np.empty(len(order), dtype=np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    return indptr, indices, np.split(rank, bounds[1:-1])
-
-
-def solve_supply_flow(u, v, cap_uv, cap_vu,
-                      supply) -> Tuple[bool, np.ndarray]:
+def solve_supply_flow(indptr, indices, cap, supply) -> Tuple[bool, np.ndarray]:
     """Route integer vertex supplies (positive = excess to ship, negative =
-    demand) through the undirected edges (u[i], v[i]), which may carry up
-    to cap_uv[i] units from u to v and cap_vu[i] from v to u.
+    demand) over the arcs of a CSR graph on the n = len(supply) vertices:
+    the arcs out of vertex x lead to indices[indptr[x]:indptr[x + 1]], in
+    increasing order, and arc k carries up to cap[k] units.  Every arc's
+    reverse must be an arc too, at capacity 0 if need be.
 
-    Returns (feasible, net flow per edge, positive in the u -> v direction).
-    When infeasible, the flow is the part of the supply that was routed.
-    Supplies must balance, and no vertex pair may appear twice.  int32
-    endpoints and int64 capacities are used without a copy, so a caller
-    with equal capacities both ways passes one array twice.
+    Returns (feasible, flow on each arc).  The flow is antisymmetric, the
+    net amount sent from the arc's tail to its head.  When infeasible, it
+    is the part of the supply that was routed.  Supplies must balance.
+    int32 index arrays and integer or bool capacities of any width are
+    used without a copy.
     """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import maximum_flow
@@ -91,66 +61,98 @@ def solve_supply_flow(u, v, cap_uv, cap_vu,
         raise ValueError("supply must be one entry per vertex")
     if int(supply.sum()) != 0:
         raise ValueError("supplies must balance")
-    u = np.asarray(u).ravel()
-    v = np.asarray(v).ravel()
-    if u.shape != v.shape:
-        raise ValueError("u and v must have one entry per edge")
-    cuv = np.broadcast_to(np.asarray(cap_uv, dtype=np.int64), u.shape)
-    cvu = np.broadcast_to(np.asarray(cap_vu, dtype=np.int64), u.shape)
-    if (cuv < 0).any() or (cvu < 0).any():
+    indptr = np.asarray(indptr).ravel()
+    indices = np.asarray(indices).ravel()
+    cap = np.asarray(cap)
+    if cap.dtype.kind not in "biu":
+        cap = cap.astype(np.int64)
+    n, m = len(supply), len(indices)
+    if (len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != m
+            or (np.diff(indptr) < 0).any()):
+        raise ValueError("indptr must be n + 1 row starts from 0 to the "
+                         "arc count")
+    if cap.shape != indices.shape:
+        raise ValueError("cap must be one entry per arc")
+    if (cap < 0).any():
         raise ValueError("negative capacity")
-    n, m = len(supply), len(u)
-    if m and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
-        raise ValueError("edge endpoint out of range")
-    if n + 2 * m >= _MAX_SIZE:
-        raise ValueError("graph of %d vertices and %d edges is too large "
+    if m and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError("arc head out of range")
+    if n + m >= _MAX_SIZE:
+        raise ValueError("graph of %d vertices and %d arcs is too large "
                          "for the int32 solver" % (n, m))
     # in range, so exact in int32
-    u = u.astype(np.int32, copy=False)
-    v = v.astype(np.int32, copy=False)
-    if (u == v).any():
-        raise ValueError("self-loop edge")
+    indptr = indptr.astype(np.int32, copy=False)
+    indices = indices.astype(np.int32, copy=False)
+    tail = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+    if (indices == tail).any():
+        raise ValueError("self-loop arc")
+    same_row = tail[1:] == tail[:-1]
+    del tail
+    if (same_row & (indices[1:] == indices[:-1])).any():
+        raise ValueError("duplicate arc")
+    if (same_row & (indices[1:] < indices[:-1])).any():
+        raise ValueError("a row's heads are not increasing")
+    del same_row
 
-    # arcs in blocks u -> v, v -> u, s -> p, p -> s, q -> t, t -> q, where
-    # p and q are the vertices with a supply and a demand, with these
-    # capacities; resid holds them in the CSR's (tail, head) order
+    # s = n and t = n + 1: each supply vertex p gains p -> s at capacity
+    # 0, each demand vertex q gains q -> t at capacity -supply[q], both at
+    # the end of their rows, and rows s and t hold s -> p at supply[p] and
+    # t -> q at 0
     s, t = n, n + 1
     pos = np.flatnonzero(supply > 0).astype(np.int32)
     neg = np.flatnonzero(supply < 0).astype(np.int32)
-    blocks = ((u, v, cuv), (v, u, cvu), (s, pos, supply[pos]), (pos, s, 0),
-              (neg, t, -supply[neg]), (t, neg, 0))
-    indptr, indices, ranks = _arc_layout([b[:2] for b in blocks], n + 2)
-    resid = np.empty(len(indices), dtype=np.int64)
-    for (_, _, cap), at in zip(blocks, ranks):
-        resid[at] = cap
-    fwd = ranks[0].copy()               # the CSR position of each u -> v
-    del blocks, ranks, at               # the last views of the rank array
-    src_arcs = slice(indptr[s], indptr[s + 1])      # the arcs s -> p
+    ends = np.flatnonzero(supply)
+    rows = np.empty(n + 3, dtype=np.int32)
+    rows[:n + 1] = indptr
+    rows[1:n + 1] += np.cumsum(supply != 0, dtype=np.int32)
+    rows[n + 1] = rows[n] + len(pos)
+    rows[n + 2] = rows[n + 1] + len(neg)
+    last = rows[ends + 1] - 1                   # the new arc of each row
+    mine = np.ones(rows[-1], dtype=bool)        # the caller's arcs
+    mine[last] = False
+    mine[rows[n]:] = False
+    heads = np.empty(rows[-1], dtype=np.int32)
+    heads[mine] = indices
+    heads[last] = np.where(supply[ends] > 0, s, t)
+    heads[rows[n]:rows[n + 1]] = pos
+    heads[rows[n + 1]:] = neg
+    resid = np.zeros(rows[-1], dtype=np.int64)
+    resid[mine] = cap
+    resid[last] = np.maximum(-supply[ends], 0)
+    resid[rows[n]:rows[n + 1]] = supply[pos]
+    src_arcs = slice(rows[s], rows[s + 1])      # the arcs s -> p
 
     total = remaining = int(supply[pos].sum())
     np.minimum(resid, total, out=resid)
+    sent = None                                 # the flow so far
     while remaining:
         # coarse phases route units of 2^j until the rest fits one phase
         j = max(0, remaining.bit_length() - _PHASE_BITS)
-        data = np.minimum(resid >> j, remaining >> j)
+        # every value is at most remaining >> j < 2^30, so it is exact in
+        # the int32 the phase's capacities are written to
+        data = np.empty(len(resid), dtype=np.int32)
+        np.minimum(resid >> j if j else resid, remaining >> j, out=data,
+                   casting="unsafe")
         if data.max(initial=0) >> _PHASE_BITS:
             raise AssertionError("max-flow capacity exceeds the int32 range")
-        graph = csr_array((data.astype(np.int32), indices, indptr),
-                          shape=(n + 2, n + 2))
+        graph = csr_array((data, heads, rows), shape=(n + 2, n + 2))
         del data
         flow = maximum_flow(graph, s, t, method="dinic").flow
         del graph
-        if not (np.array_equal(flow.indices, indices)
-                and np.array_equal(flow.indptr, indptr)):
-            raise AssertionError("max-flow changed the arc layout")
-        flow = flow.data
-        resid -= np.left_shift(flow, j, dtype=np.int64)
-        remaining -= int(flow[src_arcs].sum(dtype=np.int64)) << j
+        if not (np.array_equal(flow.indices, heads)
+                and np.array_equal(flow.indptr, rows)):
+            # scipy added the reverse of some arc
+            raise ValueError("an arc's reverse is missing")
+        flow = np.left_shift(flow.data, j, dtype=np.int64)
+        sent = flow if sent is None else sent + flow
+        remaining -= int(flow[src_arcs].sum())
         # A coarse max flow F has a cut of coarse capacity F; in the
-        # exact network that cut holds at most n + 2m arcs, each less than
+        # exact network that cut holds at most n + m arcs, each less than
         # 2^j larger, so a larger remainder cannot be routed at all.  The
         # size bound makes the remainder at most half the phase's supply.
-        if j == 0 or remaining > (n + 2 * m) << j:
+        if j == 0 or remaining > (n + m) << j:
             break
-    # the net flow on u -> v is its first residual minus its last
-    return remaining == 0, np.minimum(cuv, total) - resid[fwd]
+        resid -= flow
+    if sent is None:
+        return True, np.zeros(m, dtype=np.int64)
+    return remaining == 0, sent[mine]

@@ -178,7 +178,7 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
     pieces_path = os.path.join(directory, "pieces.csv")
     summary_path = os.path.join(directory, "summary.json")
     for p in (pieces_path, summary_path):
-        if not os.path.exists(p):
+        if not os.path.isfile(p):
             print("missing artifact: %s" % p)
             return EXIT_VERIFY
     try:

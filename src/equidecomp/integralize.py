@@ -26,8 +26,8 @@ import numpy as np
 
 from ._maxflow import solve_supply_flow
 from .flowgrid import EdgeField, narrow_int, residual_num
-from .lattice import (IndicatorField, LatticeWindow, all_directions,
-                      directions, edge_mask, edge_slots, flat_shifts)
+from .lattice import (IndicatorField, LatticeWindow, _shift_slices,
+                      all_directions, directions, edge_slots, flat_shifts)
 from .tiling import (Region, ball_mask, boundary_disjoint_cover, boundary_n,
                      fill_holes)
 
@@ -236,44 +236,56 @@ class PipelineError(RuntimeError):
 
 
 @lru_cache(maxsize=1)
-def _core_edges(window: LatticeWindow) -> Tuple[np.ndarray, np.ndarray]:
-    """(di, ui): the edges (ui[k], ui[k] + dirs[di[k]]), ui a flat vertex
-    index, with both endpoints in the core, in EdgeField.values slot order.
-    Both are int32, which holds any flat index of a window small enough to
-    repair (see _maxflow), and half the size of np.nonzero's int64.
-    Read-only and cached for the last window, so repair and rounding share
-    one build per run."""
-    di, ui = (a.astype(np.int32) for a in
-              np.nonzero(edge_mask(window, window.core_mask(), np.logical_and)))
-    di.setflags(write=False)
-    ui.setflags(write=False)
-    return di, ui
-
-
-@lru_cache(maxsize=1)
-def _rim_frontier_slots(window: LatticeWindow) -> Tuple[np.ndarray, np.ndarray]:
-    """(rim, slots) over the rim, the core vertices with a frontier
-    neighbor: rim lists their flat indices in increasing order, and
-    slots[2*i + sign, r] flags that rim[r] + dirs[i] (sign 0) or
-    rim[r] - dirs[i] (sign 1) is a frontier vertex.  The core is the box
-    [margin, L - margin)^d, so with margin >= 1 the rim is its outer layer
-    and every frontier neighbor lies in the window; margin 0 has no rim.
-    Read-only and cached for the last window, like _core_edges."""
+def _rim_frontier_slots(window: LatticeWindow
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rim, rows, slots) over the rim, the core vertices with a frontier
+    neighbor: rim lists their flat indices in increasing order, rows their
+    numbers in the core box's own row-major order, and slots[2*i + sign, r]
+    flags that rim[r] + dirs[i] (sign 0) or rim[r] - dirs[i] (sign 1) is a
+    frontier vertex.  The core is the box [margin, L - margin)^d, so with
+    margin >= 1 the rim is its outer layer and every frontier neighbor lies
+    in the window; margin 0 has no rim.  Read-only and cached for the last
+    window, so repair and rounding share one build per run."""
     lo, hi = window.core_bounds
-    core = window.core_mask()
-    rim_mask = core.copy() if lo else np.zeros_like(core)
-    rim_mask[tuple(slice(lo + 1, hi - 1) for _ in range(window.d))] = False
+    d = window.d
+    box = np.full((hi - lo,) * d, lo > 0)
+    box[(slice(1, hi - lo - 1),) * d] = False
+    rows = np.flatnonzero(box)
+    rim_mask = np.zeros(window.shape, dtype=bool)
+    rim_mask[(slice(lo, hi),) * d] = box
     rim = np.flatnonzero(rim_mask)
     # every neighbor of a rim vertex is in the window, so flat shifts
     # reach it exactly
     shift = flat_shifts(window)[:, None]
-    frontier = ~core.ravel()
+    frontier = ~window.core_mask().ravel()
     slots = np.empty((2 * len(shift), len(rim)), dtype=bool)
     slots[0::2] = frontier[rim + shift]
     slots[1::2] = frontier[rim - shift]
-    rim.setflags(write=False)
-    slots.setflags(write=False)
-    return rim, slots
+    for a in (rim, rows, slots):
+        a.setflags(write=False)
+    return rim, rows, slots
+
+
+@lru_cache(maxsize=1)
+def _core_edge_mask(window: LatticeWindow) -> np.ndarray:
+    """mask[i][x] flags that the edge x -> x + dirs[i] from core-box vertex
+    x (in the box's own coordinates) ends in the core too; laid out like
+    _core_edge_view.  Read-only and cached for the last window."""
+    lo, hi = window.core_bounds
+    dirs = directions(window.d)
+    mask = np.zeros((len(dirs),) + (hi - lo,) * window.d, dtype=bool)
+    for i, g in enumerate(dirs.tolist()):
+        mask[i][_shift_slices(hi - lo, g)[0]] = True
+    mask.setflags(write=False)
+    return mask
+
+
+def _core_edge_view(values: np.ndarray, window: LatticeWindow) -> np.ndarray:
+    """values, laid out as EdgeField.values, as a (len(dirs),) + core box
+    view: view[i][x] is the slot of the edge from core-box vertex x."""
+    lo, hi = window.core_bounds
+    return values.reshape((len(values),) + window.shape)[
+        (slice(None),) + (slice(lo, hi),) * window.d]
 
 
 def spill_to_frontier(values: np.ndarray, window: LatticeWindow,
@@ -283,64 +295,129 @@ def spill_to_frontier(values: np.ndarray, window: LatticeWindow,
     frontier edges, in place in the edge array values (laid out as
     EdgeField.values); rim and slots are as from _rim_frontier_slots.  The
     frontier slots are visited in ascending order, each taking up to cap
-    units in magnitude of what is left.  Returns the largest take; every
-    unit must find an edge."""
-    flat_shift = flat_shifts(window)
-    left = np.array(amount, dtype=np.int64)
-    largest = 0
-    for slot, on in enumerate(slots):
-        at = np.flatnonzero(on & (left != 0))
-        take = np.clip(left[at], -cap, cap)
-        i = slot >> 1
-        if slot & 1:
-            # flow out of the rim endpoint is minus the stored value
-            values[i, rim[at] - flat_shift[i]] -= take
-        else:
-            values[i, rim[at]] += take
-        left[at] -= take
-        largest = max(largest, int(np.abs(take).max(initial=0)))
+    units in magnitude of what is left: a vertex's k-th frontier slot
+    takes cap while k < |amount| // cap, then the remainder.  Returns the
+    largest take; every unit must find an edge, or nothing is sent."""
+    live = np.flatnonzero(amount)
+    sent = np.asarray(amount, dtype=np.int64)[live]
+    full, rest = np.divmod(np.abs(sent), cap)
+    free = slots[:, live]
+    rank = np.cumsum(free, axis=0, dtype=np.int32) - 1
+    count = rank[-1] + 1
+    left = (np.abs(sent) - np.minimum(count, full) * cap
+            - np.where(count > full, rest, 0))
     if left.any():
+        first = np.flatnonzero(left)[0]
         raise AssertionError("frontier disaggregation left %d units"
-                             % left[np.flatnonzero(left)[0]])
-    return largest
+                             % (np.sign(sent[first]) * left[first]))
+    slot, r = np.nonzero(free & (rank <= full))
+    take = np.where(rank[slot, r] < full[r], cap, rest[r]) * np.sign(sent[r])
+    i, odd = slot >> 1, (slot & 1).astype(bool)
+    # flow out of the rim endpoint of an odd slot's edge is minus the
+    # stored value
+    values[i, rim[live[r]] - np.where(odd, flat_shifts(window)[i], 0)] += (
+        np.where(odd, -take, take))
+    return int(np.abs(take).max(initial=0))
 
 
 def _route_to_frontier(values: Callable[[], np.ndarray],
-                       window: LatticeWindow, residual: np.ndarray,
-                       di: np.ndarray, ui: np.ndarray, caps, rim_caps,
-                       spill_cap: int) -> Tuple[Optional[np.ndarray], int]:
-    """Route residual (one supply per flat vertex, zero off the core) into
-    one merged frontier node, over the core edges (ui[k], ui[k] +
-    dirs[di[k]]) with caps[0][k] units forward and caps[1][k] back, and
-    over one arc from each rim vertex rim[r] (see _rim_frontier_slots)
-    with rim_caps[0][r] out and rim_caps[1][r] in, where either is nonzero.
-    Once all of it is routed, and only then, values() gives the edge array
-    to change (the solve's memory is freed by then): its core edges take
-    the net flow, and spill_to_frontier(..., spill_cap) spills each rim
-    arc's flow onto its frontier edges.  Returns (that array, the largest
-    change of one value).  When caps and rim_caps each give one array for
-    both directions, one capacity array serves both.  Returns (None, 0)
-    when the residual cannot be routed."""
-    rim, slots = _rim_frontier_slots(window)
-    arc = (rim_caps[0] != 0) | (rim_caps[1] != 0)
-    cap_uv = np.concatenate([caps[0], rim_caps[0][arc]])
-    cap_vu = (cap_uv if caps[1] is caps[0] and rim_caps[1] is rim_caps[0]
-              else np.concatenate([caps[1], rim_caps[1][arc]]))
-    shift = flat_shifts(window).astype(np.int32)
-    ok, net = solve_supply_flow(
-        np.concatenate([ui, rim[arc]], dtype=np.int32),
-        np.concatenate([ui + shift[di],
-                        np.full(int(arc.sum()), window.n_vertices)],
-                       dtype=np.int32),
-        cap_uv, cap_vu, np.append(residual, -int(residual.sum())))
+                       window: LatticeWindow, residual: np.ndarray, caps,
+                       rim_caps, spill_cap: int
+                       ) -> Tuple[Optional[np.ndarray], int]:
+    """Route residual (a core-box grid of supplies) into one merged
+    frontier node, over the core edges x -> x + dirs[i] with caps[0][i][x]
+    units forward and caps[1][i][x] back (x a core-box vertex, caps
+    broadcast to (len(dirs),) + the core box's shape and read where the
+    head is in the core too), and over one arc from each rim vertex r of
+    _rim_frontier_slots with rim_caps[0][r] out and rim_caps[1][r] in.
+    An edge or rim arc enters the graph in both directions when either
+    capacity is nonzero.  Once all of it is routed, and only then,
+    values() gives the edge array to change: its core edges take the net
+    flow, and spill_to_frontier(..., spill_cap) spills each rim arc's flow
+    onto its frontier edges.  Returns (that array, the largest change of
+    one value), or (None, 0) when the residual cannot be routed.
+
+    The solver's CSR comes straight from the box.  The core vertices are
+    numbered in the core box's row-major order and the frontier node after
+    them.  Row x of the table `on` flags x's arcs: one column per signed
+    direction g, in lexicographic order, then one for the frontier node.
+    Within a row that is the order of the heads: a head x + g is a box
+    vertex, the box's row-major order is the lexicographic order of
+    coordinates, and for one x that is the order of the g.  (The offsets
+    g . strides need not be in that order, at core side 2, but those of
+    one row's heads are.)  So the table's nonzeros in row-major order are
+    the arcs in CSR order."""
+    rim, rows, slots = _rim_frontier_slots(window)
+    lo, hi = window.core_bounds
+    side, d = hi - lo, window.d
+    dirs = directions(d)
+    nd, n = len(dirs), side ** d          # n: the frontier node's number
+    fwd, back = (np.broadcast_to(c, (nd,) + (side,) * d).reshape(nd, n)
+                 for c in caps)
+    edge = _core_edge_mask(window).reshape(nd, n) & ((fwd != 0) | (back != 0))
+    # the narrowest table that holds every capacity
+    low = min(int(np.min(c, initial=0)) for c in (*caps, *rim_caps))
+    top = max(int(np.max(c, initial=0)) for c in (*caps, *rim_caps))
+    cap = np.zeros((n, 2 * nd + 1), dtype=np.promote_types(
+        np.min_scalar_type(low), np.min_scalar_type(top)))
+    on = np.zeros(cap.shape, dtype=bool)
+    # Lexicographically, the signed directions are -dirs[::-1], then dirs.
+    # Column nd + i of row x is the edge x -> x + dirs[i], and column
+    # nd - 1 - i holds its other direction, in row x + step[i].
+    step = dirs @ side ** np.arange(d - 1, -1, -1)
+    on[:, nd:-1] = edge.T
+    np.copyto(cap[:, nd:-1], fwd.T, casting="unsafe", where=edge.T)
+    for i, st in enumerate(step.tolist()):
+        on[st:, nd - 1 - i] = edge[i, :n - st]
+        np.copyto(cap[st:, nd - 1 - i], back[i, :n - st], casting="unsafe",
+                  where=edge[i, :n - st])
+    rim_on = (rim_caps[0] != 0) | (rim_caps[1] != 0)
+    on[rows, -1] = rim_on
+    cap[rows, -1] = rim_caps[0]
+    into = rows[rim_on].astype(np.int32)       # the frontier node's row
+    m = np.count_nonzero(on)
+    indptr = np.zeros(n + 2, dtype=np.int32)
+    np.cumsum(np.count_nonzero(on, axis=1), out=indptr[1:-1], dtype=np.int32)
+    indptr[-1] = m + len(into)
+    # the arcs in CSR order: the heads from a table of x + step, the
+    # capacities from cap, compressed into place, since temporary copies
+    # would stay in the heap under the solve and raise its peak RSS
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    head = np.add.outer(np.arange(n, dtype=np.int32),
+                        np.concatenate([-step[::-1], step, [0]]),
+                        dtype=np.int32)
+    head[:, -1] = n
+    np.compress(on.ravel(), head, out=indices[:m])
+    del head
+    indices[m:] = into
+    arc_cap = np.empty(len(indices), dtype=cap.dtype)
+    np.compress(on.ravel(), cap, out=arc_cap[:m])
+    del cap, on
+    arc_cap[m:] = rim_caps[1][rim_on]
+    ok, flow = solve_supply_flow(indptr, indices, arc_cap,
+                                 np.append(residual, -int(residual.sum())))
+    del arc_cap
     if not ok:
         return None, 0
+    # few arcs carry flow (1.4% on the demo's repair graph): find the ends
+    # of those out of core vertices in the CSR
+    moved = np.flatnonzero(flow[:m])
+    tail = np.searchsorted(indptr, moved, side="right") - 1
+    head = indices[moved]
+    flow = flow[moved]
+    del indptr, indices
+    to_rim = head == n
+    amount = np.zeros(len(rows), dtype=np.int64)
+    amount[np.searchsorted(rows, tail[to_rim])] = flow[to_rim]
+    # the core vertices' flat indices, in row-major order
+    core = np.flatnonzero(window.core_mask())
+    flow = flow[~to_rim]
+    row, at, sign = edge_slots(window, core[tail[~to_rim]],
+                               core[head[~to_rim]])
+    ahead = sign > 0               # each edge once, by its arc along dirs
     out = values()
-    m = len(ui)
-    out[di, ui] += net[:m]
-    amount = np.zeros(len(rim), dtype=np.int64)
-    amount[arc] = net[m:]
-    return out, max(int(np.abs(net[:m]).max(initial=0)),
+    out[row[ahead], at[ahead]] += flow[ahead]
+    return out, max(int(np.abs(flow).max(initial=0)),
                     spill_to_frontier(out, window, rim, slots, amount,
                                       spill_cap))
 
@@ -376,22 +453,17 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
     if capacity_units < 1:
         raise ValueError("capacity must be at least one unit")
     s = psi.scale_exp
-    r = np.zeros(window.shape, dtype=np.int64)
-    r[(slice(*window.core_bounds),) * window.d] = residual
-    r = r.ravel()
     supply_abs = int(np.abs(residual).sum())
 
-    di, ui = _core_edges(window)
-    k_cnt = _rim_frontier_slots(window)[1].sum(axis=0, dtype=np.int64)
+    k_cnt = _rim_frontier_slots(window)[2].sum(axis=0, dtype=np.int64)
     doublings = 0
     while True:
-        cap = (capacity_units << doublings) << s
-        caps = np.broadcast_to(np.int64(cap), ui.shape)
+        cap = np.int64((capacity_units << doublings) << s)
         # phi = psi + correction; every corrected edge is corrected once,
         # by its core-core net flow or by one frontier take
         h, max_correction = _route_to_frontier(
-            lambda: psi.values.astype(np.int64, copy=False), window, r,
-            di, ui, (caps, caps), (k_cnt * cap,) * 2, cap)
+            lambda: psi.values.astype(np.int64, copy=False), window,
+            residual, (cap, cap), (k_cnt * cap,) * 2, cap)
         if h is not None:
             break
         doublings += 1
@@ -412,14 +484,9 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
         "supply_abs_num": supply_abs,
         "supply_abs": supply_abs / float(1 << s),
         "max_correction": float(max_correction) / (1 << s),
-        "edges": int(len(ui)),
+        "edges": np.count_nonzero(_core_edge_mask(window)),
     }
     return phi, info
-
-
-def _trunc_toward_zero(values: np.ndarray, scale_exp: int) -> np.ndarray:
-    q = np.where(values >= 0, values >> scale_exp, -((-values) >> scale_exp))
-    return q.astype(np.int64)
 
 
 def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
@@ -447,47 +514,51 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     mod = 1 << s
     core = (slice(*window.core_bounds),) * window.d
     f_core = np.asarray(f)[core]
-    ci, cu = _core_edges(window)
-    rim, fslots = _rim_frontier_slots(window)
+    rim, rows, fslots = _rim_frontier_slots(window)
     # each rim vertex's summed flow toward its frontier neighbors
     agg = np.zeros(len(rim), dtype=np.int64)
     for i, shift in enumerate(flat_shifts(window).tolist()):
         agg += np.where(fslots[2 * i], phi.values[i, rim], 0)
         # flow out of the rim endpoint equals minus the stored value
         agg -= np.where(fslots[2 * i + 1], phi.values[i, rim - shift], 0)
-    agg_int = _trunc_toward_zero(agg, s)
+    agg_int = np.sign(agg) * (np.abs(agg) >> s)      # truncated toward 0
     agg_frac = agg - (agg_int << s)
     top = max(int(phi.values.max(initial=0)), -int(phi.values.min(initial=0)))
-    # every write below (fixed edges, truncation, spill, routed units)
-    # stays under this bound, so no in-place add into out_vals wraps
+    # every write below (truncation, spill, routed units) stays under this
+    # bound, so no in-place add into out_vals wraps
     out_vals = np.zeros(phi.values.shape, dtype=narrow_int(
         max(top >> s, int(np.abs(agg_int).max(initial=0))) + 2))
-    di, ui = ci, cu
+    inner = _core_edge_mask(window)
     if fixed_mask is not None:
-        fixed = fixed_mask[ci, cu]
-        if np.count_nonzero(fixed) != np.count_nonzero(fixed_mask):
+        if (np.count_nonzero(_core_edge_view(fixed_mask, window) & inner)
+                != np.count_nonzero(fixed_mask)):
             raise ValueError("fixed edges must join core vertices")
         if (phi.values[fixed_mask] % mod).any():
             raise ValueError("fixed edges carry fractional values")
-        di, ui = ci[~fixed], cu[~fixed]
-        out_vals[fixed_mask] = phi.values[fixed_mask] >> s
-    vals = phi.values[di, ui]
-    whole = _trunc_toward_zero(vals, s)
-    out_vals[di, ui] = whole
-    # the free edges with a discarded fraction, and that fraction
-    fr = vals - (whole << s)
-    keep = fr != 0
-    ui, di, fr = ui[keep], di[keep], fr[keep]
-    del vals, whole, keep
+    # Truncate every core edge toward zero: the floor, plus one where a
+    # negative value has a fraction.  A fixed edge is integral, so it
+    # becomes phi >> s and has no fraction to route; the routed graph
+    # holds the free edges with a fraction, one unit in its direction.
+    # One direction at a time keeps the temporaries small, and numpy
+    # reads a contiguous copy faster than the strided view.
+    outc = _core_edge_view(out_vals, window)
+    up = np.zeros(inner.shape, dtype=bool)
+    down = np.zeros(inner.shape, dtype=bool)
+    for i, vals in enumerate(_core_edge_view(phi.values, window)):
+        vals = np.ascontiguousarray(vals)
+        frac = inner[i] & ((vals & (mod - 1)) != 0)
+        neg = vals < 0
+        np.logical_and(frac, neg, out=down[i])
+        np.logical_and(frac, ~neg, out=up[i])
+        outc[i] = ((vals >> s) + down[i]) * inner[i]
 
-    r = np.zeros(window.shape, dtype=np.int64)
-    r[core] = f_core - phi.with_values(out_vals, 0).divergence_num(core=True)
-    r = r.ravel()
-    r[rim] -= agg_int
+    r = (f_core - phi.with_values(out_vals, 0).divergence_num(core=True)
+         ).ravel()
+    r[rows] -= agg_int
 
     uncapped = np.iinfo(np.int64).max      # all on the first frontier edge
     spill_to_frontier(out_vals, window, rim, fslots, agg_int, uncapped)
-    if _route_to_frontier(lambda: out_vals, window, r, di, ui, (fr > 0, fr < 0),
+    if _route_to_frontier(lambda: out_vals, window, r, (up, down),
                           (agg_frac > 0, agg_frac < 0), uncapped)[0] is None:
         raise AssertionError("interior rounding infeasible; flow is corrupt")
     out = phi.with_values(out_vals, 0)
@@ -495,7 +566,7 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
         raise AssertionError("rounded flow has wrong core divergence")
     info = {
         "max_dev_core": _max_dev_core(out, phi),
-        "edges_rounded": int(len(ui)),
+        "edges_rounded": np.count_nonzero(up) + np.count_nonzero(down),
         "supply": int(np.abs(r).sum()),
     }
     return out, info
@@ -504,10 +575,14 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
 def _max_dev_core(rounded: EdgeField, phi: EdgeField) -> float:
     """Largest |rounded - phi| over the core edges, in flow units; rounded
     is at scale 0 and may be narrow, so it is widened before the shift."""
-    ci, cu = _core_edges(phi.window)
-    dev = np.abs((rounded.values[ci, cu].astype(np.int64) << phi.scale_exp)
-                 - phi.values[ci, cu])
-    return float(int(dev.max(initial=0))) / (1 << phi.scale_exp)
+    s = phi.scale_exp
+    dev = 0
+    for got, want, inner in zip(_core_edge_view(rounded.values, phi.window),
+                                _core_edge_view(phi.values, phi.window),
+                                _core_edge_mask(phi.window)):
+        dev = max(dev, int(np.abs((got.astype(np.int64) << s) - want)
+                           .max(initial=0, where=inner)))
+    return float(dev) / (1 << s)
 
 
 # boundary separation n of the cover that integralize_flow builds

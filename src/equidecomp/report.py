@@ -83,25 +83,31 @@ def read_pieces_csv(path, window: LatticeWindow
 
     Raises SchemaError naming the first malformed row.  Each row is
     checked for its column count, integer cells (Python `int`), the int64
-    range and a source vertex inside the window, in that order.
+    range and a source vertex inside the window, in that order.  Bytes
+    that are not UTF-8 are read as lone surrogates, which no integer cell
+    holds, and a row the csv module cannot read (say, a cell longer than
+    its field limit) ends the file with a SchemaError for that row.
     """
     d = window.d
     want = pieces_csv_header(d)
     rows: List[List[str]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
         reader = csv.reader(fh)
+        header = None
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty file %s" % path)
-        if header != want:
-            raise SchemaError("bad header %r, expected %r" % (header, want))
-        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError("empty file %s" % path)
+            if header != want:
+                raise SchemaError("bad header %r, expected %r"
+                                  % (header, want))
             rows.extend(reader)
-        except (ValueError, csv.Error):
+        except csv.Error as exc:
             # a malformed row read before the failure still comes first
             _rows_array(rows, window)
-            raise
+            raise SchemaError("row %d: %s"
+                              % (len(rows) + 2 if header else 1, exc))
     vals = _rows_array(rows, window)
     return (np.ravel_multi_index(tuple(vals[:, :d].T), window.shape),
             vals[:, d:2 * d], vals[:, 2 * d])

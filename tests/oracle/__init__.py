@@ -6,7 +6,8 @@ definitions of the box flow.  `edges` reads and writes one edge flow by
 vertex coordinates, and `cyclegraph` builds the boundary 3-cycle graph
 from shared vertices.  `freeness` is the full-box orbit separation
 scan, within 2^-52 of the exact distance.  `locality` is the
-verifier's unmatched-locality check one edge direction at a time, and
-`piecescsv` the piece CSV read one row at a time.  None of them is
+verifier's unmatched-locality check one edge direction at a time,
+`piecescsv` the piece CSV read one row at a time, and `arcs` the
+supply-flow solver's CSR laid out by np.lexsort.  None of them is
 imported by the package.
 """

@@ -1,6 +1,8 @@
 """The piece CSV read one row at a time: each row is checked for its
 column count, integer cells, int64 range and a source vertex inside the
-window, in that order, and the first failing row raises."""
+window, in that order, and the first failing row raises, as does the
+first row the csv module cannot read.  Bytes that are not UTF-8 are
+read as lone surrogates."""
 
 import csv
 
@@ -9,21 +11,37 @@ import numpy as np
 from equidecomp.report import SchemaError, pieces_csv_header
 
 
+def _numbered_rows(reader):
+    """(file row number, cells) of each row; a row the csv module cannot
+    read raises SchemaError."""
+    ln = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise SchemaError("row %d: %s" % (ln, exc))
+        yield ln, row
+        ln += 1
+
+
 def read_pieces_csv(path, window):
     """(source flat indices, gamma rows, piece ids), as
     equidecomp.report.read_pieces_csv returns them."""
     d = window.d
     want = pieces_csv_header(d)
     a_flat, gam, pid = [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
+        rows = _numbered_rows(csv.reader(fh))
+        header = next(rows, None)
+        if header is None:
             raise SchemaError("empty file %s" % path)
-        if header != want:
-            raise SchemaError("bad header %r, expected %r" % (header, want))
-        for ln, row in enumerate(reader, start=2):
+        if header[1] != want:
+            raise SchemaError("bad header %r, expected %r"
+                              % (header[1], want))
+        for ln, row in rows:
             if len(row) != 2 * d + 1:
                 raise SchemaError("row %d: %d columns, expected %d"
                                   % (ln, len(row), 2 * d + 1))

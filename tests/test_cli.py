@@ -78,6 +78,32 @@ def test_verify_missing_and_malformed_artifacts(tmp_path, capsys):
     assert "missing artifact" in capsys.readouterr().out
     os.rename(os.path.join(out, "x.csv"), os.path.join(out, "pieces.csv"))
 
+    # a directory where an artifact should be is missing too
+    for name in ("pieces.csv", "summary.json"):
+        path = os.path.join(out, name)
+        os.rename(path, path + ".away")
+        os.mkdir(path)
+        assert main(["verify", "--dir", out]) == EXIT_VERIFY
+        assert "missing artifact" in capsys.readouterr().out
+        os.rmdir(path)
+        os.rename(path + ".away", path)
+
+    # a cell past the csv module's field limit (131,072 characters) and
+    # bytes that are not UTF-8 are schema errors, and a malformed row
+    # before either is still the one reported
+    rows = pieces_csv.split(b"\r\n")
+    assert len(rows) > 3
+    big = b"7" * 200_000
+    for bad, row in ((big + b",0,0,0,0", 2), (b"1,\xff\xfe,0,0,0", 2)):
+        for early, want in ((False, row + 1), (True, 2)):
+            lines = rows[:1] + ([b"7,7,7"] if early else []) + rows[1:2]
+            (tmp_path / "run" / "pieces.csv").write_bytes(
+                b"\r\n".join(lines + [bad] + rows[2:]))
+            assert main(["verify", "--dir", out]) == EXIT_VERIFY
+            msg = capsys.readouterr().out
+            assert msg.startswith("schema error: row %d:" % want), msg
+    (tmp_path / "run" / "pieces.csv").write_bytes(pieces_csv)
+
     with open(os.path.join(out, "pieces.csv"), "a", newline="") as fh:
         fh.write("7,7,7\r\n")                  # truncated row
     assert main(["verify", "--dir", out]) == EXIT_VERIFY

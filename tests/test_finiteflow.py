@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse.csgraph
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from equidecomp._maxflow import _arc_layout, solve_supply_flow
+from equidecomp._maxflow import solve_supply_flow
+from oracle.arcs import edge_csr, lexsort_csr
 from oracle.dyadic import Dyadic
 from oracle.finiteflow import (
     CutCertificate,
@@ -268,6 +269,15 @@ def edge_arrays(g, caps):
     return u, v, cuv, cvu
 
 
+def solve_edges(u, v, cap_uv, cap_vu, supply):
+    """solve_supply_flow on the lexsort CSR of both directions of every
+    edge, as (feasible, net flow per edge in the u -> v direction)."""
+    indptr, indices, cap, fwd = edge_csr(u, v, cap_uv, cap_vu, len(supply))
+    ok, flow = solve_supply_flow(indptr, indices, cap, supply)
+    assert flow.dtype == np.int64 and flow.shape == indices.shape
+    return ok, flow[fwd]
+
+
 def check_routed(g, caps, supply, net):
     """net is an f-flow for the supply within the capacities."""
     div = [0] * g.n
@@ -279,12 +289,12 @@ def check_routed(g, caps, supply, net):
 
 
 def test_supply_flow_isolated_vertices():
-    # vertices 1, 3 and 5 have no edge, so their rows of the arc table are
+    # vertices 1, 3 and 5 have no arc, so their rows of the CSR are
     # empty; the flow 0 -> 2 -> 4 must still be routed around them
-    ok, net = solve_supply_flow([0, 2], [2, 4], [3, 3], [0, 0],
-                                [2, 0, 0, 0, -2, 0])
+    ok, net = solve_edges([0, 2], [2, 4], [3, 3], [0, 0],
+                          [2, 0, 0, 0, -2, 0])
     assert ok and net.tolist() == [2, 2]
-    ok, net = solve_supply_flow([], [], [], [], [0, 0, 0])
+    ok, net = solve_edges([], [], [], [], [0, 0, 0])
     assert ok and net.size == 0
 
 
@@ -300,7 +310,7 @@ def test_array_engine_matches_reference():
         for value, want in ((ref.value, True), (ref.value + 1, False)):
             supply = np.zeros(n, dtype=np.int64)
             supply[0], supply[n - 1] = value, -value
-            ok, net = solve_supply_flow(*arrays, supply)
+            ok, net = solve_edges(*arrays, supply)
             assert ok == want
             if ok:
                 check_routed(g, caps, supply, net)
@@ -311,22 +321,31 @@ def test_array_engine_deterministic():
         u = np.array([0, 0, 1, 2, 3, 4, 1])
         v = np.array([1, 2, 3, 4, 5, 5, 2])
         supply = np.array([4, 0, 0, 0, 0, -4])
-        ok, net = solve_supply_flow(u, v, np.array([3, 2, 2, 3, 2, 2, 1]), 0,
-                                    supply)
+        ok, net = solve_edges(u, v, np.array([3, 2, 2, 3, 2, 2, 1]), 0,
+                              supply)
         assert ok
         return net
     assert np.array_equal(build(), build())
 
 
 def test_array_engine_rejects_bad_input():
-    for u, v, cap, msg in (([0], [1], [-1], "negative capacity"),
-                           ([0, 1], [1, 0], [1, 1], "duplicate edge"),
-                           ([0, 0], [1, 1], [1, 1], "duplicate edge"),
-                           ([1], [1], [1], "self-loop"),
-                           ([0], [2], [1], "out of range"),
-                           ([0, 1], [1], [1], "one entry per edge")):
+    # (indptr, indices, cap) on two vertices, or three where a row needs
+    # two arcs to be out of order
+    for indptr, indices, cap, msg in (
+            ([0, 1, 2], [1, 0], [-1, 0], "negative capacity"),
+            ([0, 2, 4], [1, 1, 0, 0], [1, 1, 1, 1], "duplicate arc"),
+            ([0, 0, 2], [1, 1], [1, 1], "self-loop"),
+            ([0, 1, 1], [2], [1], "out of range"),
+            ([0, 1, 2], [1, 0], [1], "one entry per arc"),
+            ([0, 2, 1], [1, 0], [1, 1], "row starts"),
+            ([0, 1], [1], [1], "row starts"),
+            ([0, 2, 3, 4], [2, 1, 0, 0], [1] * 4, "not increasing")):
+        n = 3 if msg == "not increasing" else 2
         with pytest.raises(ValueError, match=msg):
-            solve_supply_flow(u, v, cap, 0, [0, 0])
+            solve_supply_flow(indptr, indices, cap, [0] * n)
+    # every arc needs its reverse in the CSR
+    with pytest.raises(ValueError, match="reverse is missing"):
+        solve_supply_flow([0, 1, 1], [1], [1], [1, -1])
 
 
 def test_supply_flow_round_trip():
@@ -344,33 +363,33 @@ def test_supply_flow_round_trip():
         for (u, v), w in zip(g.edges, net.tolist()):
             supply[u] += w
             supply[v] -= w
-        ok, got = solve_supply_flow(*edge_arrays(g, caps), supply)
+        ok, got = solve_edges(*edge_arrays(g, caps), supply)
         assert ok
         check_routed(g, caps, supply, got)
 
 
 def test_supply_flow_reports_infeasible():
-    ok, _ = solve_supply_flow([], [], [], [], np.array([1, -1]))
-    assert not ok                # vertices 0, 1 and no edge between them
+    ok, _ = solve_supply_flow([0, 0, 0], [], [], np.array([1, -1]))
+    assert not ok                # vertices 0, 1 and no arc between them
 
 
 def test_supply_flow_validation():
     with pytest.raises(ValueError, match="balance"):
-        solve_supply_flow([0], [1], [1], [1], np.array([1, 1]))
+        solve_supply_flow([0, 1, 2], [1, 0], [1, 1], np.array([1, 1]))
     with pytest.raises(ValueError, match="one entry per vertex"):
-        solve_supply_flow([0], [1], [1], [1], np.zeros((2, 2)))
+        solve_supply_flow([0, 1, 2], [1, 0], [1, 1], np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("value", [(1 << 31) + 7, (1 << 45) + 3])
 def test_supply_flow_is_exact_beyond_int32(value):
     # the compiled solver stores int32; a wider value must neither wrap nor
     # truncate, whether it fits the edge or misses it by one unit
-    ok, net = solve_supply_flow([0], [1], [value], [0], [value, -value])
+    ok, net = solve_edges([0], [1], [value], [0], [value, -value])
     assert ok and net.tolist() == [value]
-    ok, _ = solve_supply_flow([0], [1], [value - 1], [0], [value, -value])
+    ok, _ = solve_edges([0], [1], [value - 1], [0], [value, -value])
     assert not ok
-    ok, net = solve_supply_flow([0, 0, 1], [1, 2, 2], value, 0,
-                                [value, 0, -value])
+    ok, net = solve_edges([0, 0, 1], [1, 2, 2], value, 0,
+                          [value, 0, -value])
     assert ok and net.tolist() == [0, value, 0]
 
 
@@ -401,44 +420,22 @@ def test_supply_flow_agrees_with_oracle(data):
         supply[x] += shift
         supply[y] -= shift
     want = f_flow_feasible(g, dict(enumerate(supply)), caps)
-    ok, net = solve_supply_flow(*edge_arrays(g, caps), supply)
+    ok, net = solve_edges(*edge_arrays(g, caps), supply)
     assert ok == isinstance(want, FlowValues)
     if ok:
         check_routed(g, caps, supply, net)
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 1 << 17), m=st.integers(0, 400),
-       seed=st.integers(0, 2 ** 32 - 1))
-@example(n=46_341, m=400, seed=1)        # tail * n passes 2^31 from here
-@example(n=1 << 17, m=400, seed=2)
-def test_arc_order_is_lexsort(n, m, seed):
-    """The CSR layout of distinct arcs, given as int32 blocks, orders them
-    exactly as np.lexsort((head, tail)) does, also where tail * n passes
-    2^31, and ranks place each block's arcs in that order."""
-    rng = np.random.default_rng(seed)
-    flat = rng.choice(n * n, size=min(m, n * n), replace=False)
-    tail, head = (a.astype(np.int32) for a in np.divmod(flat, n))
-    cuts = np.sort(rng.integers(0, len(flat) + 1, size=2))
-    indptr, indices, ranks = _arc_layout(
-        list(zip(np.split(tail, cuts), np.split(head, cuts))), n)
-    want = np.lexsort((head, tail))
-    assert all(a.dtype == np.int32 for a in (indptr, indices, *ranks))
-    assert np.array_equal(indices, head[want])
-    assert np.array_equal(indptr, np.searchsorted(tail[want],
-                                                  np.arange(n + 1)))
-    assert np.array_equal(np.concatenate(ranks)[want], np.arange(len(flat)))
-
-
 def test_supply_flow_past_int32_keys():
     # with 2^17 vertices, tail * (n + 2) passes 2^31 for every tail from
-    # 16,384 on: a key built in int32 would wrap and scramble the layout
+    # 16,384 on, so a layout keyed on it in int32 would wrap; the solver
+    # takes the rows as given and must route among the highest vertices
     n = 1 << 17
     u = np.array([n - 4, n - 3, n - 4, n - 2, 5], dtype=np.int32)
     v = np.array([n - 3, n - 1, n - 2, n - 1, 6], dtype=np.int32)
     supply = np.zeros(n, dtype=np.int64)
     supply[n - 4], supply[n - 1] = 3, -3
-    ok, net = solve_supply_flow(u, v, [2, 1, 2, 2, 1], 0, supply)
+    ok, net = solve_edges(u, v, [2, 1, 2, 2, 1], 0, supply)
     assert ok and net.tolist() == [1, 1, 2, 2, 0]
 
 
@@ -457,19 +454,24 @@ def _recorded_solve(monkeypatch, *args):
 
 @pytest.mark.parametrize("edges", [[], [(0, 2), (2, 4), (1, 4), (3, 0)]])
 def test_supply_flow_endpoint_dtypes(monkeypatch, edges):
-    """int32, int64 and list endpoints (an empty list is float64 to numpy)
-    give the same result, and scipy gets one int32 CSR of the arcs in
-    np.lexsort((head, tail)) order, capacities clipped at the supply."""
+    """A CSR given as lists (an empty list is float64 to numpy), int32 or
+    int64 gives the same result, and scipy gets one int32 CSR: the
+    caller's arcs with p -> s and q -> t at the ends of the rows of the
+    supply and demand vertices p and q, then rows s and t, which is the
+    np.lexsort((head, tail)) order of all of them, with the capacities
+    clipped at the supply."""
     n = 5
     cap_uv, cap_vu = [3, 2, 2, 9][:len(edges)], [0, 4, 1, 1][:len(edges)]
     supply = [2, 1, 0, 0, -3] if edges else [0] * n
     u, v = [e[0] for e in edges], [e[1] for e in edges]
+    indptr, indices, cap, _ = edge_csr(u, v, cap_uv, cap_vu, n)
     results = []
-    for endpoints in ((u, v), *((np.array(u, dtype=dt), np.array(v, dtype=dt))
-                                for dt in (np.int32, np.int64))):
-        (ok, net), graphs = _recorded_solve(monkeypatch, *endpoints, cap_uv,
-                                            cap_vu, supply)
-        results.append((ok, net.dtype, net.tolist()))
+    for csr in ((indptr.tolist(), indices.tolist()),
+                *((indptr.astype(dt), indices.astype(dt))
+                  for dt in (np.int32, np.int64))):
+        (ok, flow), graphs = _recorded_solve(monkeypatch, *csr, cap.tolist(),
+                                             supply)
+        results.append((ok, flow.dtype, flow.tolist()))
         s, t = n, n + 1
         pos = [x for x in range(n) if supply[x] > 0]
         neg = [x for x in range(n) if supply[x] < 0]
@@ -477,17 +479,16 @@ def test_supply_flow_endpoint_dtypes(monkeypatch, edges):
                 + [(b, a, c) for a, b, c in zip(u, v, cap_vu)]
                 + [(s, x, supply[x]) for x in pos] + [(x, s, 0) for x in pos]
                 + [(x, t, -supply[x]) for x in neg] + [(t, x, 0) for x in neg])
-        tail, head, cap = (np.array(c, dtype=np.int64).reshape(-1)
-                           for c in zip(*arcs)) if arcs else ([],) * 3
-        order = np.lexsort((head, tail))
+        tail, head, arc_cap = (np.array(c, dtype=np.int64).reshape(-1)
+                               for c in zip(*arcs)) if arcs else ([],) * 3
         total = sum(x for x in supply if x > 0)
-        want = (np.minimum(np.asarray(cap)[order], total),
-                np.asarray(head)[order],
-                np.searchsorted(np.asarray(tail)[order], np.arange(n + 3)))
+        want_ptr, want_head, want_cap, _ = lexsort_csr(tail, head, arc_cap,
+                                                       n + 2)
         assert len(graphs) == (1 if total else 0)
         for graph in graphs:
             for got, ref in zip((graph.data, graph.indices, graph.indptr),
-                                want):
+                                (np.minimum(want_cap, total), want_head,
+                                 want_ptr)):
                 assert got.dtype == np.int32
                 assert np.array_equal(got, ref)
     assert results[0] == results[1] == results[2], results
@@ -497,25 +498,28 @@ def test_supply_flow_endpoint_dtypes(monkeypatch, edges):
 def test_supply_flow_memory_budget():
     """tracemalloc peak of one solve on a fixed lattice graph, per arc (an
     arc is one direction of an edge, or a source or sink arc), with the
-    int32 endpoints and the one capacity array repair passes.  The
-    solve measured 48.2 bytes per arc here; about 28 of them are scipy's
-    own copies.  The budget leaves 12% headroom."""
+    int32 CSR and one int64 capacity per arc held by the caller.  The
+    solve measured 49.7 bytes per arc here (48.2 when it took edge lists
+    and sorted them; the flags of the caller's arcs add about one); about
+    28 of them are scipy's own copies.  The budget leaves 8% headroom."""
     side = 160
     grid = np.arange(side * side, dtype=np.int32).reshape(side, side)
     u = np.concatenate([grid[:, :-1].ravel(), grid[:-1, :].ravel()])
     v = np.concatenate([grid[:, 1:].ravel(), grid[1:, :].ravel()])
-    cap = np.full(len(u), 3, dtype=np.int64)
     flow = np.random.default_rng(5).integers(-3, 4, size=len(u))
     supply = (np.bincount(u, flow, side * side)
               - np.bincount(v, flow, side * side)).astype(np.int64)
-    arcs = 2 * len(u) + 2 * np.count_nonzero(supply)
+    indptr, indices, cap, fwd = edge_csr(u, v, 3, 3, side * side)
+    indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)
+    arcs = len(indices) + 2 * np.count_nonzero(supply)
     assert arcs >= 100_000
     tracemalloc.start()
     try:
-        ok, net = solve_supply_flow(u, v, cap, cap, supply)
+        ok, got = solve_supply_flow(indptr, indices, cap, supply)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    net = got[fwd]
     assert ok and (np.abs(net) <= 3).all()
     assert np.array_equal(np.bincount(u, net, side * side)
                           - np.bincount(v, net, side * side), supply)

@@ -5,8 +5,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from equidecomp import integralize
+from equidecomp._maxflow import solve_supply_flow
 from equidecomp.flowgrid import EdgeField
 from equidecomp.integralize import (
     BoundaryCycleGraph,
@@ -20,9 +22,10 @@ from equidecomp.integralize import (
     spill_to_frontier,
     three_cycles_through,
 )
-from equidecomp.lattice import (LatticeWindow, edge_mask, edge_slots,
-                                flat_shifts)
+from equidecomp.lattice import (LatticeWindow, directions, edge_mask,
+                                edge_slots, flat_shifts)
 from equidecomp.tiling import Region, ball_mask
+from oracle.arcs import edge_csr
 from oracle.cyclegraph import boundary_cycle_graph
 from oracle.edges import add_flow
 
@@ -256,6 +259,166 @@ def test_round_edge_field_widens_past_int8(monkeypatch):
         assert info == want_info
 
 
+def _recorded_routes(patch):
+    """Spy on the router's solves: a list of (indptr, indices, cap,
+    supply, feasible, flow), one per solve."""
+    seen = []
+
+    def spy(indptr, indices, cap, supply):
+        ok, flow = solve_supply_flow(indptr, indices, cap, supply)
+        seen.append((np.array(indptr), np.array(indices), np.array(cap),
+                     np.array(supply), ok, flow))
+        return ok, flow
+    patch.setattr(integralize, "solve_supply_flow", spy)
+    return seen
+
+
+def _lexsort_routes(w, caps, rim_caps):
+    """The router's graph built from window edges: (vert, u, v, cap_uv,
+    cap_vu), where vert maps the router's vertex numbers (the core box in
+    row-major order, then the frontier node) to window flat indices, with
+    the frontier node at w.n_vertices, and (u[k], v[k]) are the edges it
+    routes over, core edges first, each once."""
+    lo, hi = w.core_bounds
+    box = (hi - lo,) * w.d
+    dirs = directions(w.d)
+    vert = np.append(np.ravel_multi_index(
+        tuple(np.indices(box).reshape(w.d, -1) + lo), w.shape), w.n_vertices)
+    rim, rows, _ = _rim_frontier_slots(w)
+    fwd, back = (np.broadcast_to(c, (len(dirs),) + box) for c in caps)
+    u, v, cuv, cvu = [], [], [], []
+    for i, g in enumerate(dirs):
+        for x in itertools.product(range(hi - lo), repeat=w.d):
+            y = tuple(np.add(x, g))
+            if min(y) < 0 or max(y) >= hi - lo:
+                continue
+            if fwd[i][x] or back[i][x]:
+                u.append(vert[np.ravel_multi_index(x, box)])
+                v.append(vert[np.ravel_multi_index(y, box)])
+                cuv.append(int(fwd[i][x]))
+                cvu.append(int(back[i][x]))
+    on = (rim_caps[0] != 0) | (rim_caps[1] != 0)
+    assert np.array_equal(vert[rows], rim)
+    u += rim[on].tolist()
+    v += [w.n_vertices] * int(on.sum())
+    cuv += np.asarray(rim_caps[0])[on].astype(np.int64).tolist()
+    cvu += np.asarray(rim_caps[1])[on].astype(np.int64).tolist()
+    return vert, u, v, cuv, cvu
+
+
+def _check_route(w, caps, rim_caps, residual, route):
+    """The router's recorded CSR is the lexsort layout of the same edges,
+    once its monotone renumbering is undone, and scipy routes the same
+    flow over both."""
+    indptr, indices, cap, supply, ok, flow = route
+    vert, u, v, cuv, cvu = _lexsort_routes(w, caps, rim_caps)
+    n = w.n_vertices + 1
+    want_ptr, want_idx, want_cap, fwd = edge_csr(u, v, cuv, cvu, n)
+    assert np.array_equal(vert, np.sort(vert))          # monotone
+    assert np.array_equal(vert[indices], want_idx)
+    assert np.array_equal(cap.astype(np.int64), want_cap)
+    counts = np.zeros(n, dtype=np.int64)
+    counts[vert] = np.diff(indptr)
+    assert np.array_equal(np.diff(want_ptr), counts)
+    want_supply = np.zeros(n, dtype=np.int64)
+    want_supply[vert] = supply
+    assert np.array_equal(supply[:-1], residual.ravel())
+    assert supply[-1] == -residual.sum()
+    want_ok, want_flow = solve_supply_flow(want_ptr, want_idx, want_cap,
+                                           want_supply)
+    assert ok == want_ok and np.array_equal(flow, want_flow)
+    return u, v, want_flow[fwd]
+
+
+@settings(max_examples=120, deadline=None)
+@given(d=st.integers(1, 4), side=st.sampled_from([1, 2, 3, 4, 5, 6]),
+       margin=st.integers(0, 2), full=st.booleans(),
+       frontier=st.sampled_from([-1, 0, 1]), seed=st.integers(0, 2 ** 32 - 1))
+@example(d=3, side=2, margin=1, full=True, frontier=1, seed=1)
+@example(d=4, side=2, margin=1, full=False, frontier=-1, seed=2)
+@example(d=4, side=6, margin=2, full=True, frontier=0, seed=3)
+@example(d=2, side=1, margin=1, full=False, frontier=1, seed=4)
+def test_router_csr_is_the_lexsort_layout(d, side, margin, full, frontier,
+                                          seed):
+    """_route_to_frontier hands the solver the np.lexsort((head, tail))
+    CSR of its edges, on d = 1..4 and core sides 1 to 6 (at side 2 the
+    head offsets of the signed directions are not in lexicographic order,
+    though in every row the present ones are): uniform capacities on
+    every core edge and k times them on every rim arc, as in repair, or
+    one unit in the direction of a random fraction on a sparse set, as
+    in rounding, with nonzero capacities also where the head leaves the
+    core, which the router must ignore.  The frontier node's supply is
+    positive, negative or zero.  Where the residual is routed, each core
+    edge takes the oracle's flow and the core's divergence is the
+    residual."""
+    assume(side + 2 * margin >= 2)
+    rng = np.random.default_rng(seed)
+    w = LatticeWindow(d=d, L=side + 2 * margin, margin=margin)
+    box = (len(directions(d)),) + (side,) * d
+    rim, _, slots = _rim_frontier_slots(w)
+    if full:
+        cap = int(rng.integers(1, 4))
+        caps = (np.int64(cap),) * 2
+        rim_caps = (slots.sum(axis=0, dtype=np.int64) * cap,) * 2
+    else:
+        frac = rng.integers(-1, 2, size=box) * (rng.random(box) < 0.3)
+        caps = (frac > 0, frac < 0)
+        fr = rng.integers(-1, 2, size=len(rim))
+        rim_caps = (fr > 0, fr < 0)
+    residual = rng.integers(-2, 3, size=(side,) * d)
+    residual.flat[0] += frontier * (abs(residual.sum()) + 1) - residual.sum()
+    assert np.sign(residual.sum()) == frontier
+    values = np.zeros((box[0], w.n_vertices), dtype=np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _recorded_routes(patch)
+        got, _ = integralize._route_to_frontier(lambda: values, w, residual,
+                                                caps, rim_caps, 1 << 40)
+    route, = seen
+    u, v, net = _check_route(w, caps, rim_caps, residual, route)
+    assert (got is None) == (not route[4])
+    if got is None:
+        return
+    out = EdgeField(w, 0, got)
+    assert np.array_equal(out.divergence_num(core=True), residual)
+    core = np.array(v) < w.n_vertices
+    row, tail, sign = edge_slots(w, np.array(u)[core], np.array(v)[core])
+    assert np.array_equal(got[row, tail], sign * net[core])
+
+
+def test_rounding_routes_free_fractional_edges():
+    """round_edge_field with cover-mode fixed edges hands the router the
+    free core edges with a discarded fraction, one unit in its direction,
+    and each rim vertex's summed fraction: the same lexsort layout."""
+    rng = np.random.default_rng(31)
+    w = LatticeWindow(d=2, L=16, margin=3)
+    s = 3
+    hold = np.zeros(w.shape, dtype=bool)
+    hold[6:10, 6:10] = True
+    fld = random_dyadic_field(rng, w, s, pushes=60, avoid=hold)
+    fixed = edge_mask(w, hold, np.logical_and)
+    lo, hi = w.core_bounds
+    inside = edge_mask(w, w.core_mask(), np.logical_and) & ~fixed
+    mod = 1 << s
+    frac = np.where(fld.values < 0, -(-fld.values % mod), fld.values % mod)
+    frac = np.where(inside, frac, 0).reshape((-1,) + w.shape)[
+        (slice(None),) + (slice(lo, hi),) * 2]
+    assert (frac != 0).any() and inside.sum() < edge_mask(
+        w, w.core_mask(), np.logical_and).sum()
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _recorded_routes(patch)
+        round_edge_field(w, fld, fld.divergence_num() >> s, fixed_mask=fixed)
+    route, = seen
+    rim, _, slots = _rim_frontier_slots(w)
+    agg = np.zeros(len(rim), dtype=np.int64)
+    for i, shift in enumerate(flat_shifts(w).tolist()):
+        agg += np.where(slots[2 * i], fld.values[i, rim], 0)
+        agg -= np.where(slots[2 * i + 1], fld.values[i, rim - shift], 0)
+    agg_frac = np.sign(agg) * (np.abs(agg) % mod)
+    residual = route[3][:-1].reshape((hi - lo,) * 2)
+    _check_route(w, (frac > 0, frac < 0), (agg_frac > 0, agg_frac < 0),
+                 residual, route)
+
+
 def test_round_edge_field_validation():
     w = LatticeWindow(d=2, L=16, margin=3)
     fld = EdgeField(w, 2)
@@ -309,7 +472,7 @@ def test_spill_to_frontier_hand_example():
     (1, 2) slots 3, 5, 7 (slot 2*i + sign; sign 1 is the edge to
     v - dirs[i])."""
     w = LatticeWindow(d=2, L=5, margin=1)
-    rim, slots = _rim_frontier_slots(w)
+    rim, _, slots = _rim_frontier_slots(w)
     flat = lambda v: int(np.ravel_multi_index(v, w.shape))
     corner, side = list(rim).index(flat((1, 1))), list(rim).index(flat((1, 2)))
     assert np.flatnonzero(slots[:, corner]).tolist() == [1, 2, 3, 5, 7]

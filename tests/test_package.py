@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import equidecomp
+from equidecomp import integralize
 
 SRC = Path(equidecomp.__file__).resolve().parents[1]
 
@@ -73,6 +74,19 @@ def test_one_frontier_router():
                if alias.name.startswith("_")
                or (node.level and (node.module or "").startswith("_"))]
     assert not private, private
+
+
+def test_csr_without_a_sort():
+    """The router reads the solver's CSR off the core box: the arc sort
+    (_arc_layout) and the flat core edge lists (_core_edges) stay
+    deleted, and neither the solver module nor the router calls a sort."""
+    gone = defined({"_arc_layout", "_core_edges"})
+    assert not gone, gone
+    sorts = re.compile(r"\b(?:argsort|lexsort|sort|sorted)\s*\(")
+    solver = (SRC / "equidecomp" / "_maxflow.py").read_text()
+    assert not sorts.findall(solver), sorts.findall(solver)
+    router = inspect.getsource(integralize._route_to_frontier)
+    assert not sorts.findall(router), sorts.findall(router)
 
 
 def test_narrow_fields_are_reviewed():

@@ -144,13 +144,14 @@ def test_repair_validation():
 
 
 def test_frontier_tables_built_once_per_run():
-    """Repair and rounding read one cached core edge list and rim table."""
-    from equidecomp.integralize import _core_edges, _rim_frontier_slots
-    _core_edges.cache_clear()
+    """Repair and rounding read one cached core edge mask and rim table;
+    the router builds its CSR tables per solve and keeps none."""
+    from equidecomp.integralize import _core_edge_mask, _rim_frontier_slots
+    _core_edge_mask.cache_clear()
     _rim_frontier_slots.cache_clear()
     res = run_pipeline(*toy_setup())
     assert res.report["ok"]
-    assert _core_edges.cache_info().misses == 1
+    assert _core_edge_mask.cache_info().misses == 1
     assert _rim_frontier_slots.cache_info().misses == 1
 
 

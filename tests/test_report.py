@@ -212,19 +212,23 @@ def test_pieces_csv_reader_matches_row_reference(tmp_path_factory, d, L, n,
 
 
 def test_pieces_csv_read_error_after_a_bad_row(tmp_path):
-    """A decode error past the first 8 KiB block: a malformed row read
-    before it is reported, as the row reader does; with no such row the
-    decode error itself propagates."""
+    """A byte that is not UTF-8 past the first 8 KiB block, or a cell past
+    the csv module's field limit: a malformed row read before it is
+    reported, as the row reader does; with no such row, the row that
+    holds it is."""
     w = LatticeWindow(d=2, L=16)
     head = ",".join(pieces_csv_header(2)) + "\r\n"
     good = "1,2,0,1,0\r\n" * 3000
     p = tmp_path / "pieces.csv"
-    p.write_bytes((head + "1,99,0,1,0\r\n" + good).encode() + b"\xff\r\n")
-    assert read_both(p, w) == "row 2: vertex [1, 99] outside the window"
-    p.write_bytes((head + good).encode() + b"\xff\r\n")
-    for read in (read_pieces_csv, piecescsv.read_pieces_csv):
-        with pytest.raises(UnicodeDecodeError):
-            read(p, w)
+    for bad, want in ((b"1,2,\xff,1,0", "row 3002: non-integer value"),
+                      (b"\xff", "row 3002: 1 columns, expected 5"),
+                      (b"1,2,0,1," + b"7" * 200_000,
+                       "row 3002: field larger than field limit (131072)")):
+        p.write_bytes((head + "1,99,0,1,0\r\n" + good).encode() + bad
+                      + b"\r\n")
+        assert read_both(p, w) == "row 2: vertex [1, 99] outside the window"
+        p.write_bytes((head + good).encode() + bad + b"\r\n")
+        assert read_both(p, w) == want
 
 
 def test_pgm_ppm_formats(tmp_path):
