@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from .config import ConfigError, RunConfig, build_config, load_config
-from .equidecompose import PieceMap, verify_equidecomposition
+from .equidecompose import PieceMap, k_scan_max, verify_equidecomposition
 from .flowgrid import dump_edge_field
 from .integralize import integralize_flow
 from .lattice import fit_discrepancy_envelope, sample_field
@@ -69,18 +69,14 @@ def cmd_discrepancy(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# The config writes "automatic" as x0 = (), eps = 0 and cover_i_max = -1,
-# the library as None; these three helpers are the only translation.
-
-def _x0(cfg: RunConfig) -> Optional[np.ndarray]:
-    return np.array(cfg.x0) if cfg.x0 else None
-
+# The config writes "automatic" as eps = 0 and cover_i_max = -1, the
+# library as None; these two helpers are the only translation.
 
 def _flow_args(cfg: RunConfig) -> dict:
     """build_flow's arguments (run_pipeline takes them too)."""
     shape_a, shape_b = cfg.shapes()
     return dict(window=cfg.window(), action=cfg.action(), shape_a=shape_a,
-                shape_b=shape_b, n0=cfg.n0, eps=cfg.eps or None, x0=_x0(cfg))
+                shape_b=shape_b, n0=cfg.n0, eps=cfg.eps or None)
 
 
 def _cover_i_max(cfg: RunConfig) -> Optional[int]:
@@ -102,8 +98,7 @@ def cmd_flow(cfg: RunConfig) -> int:
 def cmd_integralize(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     flow = build_flow(**_flow_args(cfg))
-    psi_int, info = integralize_flow(flow.field.window, flow.phi,
-                                     flow.field.f, mode=cfg.mode,
+    psi_int, info = integralize_flow(flow.phi, flow.field.f, mode=cfg.mode,
                                      cover_i_max=_cover_i_max(cfg))
     dump_edge_field(os.path.join(out, "integral_flow.bin"), psi_int)
     write_json(os.path.join(out, "integralize.json"),
@@ -183,7 +178,7 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
             return EXIT_VERIFY
     try:
         summary = read_json(summary_path)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:   # too deeply nested
         print("schema error: %s: %s" % (summary_path, exc))
         return EXIT_VERIFY
     if not isinstance(summary, dict):
@@ -218,7 +213,7 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
     action = cfg.action()
     shape_a, shape_b = cfg.shapes()
     try:
-        fld = sample_field(window, action, shape_a, shape_b, x=_x0(cfg))
+        fld = sample_field(window, action, shape_a, shape_b)
     except ValueError as exc:
         raise PipelineError("sample", str(exc))
     try:
@@ -280,21 +275,20 @@ def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
     b_flat = np.ravel_multi_index(
         tuple(np.clip(cb, 0, window.L - 1).T), window.shape)
     gammas = np.unique(gamma, axis=0)
-    pieces = PieceMap(window=window, K=til.K_eff, a_flat=a_flat,
-                      b_flat=b_flat, gamma=gamma, piece_id=piece_id,
-                      gammas=gammas, unmatched_a=un_a, unmatched_b=un_b,
-                      tiling=til, used=np.array(used_raw, dtype=bool))
+    pieces = PieceMap(a_flat=a_flat, b_flat=b_flat, gamma=gamma,
+                      piece_id=piece_id, gammas=gammas, unmatched_a=un_a,
+                      unmatched_b=un_b, tiling=til,
+                      used=np.array(used_raw, dtype=bool))
     report = verify_equidecomposition(pieces, fld)
     counts_ok = ((report["matched"], report["pieces"]) == want_counts
                  and til.K_eff == want_k_eff)
     report["checks"]["summary_counts"] = {"ok": counts_ok}
     # the kind and a fixed K are the config's; an automatic K must be one
-    # the scans can choose: a proper tiling with K <= core side // 2
-    lo, hi = window.core_bounds
+    # the scans can choose: a proper tiling with K <= k_scan_max
     report["checks"]["tile_scale"] = {"ok": bool(
         tiles_meta.get("kind") == cfg.tiling and til.K == k_sel
         and (cfg.tiling == "voronoi" or cfg.K
-             or (not til.improper and til.K <= (hi - lo) // 2)))}
+             or (not til.improper and til.K <= k_scan_max(window))))}
     for name in sorted(report["checks"]):
         print("%s %s" % ("PASS" if report["checks"][name]["ok"] else "FAIL",
                          name))

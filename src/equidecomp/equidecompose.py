@@ -53,7 +53,7 @@ class KSelectionError(ValueError):
         self.diagnostics = diagnostics or {}
 
 
-def select_K(window: LatticeWindow, field: IndicatorField, c) -> int:
+def select_K(field: IndicatorField, c) -> int:
     """Smallest K whose rectangular core tiling satisfies
     c * |edges leaving V| <= min(|A cap V|, |B cap V|) on every tile V.
 
@@ -65,6 +65,7 @@ def select_K(window: LatticeWindow, field: IndicatorField, c) -> int:
     back to select_K_empirical.  Tile counts are block sums; no tiling is
     built.
     """
+    window = field.window
     lo, hi = window.core_bounds
     side = hi - lo
     c_int = int(math.ceil(c))
@@ -94,33 +95,35 @@ def select_K(window: LatticeWindow, field: IndicatorField, c) -> int:
         "no K <= %d satisfies the boundary-to-count criterion" % k_max, diag)
 
 
-def select_K_empirical(window: LatticeWindow, psi: EdgeField,
-                       field: IndicatorField, k_min: int = 1,
-                       k_max: Optional[int] = None
-                       ) -> Tuple[int, Tiling, TileFlow, dict]:
+def k_scan_max(window: LatticeWindow) -> int:
+    """Largest K select_K_empirical scans: half the core side, at least 1."""
+    lo, hi = window.core_bounds
+    return max(1, (hi - lo) // 2)
+
+
+def select_K_empirical(psi: EdgeField, field: IndicatorField
+                       ) -> Tuple[TileFlow, dict]:
     """Fallback scale selection from the flow actually built.
 
-    Scans K upward and returns (K, tiling, tile flow, diagnostics) for the
-    first proper tiling all of whose tiles can serve their aggregated
-    transfers from their own point counts.  If no K is fully clean,
-    returns those of the K minimizing the number of infeasible tiles, with
+    Scans K from 1 to k_scan_max and returns (tile flow, diagnostics) for
+    the first proper tiling all of whose tiles can serve their aggregated
+    transfers from their own point counts; its K and tiling are
+    tf.tiling.K and tf.tiling.  If no K is fully clean, returns those of
+    the K minimizing the number of infeasible tiles, with
     diagnostics["clean"] = False so the caller can flag the run as
-    best-effort.  Each scanned K's tile flow is built from the flow's
-    nonzero edges and the tiles' point counts, which also checks its
-    balance; the returned one is that of the returned K.
+    best-effort.  K = 1 divides every core side, so some tiling is always
+    proper.  Each scanned K's tile flow is built from the flow's nonzero
+    edges and the tiles' point counts, which also checks its balance.
     """
-    if psi.crop.full != window or field.window != window:
-        raise ValueError("flow, tiling and field must share a window")
-    lo, hi = window.core_bounds
-    side = hi - lo
-    if k_max is None:
-        k_max = side // 2
+    window = field.window
+    if psi.crop.full != window:
+        raise ValueError("flow and field must share a window")
     edges = _flow_edges(psi)
     core = window.core_mask()
     pts = [np.flatnonzero(chi & core) for chi in (field.chi_a, field.chi_b)]
     scanned: Dict[int, object] = {}
-    best = None                                  # (bad count, K, tile flow)
-    for K in range(max(1, k_min), max(int(k_max), 0) + 1):
+    best = None                                  # (bad count, tile flow)
+    for K in range(1, k_scan_max(window) + 1):
         t = rect_tiling(window, K)
         if t.improper:
             scanned[K] = "improper"
@@ -129,15 +132,11 @@ def select_K_empirical(window: LatticeWindow, psi: EdgeField,
         bad = int((~tf.feasible).sum())
         scanned[K] = bad
         if best is None or bad < best[0]:
-            best = (bad, K, tf)
+            best = (bad, tf)
         if bad == 0:
             break
-    if best is None:
-        raise KSelectionError("no proper tiling in K range [%d, %d]"
-                              % (k_min, k_max), scanned)
-    bad, K, tf = best
-    return K, tf.tiling, tf, {
-        "clean": bad == 0, "scanned": scanned, "infeasible": bad}
+    bad, tf = best
+    return tf, {"clean": bad == 0, "scanned": scanned, "infeasible": bad}
 
 
 def _flow_edges(psi: EdgeField) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -401,10 +400,8 @@ class PieceMap:
 
     Rows are sorted by source vertex; piece ids follow the lexicographic
     order of the distinct translations; every translation satisfies
-    max-norm < 2K + 4."""
+    max-norm < 2K + 4, K the tiling's piece scale K_eff."""
 
-    window: LatticeWindow
-    K: int
     a_flat: np.ndarray         # (m,) ascending
     b_flat: np.ndarray         # (m,) targets
     gamma: np.ndarray          # (m, d)
@@ -416,6 +413,14 @@ class PieceMap:
     used: np.ndarray
 
     @property
+    def window(self) -> LatticeWindow:
+        return self.tiling.window
+
+    @property
+    def K(self) -> int:
+        return self.tiling.K_eff
+
+    @property
     def bound(self) -> int:
         return 2 * self.K + 4
 
@@ -424,21 +429,18 @@ class PieceMap:
         return len(self.gammas)
 
 
-def extract_pieces(matching: Matching, K: int) -> PieceMap:
+def extract_pieces(matching: Matching) -> PieceMap:
     """Group the matching by translation vector.
 
-    Requires every tile side <= K + 1 (so adjacent-tile moves stay below
-    2K + 4); the bound is asserted on every assignment, and the number of
-    distinct translations is at most (4K + 7)^d.
+    K is the tiling's K_eff, so every tile side is at most K + 1 and
+    adjacent-tile moves stay below 2K + 4; the bound is asserted on every
+    assignment, and the number of distinct translations is at most
+    (4K + 7)^d.
     """
     tiling = matching.tileflow.tiling
     window = tiling.window
     d = window.d
-    side = tiling.sides.max(axis=1)
-    over = np.flatnonzero(side > K + 1)
-    if len(over):
-        raise ValueError("tile %d side %d exceeds K+1 = %d"
-                         % (over[0], side[over[0]], K + 1))
+    K = tiling.K_eff
     order = np.argsort(matching.pair_a)
     a_flat = matching.pair_a[order]
     b_flat = matching.pair_b[order]
@@ -455,8 +457,8 @@ def extract_pieces(matching: Matching, K: int) -> PieceMap:
     piece_id = piece_id.reshape(-1).astype(np.int32)
     if len(gammas) > (4 * K + 7) ** d:
         raise AssertionError("piece count exceeds (4K+7)^d")
-    return PieceMap(window=window, K=int(K), a_flat=a_flat, b_flat=b_flat,
-                    gamma=gamma, piece_id=piece_id, gammas=gammas,
+    return PieceMap(a_flat=a_flat, b_flat=b_flat, gamma=gamma,
+                    piece_id=piece_id, gammas=gammas,
                     unmatched_a=matching.unmatched_a.copy(),
                     unmatched_b=matching.unmatched_b.copy(),
                     tiling=tiling, used=matching.used.copy())

@@ -289,15 +289,16 @@ def _core_edge_view(values: np.ndarray, window: LatticeWindow) -> np.ndarray:
 
 
 def spill_to_frontier(values: np.ndarray, window: LatticeWindow,
-                      rim: np.ndarray, slots: np.ndarray, amount: np.ndarray,
-                      cap: int) -> int:
+                      amount: np.ndarray, cap: int) -> int:
     """Send amount[r] units of flow out of rim vertex rim[r] over its
     frontier edges, in place in the edge array values (laid out as
-    EdgeField.values); rim and slots are as from _rim_frontier_slots.  The
-    frontier slots are visited in ascending order, each taking up to cap
-    units in magnitude of what is left: a vertex's k-th frontier slot
-    takes cap while k < |amount| // cap, then the remainder.  Returns the
-    largest take; every unit must find an edge, or nothing is sent."""
+    EdgeField.values); rim and its frontier slots are those of
+    _rim_frontier_slots(window).  The frontier slots are visited in
+    ascending order, each taking up to cap units in magnitude of what is
+    left: a vertex's k-th frontier slot takes cap while
+    k < |amount| // cap, then the remainder.  Returns the largest take;
+    every unit must find an edge, or nothing is sent."""
+    rim, _, slots = _rim_frontier_slots(window)
     live = np.flatnonzero(amount)
     sent = np.asarray(amount, dtype=np.int64)[live]
     full, rest = np.divmod(np.abs(sent), cap)
@@ -347,7 +348,7 @@ def _route_to_frontier(values: Callable[[], np.ndarray],
     g . strides need not be in that order, at core side 2, but those of
     one row's heads are.)  So the table's nonzeros in row-major order are
     the arcs in CSR order."""
-    rim, rows, slots = _rim_frontier_slots(window)
+    rows = _rim_frontier_slots(window)[1]
     lo, hi = window.core_bounds
     side, d = hi - lo, window.d
     dirs = directions(d)
@@ -418,8 +419,7 @@ def _route_to_frontier(values: Callable[[], np.ndarray],
     out = values()
     out[row[ahead], at[ahead]] += flow[ahead]
     return out, max(int(np.abs(flow).max(initial=0)),
-                    spill_to_frontier(out, window, rim, slots, amount,
-                                      spill_cap))
+                    spill_to_frontier(out, window, amount, spill_cap))
 
 
 def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
@@ -489,10 +489,11 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
     return phi, info
 
 
-def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
+def round_edge_field(phi: EdgeField, f: np.ndarray,
                      fixed_mask: Optional[np.ndarray] = None
                      ) -> Tuple[EdgeField, dict]:
-    """Round phi to an integral flow with divergence f at every core vertex.
+    """Round phi to an integral flow with divergence f (a grid of
+    phi.window) at every core vertex.
 
     Free core-core edges are truncated toward zero, and so is each rim
     vertex's summed flow to the frontier, spilled onto its first frontier
@@ -508,8 +509,7 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     vertex's first frontier edge is its truncated sum plus at most one
     unit, so every |value| is below max(max |phi| >> s, max |sum|) + 2.
     """
-    if phi.window != window:
-        raise ValueError("field window mismatch")
+    window = phi.window
     s = phi.scale_exp
     mod = 1 << s
     core = (slice(*window.core_bounds),) * window.d
@@ -557,7 +557,7 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     r[rows] -= agg_int
 
     uncapped = np.iinfo(np.int64).max      # all on the first frontier edge
-    spill_to_frontier(out_vals, window, rim, fslots, agg_int, uncapped)
+    spill_to_frontier(out_vals, window, agg_int, uncapped)
     if _route_to_frontier(lambda: out_vals, window, r, (up, down),
                           (agg_frac > 0, agg_frac < 0), uncapped)[0] is None:
         raise AssertionError("interior rounding infeasible; flow is corrupt")
@@ -565,7 +565,6 @@ def round_edge_field(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     if not np.array_equal(out.divergence_num(core=True), f_core):
         raise AssertionError("rounded flow has wrong core divergence")
     info = {
-        "max_dev_core": _max_dev_core(out, phi),
         "edges_rounded": np.count_nonzero(up) + np.count_nonzero(down),
         "supply": int(np.abs(r).sum()),
     }
@@ -598,25 +597,28 @@ def max_cover_levels(window: LatticeWindow, n: int) -> int:
     return i
 
 
-def integralize_flow(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
-                     mode: str = "direct", cover_i_max: Optional[int] = None
+def integralize_flow(phi: EdgeField, f: np.ndarray, mode: str = "direct",
+                     cover_i_max: Optional[int] = None
                      ) -> Tuple[EdgeField, dict]:
-    """Turn an exact f-flow on the core of `window` into an integral one,
-    on the same crop as phi; f is a window grid.
+    """Turn an exact f-flow on the core of phi.crop.full into an integral
+    one, on the same crop as phi; f is a grid of that full window.
 
     direct: one global rounding, per-edge deviation < 1.
     cover:  boundary-walk adjustment on a disjoint-boundary cover, then
             rounding of the remaining free edges; deviation <= 3^d.  The
-            cover is built on `window` and each region is then moved into
-            phi's crop, where the walks run.
+            cover is built on the full window and each region is then
+            moved into phi's crop, where the walks run.
+
+    info["max_dev_core"] is the rounded flow's largest deviation from phi
+    over the core edges, in either mode.
     """
-    if phi.crop.full != window:
-        raise ValueError("field window mismatch")
     crop = phi.crop
+    window = crop.full
     f = crop.take(np.asarray(f))
     if mode == "direct":
-        out, info = round_edge_field(phi.window, phi, f)
+        out, info = round_edge_field(phi, f)
         info["mode"] = "direct"
+        info["max_dev_core"] = _max_dev_core(out, phi)
         return out, info
     if mode != "cover":
         raise ValueError("mode must be 'direct' or 'cover'")
@@ -630,12 +632,12 @@ def integralize_flow(window: LatticeWindow, phi: EdgeField, f: np.ndarray,
     core = window.core_mask()
     fixed = np.zeros(phi.values.shape, dtype=bool)
     for F in cover.regions:
-        if (ball_mask(window, F.mask, 2) & ~core).any():
+        if (ball_mask(F.mask, 2) & ~core).any():
             raise AssertionError("cover region's 2-neighborhood leaves the core")
         F = Region(crop.window, crop.take(F.mask))
         cur = adjust_on_region(cur, F)
         fixed |= boundary_n(F, 1)
-    out, info = round_edge_field(phi.window, cur, f, fixed_mask=fixed)
+    out, info = round_edge_field(cur, f, fixed_mask=fixed)
     info["mode"] = "cover"
     info["cover"] = cover.summary()
     adj_dev = np.abs(cur.values - phi.values).max(initial=0)

@@ -319,9 +319,9 @@ class IndicatorField:
 
 
 def sample_field(window: LatticeWindow, action: ActionSpec,
-                 shape_a: Shape, shape_b: Shape,
-                 x: Optional[np.ndarray] = None) -> IndicatorField:
-    """Sample chi_A and chi_B over the window orbit of the base point.
+                 shape_a: Shape, shape_b: Shape) -> IndicatorField:
+    """Sample chi_A and chi_B over the window orbit of the base point
+    action.x0.
 
     Fails if the shape measures disagree (beyond MEASURE_TOL) or if the
     action is not free on the window to within FREENESS_TOL.
@@ -336,7 +336,7 @@ def sample_field(window: LatticeWindow, action: ActionSpec,
         raise ValueError(
             "action not free on window: offset %r gives separation %.3g"
             % (delta, sep))
-    pts = action.grid_points(window.shape, x).reshape(-1, action.k)
+    pts = action.grid_points(window.shape).reshape(-1, action.k)
     chi_a = shape_a.contains(pts).reshape(window.shape)
     chi_b = shape_b.contains(pts).reshape(window.shape)
     return IndicatorField(window=window, chi_a=chi_a, chi_b=chi_b)

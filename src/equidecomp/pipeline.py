@@ -54,16 +54,15 @@ class PipelineResult:
 
 def build_flow(window: LatticeWindow, action: ActionSpec,
                shape_a: Shape, shape_b: Shape, n0: int,
-               eps: Optional[float] = None,
-               x0: Optional[np.ndarray] = None) -> FlowResult:
-    """Sample the field, certify its envelope, build the level-n0 truncated
-    flow and repair it to an exact f-flow on the core.  Both flows live on
-    lattice.edge_crop(window), and the repair takes over the truncated
-    flow's array."""
+               eps: Optional[float] = None) -> FlowResult:
+    """Sample the field at action.x0, certify its envelope, build the
+    level-n0 truncated flow and repair it to an exact f-flow on the core.
+    Both flows live on lattice.edge_crop(window), and the repair takes over
+    the truncated flow's array."""
     summary: Dict[str, object] = {}
 
     try:
-        fld = sample_field(window, action, shape_a, shape_b, x=x0)
+        fld = sample_field(window, action, shape_a, shape_b)
     except ValueError as exc:
         raise PipelineError("sample", str(exc))
     summary["field"] = {
@@ -102,13 +101,12 @@ def run_pipeline(window: LatticeWindow, action: ActionSpec,
                  shape_a: Shape, shape_b: Shape, n0: int,
                  mode: str = "direct", cover_i_max: Optional[int] = None,
                  tiling_kind: str = "rect", K: int = 0, voronoi_r: int = 3,
-                 eps: Optional[float] = None,
-                 x0: Optional[np.ndarray] = None) -> PipelineResult:
+                 eps: Optional[float] = None) -> PipelineResult:
     """Run every stage on one window; see the module docstring."""
-    flow = build_flow(window, action, shape_a, shape_b, n0, eps=eps, x0=x0)
+    flow = build_flow(window, action, shape_a, shape_b, n0, eps=eps)
     fld, env, phi, summary = flow.field, flow.envelope, flow.phi, flow.summary
 
-    psi_int, int_info = integralize_flow(window, phi, fld.f, mode=mode,
+    psi_int, int_info = integralize_flow(phi, fld.f, mode=mode,
                                          cover_i_max=cover_i_max)
     summary["integralize"] = int_info
 
@@ -129,12 +127,10 @@ def run_pipeline(window: LatticeWindow, action: ActionSpec,
         k_info = {"source": "fixed"}
     else:
         try:
-            k_sel = select_K(window, fld, c_int)
+            k_sel = select_K(fld, c_int)
         except KSelectionError as exc:
-            try:
-                _, til, tf, diag = select_K_empirical(window, psi_int, fld)
-            except KSelectionError as exc2:
-                raise PipelineError("tiles", str(exc2))
+            tf, diag = select_K_empirical(psi_int, fld)
+            til = tf.tiling
             k_info = {"source": "empirical", "clean": diag["clean"],
                       "infeasible": diag["infeasible"],
                       "criterion_fail": str(exc)}
@@ -153,7 +149,7 @@ def run_pipeline(window: LatticeWindow, action: ActionSpec,
     summary["matching"]["interior_tiles"] = int(tf.interior.sum())
     summary["matching"]["strict_bound_tiles"] = int(tf.strict_bound_ok.sum())
 
-    pieces = extract_pieces(matching, til.K_eff)
+    pieces = extract_pieces(matching)
     report = verify_equidecomposition(pieces, fld)
     summary["pieces"] = {
         "count": pieces.n_pieces,

@@ -143,7 +143,7 @@ class Net:
     r: int
 
 
-def ball_mask(window: LatticeWindow, mask: np.ndarray, r: int) -> np.ndarray:
+def ball_mask(mask: np.ndarray, r: int) -> np.ndarray:
     """B_r(S) as a mask: all vertices within graph distance r of S."""
     if r < 0:
         raise ValueError("r >= 0")
@@ -153,7 +153,7 @@ def ball_mask(window: LatticeWindow, mask: np.ndarray, r: int) -> np.ndarray:
 
 
 def ball(S: Region, r: int) -> Region:
-    return Region(S.window, ball_mask(S.window, S.mask, r))
+    return Region(S.window, ball_mask(S.mask, r))
 
 
 def greedy_net(window: LatticeWindow, r: int, restrict: np.ndarray) -> Net:
@@ -210,10 +210,10 @@ def enlarge(Y: Sequence[Region], Z: Sequence[Region], r: int) -> List[Region]:
     for R in Z:
         if R.diameter() > r:
             raise ValueError("enlarge hypothesis: diam(R) <= r fails")
-    zballs = [ball_mask(window, R.mask, r) for R in Z]
+    zballs = [ball_mask(R.mask, r) for R in Z]
     if not _disjoint(zballs):
         raise ValueError("enlarge hypothesis: d(R,R') > 2r fails in Z")
-    yballs = [ball_mask(window, S.mask, 3 * r) for S in Y]
+    yballs = [ball_mask(S.mask, 3 * r) for S in Y]
     if not _disjoint(yballs):
         raise ValueError("enlarge hypothesis: d(S,S') > 6r fails in Y")
     out: List[Region] = []
@@ -322,7 +322,7 @@ def boundary_disjoint_cover(window: LatticeWindow, n: int, i_max: int) -> Cover:
         if not S.is_connected():
             raise AssertionError("cover region disconnected")
     for a, (S, i) in enumerate(zip(regions, levels)):
-        near = ball_mask(window, S.mask, 2 * radii[i] - 1)
+        near = ball_mask(S.mask, 2 * radii[i] - 1)
         if any(j == i and (near & T.mask).any()
                for T, j in zip(regions[a + 1:], levels[a + 1:])):
             raise AssertionError("same-level regions too close")

@@ -313,7 +313,7 @@ def test_07_integralization_bound():
         fld = random_dyadic_field(rng, w, s, pushes=400)
         f = fld.divergence_num() >> s
         for mode, cap in (("direct", None), ("cover", 3 ** 2)):
-            out, info = integralize_flow(w, fld, f, mode=mode)
+            out, info = integralize_flow(fld, f, mode=mode)
             assert out.scale_exp == 0
             assert np.array_equal(out.divergence_num().ravel()[core],
                                   f.ravel()[core])

@@ -118,6 +118,11 @@ def test_verify_missing_and_malformed_artifacts(tmp_path, capsys):
         fh.write("[]")
     assert main(["verify", "--dir", out]) == EXIT_VERIFY
     assert "not a JSON object" in capsys.readouterr().out
+    # nested past the interpreter's recursion limit
+    with open(os.path.join(out, "summary.json"), "w") as fh:
+        fh.write("{\"config\": " + "[" * 2000 + "]" * 2000 + "}")
+    assert main(["verify", "--dir", out]) == EXIT_VERIFY
+    assert capsys.readouterr().out.startswith("schema error: ")
     # a section of the wrong type, or a malformed value inside one
     (tmp_path / "run" / "pieces.csv").write_bytes(pieces_csv)
     for section, bad in (("config", [["L", 16]]), ("tiles", []),
@@ -168,7 +173,7 @@ def test_verify_rebuilds_bounds_and_reads_full_ids(tmp_path, capsys):
 def test_verify_takes_tiling_from_config(tmp_path, capsys):
     """The tiling kind and a fixed K come from the config, and an
     automatic K must be one the scans can choose (a proper tiling with
-    K <= core side // 2).  TOY's core side is 8 and both rect runs use
+    K <= max(1, core side // 2)).  TOY's core side is 8 and both rect runs use
     K = 3: a summary claiming one tile of side 8 fails whether K was
     automatic or fixed, and a Voronoi run whose summary claims a rect
     tiling fails too."""
@@ -194,6 +199,19 @@ def test_verify_takes_tiling_from_config(tmp_path, capsys):
         capsys.readouterr()
         assert main(["verify", "--dir", out]) == EXIT_VERIFY, extra
         assert why in capsys.readouterr().out, extra
+
+
+def test_automatic_k_on_a_one_vertex_core(tmp_path, capsys):
+    """A core of side 1 leaves the K scan just K = 1, which squares and
+    verifies."""
+    out = str(tmp_path / "run")
+    assert main(["square", "--set", "out=%s" % out, "--set", "L=5",
+                 "--set", "margin=2", "--set", "n0=1"]) == EXIT_OK
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["tiles"]["K"] == 1
+    assert summary["tiles"]["source"] == "empirical"
+    assert main(["verify", "--dir", out]) == EXIT_OK
+    assert capsys.readouterr().out.strip().endswith("verify: ok")
 
 
 def test_square_serializes_an_empty_piece_map(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from equidecomp.equidecompose import (
     box_boundary_edges,
     build_matching,
     extract_pieces,
+    k_scan_max,
     select_K,
     select_K_empirical,
     tile_flow,
@@ -237,7 +238,7 @@ def test_matching_is_a_bijection_on_feasible_runs():
         picks = rng.choice(len(pts), size=16, replace=False)
         pairs = list(zip([pts[i] for i in picks[:8]], [pts[i] for i in picks[8:]]))
         psi, fld = path_flow(w, pairs)
-        K, _, tf, diag = select_K_empirical(w, psi, fld)
+        tf, diag = select_K_empirical(psi, fld)
         m = build_matching(tf, fld)
         assert len(m.pair_a) == len(m.pair_b)
         assert len(np.unique(m.pair_a)) == len(m.pair_a)
@@ -252,7 +253,8 @@ def test_matching_is_a_bijection_on_feasible_runs():
             # no leakage and every tile served: the matching is complete
             assert not len(m.unmatched_a) and not len(m.unmatched_b)
         # deterministic
-        m2 = build_matching(tile_flow(psi, rect_tiling(w, K), fld), fld)
+        m2 = build_matching(tile_flow(psi, rect_tiling(w, tf.tiling.K), fld),
+                            fld)
         assert np.array_equal(m.pair_a, m2.pair_a)
         assert np.array_equal(m.pair_b, m2.pair_b)
 
@@ -322,7 +324,7 @@ def test_matching_serves_least_points_first():
 def pieces_for(w, pairs, K):
     psi, fld = path_flow(w, pairs)
     tf = tile_flow(psi, rect_tiling(w, K), fld)
-    return extract_pieces(build_matching(tf, fld), K), fld
+    return extract_pieces(build_matching(tf, fld)), fld
 
 
 def test_extract_pieces_grouping_and_bounds():
@@ -350,15 +352,6 @@ def test_extract_pieces_grouping_and_bounds():
     assert report["pieces"] == pieces.n_pieces
 
 
-def test_extract_pieces_rejects_oversized_tiles():
-    w = LatticeWindow(d=2, L=20, margin=2)
-    psi, fld = path_flow(w, [((5, 5), (9, 9))])
-    tf = tile_flow(psi, rect_tiling(w, 3), fld)    # sides are 3 or 4
-    matching = build_matching(tf, fld)
-    with pytest.raises(ValueError):
-        extract_pieces(matching, 2)                # 4 > K+1 = 3
-
-
 def test_piece_count_bound_three_dimensional():
     rng = np.random.default_rng(13)
     w = LatticeWindow(d=3, L=8, margin=2)
@@ -384,7 +377,7 @@ def test_verifier_flags_corruption():
     bent = pieces.gamma.copy()
     bent[0] += 1
     broken = verify_equidecomposition(
-        type(pieces)(window=pieces.window, K=pieces.K, a_flat=pieces.a_flat,
+        type(pieces)(a_flat=pieces.a_flat,
                      b_flat=pieces.b_flat, gamma=bent, piece_id=pieces.piece_id,
                      gammas=pieces.gammas, unmatched_a=pieces.unmatched_a,
                      unmatched_b=pieces.unmatched_b, tiling=pieces.tiling,
@@ -396,7 +389,7 @@ def test_verifier_flags_corruption():
     dup_b = pieces.b_flat.copy()
     dup_b[1] = dup_b[0]
     broken = verify_equidecomposition(
-        type(pieces)(window=pieces.window, K=pieces.K, a_flat=pieces.a_flat,
+        type(pieces)(a_flat=pieces.a_flat,
                      b_flat=dup_b, gamma=pieces.gamma, piece_id=pieces.piece_id,
                      gammas=pieces.gammas, unmatched_a=pieces.unmatched_a,
                      unmatched_b=pieces.unmatched_b, tiling=pieces.tiling,
@@ -405,8 +398,7 @@ def test_verifier_flags_corruption():
     assert not broken["checks"]["targets_unique"]["ok"]
 
     hidden = verify_equidecomposition(
-        type(pieces)(window=pieces.window, K=pieces.K,
-                     a_flat=pieces.a_flat[1:], b_flat=pieces.b_flat[1:],
+        type(pieces)(a_flat=pieces.a_flat[1:], b_flat=pieces.b_flat[1:],
                      gamma=pieces.gamma[1:], piece_id=pieces.piece_id[1:],
                      gammas=pieces.gammas, unmatched_a=pieces.unmatched_a,
                      unmatched_b=pieces.unmatched_b, tiling=pieces.tiling,
@@ -440,7 +432,7 @@ def test_unmatched_locality_matches_reference(d, margin, core, kind, scale,
     none = np.zeros(w.shape, dtype=bool)
     empty = np.zeros(0, dtype=np.int64)
     pieces = equidecompose.PieceMap(
-        window=w, K=til.K_eff, a_flat=empty, b_flat=empty,
+        a_flat=empty, b_flat=empty,
         gamma=np.zeros((0, d), dtype=np.int64), piece_id=empty,
         gammas=np.zeros((0, d), dtype=np.int64), unmatched_a=un_a,
         unmatched_b=un_b, tiling=til, used=used)
@@ -454,7 +446,7 @@ def test_select_k_boundary_criterion():
     w = LatticeWindow(d=2, L=104, margin=2)
     par = np.indices(w.shape).sum(axis=0) % 2
     fld = IndicatorField(window=w, chi_a=par == 0, chi_b=par == 1)
-    K = select_K(w, fld, c=0.5)
+    K = select_K(fld, c=0.5)
     # the returned K satisfies the criterion; no smaller proper K does
     need = lambda box: int(np.ceil(0.5)) * box_boundary_edges(box[1] - box[0])
     for k in range(1, K + 1):
@@ -475,7 +467,7 @@ def test_select_k_raises_with_diagnostics():
     chi_a[5, 5] = chi_b[9, 9] = True
     fld = IndicatorField(window=w, chi_a=chi_a, chi_b=chi_b)
     with pytest.raises(KSelectionError) as exc:
-        select_K(w, fld, c=1.0)
+        select_K(fld, c=1.0)
     assert exc.value.diagnostics                  # per-K failure reasons
 
 
@@ -484,28 +476,24 @@ def test_select_k_empirical_clean_and_dirty():
     # dense pairing: some K serves every tile from its own points
     pairs = [((x, y), (x, y + 1)) for x in range(3, 17, 2) for y in range(3, 16, 4)]
     psi, fld = path_flow(w, pairs)
-    K, til, tf, diag = select_K_empirical(w, psi, fld)
+    tf, diag = select_K_empirical(psi, fld)
     assert diag["clean"] and diag["infeasible"] == 0
     assert not (~tf.feasible).any()
     # the scan hands back the accepted K's own tiling and aggregation
-    assert tf.tiling is til
-    assert np.array_equal(til.tile_id, rect_tiling(w, K).tile_id)
+    K = tf.tiling.K
+    assert np.array_equal(tf.tiling.tile_id, rect_tiling(w, K).tile_id)
     again = tile_flow(psi, rect_tiling(w, K), fld)
     for name in ("pair_src", "pair_dst", "pair_val", "row_ptr", "outflux"):
         assert np.array_equal(getattr(tf, name), getattr(again, name)), name
 
     # one long path: middle tiles carry transfers but own no points
     psi2, fld2 = path_flow(w, [((2, 2), (17, 17))])
-    K2, til2, tf2, diag2 = select_K_empirical(w, psi2, fld2)
+    tf2, diag2 = select_K_empirical(psi2, fld2)
     assert not diag2["clean"]
     assert diag2["infeasible"] >= 1
-    assert diag2["scanned"][K2] == diag2["infeasible"]
-    # best effort: the tiling and tile flow are those of the best K
-    assert til2.K == K2 and tf2.tiling is til2
+    # best effort: the tile flow is that of the best K
+    assert diag2["scanned"][tf2.tiling.K] == diag2["infeasible"]
     assert int((~tf2.feasible).sum()) == diag2["infeasible"]
-
-    with pytest.raises(KSelectionError):
-        select_K_empirical(w, psi, fld, k_min=9, k_max=9)   # improper only
 
 
 def test_tile_adjacency_grid():
@@ -556,12 +544,10 @@ def test_tile_layer_past_4096_tiles():
     mat, out, _ = recount(psi, t)
     assert_pairs_match(tf, mat)
     assert np.array_equal(tf.outflux, out)
-    K, _, tf1, diag = select_K_empirical(w, psi, fld, k_max=1)
-    assert K == 1 and np.array_equal(tf1.pair_val, tf.pair_val)
     bad = int(((np.where(mat > 0, mat, 0).sum(axis=1) > tf.count_a)
                | (np.where(mat < 0, -mat, 0).sum(axis=1) > tf.count_b)).sum())
-    assert bad > 0 and diag["scanned"] == {1: bad}
-    assert diag["infeasible"] == bad and not diag["clean"]
+    _, diag = select_K_empirical(psi, fld)
+    assert bad > 0 and diag["scanned"][1] == bad
 
 
 def test_select_k_builds_no_tiling(monkeypatch):
@@ -572,9 +558,9 @@ def test_select_k_builds_no_tiling(monkeypatch):
     w = LatticeWindow(d=2, L=104, margin=2)
     par = np.indices(w.shape).sum(axis=0) % 2
     fld = IndicatorField(window=w, chi_a=par == 0, chi_b=par == 1)
-    assert select_K(w, fld, c=0.5) >= 1
+    assert select_K(fld, c=0.5) >= 1
     with pytest.raises(KSelectionError):
-        select_K(w, fld, c=100)
+        select_K(fld, c=100)
     assert calls == []
 
 
@@ -588,7 +574,7 @@ def test_select_k_diagnostics_match_tile_scan():
                              chi_b=rng.random(w.shape) < 0.3)
         for c in (1, 2):
             with pytest.raises(KSelectionError) as exc:
-                select_K(w, fld, c=c)
+                select_K(fld, c=c)
             side = L - 2 * margin
             want = {}
             for K in range(1, side // 4 + 1):
@@ -608,18 +594,20 @@ def test_select_k_diagnostics_match_tile_scan():
 
 
 def assert_scan_matches_tile_flow(w, psi, fld):
-    """At every K of the default scan range, one-K scans count exactly the
-    tiles that the full aggregation finds infeasible, and the full scan
-    hands back that aggregation for the K it picks."""
-    side = w.core_bounds[1] - w.core_bounds[0]
-    for K in range(1, side // 2 + 1):
-        t = rect_tiling(w, K)
-        if t.improper:
-            continue
-        _, _, _, diag = select_K_empirical(w, psi, fld, k_min=K, k_max=K)
-        bad = int((~tile_flow(psi, t, fld).feasible).sum())
-        assert diag["scanned"] == {K: bad}
-    K, til, tf, diag = select_K_empirical(w, psi, fld)
+    """The scan tries K = 1, 2, ... up to the first clean K, or through
+    k_scan_max when none is clean; at every proper K it counts exactly the
+    tiles that the full aggregation finds infeasible, and it hands back
+    that aggregation for the K it picks."""
+    tf, diag = select_K_empirical(psi, fld)
+    K = tf.tiling.K
+    last = max(diag["scanned"])
+    assert list(diag["scanned"]) == list(range(1, last + 1))
+    assert last == (K if diag["clean"] else k_scan_max(w))
+    for k, bad in diag["scanned"].items():
+        t = rect_tiling(w, k)
+        assert (bad == "improper") == t.improper
+        if not t.improper:
+            assert bad == int((~tile_flow(psi, t, fld).feasible).sum())
     again = tile_flow(psi, rect_tiling(w, K), fld)
     for name in ("pair_src", "pair_dst", "pair_val", "row_ptr", "count_a",
                  "count_b", "outflux", "interior"):
@@ -667,12 +655,11 @@ def test_scan_checks_balance_at_rejected_k():
     chi_b = np.zeros(w.shape, dtype=bool)
     chi_a[2, 2] = chi_b[3, 3] = True
     lying = IndicatorField(window=w, chi_a=chi_a, chi_b=chi_b)
-    K, _, _, diag = select_K_empirical(w, psi, lying, k_min=2)
-    assert K == 2 and diag["clean"]
+    assert tile_flow(psi, rect_tiling(w, 2), lying).feasible.all()
     with pytest.raises(AssertionError, match="balance fails"):
         tile_flow(psi, rect_tiling(w, 1), lying)
     with pytest.raises(AssertionError, match="balance fails"):
-        select_K_empirical(w, psi, lying)
+        select_K_empirical(psi, lying)
 
 
 def test_scan_rejects_fractional_flow():
@@ -681,7 +668,7 @@ def test_scan_rejects_fractional_flow():
     frac = EdgeField(w, 2)
     add_flow(frac, (3, 3), (3, 4), 1)          # quarter unit: not integral
     with pytest.raises(ValueError, match="not integral"):
-        select_K_empirical(w, frac, fld)
+        select_K_empirical(frac, fld)
 
 
 def test_scan_aggregates_once(monkeypatch):
@@ -701,11 +688,11 @@ def test_scan_aggregates_once(monkeypatch):
     for psi, fld in (clean, dirty):
         calls.clear()
         built.clear()
-        K, til, tf, diag = select_K_empirical(w, psi, fld)
+        tf, diag = select_K_empirical(psi, fld)
         assert calls == []
         assert built == [k for k, v in diag["scanned"].items()
                          if v != "improper"]
-        again = real(psi, til, fld)
+        again = real(psi, tf.tiling, fld)
         for name in ("pair_src", "pair_dst", "pair_val", "row_ptr",
                      "count_a", "count_b", "outflux", "interior"):
             assert np.array_equal(getattr(tf, name), getattr(again, name)), \

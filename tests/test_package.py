@@ -165,3 +165,49 @@ def test_scipy_sparse_only_in_the_solve():
          "m for m in sys.modules if m.startswith('scipy.sparse')))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_each_input_passed_once():
+    """The base point lives only in the action, and windows and the piece
+    scale are read off the objects that carry them: the arguments and
+    fields that repeated them, and cli._x0, stay deleted."""
+    from equidecomp import cli, equidecompose, lattice, pipeline, tiling
+    gone = {
+        pipeline.build_flow: {"x0"},
+        pipeline.run_pipeline: {"x0"},
+        lattice.sample_field: {"x"},
+        integralize.round_edge_field: {"window"},
+        integralize.integralize_flow: {"window"},
+        integralize.spill_to_frontier: {"rim", "slots"},
+        equidecompose.select_K: {"window"},
+        equidecompose.select_K_empirical: {"window", "k_min", "k_max"},
+        equidecompose.extract_pieces: {"K"},
+        tiling.ball_mask: {"window"},
+    }
+    kept = {fn.__name__: sorted(names & set(inspect.signature(fn).parameters))
+            for fn, names in gone.items()}
+    assert not any(kept.values()), kept
+    fields = set(equidecompose.PieceMap.__dataclass_fields__)
+    assert not fields & {"window", "K"}, fields
+    assert not hasattr(cli, "_x0")
+
+
+def test_benchmark_stage_names_exist():
+    """Every (module, attribute) that perfbench/child.py patches, read
+    from its STAGES table without importing it, is still there, and so
+    are equidecompose.rect_tiling and EdgeField.valid, which it hooks."""
+    import importlib
+    child = SRC.parent / "perfbench" / "child.py"
+    stages = [ast.literal_eval(node.value)
+              for node in ast.parse(child.read_text()).body
+              if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["STAGES"]]
+    assert len(stages) == 1 and stages[0], stages
+    missing = [(mod, attr) for mod, attr, _ in stages[0]
+               if not hasattr(importlib.import_module("equidecomp." + mod),
+                              attr)]
+    assert not missing, missing
+    from equidecomp import equidecompose
+    from equidecomp.flowgrid import EdgeField
+    assert hasattr(equidecompose, "rect_tiling") and hasattr(EdgeField,
+                                                            "valid")

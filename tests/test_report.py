@@ -33,7 +33,7 @@ def small_pieces(seed=3, K=5):
     pairs = list(zip([pts[i] for i in picks[:6]], [pts[i] for i in picks[6:]]))
     psi, fld = path_flow(w, pairs)
     tf = tile_flow(psi, rect_tiling(w, K), fld)
-    return extract_pieces(build_matching(tf, fld), K), w
+    return extract_pieces(build_matching(tf, fld)), w
 
 
 def test_json_sorted_and_deterministic(tmp_path):
@@ -82,7 +82,7 @@ def test_empty_piece_map_end_to_end(tmp_path):
     for pairs, unmatched in (([], 0), ([((3, 3), (3, 12))], 1)):
         psi, fld = path_flow(w, pairs)
         tf = tile_flow(psi, rect_tiling(w, 3), fld)
-        pieces = extract_pieces(build_matching(tf, fld), 3)
+        pieces = extract_pieces(build_matching(tf, fld))
         assert len(pieces.a_flat) == pieces.n_pieces == 0
         assert pieces.gamma.shape == (0, 2) and pieces.gammas.shape == (0, 2)
         assert len(pieces.unmatched_a) == len(pieces.unmatched_b) == unmatched

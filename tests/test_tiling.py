@@ -151,9 +151,9 @@ def test_ball_mask_matches_distance_oracle():
                 continue
             dist = brute_dist(w, mask)
             for r in (0, 1, 2):
-                assert np.array_equal(ball_mask(w, mask, r), dist <= r)
+                assert np.array_equal(ball_mask(mask, r), dist <= r)
     with pytest.raises(ValueError):
-        ball_mask(w, mask, -1)
+        ball_mask(mask, -1)
 
 
 def test_greedy_net_discrete_and_maximal():
@@ -170,7 +170,7 @@ def test_greedy_net_discrete_and_maximal():
         # maximal: every core vertex within r of some point
         cov = np.zeros(w.shape, dtype=bool)
         for p in pts:
-            cov |= ball_mask(w, Region.from_vertices(w, [p]).mask, r)
+            cov |= ball_mask(Region.from_vertices(w, [p]).mask, r)
         assert cov[w.core_mask()].all()
         # first point is the lexicographically least core vertex
         lo = w.core_bounds[0]
@@ -213,7 +213,7 @@ def test_greedy_net_equals_vertex_by_vertex_scan():
 # ---------------------------------------------------------------------------
 
 def ball_region(w, center, r):
-    return Region(w, ball_mask(w, Region.from_vertices(w, [center]).mask, r))
+    return Region(w, ball_mask(Region.from_vertices(w, [center]).mask, r))
 
 
 def test_enlarge_swallows_nearby_small_regions():
@@ -224,7 +224,7 @@ def test_enlarge_swallows_nearby_small_regions():
          Region.from_vertices(w, [(20, 3)])]      # far from both
     out = enlarge(Y, Z, r)
     assert len(out) == 2
-    zball = ball_mask(w, Z[0].mask, r)
+    zball = ball_mask(Z[0].mask, r)
     assert not (zball & ~out[0].mask).any()            # swallowed whole
     assert np.array_equal(out[1].mask, Y[1].mask)      # untouched
     assert (out[0].mask & Y[0].mask).sum() == Y[0].size
