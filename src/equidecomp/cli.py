@@ -19,17 +19,15 @@ import os
 import sys
 from typing import List, Optional
 
-import numpy as np
-
-from .config import ConfigError, RunConfig, build_config, load_config
-from .equidecompose import PieceMap, k_scan_max, verify_equidecomposition
+from .config import ConfigError, RunConfig, load_config
+from .equidecompose import verify_equidecomposition
 from .flowgrid import dump_edge_field
 from .integralize import integralize_flow
 from .lattice import fit_discrepancy_envelope, sample_field
 from .pipeline import PipelineError, build_flow, run_pipeline
-from .report import (SchemaError, piece_raster, read_json, read_pieces_csv,
-                     write_json, write_pieces_csv, write_ppm)
-from .tiling import greedy_net, rect_tiling, voronoi_tiling
+from .report import (SchemaError, piece_raster, write_json, write_pieces_csv,
+                     write_ppm)
+from .verify import Rejected, read_run, verify_inputs
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -116,19 +114,8 @@ def cmd_square(cfg: RunConfig) -> int:
                           voronoi_r=cfg.voronoi_r)
     pieces = result.pieces
     write_pieces_csv(os.path.join(out, "pieces.csv"), pieces)
-    window = pieces.window
-    verify_inputs = {
-        "used_tiles": [bool(u) for u in pieces.used.tolist()],
-        "unmatched_a": np.stack(np.unravel_index(
-            pieces.unmatched_a, window.shape), axis=1).tolist(),
-        "unmatched_b": np.stack(np.unravel_index(
-            pieces.unmatched_b, window.shape), axis=1).tolist(),
-    }
-    if result.net is not None:
-        verify_inputs["voronoi_seeds"] = result.net.points.tolist()
-        verify_inputs["voronoi_r"] = result.net.r
     summary = {"config": cfg.to_dict(), **result.summary,
-               "verify_inputs": verify_inputs}
+               "verify_inputs": verify_inputs(pieces, result.net)}
     write_json(os.path.join(out, "summary.json"), summary)
     if cfg.k == 2 and cfg.raster:
         action = cfg.action()
@@ -137,162 +124,36 @@ def cmd_square(cfg: RunConfig) -> int:
         write_ppm(os.path.join(out, "pieces_b.ppm"),
                   piece_raster(pieces, action, cfg.raster, "target"))
     rep = result.report
-    for name in sorted(rep["checks"]):
-        print("%s %s" % ("PASS" if rep["checks"][name]["ok"] else "FAIL",
-                         name))
+    ok = _print_checks(rep["checks"])
     print("square: pieces=%d matched=%d unmatched=%d ok=%s"
           % (rep["pieces"], rep["matched"],
-             rep["unmatched_a"] + rep["unmatched_b"], rep["ok"]))
-    return EXIT_OK if rep["ok"] else EXIT_VERIFY
+             rep["unmatched_a"] + rep["unmatched_b"], ok))
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _config_from_summary(summary: dict) -> RunConfig:
-    raw = dict(summary.get("config", {}))
-    pairs = {}
-    for key, val in raw.items():
-        if isinstance(val, list):
-            pairs[key] = ",".join(str(v) for v in val)
-        else:
-            pairs[key] = str(val)
-    return build_config(pairs)
-
-
-def _is_json_int(value) -> bool:
-    """A JSON integer: not a bool, nor a float or a string int() takes."""
-    return type(value) is int
-
-
-def _json_int(value, name: str) -> int:
-    if not _is_json_int(value):
-        raise SchemaError("%s is not an integer: %r" % (name, value))
-    return value
+def _print_checks(checks: dict) -> bool:
+    """One PASS or FAIL line per check, by name; True when all pass."""
+    for name in sorted(checks):
+        print("%s %s" % ("PASS" if checks[name]["ok"] else "FAIL", name))
+    return all(check["ok"] for check in checks.values())
 
 
 def cmd_verify(directory: str, cfg: Optional[RunConfig]) -> int:
     """Re-check serialized artifacts with no shared in-process state."""
-    pieces_path = os.path.join(directory, "pieces.csv")
-    summary_path = os.path.join(directory, "summary.json")
-    for p in (pieces_path, summary_path):
-        if not os.path.isfile(p):
-            print("missing artifact: %s" % p)
-            return EXIT_VERIFY
     try:
-        summary = read_json(summary_path)
-    except (ValueError, RecursionError) as exc:   # too deeply nested
-        print("schema error: %s: %s" % (summary_path, exc))
-        return EXIT_VERIFY
-    if not isinstance(summary, dict):
-        print("schema error: %s is not a JSON object" % summary_path)
-        return EXIT_VERIFY
-    for section in ("config", "tiles", "verify_inputs", "pieces"):
-        if not isinstance(summary.get(section, {}), dict):
-            print("schema error: %s is not a JSON object" % section)
-            return EXIT_VERIFY
-    tiles_meta = summary.get("tiles", {})
-    vin = summary.get("verify_inputs", {})
-    counts = summary.get("pieces", {})
-    try:
-        k_sel = _json_int(tiles_meta.get("K", 0), "K")
-        want_k_eff = _json_int(tiles_meta.get("K_eff", -1), "K_eff")
+        cfg, pieces, claims = read_run(directory, cfg)
     except SchemaError as exc:
-        print("schema error: tiles: %s" % exc)
+        print("schema error: %s" % exc)
+        return EXIT_VERIFY
+    except Rejected as exc:
+        print(exc)
         return EXIT_VERIFY
     try:
-        want_counts = (_json_int(counts.get("matched", -1), "matched"),
-                       _json_int(counts.get("count", -1), "count"))
-    except SchemaError as exc:
-        print("schema error: pieces: %s" % exc)
-        return EXIT_VERIFY
-    if cfg is None:
-        try:
-            cfg = _config_from_summary(summary)
-        except ConfigError as exc:
-            print("schema error: config: %s" % exc)
-            return EXIT_VERIFY
-    window = cfg.window()
-    action = cfg.action()
-    shape_a, shape_b = cfg.shapes()
-    try:
-        fld = sample_field(window, action, shape_a, shape_b)
+        fld = sample_field(cfg.window(), cfg.action(), *cfg.shapes())
     except ValueError as exc:
         raise PipelineError("sample", str(exc))
-    try:
-        a_flat, gamma, piece_id = read_pieces_csv(pieces_path, window)
-    except SchemaError as exc:
-        print("schema error: %s" % exc)
-        return EXIT_VERIFY
-    try:
-        if cfg.tiling == "voronoi":
-            r = _json_int(vin["voronoi_r"], "voronoi_r")
-            seeds = vin["voronoi_seeds"]
-            if not (isinstance(seeds, list)
-                    and all(isinstance(p, list) and all(map(_is_json_int, p))
-                            for p in seeds)):
-                raise SchemaError("voronoi_seeds is not a list of integer "
-                                  "points")
-            seeds = np.array(seeds, dtype=np.int64)
-            if r != cfg.voronoi_r:
-                print("FAIL voronoi_net: voronoi_r %d is not the config's "
-                      "voronoi_r %d" % (r, cfg.voronoi_r))
-                return EXIT_VERIFY
-            net = greedy_net(window, r, restrict=window.core_mask())
-            if not np.array_equal(seeds, net.points):
-                print("FAIL voronoi_net: the seeds are not the greedy "
-                      "%d-net of the core" % r)
-                return EXIT_VERIFY
-            til = voronoi_tiling(window, net)
-        else:
-            til = rect_tiling(window, cfg.K or k_sel)
-    except SchemaError as exc:
-        print("schema error: verify_inputs: %s" % exc)
-        return EXIT_VERIFY
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        print("cannot rebuild tiling: %s" % exc)
-        return EXIT_VERIFY
-    used_raw = vin.get("used_tiles")
-    if (not isinstance(used_raw, list) or len(used_raw) != len(til.tiles)
-            or not all(isinstance(u, bool) for u in used_raw)):
-        print("schema error: verify_inputs: used_tiles is not one boolean "
-              "per tile")
-        return EXIT_VERIFY
-
-    def _flats(rows) -> np.ndarray:
-        if not (isinstance(rows, list) and all(
-                isinstance(v, list) and len(v) == window.d
-                and all(_is_json_int(c) and 0 <= c < window.L for c in v)
-                for v in rows)):
-            raise SchemaError("verify_inputs: bad unmatched coordinate list")
-        arr = np.array(rows, dtype=np.int64).reshape(len(rows), window.d)
-        return np.sort(np.ravel_multi_index(tuple(arr.T), window.shape))
-
-    try:
-        un_a = _flats(vin.get("unmatched_a", []))
-        un_b = _flats(vin.get("unmatched_b", []))
-    except SchemaError as exc:
-        print("schema error: %s" % exc)
-        return EXIT_VERIFY
-    cb = np.stack(np.unravel_index(a_flat, window.shape), axis=1) + gamma
-    b_flat = np.ravel_multi_index(
-        tuple(np.clip(cb, 0, window.L - 1).T), window.shape)
-    gammas = np.unique(gamma, axis=0)
-    pieces = PieceMap(a_flat=a_flat, b_flat=b_flat, gamma=gamma,
-                      piece_id=piece_id, gammas=gammas, unmatched_a=un_a,
-                      unmatched_b=un_b, tiling=til,
-                      used=np.array(used_raw, dtype=bool))
-    report = verify_equidecomposition(pieces, fld)
-    counts_ok = ((report["matched"], report["pieces"]) == want_counts
-                 and til.K_eff == want_k_eff)
-    report["checks"]["summary_counts"] = {"ok": counts_ok}
-    # the kind and a fixed K are the config's; an automatic K must be one
-    # the scans can choose: a proper tiling with K <= k_scan_max
-    report["checks"]["tile_scale"] = {"ok": bool(
-        tiles_meta.get("kind") == cfg.tiling and til.K == k_sel
-        and (cfg.tiling == "voronoi" or cfg.K
-             or (not til.improper and til.K <= k_scan_max(window))))}
-    for name in sorted(report["checks"]):
-        print("%s %s" % ("PASS" if report["checks"][name]["ok"] else "FAIL",
-                         name))
-    ok = all(check["ok"] for check in report["checks"].values())
+    ok = _print_checks({**verify_equidecomposition(pieces, fld)["checks"],
+                        **claims})
     print("verify: %s" % ("ok" if ok else "FAILED"))
     return EXIT_OK if ok else EXIT_VERIFY
 

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .flowgrid import psi_num_bound
+from .flowgrid import psi_num_bits
 from .integralize import COVER_SEPARATION, max_cover_levels
 from .lattice import ActionSpec, LatticeWindow, choose_lattice_dimension
 from .shapes import Shape, parse_shape
@@ -68,11 +68,11 @@ class RunConfig:
                               % (self.margin, self.L))
         if self.n0 < 1:
             raise ConfigError("n0 must be >= 1")
-        bound = psi_num_bound(self.rank(), self.n0)
-        if bound >= 1 << 63:
+        bits = psi_num_bits(self.rank(), self.n0)
+        if bits >= 63:
             raise ConfigError("n0 = %d overflows int64 in d = %d: flow "
                               "numerators reach 2^%d"
-                              % (self.n0, self.rank(), bound.bit_length() - 1))
+                              % (self.n0, self.rank(), bits))
         if (1 << (self.n0 + 1)) > self.L:
             raise ConfigError("n0 = %d needs L >= %d"
                               % (self.n0, 1 << (self.n0 + 1)))

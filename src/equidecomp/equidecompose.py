@@ -92,7 +92,8 @@ def select_K(field: IndicatorField, c) -> int:
         diag[K] = ("tile %d needs %d points per side, has A=%d B=%d"
                    % (i, need.flat[i], na.flat[i], nb.flat[i]))
     raise KSelectionError(
-        "no K <= %d satisfies the boundary-to-count criterion" % k_max, diag)
+        "no K <= %d satisfies the boundary-to-count criterion" % k_max
+        if k_max else "no K was tried: core side %d < 4" % side, diag)
 
 
 def k_scan_max(window: LatticeWindow) -> int:

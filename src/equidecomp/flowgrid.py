@@ -141,7 +141,12 @@ def psi_num_bound(d: int, n0: int) -> int:
     subbox_sums grow with L, but int64 sums wrap modulo 2^64, so every box
     sum that fits is still exact.
     """
-    return 1 << (2 * n0 * d + n0 - d)
+    return 1 << psi_num_bits(d, n0)
+
+
+def psi_num_bits(d: int, n0: int) -> int:
+    """log2 of psi_num_bound(d, n0), without building the bound."""
+    return 2 * n0 * d + n0 - d
 
 
 def _truncation_box(crop: Crop, n0: int, g) -> tuple:

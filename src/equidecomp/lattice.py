@@ -323,22 +323,25 @@ def sample_field(window: LatticeWindow, action: ActionSpec,
     """Sample chi_A and chi_B over the window orbit of the base point
     action.x0.
 
-    Fails if the shape measures disagree (beyond MEASURE_TOL) or if the
-    action is not free on the window to within FREENESS_TOL.
+    Fails if the measures disagree (beyond MEASURE_TOL), if the action is not
+    free on the window (within FREENESS_TOL) or if the window is too large.
     """
     if shape_a.k != action.k or shape_b.k != action.k:
         raise ValueError("shape dimension does not match action rank k")
     if not measures_match(shape_a, shape_b, MEASURE_TOL):
         raise ValueError("lambda(A) != lambda(B): %r vs %r"
                          % (shape_a.measure(), shape_b.measure()))
-    sep, delta = min_orbit_separation(action, window.L)
-    if sep <= FREENESS_TOL:
-        raise ValueError(
-            "action not free on window: offset %r gives separation %.3g"
-            % (delta, sep))
-    pts = action.grid_points(window.shape).reshape(-1, action.k)
-    chi_a = shape_a.contains(pts).reshape(window.shape)
-    chi_b = shape_b.contains(pts).reshape(window.shape)
+    try:
+        sep, delta = min_orbit_separation(action, window.L)
+        if sep <= FREENESS_TOL:
+            raise ValueError(
+                "action not free on window: offset %r gives separation %.3g"
+                % (delta, sep))
+        pts = action.grid_points(window.shape).reshape(-1, action.k)
+        chi_a = shape_a.contains(pts).reshape(window.shape)
+        chi_b = shape_b.contains(pts).reshape(window.shape)
+    except MemoryError as exc:
+        raise ValueError("window too large: %s" % exc)
     return IndicatorField(window=window, chi_a=chi_a, chi_b=chi_b)
 
 

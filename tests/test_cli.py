@@ -4,6 +4,7 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from equidecomp.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INTERNAL,
                             EXIT_OK, EXIT_VERIFY, main)
@@ -210,6 +211,9 @@ def test_automatic_k_on_a_one_vertex_core(tmp_path, capsys):
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert summary["tiles"]["K"] == 1
     assert summary["tiles"]["source"] == "empirical"
+    # the boundary criterion scans K <= core side // 4, which is empty here
+    assert summary["tiles"]["criterion_fail"] == \
+        "no K was tried: core side 1 < 4"
     assert main(["verify", "--dir", out]) == EXIT_OK
     assert capsys.readouterr().out.strip().endswith("verify: ok")
 
@@ -416,6 +420,27 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert "infeasible: sample" in err, cmd
 
 
+def test_config_past_int64_and_window_past_memory(tmp_path, capsys):
+    """A d or n0 of 2^63 is a config error found without building the
+    2^63-bit flow bound, and a window whose freeness scan exceeds any
+    address space (1.6 EiB here, refused at once) is an infeasible sample
+    stage for square.  verify reads the whole run before it samples, so
+    with that window it stops at the tiling (128 TiB, refused too)."""
+    for key, value in (("n0", 2 ** 63), ("d", 2 ** 63)):
+        assert main(["square", "--set", "%s=%d" % (key, value)]) \
+            == EXIT_CONFIG
+        assert "overflows int64" in capsys.readouterr().err
+    out = str(tmp_path / "run")
+    big = ["d=15", "L=8", "margin=1", "n0=1"]
+    assert run("square", out, extra=big) == EXIT_INFEASIBLE
+    assert "infeasible: sample: window too large" in capsys.readouterr().err
+    assert run("square", out) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "--dir", out] + sum(
+        (["--set", kv] for kv in TOY + big), [])) == EXIT_VERIFY
+    assert "cannot rebuild tiling" in capsys.readouterr().out
+
+
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     # a broken invariant inside a stage is neither a config error nor a
     # traceback: main reports it and returns its own code
@@ -468,3 +493,65 @@ def test_config_file_plus_overrides(tmp_path):
     assert main(["square", "--config", str(cfgf),
                  "--set", "out=%s" % out]) == EXIT_OK
     assert os.path.exists(os.path.join(out, "summary.json"))
+
+
+@pytest.fixture(scope="module")
+def toy_runs(tmp_path_factory):
+    """The TOY run and its Voronoi variant, squared once for the module."""
+    runs = {}
+    for kind, extra in (("rect", ()),
+                        ("voronoi", ("tiling=voronoi", "voronoi_r=3"))):
+        out = tmp_path_factory.mktemp(kind)
+        assert run("square", str(out), extra=extra) == EXIT_OK
+        runs[kind] = out
+    return runs
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text("0123_", max_size=3), kids, max_size=3),
+    max_leaves=8)     # the dict keys are never config keys
+
+
+def bad_config_values(key):
+    """Malformed types, negatives, 0 and integers >= 2^63, never a
+    mid-sized number (L = 1000 at d = 3 asks the freeness scan for about
+    96 GB): strings hold no digit, and a float delta, which is a valid one
+    that can raise d, is not drawn."""
+    scalars = [st.none(), st.booleans(), st.text("ab ,._-", max_size=4),
+               st.integers(max_value=0),
+               st.integers(min_value=2 ** 63, max_value=2 ** 70)]
+    if key != "delta":
+        scalars.append(st.floats())
+    bad = st.one_of(scalars)
+    return (bad | st.lists(bad, max_size=3)
+            | st.dictionaries(st.text("ab", max_size=2), bad, max_size=2))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_verify_never_raises_on_a_malformed_summary(
+        toy_runs, tmp_path_factory, data):
+    """One value of tiles, pieces, verify_inputs or config, or a whole
+    section, replaced by a drawn JSON value: verify passes, fails or names
+    an infeasible stage, and never raises."""
+    kind = data.draw(st.sampled_from(sorted(toy_runs)))
+    good = json.loads((toy_runs[kind] / "summary.json").read_text())
+    section = data.draw(st.sampled_from(
+        ["config", "tiles", "pieces", "verify_inputs"]))
+    forged = dict(good)
+    if data.draw(st.booleans(), label="whole section"):
+        forged[section] = data.draw(JSON)
+    else:
+        key = data.draw(st.sampled_from(sorted(good[section])))
+        forged[section] = dict(good[section], **{key: data.draw(
+            bad_config_values(key) if section == "config" else JSON)})
+    out = tmp_path_factory.mktemp("forged")
+    (out / "pieces.csv").write_bytes(
+        (toy_runs[kind] / "pieces.csv").read_bytes())
+    (out / "summary.json").write_text(json.dumps(forged))
+    assert main(["verify", "--dir", str(out)]) in (
+        EXIT_OK, EXIT_VERIFY, EXIT_INFEASIBLE)

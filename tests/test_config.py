@@ -120,9 +120,14 @@ def test_int64_headroom():
     assert psi_num_bound(2, 12) == 1 << 58 and psi_num_bound(3, 9) == 1 << 60
     RunConfig(d=2, n0=12, L=1 << 13).validate()
     RunConfig(d=3, n0=9, L=1 << 10).validate()
-    for d, n0, bits in ((2, 13, 63), (3, 10, 67), (2, 30, 148)):
+    # the exponent is compared before any shift: a 2^63 in d or n0 builds
+    # no integer of 2^63 bits
+    for d, n0, bits in ((2, 13, 63), (3, 10, 67), (2, 30, 148),
+                        (3, 2 ** 63, 7 * 2 ** 63 - 3),
+                        (2 ** 63, 1, 2 ** 63 + 1)):
         with pytest.raises(ConfigError) as exc:
-            RunConfig(d=d, n0=n0, L=1 << (n0 + 1)).validate()
+            RunConfig(d=d, n0=n0, L=1 << min(n0 + 1, 64),
+                      margin=1).validate()
         assert str(exc.value) == ("n0 = %d overflows int64 in d = %d: flow "
                                   "numerators reach 2^%d" % (n0, d, bits))
     for d, L, n0 in ((1, 64, 4), (2, 32, 3), (3, 16, 2)):

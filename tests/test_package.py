@@ -192,6 +192,24 @@ def test_each_input_passed_once():
     assert not hasattr(cli, "_x0")
 
 
+def test_verify_owns_the_run_contract():
+    """verify.py alone writes and reads what `square` leaves for `verify`:
+    read_run is the only reader of pieces.csv, cli's schema helpers stay
+    deleted and are not copied elsewhere, and the checker imports no flow
+    solver."""
+    calls = callers("read_pieces_csv")
+    assert calls == [("verify.py", "read_run")], calls
+    gone = defined({"_config_from_summary", "_is_json_int", "_json_int",
+                    "_flats"})
+    assert not gone, gone
+    tree = ast.parse((SRC / "equidecomp" / "verify.py").read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"pipeline", "integralize", "_maxflow"}, imported
+
+
 def test_benchmark_stage_names_exist():
     """Every (module, attribute) that perfbench/child.py patches, read
     from its STAGES table without importing it, is still there, and so
