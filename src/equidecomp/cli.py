@@ -37,18 +37,23 @@ EXIT_INTERNAL = 5
 
 
 def _outdir(cfg: RunConfig) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
+    """cfg.out, created if need be; called before any stage runs."""
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out: cannot create directory %r: %s"
+                          % (cfg.out, exc.strerror or exc))
     return cfg.out
 
 
 def cmd_discrepancy(cfg: RunConfig) -> int:
+    out = _outdir(cfg)
     action = cfg.action()
     shape_a, shape_b = cfg.shapes()
     ns = cfg.n_list()
     xs = [action.x0]
     fit_a = fit_discrepancy_envelope(action, shape_a, ns, xs)
     fit_b = fit_discrepancy_envelope(action, shape_b, ns, xs)
-    out = _outdir(cfg)
     rows = [(n, da, db) for (n, da), (_, db) in zip(fit_a.table, fit_b.table)]
     from .report import write_csv
     write_csv(os.path.join(out, "discrepancy.csv"),
@@ -115,7 +120,7 @@ def cmd_square(cfg: RunConfig) -> int:
     pieces = result.pieces
     write_pieces_csv(os.path.join(out, "pieces.csv"), pieces)
     summary = {"config": cfg.to_dict(), **result.summary,
-               "verify_inputs": verify_inputs(pieces, result.net)}
+               "verify_inputs": verify_inputs(pieces)}
     write_json(os.path.join(out, "summary.json"), summary)
     if cfg.k == 2 and cfg.raster:
         action = cfg.action()
@@ -123,11 +128,10 @@ def cmd_square(cfg: RunConfig) -> int:
                   piece_raster(pieces, action, cfg.raster, "source"))
         write_ppm(os.path.join(out, "pieces_b.ppm"),
                   piece_raster(pieces, action, cfg.raster, "target"))
-    rep = result.report
-    ok = _print_checks(rep["checks"])
+    ok = _print_checks(result.report["checks"])
     print("square: pieces=%d matched=%d unmatched=%d ok=%s"
-          % (rep["pieces"], rep["matched"],
-             rep["unmatched_a"] + rep["unmatched_b"], ok))
+          % (pieces.n_pieces, len(pieces.a_flat),
+             len(pieces.unmatched_a) + len(pieces.unmatched_b), ok))
     return EXIT_OK if ok else EXIT_VERIFY
 
 

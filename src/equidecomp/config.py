@@ -22,6 +22,10 @@ class ConfigError(ValueError):
     """Invalid or missing configuration value."""
 
 
+# The largest raster side: the PPM is built in memory, a text line per row.
+RASTER_MAX = 2048
+
+
 @dataclass
 class RunConfig:
     k: int = 1                     # torus dimension
@@ -102,8 +106,9 @@ class RunConfig:
                               % (self.K, self.L - 2 * self.margin))
         if self.eps < 0:
             raise ConfigError("eps must be positive, or 0 for a grid search")
-        if self.raster < 0:
-            raise ConfigError("raster resolution must be >= 0")
+        if not 0 <= self.raster <= RASTER_MAX:
+            raise ConfigError("raster resolution must be 0 to %d (got %d)"
+                              % (RASTER_MAX, self.raster))
         for shape_key in ("shape_a", "shape_b"):
             text = getattr(self, shape_key)
             try:

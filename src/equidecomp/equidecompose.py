@@ -381,14 +381,7 @@ def build_matching(tf: TileFlow, field: IndicatorField) -> Matching:
         raise AssertionError("a source point was matched twice")
     if len(np.unique(pair_b)) != len(pair_b):
         raise AssertionError("a target point was matched twice")
-    info = {
-        "tiles": n,
-        "used_tiles": int(used.sum()),
-        "matched": int(len(pair_a)),
-        "cross_matched": cross,
-        "unmatched_a": int(len(unmatched_a)),
-        "unmatched_b": int(len(unmatched_b)),
-    }
+    info = {"used_tiles": int(used.sum()), "cross_matched": cross}
     return Matching(tileflow=tf, used=used, pair_a=pair_a, pair_b=pair_b,
                     unmatched_a=unmatched_a, unmatched_b=unmatched_b,
                     info=info)
@@ -399,15 +392,15 @@ class PieceMap:
     """The equidecomposition at lattice level: each matched A-vertex moves
     by its row's translation; pieces group rows sharing a translation.
 
-    Rows are sorted by source vertex; piece ids follow the lexicographic
+    The fields are what pieces.csv and summary.json's verify_inputs hold:
+    rows are sorted by source vertex; piece ids follow the lexicographic
     order of the distinct translations; every translation satisfies
-    max-norm < 2K + 4, K the tiling's piece scale K_eff."""
+    max-norm < 2K + 4, K the tiling's piece scale K_eff.  Targets are
+    a_flat moved by gamma, never stored."""
 
     a_flat: np.ndarray         # (m,) ascending
-    b_flat: np.ndarray         # (m,) targets
     gamma: np.ndarray          # (m, d)
     piece_id: np.ndarray       # (m,) integer ids
-    gammas: np.ndarray         # (npieces, d), lexicographically sorted
     unmatched_a: np.ndarray
     unmatched_b: np.ndarray
     tiling: Tiling
@@ -427,7 +420,8 @@ class PieceMap:
 
     @property
     def n_pieces(self) -> int:
-        return len(self.gammas)
+        """Distinct translations: one np.unique per read."""
+        return len(np.unique(self.gamma, axis=0))
 
 
 def extract_pieces(matching: Matching) -> PieceMap:
@@ -458,8 +452,7 @@ def extract_pieces(matching: Matching) -> PieceMap:
     piece_id = piece_id.reshape(-1).astype(np.int32)
     if len(gammas) > (4 * K + 7) ** d:
         raise AssertionError("piece count exceeds (4K+7)^d")
-    return PieceMap(a_flat=a_flat, b_flat=b_flat, gamma=gamma,
-                    piece_id=piece_id, gammas=gammas,
+    return PieceMap(a_flat=a_flat, gamma=gamma, piece_id=piece_id,
                     unmatched_a=matching.unmatched_a.copy(),
                     unmatched_b=matching.unmatched_b.copy(),
                     tiling=tiling, used=matching.used.copy())
@@ -468,7 +461,8 @@ def extract_pieces(matching: Matching) -> PieceMap:
 def verify_equidecomposition(pieces: PieceMap, field: IndicatorField) -> dict:
     """Re-derive every piece-map invariant from the field and the map alone.
 
-    Returns a report dict — {"ok": bool, "checks": {name: {...}}, ...} —
+    Returns a report dict — {"ok": bool, "checks": {name: {...}},
+    "unmatched_fraction": float} —
     and never raises: violations are findings, not exceptions.  Unmatched
     points are allowed only in tiles that were excluded or that border an
     excluded/untiled part of the window.
@@ -487,30 +481,28 @@ def verify_equidecomposition(pieces: PieceMap, field: IndicatorField) -> dict:
     a = pieces.a_flat
     gamma = pieces.gamma
 
-    put("sources_unique", bool((np.diff(a) > 0).all()), count=m)
+    put("sources_unique", bool((np.diff(a) > 0).all()))
     put("sources_in_a", bool(field.chi_a.ravel()[a].all()))
 
     cb = np.stack(np.unravel_index(a, window.shape), axis=1) + gamma
     in_win = ((cb >= 0) & (cb < L)).all(axis=1)
     put("targets_in_window", bool(in_win.all()),
         violations=int((~in_win).sum()))
+    # the targets; one outside the window is clipped onto its face, which
+    # targets_in_window has already failed
     bf = np.ravel_multi_index(tuple(np.clip(cb, 0, L - 1).T), window.shape)
-    put("targets_consistent",
-        bool(np.array_equal(bf[in_win], pieces.b_flat[in_win])))
     in_b = in_win & field.chi_b.ravel()[bf]
     put("targets_in_b", bool(in_b.all()), violations=int((~in_b).sum()))
-    put("targets_unique", len(np.unique(pieces.b_flat)) == m)
+    put("targets_unique", len(np.unique(bf)) == m)
 
     max_norm = int(np.abs(gamma).max(initial=0))
     put("gamma_bound", max_norm < pieces.bound,
         max_norm=max_norm, bound=pieces.bound)
 
-    want, regroup = np.unique(gamma, axis=0, return_inverse=True)
+    gammas, regroup = np.unique(gamma, axis=0, return_inverse=True)
     put("piece_grouping",
-        np.array_equal(want, pieces.gammas)
-        and len(want) <= (4 * pieces.K + 7) ** d
-        and np.array_equal(regroup.reshape(-1), pieces.piece_id),
-        pieces=len(pieces.gammas))
+        len(gammas) <= (4 * pieces.K + 7) ** d
+        and np.array_equal(regroup.reshape(-1), pieces.piece_id))
 
     tid = pieces.tiling.tile_id.ravel()
     tiled = tid >= 0
@@ -521,7 +513,7 @@ def verify_equidecomposition(pieces: PieceMap, field: IndicatorField) -> dict:
                             all_a)))
     put("b_partition",
         bool(np.array_equal(
-            np.sort(np.concatenate([pieces.b_flat, pieces.unmatched_b])),
+            np.sort(np.concatenate([bf, pieces.unmatched_b])),
             all_b)))
 
     # a tile may hold unmatched points when it is unused or has an edge
@@ -547,14 +539,6 @@ def verify_equidecomposition(pieces: PieceMap, field: IndicatorField) -> dict:
 
     total = len(all_a) + len(all_b)
     un_count = len(pieces.unmatched_a) + len(pieces.unmatched_b)
-    report = {
-        "ok": all(entry["ok"] for entry in checks.values()),
-        "checks": checks,
-        "matched": m,
-        "pieces": pieces.n_pieces,
-        "K": pieces.K,
-        "unmatched_a": int(len(pieces.unmatched_a)),
-        "unmatched_b": int(len(pieces.unmatched_b)),
-        "unmatched_fraction": (un_count / total) if total else 0.0,
-    }
-    return report
+    return {"ok": all(entry["ok"] for entry in checks.values()),
+            "checks": checks,
+            "unmatched_fraction": (un_count / total) if total else 0.0}

@@ -422,9 +422,13 @@ def _route_to_frontier(values: Callable[[], np.ndarray],
                     spill_to_frontier(out, window, amount, spill_cap))
 
 
+# capacity doublings repair tries before it reports the routing infeasible
+MAX_DOUBLINGS = 32
+
+
 def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
-                       residual: np.ndarray, capacity_units: int,
-                       max_doublings: int = 32) -> Tuple[EdgeField, dict]:
+                       residual: np.ndarray, capacity_units: int
+                       ) -> Tuple[EdgeField, dict]:
     """Correct the truncated flow so its divergence equals f exactly on
     every core vertex, pushing the leftover error out to the frontier ring.
 
@@ -444,7 +448,8 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
     carries the capacity of all its frontier edges, which then take up to
     that capacity each.  When the tail estimate is too tight — small
     margins legitimately exceed it — the capacity doubles and the solve
-    repeats; the values change only once a solve succeeds.
+    repeats, up to MAX_DOUBLINGS times; the values change only once a
+    solve succeeds.
     """
     psi = consumed_psi
     window = psi.window
@@ -467,7 +472,7 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
         if h is not None:
             break
         doublings += 1
-        if doublings > max_doublings:
+        if doublings > MAX_DOUBLINGS:
             raise PipelineError(
                 "repair", "residual routing infeasible at capacity %d"
                 % (capacity_units << (doublings - 1)),

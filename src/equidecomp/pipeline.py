@@ -25,7 +25,7 @@ from .flowgrid import (BoxEnvelope, EdgeField, certify_box_envelope,
 from .integralize import PipelineError, integralize_flow, repair_to_frontier
 from .lattice import ActionSpec, IndicatorField, LatticeWindow, sample_field
 from .shapes import Shape
-from .tiling import Net, Tiling, greedy_net, rect_tiling, voronoi_tiling
+from .tiling import Tiling, greedy_net, rect_tiling, voronoi_tiling
 
 
 @dataclass
@@ -49,7 +49,6 @@ class PipelineResult:
     pieces: PieceMap
     report: dict
     summary: dict
-    net: Optional[Net] = None      # only for tiling=voronoi
 
 
 def build_flow(window: LatticeWindow, action: ActionSpec,
@@ -116,11 +115,10 @@ def run_pipeline(window: LatticeWindow, action: ActionSpec,
     summary["flow_bound"] = {"c_int": c_int,
                              "repair_allowance": repair_allowance}
 
-    net = None
     tf = None
     if tiling_kind == "voronoi":
-        net = greedy_net(window, voronoi_r, restrict=window.core_mask())
-        til = voronoi_tiling(window, net)
+        til = voronoi_tiling(window, greedy_net(window, voronoi_r,
+                                                restrict=window.core_mask()))
         k_info = {"source": "voronoi_net", "r": voronoi_r}
     elif K:
         til = rect_tiling(window, K)
@@ -153,15 +151,12 @@ def run_pipeline(window: LatticeWindow, action: ActionSpec,
     report = verify_equidecomposition(pieces, fld)
     summary["pieces"] = {
         "count": pieces.n_pieces,
-        "matched": int(len(pieces.a_flat)),
-        "unmatched_a": int(len(pieces.unmatched_a)),
-        "unmatched_b": int(len(pieces.unmatched_b)),
-        "bound": pieces.bound,
-        "max_norm": int(np.abs(pieces.gamma).max(initial=0)),
+        "matched": len(pieces.a_flat),
+        "unmatched_a": len(pieces.unmatched_a),
+        "unmatched_b": len(pieces.unmatched_b),
     }
     summary["verify"] = report
 
     return PipelineResult(field=fld, envelope=env, phi=phi, psi_int=psi_int,
                           tiling=til, tileflow=tf, matching=matching,
-                          pieces=pieces, report=report, summary=summary,
-                          net=net)
+                          pieces=pieces, report=report, summary=summary)

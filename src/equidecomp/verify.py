@@ -11,21 +11,21 @@ import numpy as np
 from .config import ConfigError, RunConfig, build_config
 from .equidecompose import PieceMap, k_scan_max
 from .report import SchemaError, read_json, read_pieces_csv
-from .tiling import Net, greedy_net, rect_tiling, voronoi_tiling
+from .tiling import greedy_net, rect_tiling, voronoi_tiling
 
 
 class Rejected(Exception):
     """A run that cannot be checked; the message is the line to print."""
 
 
-def verify_inputs(pieces: PieceMap, net: Optional[Net]) -> dict:
-    """Used-tile flags, unmatched vertices as coordinates, a Voronoi net."""
+def verify_inputs(pieces: PieceMap) -> dict:
+    """What pieces.csv leaves out of the piece map: used-tile flags, and
+    the unmatched vertices as coordinates.  Everything else about the
+    tiling is rebuilt from the config."""
     out = {"used_tiles": pieces.used.tolist()}
     for key in ("unmatched_a", "unmatched_b"):     # PieceMap's field names
         out[key] = np.transpose(np.unravel_index(
             getattr(pieces, key), pieces.window.shape)).tolist()
-    if net is not None:
-        out.update(voronoi_seeds=net.points.tolist(), voronoi_r=net.r)
     return out
 
 
@@ -47,8 +47,8 @@ class _Section:
             raise self.fail("%s is not an integer: %r" % (key, value))
         return value
 
-    def points(self, key: str, default: Optional[list] = None) -> list:
-        rows = self.raw.get(key, default)
+    def points(self, key: str) -> list:
+        rows = self.raw.get(key, [])
         if not (isinstance(rows, list) and all(
                 isinstance(p, list) and all(type(c) is int for c in p)
                 for p in rows)):
@@ -84,40 +84,30 @@ def read_run(directory: str, cfg: Optional[RunConfig] = None
         except ConfigError as exc:
             raise config.fail(str(exc))
     window = cfg.window()
-    if cfg.tiling == "voronoi":
-        r, seeds = vin.integer("voronoi_r"), vin.points("voronoi_seeds")
-        if r != cfg.voronoi_r:
-            raise Rejected("FAIL voronoi_net: voronoi_r %d is not the "
-                           "config's voronoi_r %d" % (r, cfg.voronoi_r))
     try:            # a window too large to allocate cannot be rebuilt
         if cfg.tiling == "rect":
             til = rect_tiling(window, cfg.K or k_sel)
-        else:
-            net = greedy_net(window, r, restrict=window.core_mask())
-            if not np.array_equal(np.array(seeds, dtype=np.int64),
-                                  net.points):
-                raise Rejected("FAIL voronoi_net: the seeds are not the "
-                               "greedy %d-net of the core" % r)
-            til = voronoi_tiling(window, net)
+        else:       # tile_scale pins the radius: K is the net's r
+            til = voronoi_tiling(window, greedy_net(
+                window, cfg.voronoi_r, restrict=window.core_mask()))
     except (MemoryError, OverflowError, ValueError) as exc:
-        raise Rejected("cannot rebuild tiling: %s" % exc)
+        # a bare MemoryError has no message: name its type instead
+        raise Rejected("cannot rebuild tiling: %s"
+                       % (str(exc) or type(exc).__name__))
     used = vin.raw.get("used_tiles")
     if not (isinstance(used, list) and len(used) == len(til.tiles)
             and all(isinstance(u, bool) for u in used)):
         raise vin.fail("used_tiles is not one boolean per tile")
     unmatched = []
     for key in ("unmatched_a", "unmatched_b"):
-        rows = vin.points(key, [])
+        rows = vin.points(key)
         if not all(len(p) == window.d and window.contains(p) for p in rows):
             raise vin.fail("%s has a point outside the window" % key)
         unmatched.append(np.sort(np.ravel_multi_index(
             np.array(rows, dtype=np.int64).reshape(-1, window.d).T,
             window.shape)))
     a_flat, gamma, piece_id = read_pieces_csv(csv_path, window)
-    cb = np.stack(np.unravel_index(a_flat, window.shape), axis=1) + gamma
-    b_flat = np.ravel_multi_index(np.clip(cb, 0, window.L - 1).T, window.shape)
-    pieces = PieceMap(a_flat=a_flat, b_flat=b_flat, gamma=gamma,
-                      piece_id=piece_id, gammas=np.unique(gamma, axis=0),
+    pieces = PieceMap(a_flat=a_flat, gamma=gamma, piece_id=piece_id,
                       unmatched_a=unmatched[0], unmatched_b=unmatched[1],
                       tiling=til, used=np.array(used, dtype=bool))
     # an automatic K must be one the scans can choose: proper, <= k_scan_max

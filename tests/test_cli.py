@@ -227,9 +227,8 @@ def test_square_serializes_an_empty_piece_map(tmp_path, monkeypatch):
         res = real(**kwargs)
         p = res.pieces
         res.pieces = dataclasses.replace(
-            p, a_flat=p.a_flat[:0], b_flat=p.b_flat[:0], gamma=p.gamma[:0],
-            piece_id=p.piece_id[:0], gammas=p.gammas[:0],
-            unmatched_a=p.unmatched_a[:0])
+            p, a_flat=p.a_flat[:0], gamma=p.gamma[:0],
+            piece_id=p.piece_id[:0], unmatched_a=p.unmatched_a[:0])
         return res
 
     monkeypatch.setattr(cli, "run_pipeline", emptied)
@@ -242,37 +241,27 @@ def test_square_serializes_an_empty_piece_map(tmp_path, monkeypatch):
         isinstance(v, list) and len(v) == 3 for v in vin["unmatched_b"])
 
 
-def test_verify_malformed_voronoi_inputs(tmp_path, capsys):
+def test_voronoi_radius_is_pinned_by_tile_scale(tmp_path, capsys):
+    """verify rebuilds the Voronoi net from the config's voronoi_r, so a
+    summary whose tiles.K is another radius fails tile_scale, and so does
+    a config override of voronoi_r: a radius of 10^6 would switch off
+    gamma_bound and the piece bound."""
     out = str(tmp_path / "run")
-    voronoi = ["tiling=voronoi", "voronoi_r=3"]
-    assert run("square", out, extra=voronoi) == EXIT_OK
+    assert run("square", out, extra=["tiling=voronoi", "voronoi_r=3"]) \
+        == EXIT_OK
     summary_path = tmp_path / "run" / "summary.json"
     good = json.loads(summary_path.read_text())
-    for key, bad, why in (
-            ("voronoi_r", None, "schema error: verify_inputs: voronoi_r"),
-            ("voronoi_r", float("inf"),
-             "schema error: verify_inputs: voronoi_r"),
-            ("voronoi_seeds", [[2 ** 70, 1]], "cannot rebuild tiling")):
-        summary_path.write_text(json.dumps(dict(
-            good, verify_inputs=dict(good["verify_inputs"], **{key: bad}))))
-        assert main(["verify", "--dir", out]) == EXIT_VERIFY, key
-        assert why in capsys.readouterr().out
-    # the radius must be the config's and the seeds the greedy net of the
-    # core: a radius of 10^6 would switch off gamma_bound and the piece
-    # bound
-    vin = good["verify_inputs"]
-    for r, k_eff, seeds, why in (
-            (10 ** 6, 10 ** 6, vin["voronoi_seeds"], "voronoi_r 1000000"),
-            (-5, good["tiles"]["K_eff"], vin["voronoi_seeds"],
-             "voronoi_r -5"),
-            (3, good["tiles"]["K_eff"], vin["voronoi_seeds"][1:],
-             "greedy 3-net")):
-        summary_path.write_text(json.dumps(dict(
-            good, tiles=dict(good["tiles"], K_eff=k_eff),
-            verify_inputs=dict(vin, voronoi_r=r, voronoi_seeds=seeds))))
-        assert main(["verify", "--dir", out]) == EXIT_VERIFY, r
+    assert good["tiles"]["K"] == good["config"]["voronoi_r"] == 3
+    assert "voronoi_r" not in good["verify_inputs"]
+    for tiles, config in ((dict(good["tiles"], K=10 ** 6), good["config"]),
+                          (dict(good["tiles"], K=4), good["config"]),
+                          (good["tiles"], dict(good["config"], voronoi_r=4))):
+        summary_path.write_text(json.dumps(dict(good, tiles=tiles,
+                                                config=config)))
+        capsys.readouterr()
+        assert main(["verify", "--dir", out]) == EXIT_VERIFY
         text = capsys.readouterr().out
-        assert "FAIL voronoi_net" in text and why in text, text
+        assert "FAIL tile_scale" in text and "PASS summary_counts" in text
 
 
 def _coords_as(kind, rows):
@@ -302,18 +291,13 @@ FORGERIES = {
     "float_K_eff": ((), "tiles", "K_eff", float),
     "string_matched": ((), "pieces", "matched", str),
     "string_count": ((), "pieces", "count", str),
-    "float_voronoi_r": (("tiling=voronoi", "voronoi_r=3"), "verify_inputs",
-                        "voronoi_r", float),
-    "float_voronoi_seeds": (("tiling=voronoi", "voronoi_r=3"),
-                            "verify_inputs", "voronoi_seeds",
-                            lambda v: _coords_as(float, v)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FORGERIES))
 def test_verify_requires_json_integers(tmp_path, capsys, name):
-    """Counts, tile scales, Voronoi inputs and unmatched coordinates must
-    be JSON integers: a float, a numeric string or a boolean that reads
+    """Counts, tile scales and unmatched coordinates must be JSON
+    integers: a float, a numeric string or a boolean that reads
     as the right value is a schema error, not a pass."""
     extra, section, key, forge = FORGERIES[name]
     out = str(tmp_path / "run")
@@ -441,6 +425,43 @@ def test_config_past_int64_and_window_past_memory(tmp_path, capsys):
     assert "cannot rebuild tiling" in capsys.readouterr().out
 
 
+def test_rebuild_failure_names_its_cause(tmp_path, capsys):
+    """A window side of 2^63 fails the tiling's per-axis side list with a
+    bare MemoryError: the line still names a cause after its colon."""
+    out = str(tmp_path / "run")
+    assert run("square", out) == EXIT_OK
+    path = tmp_path / "run" / "summary.json"
+    good = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(good, config=dict(good["config"],
+                                                      L=2 ** 63))))
+    capsys.readouterr()
+    assert main(["verify", "--dir", out]) == EXIT_VERIFY
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("cannot rebuild tiling: ")
+    assert line.split(":", 1)[1].strip(), line
+
+
+def test_out_that_cannot_be_created(tmp_path, capsys, monkeypatch):
+    """An out directory under a regular file, or a regular file itself,
+    is a config error naming out, met before any stage runs."""
+    import equidecomp.cli as cli
+    import equidecomp.pipeline as pipeline
+
+    def never(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(pipeline, "sample_field", never)
+    monkeypatch.setattr(cli, "fit_discrepancy_envelope", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker / "x", blocker):
+        for cmd in ("discrepancy", "flow", "integralize", "square"):
+            capsys.readouterr()
+            assert run(cmd, str(out)) == EXIT_CONFIG, (cmd, out)
+            err = capsys.readouterr().err
+            assert err.startswith("config error: out: "), err
+
+
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     # a broken invariant inside a stage is neither a config error nor a
     # traceback: main reports it and returns its own code
@@ -555,3 +576,49 @@ def test_verify_never_raises_on_a_malformed_summary(
     (out / "summary.json").write_text(json.dumps(forged))
     assert main(["verify", "--dir", str(out)]) in (
         EXIT_OK, EXIT_VERIFY, EXIT_INFEASIBLE)
+
+
+K2_RECTS = ["k=2", "shape_a=rect:0:0:1/8:1/2",
+            "shape_b=rect:1/4:1/8:1/4:1/4"]
+
+
+@st.composite
+def small_configs(draw):
+    """Small square configs: d 2-3, L <= 20, margin 1-4, n0 1-2 in direct
+    mode (cover mode at those sizes is a config error), cover mode on the
+    smallest 2-torus windows it admits (L 36-40), rect or Voronoi tiles
+    with an automatic or fixed K, k = 1 or one k = 2 pair of rects."""
+    cover = draw(st.booleans())
+    d = 2 if cover else draw(st.integers(2, 3))
+    L = draw(st.integers(36, 40) if cover else st.integers(2, 20))
+    k = draw(st.sampled_from([1, 2]))
+    x0 = draw(st.sampled_from(["0", "0.0013", "0.3"]))
+    sets = ["d=%d" % d, "L=%d" % L, "margin=%d" % draw(st.integers(1, 4)),
+            "n0=%d" % draw(st.integers(1, 2)),
+            "seed=%d" % draw(st.integers(0, 99)),
+            "x0=%s" % ",".join([x0] * k),
+            "mode=%s" % ("cover" if cover else "direct")]
+    if k == 2:
+        sets += K2_RECTS
+    if draw(st.booleans()):
+        sets += ["tiling=voronoi", "voronoi_r=%d" % draw(st.integers(1, 4))]
+    else:
+        sets += ["K=%d" % draw(st.integers(0, 6))]
+    return sets
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sets=small_configs())
+def test_cli_never_ends_in_a_traceback(tmp_path_factory, sets):
+    """A small config squares and verifies, or fails early as infeasible
+    (3) or misconfigured (4); it never raises, fails its own checks or
+    breaks an invariant (5)."""
+    out = str(tmp_path_factory.mktemp("fuzz"))
+    args = ["square", "--set", "out=%s" % out]
+    for kv in sets:
+        args += ["--set", kv]
+    code = main(args)
+    assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_CONFIG), (code, sets)
+    if code == EXIT_OK:
+        assert main(["verify", "--dir", out]) == EXIT_OK, sets

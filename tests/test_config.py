@@ -94,6 +94,7 @@ def test_coercion_failures_name_key():
     ({"eps": "nan"}, "eps must be finite"),
     ({"measure_tol": "1e-9"}, "unknown key 'measure_tol'"),
     ({"x0": "nan"}, "x0 coordinates must be finite"),
+    ({"raster": "10000000"}, "raster resolution must be 0 to 2048"),
 ])
 def test_validation_messages(pairs, fragment):
     with pytest.raises(ConfigError) as exc:

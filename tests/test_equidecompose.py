@@ -333,23 +333,26 @@ def test_extract_pieces_grouping_and_bounds():
     pts = [tuple(p) for p in np.argwhere(w.core_mask())]
     picks = rng.choice(len(pts), size=20, replace=False)
     pairs = list(zip([pts[i] for i in picks[:10]], [pts[i] for i in picks[10:]]))
-    pieces, fld = pieces_for(w, pairs, 4)
+    psi, fld = path_flow(w, pairs)
+    matching = build_matching(tile_flow(psi, rect_tiling(w, 4), fld), fld)
+    pieces = extract_pieces(matching)
     assert (np.diff(pieces.a_flat) > 0).all()
     assert pieces.bound == 2 * 4 + 4
     assert np.abs(pieces.gamma).max(initial=0) < pieces.bound
-    assert pieces.n_pieces <= (4 * 4 + 7) ** 2
-    # regroup by hand
+    # regroup by hand: ids follow the sorted distinct translations
+    gammas = np.unique(pieces.gamma, axis=0)
+    assert pieces.n_pieces == len(gammas) <= (4 * 4 + 7) ** 2
     for i in range(pieces.n_pieces):
         rows = pieces.piece_id == i
-        assert (pieces.gamma[rows] == pieces.gammas[i]).all()
+        assert (pieces.gamma[rows] == gammas[i]).all()
         assert rows.sum() > 0
-    # translations really carry sources to targets
+    # translations really carry sources to the matching's targets
     ca = np.stack(np.unravel_index(pieces.a_flat, w.shape), axis=1)
-    cb = np.stack(np.unravel_index(pieces.b_flat, w.shape), axis=1)
-    assert np.array_equal(ca + pieces.gamma, cb)
+    order = np.argsort(matching.pair_a)
+    assert np.array_equal(np.ravel_multi_index((ca + pieces.gamma).T, w.shape),
+                          matching.pair_b[order])
     report = verify_equidecomposition(pieces, fld)
     assert report["ok"], report
-    assert report["pieces"] == pieces.n_pieces
 
 
 def test_piece_count_bound_three_dimensional():
@@ -365,6 +368,9 @@ def test_piece_count_bound_three_dimensional():
 
 
 def test_verifier_flags_corruption():
+    """Every corruption goes through what pieces.csv holds: the verifier
+    derives the targets from the sources and translations."""
+    import dataclasses
     rng = np.random.default_rng(3)
     w = LatticeWindow(d=2, L=16, margin=2)
     pts = [tuple(p) for p in np.argwhere(w.core_mask())]
@@ -374,37 +380,28 @@ def test_verifier_flags_corruption():
     assert verify_equidecomposition(pieces, fld)["ok"]
     assert len(pieces.a_flat) >= 2
 
+    def checks(**fields):
+        report = verify_equidecomposition(
+            dataclasses.replace(pieces, **fields), fld)
+        assert not report["ok"]
+        return report["checks"]
+
+    # a bent translation regroups the rows or misses B
     bent = pieces.gamma.copy()
     bent[0] += 1
-    broken = verify_equidecomposition(
-        type(pieces)(a_flat=pieces.a_flat,
-                     b_flat=pieces.b_flat, gamma=bent, piece_id=pieces.piece_id,
-                     gammas=pieces.gammas, unmatched_a=pieces.unmatched_a,
-                     unmatched_b=pieces.unmatched_b, tiling=pieces.tiling,
-                     used=pieces.used), fld)
-    assert not broken["ok"]
-    assert not (broken["checks"]["targets_consistent"]["ok"]
-                and broken["checks"]["piece_grouping"]["ok"])
+    broken = checks(gamma=bent)
+    assert not (broken["piece_grouping"]["ok"]
+                and broken["targets_in_b"]["ok"])
 
-    dup_b = pieces.b_flat.copy()
-    dup_b[1] = dup_b[0]
-    broken = verify_equidecomposition(
-        type(pieces)(a_flat=pieces.a_flat,
-                     b_flat=dup_b, gamma=pieces.gamma, piece_id=pieces.piece_id,
-                     gammas=pieces.gammas, unmatched_a=pieces.unmatched_a,
-                     unmatched_b=pieces.unmatched_b, tiling=pieces.tiling,
-                     used=pieces.used), fld)
-    assert not broken["ok"]
-    assert not broken["checks"]["targets_unique"]["ok"]
+    # two sources sent onto one target
+    ca = np.stack(np.unravel_index(pieces.a_flat, w.shape), axis=1)
+    onto = pieces.gamma.copy()
+    onto[1] = ca[0] + onto[0] - ca[1]
+    assert not checks(gamma=onto)["targets_unique"]["ok"]
 
-    hidden = verify_equidecomposition(
-        type(pieces)(a_flat=pieces.a_flat[1:], b_flat=pieces.b_flat[1:],
-                     gamma=pieces.gamma[1:], piece_id=pieces.piece_id[1:],
-                     gammas=pieces.gammas, unmatched_a=pieces.unmatched_a,
-                     unmatched_b=pieces.unmatched_b, tiling=pieces.tiling,
-                     used=pieces.used), fld)
-    assert not hidden["ok"]
-    assert not hidden["checks"]["a_partition"]["ok"]
+    hidden = checks(a_flat=pieces.a_flat[1:], gamma=pieces.gamma[1:],
+                    piece_id=pieces.piece_id[1:])
+    assert not hidden["a_partition"]["ok"]
 
 
 @settings(max_examples=120, deadline=None)
@@ -432,10 +429,8 @@ def test_unmatched_locality_matches_reference(d, margin, core, kind, scale,
     none = np.zeros(w.shape, dtype=bool)
     empty = np.zeros(0, dtype=np.int64)
     pieces = equidecompose.PieceMap(
-        a_flat=empty, b_flat=empty,
-        gamma=np.zeros((0, d), dtype=np.int64), piece_id=empty,
-        gammas=np.zeros((0, d), dtype=np.int64), unmatched_a=un_a,
-        unmatched_b=un_b, tiling=til, used=used)
+        a_flat=empty, gamma=np.zeros((0, d), dtype=np.int64), piece_id=empty,
+        unmatched_a=un_a, unmatched_b=un_b, tiling=til, used=used)
     report = verify_equidecomposition(
         pieces, IndicatorField(window=w, chi_a=none, chi_b=none))
     assert report["checks"]["unmatched_locality"] == unmatched_locality(

@@ -12,8 +12,9 @@ A change that alters an artifact on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and says which output changed and why.  A digest is never rewritten to
-make a failure go away.
+which first prints, per config, the artifacts whose digest moved, and
+says which output changed and why.  A digest is never rewritten to make
+a failure go away.
 """
 
 import hashlib
@@ -143,6 +144,12 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {n: artifact_digests(n, Path(tmp) / n)
                  for n in list(CONFIGS) + list(RANDOM)}
+    stored = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    for name, files in table.items():
+        old = stored.get(name, {})
+        moved = sorted(f for f in set(files) | set(old)
+                       if files.get(f) != old.get(f))
+        print("%-14s %s" % (name, ", ".join(moved) if moved else "unchanged"))
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(table, sort_keys=True, indent=2) + "\n")
     print("wrote %s" % os.path.relpath(DIGESTS))

@@ -210,6 +210,24 @@ def test_verify_owns_the_run_contract():
     assert not imported & {"pipeline", "integralize", "_maxflow"}, imported
 
 
+def test_each_fact_of_a_run_said_once():
+    """PieceMap holds what pieces.csv and verify_inputs hold (targets and
+    distinct translations are derived from gamma), verify_inputs takes
+    the piece map alone, the Voronoi net is rebuilt and never written,
+    and no check compares the targets with a stored copy."""
+    from equidecomp import equidecompose, pipeline, verify
+    assert list(equidecompose.PieceMap.__dataclass_fields__) == [
+        "a_flat", "gamma", "piece_id", "unmatched_a", "unmatched_b",
+        "tiling", "used"]
+    assert list(inspect.signature(verify.verify_inputs).parameters) \
+        == ["pieces"]
+    assert "net" not in pipeline.PipelineResult.__dataclass_fields__
+    said = [(path.name, word) for path in sorted(SRC.rglob("*.py"))
+            for word in ("targets_consistent", "voronoi_seeds")
+            if word in path.read_text()]
+    assert not said, said
+
+
 def test_benchmark_stage_names_exist():
     """Every (module, attribute) that perfbench/child.py patches, read
     from its STAGES table without importing it, is still there, and so

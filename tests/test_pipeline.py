@@ -39,7 +39,7 @@ def test_repair_zeroes_core_residual():
     assert np.array_equal(div, res.field.f[3:9, 3:9, 3:9])
 
 
-def test_repair_in_isolation_and_doubling():
+def test_repair_in_isolation_and_doubling(monkeypatch):
     window, action, a, b, n0 = toy_setup()
     from equidecomp.lattice import sample_field
     fld = sample_field(window, action, a, b)
@@ -65,9 +65,9 @@ def test_repair_in_isolation_and_doubling():
                                      capacity_units=1)
     assert info["doublings"] == 1
     assert not residual_num(empty, fixed).any()
+    monkeypatch.setattr(integralize, "MAX_DOUBLINGS", 0)
     with pytest.raises(PipelineError) as exc:
-        repair_to_frontier(empty, spike, spike_res, capacity_units=1,
-                           max_doublings=0)
+        repair_to_frontier(empty, spike, spike_res, capacity_units=1)
     assert exc.value.stage == "repair"
     assert exc.value.certificate["supply_abs"] == 20
 
@@ -163,7 +163,8 @@ def test_pipeline_summary_is_complete_and_deterministic():
         assert key in res.summary, key
     assert res.summary["field"]["count_a"] > 0
     assert res.summary["truncation"]["max_core_residual"] >= 0
-    assert res.summary["pieces"]["max_norm"] < res.summary["pieces"]["bound"]
+    assert res.report["checks"]["gamma_bound"]["max_norm"] \
+        < res.report["checks"]["gamma_bound"]["bound"]
     assert res.report["ok"], res.report["checks"]
 
     res2 = run_pipeline(window, action, a, b, n0)
@@ -182,7 +183,7 @@ def test_pipeline_fixed_k_and_voronoi():
     res_v = run_pipeline(window, action, a, b, n0, tiling_kind="voronoi",
                          voronoi_r=3)
     assert res_v.summary["tiles"]["kind"] == "voronoi"
-    assert res_v.net is not None
+    assert res_v.tiling.K == 3
     assert res_v.report["ok"], res_v.report["checks"]
 
 

@@ -84,7 +84,7 @@ def test_empty_piece_map_end_to_end(tmp_path):
         tf = tile_flow(psi, rect_tiling(w, 3), fld)
         pieces = extract_pieces(build_matching(tf, fld))
         assert len(pieces.a_flat) == pieces.n_pieces == 0
-        assert pieces.gamma.shape == (0, 2) and pieces.gammas.shape == (0, 2)
+        assert pieces.gamma.shape == (0, 2)
         assert len(pieces.unmatched_a) == len(pieces.unmatched_b) == unmatched
         report = verify_equidecomposition(pieces, fld)
         assert report["ok"] and sorted(report["checks"]) == names, report
