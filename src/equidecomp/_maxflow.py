@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from scipy.sparse import csgraph, csr_array
 
 # scipy's Dinic computes a residual as capacity - flow in int32, and on a
 # reverse arc that reaches capacity + |flow| <= 2 * (phase supply); keeping
@@ -53,9 +54,6 @@ def solve_supply_flow(indptr, indices, cap, supply) -> Tuple[bool, np.ndarray]:
     int32 index arrays and integer or bool capacities of any width are
     used without a copy.
     """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import maximum_flow
-
     supply = np.asarray(supply, dtype=np.int64)
     if supply.ndim != 1:
         raise ValueError("supply must be one entry per vertex")
@@ -137,7 +135,7 @@ def solve_supply_flow(indptr, indices, cap, supply) -> Tuple[bool, np.ndarray]:
             raise AssertionError("max-flow capacity exceeds the int32 range")
         graph = csr_array((data, heads, rows), shape=(n + 2, n + 2))
         del data
-        flow = maximum_flow(graph, s, t, method="dinic").flow
+        flow = csgraph.maximum_flow(graph, s, t, method="dinic").flow
         del graph
         if not (np.array_equal(flow.indices, heads)
                 and np.array_equal(flow.indptr, rows)):

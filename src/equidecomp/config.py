@@ -22,7 +22,7 @@ class ConfigError(ValueError):
     """Invalid or missing configuration value."""
 
 
-# The largest raster side: the PPM is built in memory, a text line per row.
+# The largest raster side: the image is built in memory, 3 bytes a pixel.
 RASTER_MAX = 2048
 
 
@@ -67,7 +67,8 @@ class RunConfig:
         if self.margin < 1:
             raise ConfigError("margin must be >= 1: repair needs a frontier "
                               "ring (got %d)" % self.margin)
-        if self.L - 2 * self.margin < 1:
+        core = self.L - 2 * self.margin
+        if core < 1:
             raise ConfigError("margin %d leaves no core in L = %d"
                               % (self.margin, self.L))
         if self.n0 < 1:
@@ -99,11 +100,15 @@ class RunConfig:
             raise ConfigError("tiling must be rect or voronoi")
         if self.tiling == "voronoi" and self.voronoi_r < 1:
             raise ConfigError("voronoi_r must be >= 1")
+        # a net radius past the core side gives the same one-seed net
+        if self.tiling == "voronoi" and self.voronoi_r > core:
+            raise ConfigError("voronoi_r = %d exceeds the core side %d"
+                              % (self.voronoi_r, core))
         if self.K < 0:
             raise ConfigError("K must be >= 1, or 0 for automatic selection")
-        if self.tiling == "rect" and self.K > self.L - 2 * self.margin:
+        if self.tiling == "rect" and self.K > core:
             raise ConfigError("K = %d exceeds the core side %d"
-                              % (self.K, self.L - 2 * self.margin))
+                              % (self.K, core))
         if self.eps < 0:
             raise ConfigError("eps must be positive, or 0 for a grid search")
         if not 0 <= self.raster <= RASTER_MAX:

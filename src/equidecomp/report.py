@@ -159,16 +159,22 @@ def _is_int(text: str) -> bool:
 # rasters (portable anymap, plain text)
 # ---------------------------------------------------------------------------
 
+_DECIMAL = [b"%d" % v for v in range(256)]
+
+
 def write_ppm(path, rgb: np.ndarray) -> None:
-    """Plain PPM (P3), one raster row per line."""
+    """Plain PPM (P3), one raster row per line, written a row at a time
+    with each value's digits looked up in a 256-entry table."""
     img = np.asarray(rgb)
-    if img.ndim != 3 or img.shape[2] != 3 or int(img.max(initial=0)) > 255:
-        raise ValueError("need an (h, w, 3) image with values <= 255")
-    lines = ["P3", "%d %d" % (img.shape[1], img.shape[0]), "255"]
-    for row in img.reshape(img.shape[0], -1).tolist():
-        lines.append(" ".join(str(int(v)) for v in row))
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if (img.ndim != 3 or img.shape[2] != 3 or img.dtype.kind not in "biu"
+            or int(img.min(initial=0)) < 0 or int(img.max(initial=0)) > 255):
+        raise ValueError("need an (h, w, 3) integer image with values "
+                         "0 to 255")
+    with open(path, "wb") as fh:
+        fh.write(b"P3\n%d %d\n255\n" % (img.shape[1], img.shape[0]))
+        for row in img.reshape(img.shape[0], -1):
+            fh.write(b" ".join(map(_DECIMAL.__getitem__, row.tolist()))
+                     + b"\n")
 
 
 def piece_palette(n: int) -> np.ndarray:

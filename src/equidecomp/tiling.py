@@ -13,15 +13,22 @@ from functools import reduce
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
+from scipy.sparse import csgraph, csr_array
 
 from .lattice import LatticeWindow, directions, edge_mask, flat_shifts
 
 EdgeArray = np.ndarray      # (m, 2) int64 flat vertex pairs
 
 
-def _full_structure(d: int) -> np.ndarray:
-    return np.ones((3,) * d, dtype=bool)
+def _components(window: LatticeWindow, mask: np.ndarray
+                ) -> Tuple[int, np.ndarray]:
+    """(count, flat labels) of the components of the lattice graph on the
+    vertices of mask; every vertex off the mask is a component alone."""
+    row, tail = np.nonzero(edge_mask(window, mask, np.logical_and))
+    n = window.n_vertices
+    graph = csr_array((np.ones(len(tail), dtype=np.int8),
+                       (tail, tail + flat_shifts(window)[row])), shape=(n, n))
+    return csgraph.connected_components(graph, directed=False)
 
 
 class Region:
@@ -52,12 +59,8 @@ class Region:
 
     def is_connected(self) -> bool:
         if self._connected is None:
-            if not self.mask.any():
-                self._connected = True
-            else:
-                _, num = ndimage.label(self.mask,
-                                       structure=_full_structure(self.window.d))
-                self._connected = num == 1
+            num, _ = _components(self.window, self.mask)
+            self._connected = num - (self.mask.size - self.size) <= 1
         return self._connected
 
     def diameter(self) -> int:
@@ -115,17 +118,11 @@ def fill_holes(S: Region) -> Region:
     if S.touches_shell():
         raise ValueError("region touches the window shell; holes indeterminable")
     window = S.window
-    comp, num = ndimage.label(~S.mask, structure=_full_structure(window.d))
-    shell = np.zeros(window.shape, dtype=bool)
-    for ax in range(window.d):
-        idx = [slice(None)] * window.d
-        idx[ax] = 0
-        shell[tuple(idx)] = True
-        idx[ax] = window.L - 1
-        shell[tuple(idx)] = True
-    reaching = np.unique(comp[shell & (comp > 0)])
-    keep = np.isin(comp, reaching)
-    filled = Region(window, S.mask | (~S.mask & ~keep))
+    comp = _components(window, ~S.mask)[1].reshape(window.shape)
+    shell = np.ones(window.shape, dtype=bool)
+    shell[(slice(1, -1),) * window.d] = False
+    # S's own vertices are components alone, so none of them reaches
+    filled = Region(window, ~np.isin(comp, comp[shell]))
     filled._connected = True
     # sanity: no new boundary edges, and all remain shell-visible
     if (boundary_n(filled, 1) & ~boundary_n(S, 1)).any():
@@ -144,12 +141,21 @@ class Net:
 
 
 def ball_mask(mask: np.ndarray, r: int) -> np.ndarray:
-    """B_r(S) as a mask: all vertices within graph distance r of S."""
+    """B_r(S) as a mask: all vertices within graph distance r of S.
+
+    An l-infinity ball is a box, so the dilation is separable: one pass
+    per axis marks each position whose window [i - r, i + r] holds a
+    vertex, read off the running count along that axis."""
     if r < 0:
         raise ValueError("r >= 0")
-    if r == 0:
-        return mask.copy()
-    return ndimage.maximum_filter(mask, size=2 * r + 1, mode="constant", cval=False)
+    out = np.asarray(mask, dtype=bool)
+    for ax, n in enumerate(out.shape):
+        count = np.insert(np.cumsum(out, axis=ax), 0, 0, axis=ax)
+        # count[i] vertices in [0, i); r is clipped so no index overflows
+        i, s = np.arange(n), min(r, n)
+        out = (np.take(count, np.minimum(i + s + 1, n), axis=ax)
+               > np.take(count, np.maximum(i - s, 0), axis=ax))
+    return out
 
 
 def ball(S: Region, r: int) -> Region:

@@ -406,14 +406,20 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
 
 def test_config_past_int64_and_window_past_memory(tmp_path, capsys):
     """A d or n0 of 2^63 is a config error found without building the
-    2^63-bit flow bound, and a window whose freeness scan exceeds any
-    address space (1.6 EiB here, refused at once) is an infeasible sample
-    stage for square.  verify reads the whole run before it samples, so
+    2^63-bit flow bound, so is a voronoi_r of 2^63, and a window whose
+    freeness scan exceeds any address space (1.6 EiB here, refused at
+    once) is an infeasible sample stage for square.  verify reads the whole run before it samples, so
     with that window it stops at the tiling (128 TiB, refused too)."""
     for key, value in (("n0", 2 ** 63), ("d", 2 ** 63)):
         assert main(["square", "--set", "%s=%d" % (key, value)]) \
             == EXIT_CONFIG
         assert "overflows int64" in capsys.readouterr().err
+    # a net radius past int64 is bounded by the core side, not a traceback
+    assert run("square", str(tmp_path / "r"),
+               extra=["tiling=voronoi", "voronoi_r=%d" % 2 ** 63]) \
+        == EXIT_CONFIG
+    assert "voronoi_r = %d exceeds the core side 8" % 2 ** 63 \
+        in capsys.readouterr().err
     out = str(tmp_path / "run")
     big = ["d=15", "L=8", "margin=1", "n0=1"]
     assert run("square", out, extra=big) == EXIT_INFEASIBLE

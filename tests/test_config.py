@@ -95,6 +95,8 @@ def test_coercion_failures_name_key():
     ({"measure_tol": "1e-9"}, "unknown key 'measure_tol'"),
     ({"x0": "nan"}, "x0 coordinates must be finite"),
     ({"raster": "10000000"}, "raster resolution must be 0 to 2048"),
+    ({"tiling": "voronoi", "voronoi_r": str(2 ** 63)},
+     "voronoi_r = %d exceeds the core side 16" % 2 ** 63),
 ])
 def test_validation_messages(pairs, fragment):
     with pytest.raises(ConfigError) as exc:

@@ -135,18 +135,30 @@ def test_one_tile_flow_builder():
     assert "edges" not in inspect.signature(tile_flow).parameters
 
 
-def test_scipy_sparse_only_in_the_solve():
-    """scipy.sparse (about 0.25 s to import after numpy, csgraph 0.10 s
-    more) is imported only inside _maxflow.solve_supply_flow, so module
-    import and `verify`, which never solves a flow, do not pay for it."""
+def _scipy_loaded(code):
+    """The scipy.ndimage and scipy.special modules loaded by a fresh
+    process that runs code, with `main` (the CLI) imported."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys\nfrom equidecomp.cli import main\n"
+         + code + "\nprint(sorted(m for m in sys.modules if m.startswith("
+         "('scipy.ndimage', 'scipy.special'))))"],
+        env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_scipy_is_csgraph_at_module_level(tmp_path):
+    """scipy serves the flow solves and the cover's connectivity through
+    scipy.sparse.csgraph, imported at the top of the modules that use it:
+    scipy.ndimage, and the scipy.special (25 modules) that it loads,
+    are imported nowhere, no function body imports scipy, and neither the
+    CLI's import nor a square and its verify loads them."""
     where = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text())
-        owner = {}
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # walk is breadth first: an inner function overwrites
-                owner.update((node, fn.name) for node in ast.walk(fn))
+        inner = {node for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(fn)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -155,16 +167,17 @@ def test_scipy_sparse_only_in_the_solve():
                          for alias in node.names]
             else:
                 continue
-            if any((name + ".").startswith("scipy.sparse.") for name in names):
-                where.append((path.name, owner.get(node)))
-    assert where and set(where) == {("_maxflow.py", "solve_supply_flow")}, \
-        where
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, equidecomp.cli; print(sorted("
-         "m for m in sys.modules if m.startswith('scipy.sparse')))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]", out.stdout
+            where += [(path.name, name, node in inner) for name in names
+                      if name.split(".")[0] == "scipy"
+                      and (node in inner or name.startswith(
+                          ("scipy.ndimage", "scipy.special")))]
+    assert not where, where
+    assert _scipy_loaded("") == "[]"
+    out = str(tmp_path / "run")
+    toy = ["L=16", "margin=4", "n0=1", "seed=3", "out=" + out]
+    square = ["square"] + sum((["--set", kv] for kv in toy), [])
+    assert _scipy_loaded("assert main(%r) == 0\nassert main(['verify', "
+                         "'--dir', %r]) == 0" % (square, out)) == "[]"
 
 
 def test_each_input_passed_once():

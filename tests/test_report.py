@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from equidecomp.equidecompose import (build_matching, extract_pieces,
                                       tile_flow, verify_equidecomposition)
@@ -20,7 +21,7 @@ from equidecomp.report import (
     write_csv,
 )
 from equidecomp.tiling import rect_tiling
-from oracle import piecescsv
+from oracle import piecescsv, ppm
 
 from test_equidecompose import path_flow, pieces_for
 
@@ -237,8 +238,26 @@ def test_pgm_ppm_formats(tmp_path):
     q = tmp_path / "c.ppm"
     write_ppm(q, rgb)
     assert q.read_bytes() == b"P3\n2 1\n255\n0 0 0 10 20 30\n"
-    with pytest.raises(ValueError):
-        write_ppm(tmp_path / "bad.ppm", np.full((1, 1, 3), 300, dtype=np.int64))
+    for bad in (np.full((1, 1, 3), 300, dtype=np.int64),
+                np.full((1, 1, 3), -1, dtype=np.int64),
+                np.full((1, 1, 3), 7.0)):
+        with pytest.raises(ValueError):
+            write_ppm(tmp_path / "bad.ppm", bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([np.uint8, np.int64, np.bool_]).flatmap(
+    lambda dtype: arrays(dtype, st.tuples(st.integers(1, 9),
+                                          st.integers(0, 9), st.just(3)),
+                         elements=st.integers(0, 255) if dtype != np.bool_
+                         else None)))
+def test_ppm_matches_the_pixel_writer(tmp_path_factory, img):
+    """The table writer gives the bytes of the per-pixel one, on images
+    of width 0 and on bool and int64 images too."""
+    d = tmp_path_factory.mktemp("ppm")
+    write_ppm(d / "new.ppm", img)
+    ppm.write_ppm(d / "old.ppm", img)
+    assert (d / "new.ppm").read_bytes() == (d / "old.ppm").read_bytes()
 
 
 def test_palette_distinct_and_fixed():

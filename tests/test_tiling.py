@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from equidecomp.lattice import LatticeWindow, all_directions, directions
 from equidecomp.tiling import (
@@ -21,6 +23,7 @@ from equidecomp.tiling import (
     rect_tiling,
     voronoi_tiling,
 )
+from oracle import morphology
 
 
 def flat(window, v):
@@ -154,6 +157,52 @@ def test_ball_mask_matches_distance_oracle():
                 assert np.array_equal(ball_mask(mask, r), dist <= r)
     with pytest.raises(ValueError):
         ball_mask(mask, -1)
+
+
+@st.composite
+def window_masks(draw):
+    """A window of rank 1-4 and a mask on it: any mask, or one inside the
+    shell, so that fill_holes gets regions it accepts."""
+    d = draw(st.integers(1, 4))
+    L = draw(st.integers(2, {1: 12, 2: 8, 3: 6, 4: 5}[d]))
+    if draw(st.booleans()):
+        mask = draw(arrays(np.bool_, (L,) * d))
+    else:
+        mask = np.pad(draw(arrays(np.bool_, (L - 2,) * d)), 1)
+    return LatticeWindow(d=d, L=L), mask
+
+
+def check_morphology(w, mask):
+    """ball_mask, is_connected and fill_holes agree with scipy.ndimage."""
+    for r in range(4):
+        assert np.array_equal(ball_mask(mask, r),
+                              morphology.ball_mask(mask, r)), r
+    reg = Region(w, mask)
+    assert reg.is_connected() == morphology.is_connected(mask)
+    if reg.is_connected() and not reg.touches_shell():
+        assert np.array_equal(fill_holes(reg).mask,
+                              morphology.fill_holes(mask))
+    else:
+        with pytest.raises(ValueError):
+            fill_holes(reg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_masks())
+def test_morphology_matches_ndimage(wm):
+    check_morphology(*wm)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_morphology_matches_ndimage_on_edge_cases(d):
+    w = LatticeWindow(d=d, L=5)
+    shell = np.zeros(w.shape, dtype=bool)
+    shell[(2,) * (d - 1) + (0,)] = True           # one vertex on the shell
+    ring = np.pad(np.ones((3,) * d, dtype=bool), 1)
+    ring[(2,) * d] = False                         # a hole, for d >= 2
+    for mask in (np.zeros(w.shape, dtype=bool), np.ones(w.shape, dtype=bool),
+                 shell, shell | ring, ring):
+        check_morphology(w, mask)
 
 
 def test_greedy_net_discrete_and_maximal():
