@@ -11,12 +11,13 @@ So the sum over all 2^(n d) phases is one line sum,
     T_gamma[v] = 2^(#zero coords of gamma) * sum_{i < h} B[v - i gamma - (h - 1)]
 
 where B = subbox_sums(subbox_sums(f, h), h) is the tent-weighted box sum
-of the level, the same array for every direction.
+of the level, the same array for every direction.  add_line_sum forms it
+only over a given box of edge tails, as 2h shifted slice-adds of B.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +26,10 @@ def subbox_sums(grid: np.ndarray, side: int) -> np.ndarray:
     """Sums of `grid` over every axis-aligned box of the given side.
 
     Output shape is (L - side + 1,)^d; entry at base v is the sum over
-    [v, v + side)^d.
+    [v, v + side)^d, as a fresh int64 array (a copy of grid at side 1).
     """
+    if side == 1:
+        return np.array(grid, dtype=np.int64)
     arr = np.asarray(grid, dtype=np.int64)
     for ax in range(arr.ndim):
         c = np.cumsum(arr, axis=ax, dtype=np.int64)
@@ -47,31 +50,22 @@ def level_box(grid: np.ndarray, n: int) -> np.ndarray:
     return subbox_sums(subbox_sums(grid, h), h)
 
 
-def level_edge_grid(box: np.ndarray, L: int, n: int,
-                    gamma: Tuple[int, ...]) -> np.ndarray:
-    """Scaled level-n flow on edges (y, y + gamma): the phase sum at y minus
-    the reverse phase sum at y + gamma,
+def add_line_sum(acc: np.ndarray, box: np.ndarray, n: int,
+                 gamma: Sequence[int], corner: Sequence[int]) -> None:
+    """acc[y - corner] += the level-n flow on (y, y + gamma) over
+    2^(#zero coords), the phase sum at y minus the reverse one at y + gamma,
 
-        2^(#zero coords) * (sum_{i < h} B[y - i gamma]
-                            - sum_{1 <= i <= h} B[y + i gamma]),
+        sum_{i < h} B[y - i gamma] - sum_{1 <= i <= h} B[y + i gamma],
 
-    with B = level_box(f, n) read at offset -(h - 1).  Zero unless y and
-    y + gamma lie in the level-n valid region [2^n - 1, L - 2^n]^d.  True
-    flow value = grid / 2^(2 n d)."""
-    d = len(gamma)
+    with B = level_box(f, n) read at offset -(h - 1), for the tails y of
+    the box corner + [0, acc.shape).  Both ends of each such edge must lie
+    in the level-n valid region [2^n - 1, L - 2^n]^d, so every read is in
+    B.  True flow value = 2^(#zero coords) * acc / 2^(2 n d)."""
     h = 1 << (n - 1)
-    out = np.zeros((L,) * d, dtype=np.int64)
-    lo = [(1 << n) - 1 + (g < 0) for g in gamma]
-    hi = [L - (1 << n) - (g > 0) for g in gamma]
-    if any(l > u for l, u in zip(lo, hi)):
-        return out
-    acc = out[tuple(slice(l, u + 1) for l, u in zip(lo, hi))]
     for i in range(-h, h):
-        src = tuple(slice(l - i * g - h + 1, u - i * g - h + 2)
-                    for l, u, g in zip(lo, hi, gamma))
+        src = tuple(slice(c - i * g - h + 1, c - i * g - h + 1 + s)
+                    for c, g, s in zip(corner, gamma, acc.shape))
         if i >= 0:
             acc += box[src]
         else:
             acc -= box[src]
-    acc *= 1 << gamma.count(0)
-    return out

@@ -52,8 +52,11 @@ def cmd_discrepancy(cfg: RunConfig) -> int:
     shape_a, shape_b = cfg.shapes()
     ns = cfg.n_list()
     xs = [action.x0]
-    fit_a = fit_discrepancy_envelope(action, shape_a, ns, xs)
-    fit_b = fit_discrepancy_envelope(action, shape_b, ns, xs)
+    try:
+        fit_a = fit_discrepancy_envelope(action, shape_a, ns, xs)
+        fit_b = fit_discrepancy_envelope(action, shape_b, ns, xs)
+    except ValueError as exc:
+        raise PipelineError("discrepancy", str(exc))
     rows = [(n, da, db) for (n, da), (_, db) in zip(fit_a.table, fit_b.table)]
     from .report import write_csv
     write_csv(os.path.join(out, "discrepancy.csv"),

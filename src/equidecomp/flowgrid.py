@@ -26,13 +26,9 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from ._kernels import level_box, level_edge_grid, subbox_sums
+from ._kernels import add_line_sum, level_box, subbox_sums
 from .lattice import (Crop, IndicatorField, LatticeWindow, _shift_slices,
                       directions, edge_crop)
-
-
-def _as_tuple(v) -> Tuple[int, ...]:
-    return tuple(int(x) for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +129,13 @@ def psi_num_bound(d: int, n0: int) -> int:
     """Strict bound on |x| for every int64 value x truncated_psi forms.
 
     With |f| <= 1 and h = 2^(n-1): |B| <= h^(2 d) for B = level_box(f, n);
-    a level's line sum adds 2h of them, so its grid is at most
-    2^(d-1) * 2h * h^(2 d) = 2^(2 n d + n - d - 1), and at most
-    2^(2 n0 d + n - d - 1) after the level weight 2^(2 (n0 - n) d).  The
-    sum over n = 1..n0 stays below 2^(2 n0 d + n0 - d), which bounds psi's
-    numerators and every partial sum on the way.  The cumsums inside
-    subbox_sums grow with L, but int64 sums wrap modulo 2^64, so every box
-    sum that fits is still exact.
+    a level's line sum adds 2h of them, 2^(2 n d + n - 2 d) at most, and
+    2^(2 n0 d + n - 2 d) after the level weight 2^(2 (n0 - n) d).  Summed
+    over n = 1..n0 and times 2^(#zero coords) <= 2^(d-1), that stays below
+    2^(2 n0 d + n0 - d), which bounds psi's numerators and every partial
+    sum on the way (a Horner partial sum to level n is the sum for n0 = n).
+    The cumsums inside subbox_sums grow with L, but int64 sums wrap modulo
+    2^64, so every box sum that fits is still exact.
     """
     return 1 << psi_num_bits(d, n0)
 
@@ -175,12 +171,12 @@ def truncated_psi(field: IndicatorField, n0: int) -> EdgeField:
     """The flow psi truncated to levels 1..n0, computed by the kernel path,
     on lattice.edge_crop of the field's window.
 
-    The levels are box-summed over the whole window, then summed one
-    direction at a time into an int64 window grid, of which the crop's
-    slots in truncation_mask are kept; all other slots carry zero.  Values
-    live at scale 2^(2 n0 d) and are bounded by psi_num_bound, so they are
-    stored as narrow_int(psi_num_bound(d, n0)) and the cast from the exact
-    int64 sum loses nothing.
+    Each level is box-summed over the whole window once; each direction's
+    line sums are formed only on the slots it keeps (truncation_mask), in
+    one int64 array of that box, weighted 2^(2 (n0 - n) d) in Horner order;
+    all other slots carry zero.  Values live at scale 2^(2 n0 d) and are
+    bounded by psi_num_bound, so they are stored as
+    narrow_int(psi_num_bound(d, n0)) and the cast loses nothing.
     """
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
@@ -193,17 +189,18 @@ def truncated_psi(field: IndicatorField, n0: int) -> EdgeField:
     out = EdgeField(crop, 2 * n0 * d, np.zeros(
         (len(dirs), crop.window.n_vertices),
         dtype=narrow_int(psi_num_bound(d, n0))))
-    f64 = field.f.astype(np.int64)
-    boxes = [level_box(f64, n) for n in range(1, n0 + 1)]
-    for i, g in enumerate(dirs):
-        total = np.zeros(window.shape, dtype=np.int64)
-        for n, box in enumerate(boxes, start=1):
-            grid = level_edge_grid(box, L, n, _as_tuple(g))
-            np.multiply(grid, 1 << (2 * (n0 - n) * d), out=grid)
-            total += grid
+    boxes = [level_box(field.f, n) for n in range(1, n0 + 1)]
+    for i, g in enumerate(dirs.tolist()):
         keep = _truncation_box(crop, n0, g)
-        # |total| < psi_num_bound: the narrowing cast is exact
-        out.grid(i)[keep] = crop.take(total)[keep]
+        corner = [s.start + crop.offset for s in keep]
+        acc = np.zeros([s.stop - s.start for s in keep], dtype=np.int64)
+        for n, box in enumerate(boxes, start=1):
+            if n > 1:
+                acc <<= 2 * d
+            add_line_sum(acc, box, n, g, corner)
+        acc <<= g.count(0)
+        # |acc| < psi_num_bound: the narrowing cast is exact
+        out.grid(i)[keep] = acc
     return out
 
 
@@ -244,7 +241,7 @@ def measure_box_sums(field: IndicatorField, n: int) -> int:
     side = 1 << n
     if side > field.window.L:
         raise ValueError("boxes of side %d exceed the window" % side)
-    sb = subbox_sums(field.f.astype(np.int64), side)
+    sb = subbox_sums(field.f, side)
     return int(np.abs(sb).max())
 
 

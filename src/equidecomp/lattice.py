@@ -163,10 +163,15 @@ class ActionSpec:
 def orbit_points(action: ActionSpec, n: int,
                  x: Optional[np.ndarray] = None) -> np.ndarray:
     """The test set F_N(x): images of x under the cube [0, N)^d, flattened
-    to shape (N^d, k)."""
+    to shape (N^d, k).  Fails if the test set is too large."""
     if n < 1:
         raise ValueError("N must be >= 1")
-    return action.grid_points([n] * action.d, x).reshape(-1, action.k)
+    try:        # numpy's own ValueError: a size past the address space
+        pts = action.grid_points([n] * action.d, x)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError("test set F_%d of %d^%d points too large: %s"
+                         % (n, n, action.d, exc))
+    return pts.reshape(-1, action.k)
 
 
 def min_orbit_separation(action: ActionSpec, extent: int) -> Tuple[float, Tuple[int, ...]]:

@@ -2,7 +2,9 @@
 
 `dyadic` is exact num / 2^exp arithmetic, `finiteflow` a finite-graph
 flow layer with its own Dinic, and `paperflow` the per-edge, per-phase
-definitions of the box flow.  `edges` reads and writes one edge flow by
+definitions of the box flow.  `levelgrid` is the truncated flow summed
+level by level on full-window grids, as the package summed it before
+forming only the kept slots.  `edges` reads and writes one edge flow by
 vertex coordinates, and `cyclegraph` builds the boundary 3-cycle graph
 from shared vertices.  `freeness` is the full-box orbit separation
 scan, within 2^-52 of the exact distance.  `locality` is the

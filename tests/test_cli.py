@@ -373,6 +373,21 @@ def test_discrepancy_table(tmp_path, capsys):
     assert "slope_a=" in capsys.readouterr().out
 
 
+def test_discrepancy_test_set_past_memory(tmp_path, capsys):
+    """A test set numpy cannot allocate is an infeasible discrepancy stage
+    naming it, not a traceback or an internal error: F_100000 in d=3 is
+    7.1 PiB, refused as a MemoryError, and F_10000000 overflows the
+    address space, refused as a ValueError.  Both are refused at once."""
+    out = str(tmp_path / "run")
+    for n in (100000, 10000000):
+        capsys.readouterr()
+        assert run("discrepancy", out, extra=["ns=2,4,%d" % n]) \
+            == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: discrepancy: test set F_%d of "
+                              "%d^3 points too large: " % (n, n)), err
+
+
 def test_exit_codes(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "run")
     assert main(["square", "--set", "L=zero"]) == EXIT_CONFIG

@@ -12,6 +12,7 @@ import os
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,22 @@ def test_truncated_psi_antisymmetric_storage():
     # only when every edge is interior; valid mask cuts boundary edges, so
     # the global sum vanishes exactly.
     assert total == 0
+
+
+def test_truncated_psi_memory():
+    """On the demo's window (d=5, L=10, margin=2, n0=1) the truncation
+    holds, besides its int8 output, less than three full-window int64
+    grids: the level box and one direction's kept box, not a window grid
+    per direction and a second one for the level sum."""
+    fld = random_field(5, 10, seed=21, margin=2)
+    tracemalloc.start()
+    try:
+        psi = truncated_psi(fld, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert psi.values.dtype == np.int8
+    assert peak - psi.values.nbytes < 3 * 8 * 10 ** 5, peak
 
 
 def test_residual_identity_exact():

@@ -101,9 +101,10 @@ def test_narrow_fields_are_reviewed():
 
 def test_one_line_sum():
     """The truncated flow is one line sum per level: the per-phase tables
-    and the phase loop stay deleted, and the scalar oracle shares no code
-    with the kernel it checks."""
-    gone = defined({"phase_tables", "phase_sum"})
+    and the phase loop stay deleted, so does the full-window level grid
+    (oracle.levelgrid), and the scalar oracle shares no code with the
+    kernel it checks."""
+    gone = defined({"phase_tables", "phase_sum", "level_edge_grid"})
     assert not gone, gone
     oracle = Path(__file__).resolve().parent / "oracle" / "paperflow.py"
     imported = []
