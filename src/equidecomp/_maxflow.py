@@ -7,27 +7,31 @@ to be routed, which is exact: an acyclic flow never carries more than its
 value on any arc.  When that supply itself is too wide, coarse phases route
 it in units of 2^j first and a final phase finishes exactly at j = 0.
 
-The caller lays the arcs out as a CSR, each row in increasing head order.
-The source s and the sink t are the two vertices after the caller's, so
-each supply vertex's arc to s or t goes at the end of its row and their
-own rows come last: the layout needs no sort, and for the same input the
-blocking flows, and hence the returned flow, are deterministic.
+A solve has two steps.  supply_graph checks the caller's CSR, each row in
+increasing head order, and lays it out with the source s and the sink t,
+the two vertices after the caller's: each supply vertex's arc to s or t
+goes at the end of its row and their own rows come last, so the layout
+needs no sort, and for the same input the blocking flows, and hence the
+returned flow, are deterministic.  solve_supply_graph then routes the
+supply over that layout.  Between the two the caller can free its own
+copy of the arcs.
 
-Memory.  Below _MAX_SIZE every vertex index fits int32, so the CSR's
-indptr and indices and the capacities handed to scipy are int32.  Only
-the residual capacities, which may be wider than int32, and the returned
-flow are int64.  During the max-flow call the solve itself holds about 17
-bytes per arc (an arc is one direction of an edge, or a source or sink
-arc): residuals 8, indices 4, capacities 4 and the flags of the caller's
-arcs 1.  scipy's own copies, the int32 astype of the graph, the graph
-with reverse arcs added, its transpose and the edge pointers, take about
-28 more; that part is the floor.  On the demo's repair graph (1.07M arcs)
-the tracemalloc peak of one solve is 45 bytes per arc.
+Memory.  Below _MAX_SIZE every vertex index fits int32, so the layout's
+row starts, heads and the capacities handed to scipy are int32.  A supply
+below 2^30 is routed in one phase, whose capacities are the layout's own
+int32 array; only a wider supply gets int64 residuals, for its phases
+after the first.  The returned flow is int64.  During a one-phase
+max-flow call the layout holds 8 bytes per arc (an arc is one direction
+of an edge, or a source or sink arc): heads 4 and capacities 4.  scipy's
+own copies, the graph with reverse arcs added, its transpose and the
+edge pointers, take about 30 more; that part is the floor.  On the
+demo's repair graph (1.07M arcs) the tracemalloc peak of one solve is
+about 36 bytes per arc.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 from scipy.sparse import csgraph, csr_array
@@ -37,22 +41,37 @@ from scipy.sparse import csgraph, csr_array
 # each phase's supply below 2^30 keeps every such value in int32.
 _PHASE_BITS = 30
 # Beyond this many vertices plus arcs, a coarse phase is no longer sure to
-# halve the supply still to route (see solve_supply_flow).
+# halve the supply still to route (see solve_supply_graph).
 _MAX_SIZE = 1 << (_PHASE_BITS - 2)
 
 
-def solve_supply_flow(indptr, indices, cap, supply) -> Tuple[bool, np.ndarray]:
-    """Route integer vertex supplies (positive = excess to ship, negative =
-    demand) over the arcs of a CSR graph on the n = len(supply) vertices:
-    the arcs out of vertex x lead to indices[indptr[x]:indptr[x + 1]], in
-    increasing order, and arc k carries up to cap[k] units.  Every arc's
-    reverse must be an arc too, at capacity 0 if need be.
+class SupplyGraph(NamedTuple):
+    """A supply flow laid out for the solver: the caller's n vertices,
+    then s = n and t = n + 1, as the int32 CSR (rows, heads).  cap is
+    each arc's capacity clipped at total, the supply to route: int32 when
+    one phase routes it, int64 residuals otherwise.  size is n + m of the
+    caller's graph of m arcs."""
 
-    Returns (feasible, flow on each arc).  The flow is antisymmetric, the
-    net amount sent from the arc's tail to its head.  When infeasible, it
-    is the part of the supply that was routed.  Supplies must balance.
-    int32 index arrays and integer or bool capacities of any width are
-    used without a copy.
+    rows: np.ndarray
+    heads: np.ndarray
+    cap: np.ndarray
+    total: int
+    size: int
+
+
+def supply_graph(indptr, indices, cap, supply) -> SupplyGraph:
+    """Lay out the routing of integer vertex supplies (positive = excess
+    to ship, negative = demand) over the arcs of a CSR graph on the
+    n = len(supply) vertices: the arcs out of vertex x lead to
+    indices[indptr[x]:indptr[x + 1]], in increasing order, and arc k
+    carries up to cap[k] units.  Every arc's reverse must be an arc too,
+    at capacity 0 if need be.  Supplies must balance.  int32 index arrays
+    are read without a copy, and integer or bool capacities of any width
+    are copied only to clip them at the supply.
+
+    In the layout, the caller's arcs keep their order, and they are the
+    arcs before rows[n] whose head is below n: s and t are the heads of
+    the arcs added to the caller's rows.
     """
     supply = np.asarray(supply, dtype=np.int64)
     if supply.ndim != 1:
@@ -114,29 +133,51 @@ def solve_supply_flow(indptr, indices, cap, supply) -> Tuple[bool, np.ndarray]:
     heads[last] = np.where(supply[ends] > 0, s, t)
     heads[rows[n]:rows[n + 1]] = pos
     heads[rows[n + 1]:] = neg
-    resid = np.zeros(rows[-1], dtype=np.int64)
+    total = int(supply[pos].sum())
+    # every capacity is at most total after the clip (an added arc's is
+    # already), so below 2^30 it is exact in the int32 that scipy takes
+    if int(cap.max(initial=0)) > total:
+        cap = np.minimum(cap, cap.dtype.type(total))
+    resid = np.zeros(rows[-1], dtype=np.int64 if total >> _PHASE_BITS
+                     else np.int32)
     resid[mine] = cap
     resid[last] = np.maximum(-supply[ends], 0)
     resid[rows[n]:rows[n + 1]] = supply[pos]
-    src_arcs = slice(rows[s], rows[s + 1])      # the arcs s -> p
+    return SupplyGraph(rows, heads, resid, total, n + m)
 
-    total = remaining = int(supply[pos].sum())
-    np.minimum(resid, total, out=resid)
+
+def solve_supply_graph(graph: SupplyGraph) -> Tuple[bool, np.ndarray]:
+    """Route graph.total units from s to t over the layout.
+
+    Returns (feasible, flow on each arc of the layout).  The flow is
+    antisymmetric, the net amount sent from the arc's tail to its head.
+    When infeasible, it is the part of the supply that was routed.  A
+    supply of more than one phase spends graph.cap: each phase's flow is
+    subtracted from the residuals in place.
+    """
+    rows, heads, resid, total, size = graph
+    n = len(rows) - 3
+    s, t = n, n + 1
+    src_arcs = slice(rows[s], rows[s + 1])      # the arcs s -> p
+    remaining = total
     sent = None                                 # the flow so far
     while remaining:
         # coarse phases route units of 2^j until the rest fits one phase
         j = max(0, remaining.bit_length() - _PHASE_BITS)
-        # every value is at most remaining >> j < 2^30, so it is exact in
-        # the int32 the phase's capacities are written to
-        data = np.empty(len(resid), dtype=np.int32)
-        np.minimum(resid >> j if j else resid, remaining >> j, out=data,
-                   casting="unsafe")
+        if resid.dtype == np.int32:
+            data = resid            # one phase: the layout's capacities
+        else:
+            # every value is at most remaining >> j < 2^30, so it is exact
+            # in the int32 the phase's capacities are written to
+            data = np.empty(len(resid), dtype=np.int32)
+            np.minimum(resid >> j if j else resid, remaining >> j,
+                       out=data, casting="unsafe")
         if data.max(initial=0) >> _PHASE_BITS:
             raise AssertionError("max-flow capacity exceeds the int32 range")
-        graph = csr_array((data, heads, rows), shape=(n + 2, n + 2))
+        phase = csr_array((data, heads, rows), shape=(n + 2, n + 2))
         del data
-        flow = csgraph.maximum_flow(graph, s, t, method="dinic").flow
-        del graph
+        flow = csgraph.maximum_flow(phase, s, t, method="dinic").flow
+        del phase
         if not (np.array_equal(flow.indices, heads)
                 and np.array_equal(flow.indptr, rows)):
             # scipy added the reverse of some arc
@@ -148,9 +189,9 @@ def solve_supply_flow(indptr, indices, cap, supply) -> Tuple[bool, np.ndarray]:
         # exact network that cut holds at most n + m arcs, each less than
         # 2^j larger, so a larger remainder cannot be routed at all.  The
         # size bound makes the remainder at most half the phase's supply.
-        if j == 0 or remaining > (n + m) << j:
+        if j == 0 or remaining > size << j:
             break
         resid -= flow
     if sent is None:
-        return True, np.zeros(m, dtype=np.int64)
-    return remaining == 0, sent[mine]
+        return True, np.zeros(len(heads), dtype=np.int64)
+    return remaining == 0, sent

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._maxflow import solve_supply_flow
+from ._maxflow import solve_supply_graph, supply_graph
 from .flowgrid import EdgeField, narrow_int, residual_num
 from .lattice import (IndicatorField, LatticeWindow, _shift_slices,
                       all_directions, directions, edge_slots, flat_shifts)
@@ -176,11 +176,13 @@ def adjust_on_region(phi: EdgeField, F: Region) -> EdgeField:
     everywhere; only edges within the 2-neighborhood of the boundary
     change, each by less than the walk's degree bound (3^d - 1).  The
     boundary flows are read once, walked as Python ints and written back;
-    the closing edges, never boundary edges, are added in one pass.
+    the closing edges, never boundary edges, are added in one pass.  The
+    returned flow is int64, since those changes, up to (3^d - 1) 2^s, can
+    pass the bound a narrow phi is stored at.
     """
     H = build_boundary_cycle_graph(F)
     walk = euler_cycle(H)
-    out = phi.copy()
+    out = phi.with_values(phi.values.astype(np.int64))
     mod = 1 << out.scale_exp
     ends = H.edges.tolist()
     row, tail, sign = edge_slots(F.window, H.edges[:, 0], H.edges[:, 1])
@@ -395,18 +397,22 @@ def _route_to_frontier(values: Callable[[], np.ndarray],
     np.compress(on.ravel(), cap, out=arc_cap[:m])
     del cap, on
     arc_cap[m:] = rim_caps[1][rim_on]
-    ok, flow = solve_supply_flow(indptr, indices, arc_cap,
-                                 np.append(residual, -int(residual.sum())))
-    del arc_cap
+    graph = supply_graph(indptr, indices, arc_cap,
+                         np.append(residual, -int(residual.sum())))
+    # the layout holds every arc now: free this copy before the solve
+    del indptr, indices, arc_cap, edge
+    ok, flow = solve_supply_graph(graph)
     if not ok:
         return None, 0
     # few arcs carry flow (1.4% on the demo's repair graph): find the ends
-    # of those out of core vertices in the CSR
-    moved = np.flatnonzero(flow[:m])
-    tail = np.searchsorted(indptr, moved, side="right") - 1
-    head = indices[moved]
+    # of those out of core vertices in the layout, where the arcs before
+    # the frontier node's row with a head past it go to the sink or source
+    moved = np.flatnonzero(flow[:graph.rows[n]])
+    moved = moved[graph.heads[moved] <= n]
+    head = graph.heads[moved]
+    tail = np.searchsorted(graph.rows, moved, side="right") - 1
     flow = flow[moved]
-    del indptr, indices
+    del graph
     to_rim = head == n
     amount = np.zeros(len(rows), dtype=np.int64)
     amount[np.searchsorted(rows, tail[to_rim])] = flow[to_rim]
@@ -432,14 +438,16 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
     """Correct the truncated flow so its divergence equals f exactly on
     every core vertex, pushing the leftover error out to the frontier ring.
 
-    The returned flow is int64.  Once the solve has succeeded and freed
-    its memory, the correction is added to consumed_psi's values widened
-    to int64: a new array when consumed_psi is narrower (the truncated
-    flow is stored as narrow_int of its bound), its own array otherwise,
-    which the returned flow then holds.  Either way consumed_psi is
-    handed over, and a caller that still needs the truncated flow passes
-    a copy.  The repair runs on
-    consumed_psi's window (the pipeline's crop of the core plus one ring).
+    Every edge is corrected once, by at most the capacity cap below, so
+    the returned flow is stored as narrow_int(max |consumed_psi| + cap +
+    1), or as consumed_psi's dtype when that is wider.  Once the solve
+    has succeeded and freed its memory, the correction is added to
+    consumed_psi's values cast to that dtype: a new array when
+    consumed_psi is narrower, its own array otherwise, which the returned
+    flow then holds.  Either way consumed_psi is handed over, and a
+    caller that still needs the truncated flow passes a copy.  The repair
+    runs on consumed_psi's window (the pipeline's crop of the core plus
+    one ring).
     residual is residual_num(field, consumed_psi) over the core box, which
     the caller has already computed; the repaired flow's own residual is
     recomputed from field and checked.  _route_to_frontier routes the
@@ -461,13 +469,17 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
     supply_abs = int(np.abs(residual).sum())
 
     k_cnt = _rim_frontier_slots(window)[2].sum(axis=0, dtype=np.int64)
+    top = max(int(psi.values.max(initial=0)), -int(psi.values.min(initial=0)))
     doublings = 0
     while True:
         cap = np.int64((capacity_units << doublings) << s)
         # phi = psi + correction; every corrected edge is corrected once,
-        # by its core-core net flow or by one frontier take
+        # by its core-core net flow or by one frontier take, each at most
+        # cap, so |phi| <= top + cap
+        dtype = np.promote_types(psi.values.dtype,
+                                 narrow_int(top + int(cap) + 1))
         h, max_correction = _route_to_frontier(
-            lambda: psi.values.astype(np.int64, copy=False), window,
+            lambda: psi.values.astype(dtype, copy=False), window,
             residual, (cap, cap), (k_cnt * cap,) * 2, cap)
         if h is not None:
             break

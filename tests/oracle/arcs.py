@@ -5,11 +5,15 @@ CSR straight off the core box.  Here the same layout comes from
 np.lexsort((head, tail)) over an arc list, which is what the solver's
 input rules describe (rows in increasing head order), so the solver tests
 build their graphs with it and the router is compared against it.
+solve_supply_flow runs the package's two solver steps on such a CSR and
+returns the flow on its own arcs.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from equidecomp._maxflow import solve_supply_graph, supply_graph
 
 
 def lexsort_csr(tail, head, cap, n):
@@ -39,3 +43,14 @@ def edge_csr(u, v, cap_uv, cap_vu, n):
     at[order] = np.arange(len(order))
     return indptr, indices, cap, at[:len(u)]
 
+
+def solve_supply_flow(indptr, indices, cap, supply):
+    """(feasible, flow on each arc of the CSR) of the supply flow that
+    supply_graph lays out and solve_supply_graph routes; see those."""
+    graph = supply_graph(indptr, indices, cap, supply)
+    ok, flow = solve_supply_graph(graph)
+    n = len(graph.rows) - 3
+    # the caller's arcs: before the source's row, and not to s or t
+    mine = np.zeros(len(flow), dtype=bool)
+    mine[:graph.rows[n]] = graph.heads[:graph.rows[n]] < n
+    return ok, flow[mine]

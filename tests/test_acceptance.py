@@ -445,7 +445,8 @@ def test_10_demo_edge_fields_live_on_the_crop(monkeypatch):
     repaired flow and the integral flow each store the 121 directions
     over the 8^5 vertices of the core box plus one ring, not over the
     window's 10^5.  The truncated flow's bound (2^6 at n0=1) makes it
-    int8, one byte per slot; the repaired flow is int64."""
+    int8, one byte per slot; the repaired flow's, that bound plus the
+    repair capacity, makes it int16."""
     seen = []
 
     def truncated(*args, **kwargs):
@@ -463,7 +464,7 @@ def test_10_demo_edge_fields_live_on_the_crop(monkeypatch):
         assert field.values.shape == (121, 8 ** 5)
         assert field.crop.full == cfg.window()
     assert seen[0].values.nbytes == 121 * 8 ** 5
-    assert res.phi.values.dtype == np.int64
+    assert res.phi.values.dtype == np.int16
 
 
 # -- 11 ---------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from equidecomp import integralize
-from equidecomp._maxflow import solve_supply_flow
+from equidecomp._maxflow import supply_graph
+from equidecomp.config import build_config
 from equidecomp.flowgrid import EdgeField
 from equidecomp.integralize import (
     BoundaryCycleGraph,
@@ -24,8 +25,9 @@ from equidecomp.integralize import (
 )
 from equidecomp.lattice import (LatticeWindow, directions, edge_mask,
                                 edge_slots, flat_shifts)
+from equidecomp.pipeline import build_flow
 from equidecomp.tiling import Region, ball_mask
-from oracle.arcs import edge_csr
+from oracle.arcs import edge_csr, solve_supply_flow
 from oracle.cyclegraph import boundary_cycle_graph
 from oracle.edges import add_flow
 
@@ -259,17 +261,83 @@ def test_round_edge_field_widens_past_int8(monkeypatch):
         assert info == want_info
 
 
+def _as_int64(bound):
+    return np.dtype(np.int64)
+
+
+@pytest.mark.parametrize("config, mode", [
+    ({"L": "12", "margin": "3", "n0": "1"}, "direct"),
+    ({"L": "40", "margin": "2", "n0": "2", "x0": "0.0011"}, "cover")],
+    ids=["direct", "cover"])
+def test_narrow_repaired_flow_equals_int64(monkeypatch, config, mode):
+    """Repair stores the repaired flow as narrow as its bound allows,
+    int16 here (d=3, the default), and integralize_flow takes it as it
+    is.  With narrow_int forced to int64, repair and integralize_flow
+    give the same values and the same summaries, in direct mode and in
+    cover mode."""
+    cfg = build_config(config)
+    runs = []
+    for wide in (False, True):
+        with monkeypatch.context() as m:
+            if wide:
+                m.setattr(integralize, "narrow_int", _as_int64)
+            flow = build_flow(cfg.window(), cfg.action(), *cfg.shapes(),
+                              n0=cfg.n0)
+            runs.append((flow, *integralize_flow(flow.phi, flow.field.f,
+                                                 mode=mode)))
+    (got, out, info), (want, want_out, want_info) = runs
+    assert got.phi.values.dtype == np.int16
+    assert want.phi.values.dtype == want_out.values.dtype == np.int64
+    assert np.array_equal(got.phi.values, want.phi.values)
+    assert got.summary == want.summary
+    assert np.array_equal(out.values, want_out.values)
+    assert info == want_info
+    if mode == "cover":
+        assert info["cover"]["regions"] >= 1
+
+
+def test_cover_walks_widen_a_narrow_flow(monkeypatch):
+    """The cover walks move a value by up to (3^d - 1) 2^s, past the bound
+    a narrow repaired flow is stored at, so adjust_on_region works on an
+    int64 copy.  Here every value of an int16 flow lies within 2^s of
+    2^15 (2046 units at s = 4, each with its fraction), the walks take
+    one past 2^15 - 1, and integralize_flow gives what it gives on the
+    same flow stored as int64."""
+    rng = np.random.default_rng(46)
+    w = LatticeWindow(d=2, L=50, margin=2)
+    s = 4
+    fld = random_dyadic_field(rng, w, s, pushes=200)
+    fld.values[:] = (np.where(fld.values < 0, -1, 1) * (2046 << s)
+                     + (fld.values & ((1 << s) - 1)))
+    narrow = fld.with_values(fld.values.astype(np.int16))
+    assert np.array_equal(narrow.values, fld.values)
+    f = fld.divergence_num() >> s
+    walked = []
+
+    def spy(phi, F):
+        walked.append(adjust_on_region(phi, F))
+        return walked[-1]
+    monkeypatch.setattr(integralize, "adjust_on_region", spy)
+    out, info = integralize_flow(narrow, f, mode="cover")
+    assert max(np.abs(a.values).max() for a in walked) > 2 ** 15 - 1
+    monkeypatch.setattr(integralize, "narrow_int", _as_int64)
+    want, want_info = integralize_flow(fld, f, mode="cover")
+    assert np.array_equal(out.values, want.values)
+    assert info == want_info
+
+
 def _recorded_routes(patch):
-    """Spy on the router's solves: a list of (indptr, indices, cap,
-    supply, feasible, flow), one per solve."""
+    """Spy on the router's solver layouts: a list of (indptr, indices,
+    cap, supply, feasible, flow), one per solve, with the feasibility and
+    the flow that the solver gives on that CSR."""
     seen = []
 
     def spy(indptr, indices, cap, supply):
-        ok, flow = solve_supply_flow(indptr, indices, cap, supply)
         seen.append((np.array(indptr), np.array(indices), np.array(cap),
-                     np.array(supply), ok, flow))
-        return ok, flow
-    patch.setattr(integralize, "solve_supply_flow", spy)
+                     np.array(supply))
+                    + solve_supply_flow(indptr, indices, cap, supply))
+        return supply_graph(indptr, indices, cap, supply)
+    patch.setattr(integralize, "supply_graph", spy)
     return seen
 
 

@@ -65,9 +65,13 @@ def test_one_edge_address():
 
 def test_one_frontier_router():
     """Repair and rounding share one residual-routing solve, and pipeline
-    reaches integralize through public names only."""
-    calls = callers("solve_supply_flow")
-    assert calls == [("integralize.py", "_route_to_frontier")], calls
+    reaches integralize through public names only.  The router is the
+    only caller of the solver's layout and solve steps, and the one-call
+    form of the two (tests/oracle/arcs.py) is not in the package."""
+    for step in ("supply_graph", "solve_supply_graph"):
+        calls = callers(step)
+        assert calls == [("integralize.py", "_route_to_frontier")], calls
+    assert not defined({"solve_supply_flow"})
     tree = ast.parse((SRC / "equidecomp" / "pipeline.py").read_text())
     private = [(node.module, alias.name) for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) for alias in node.names
@@ -92,10 +96,11 @@ def test_csr_without_a_sort():
 def test_narrow_fields_are_reviewed():
     """Edge fields are stored narrower than int64 only where a proven
     bound sets the width: narrow_int lives in flowgrid and is called by
-    truncated_psi and round_edge_field alone."""
+    truncated_psi, repair_to_frontier and round_edge_field alone."""
     assert defined({"narrow_int"}) == [("flowgrid.py", "narrow_int")]
     calls = callers("narrow_int")
     assert sorted(calls) == [("flowgrid.py", "truncated_psi"),
+                             ("integralize.py", "repair_to_frontier"),
                              ("integralize.py", "round_edge_field")], calls
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from equidecomp import equidecompose, integralize, pipeline
-from equidecomp._maxflow import solve_supply_flow
+from equidecomp._maxflow import solve_supply_graph
 from equidecomp.config import build_config
 from equidecomp.flowgrid import EdgeField, residual_num, truncated_psi
 from equidecomp.lattice import ActionSpec, IndicatorField, LatticeWindow
@@ -74,26 +74,28 @@ def test_repair_in_isolation_and_doubling(monkeypatch):
 
 def test_repair_widens_a_narrow_truncated_flow_after_the_solve(monkeypatch):
     """The toy truncated flow (d=3, n0=1) is int8.  run_pipeline's repair
-    widens it to an int64 flow only once the solve has returned: at the
-    solve's entry no traced block is as large as that int64 field.  The
-    truncated flow itself is left as it was, and every flow lives on the
-    crop of the core plus one ring: on the toy window (L=12, margin=3)
-    the box [2, 10)^3, a window of side 8 with margin 1."""
+    widens it only once the solve has returned, and only to the bound of
+    the repaired flow, max |psi_t| plus the repair capacity (8 flow
+    units, 2^9 at scale 2^6): int16.  At the solve's entry no traced
+    block is as large as an int64 field.  The truncated flow itself is
+    left as it was, and every flow lives on the crop of the core plus one
+    ring: on the toy window (L=12, margin=3) the box [2, 10)^3, a window
+    of side 8 with margin 1."""
     seen, largest = [], []
 
     def truncated(*args, **kwargs):
         seen.append(truncated_psi(*args, **kwargs))
         return seen[-1]
 
-    def solve(*args, **kwargs):
+    def solve(graph):
         largest.append(max(t.size for t in
                            tracemalloc.take_snapshot().traces))
-        return solve_supply_flow(*args, **kwargs)
+        return solve_supply_graph(graph)
 
     params = list(inspect.signature(repair_to_frontier).parameters)
     assert params[1] == "consumed_psi"
     monkeypatch.setattr(pipeline, "truncated_psi", truncated)
-    monkeypatch.setattr(integralize, "solve_supply_flow", solve)
+    monkeypatch.setattr(integralize, "solve_supply_graph", solve)
     window, action, a, b, n0 = toy_setup()
     tracemalloc.start()
     try:
@@ -101,7 +103,12 @@ def test_repair_widens_a_narrow_truncated_flow_after_the_solve(monkeypatch):
     finally:
         tracemalloc.stop()
     psi_t, = seen
-    assert psi_t.values.dtype == np.int8 and res.phi.values.dtype == np.int64
+    assert psi_t.values.dtype == np.int8 and res.phi.values.dtype == np.int16
+    rep = res.summary["repair"]
+    cap = (rep["capacity_units"] << rep["doublings"]) << psi_t.scale_exp
+    assert cap == 1 << 9
+    assert (np.abs(res.phi.values.astype(np.int64))
+            <= np.abs(psi_t.values.astype(np.int64)).max() + cap).all()
     # one solve in repair, one in rounding
     assert len(largest) == 2 and largest[0] < psi_t.values.size * 8
     for field in (psi_t, res.phi, res.psi_int):
@@ -126,6 +133,37 @@ def test_repair_hands_over_the_truncated_flow():
                                 capacity_units=4)
     assert phi.values is psi.values
     assert not residual_num(fld, phi).any()
+
+
+DEMO = {"k": "2", "delta": "1", "L": "10", "margin": "2", "n0": "1",
+        "shape_a": "disk:1/4:1/4:44280/221987",
+        "shape_b": "rect:1/20:1/20:235416/665857:235416/665857"}
+
+
+def test_repair_memory(monkeypatch):
+    """On the demo config (d=5, L=10, margin=2, n0=1; 1.07M arcs) repair's
+    tracemalloc peak above its entry stays below 50 MB: the router frees
+    its CSR once the solver has laid it out, a one-phase solve builds no
+    int64 residuals, and the repaired flow is int16 (7.9 MB) rather than
+    int64 (31.7 MB).  It measured 41 MB, and 60 MB with the router's CSR,
+    the int64 residuals and an int64 flow alive."""
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            out = repair_to_frontier(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(pipeline, "repair_to_frontier", traced)
+    cfg = build_config(DEMO)
+    flow = pipeline.build_flow(cfg.window(), cfg.action(), *cfg.shapes(),
+                               n0=cfg.n0)
+    assert flow.phi.values.dtype == np.int16
+    assert peaks[0] < 50e6, peaks
 
 
 def test_repair_validation():
