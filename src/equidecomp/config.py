@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .flowgrid import psi_num_bits
-from .integralize import COVER_SEPARATION, max_cover_levels
 from .lattice import ActionSpec, LatticeWindow, choose_lattice_dimension
 from .shapes import Shape, parse_shape
 
@@ -24,6 +23,18 @@ class ConfigError(ValueError):
 
 # The largest raster side: the image is built in memory, 3 bytes a pixel.
 RASTER_MAX = 2048
+
+# boundary separation n of the cover that integralize_flow builds
+COVER_SEPARATION = 3
+
+
+def max_cover_levels(window: LatticeWindow, n: int) -> int:
+    """Largest i_max with n * 12^(i_max + 1) <= L, at least 0 when even
+    level 0 fits; -1 otherwise."""
+    i = -1
+    while n * 12 ** (i + 2) <= window.L:
+        i += 1
+    return i
 
 
 @dataclass

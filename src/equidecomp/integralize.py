@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._maxflow import solve_supply_graph, supply_graph
+from .config import COVER_SEPARATION, max_cover_levels
 from .flowgrid import EdgeField, narrow_int, residual_num
 from .lattice import (IndicatorField, LatticeWindow, _shift_slices,
                       all_directions, directions, edge_slots, flat_shifts)
@@ -599,19 +600,6 @@ def _max_dev_core(rounded: EdgeField, phi: EdgeField) -> float:
         dev = max(dev, int(np.abs((got.astype(np.int64) << s) - want)
                            .max(initial=0, where=inner)))
     return float(dev) / (1 << s)
-
-
-# boundary separation n of the cover that integralize_flow builds
-COVER_SEPARATION = 3
-
-
-def max_cover_levels(window: LatticeWindow, n: int) -> int:
-    """Largest i_max with n * 12^(i_max + 1) <= L, at least 0 when even
-    level 0 fits; -1 otherwise."""
-    i = -1
-    while n * 12 ** (i + 2) <= window.L:
-        i += 1
-    return i
 
 
 def integralize_flow(phi: EdgeField, f: np.ndarray, mode: str = "direct",

@@ -23,6 +23,9 @@ from .shapes import Shape, measures_match
 MOD_TOL = 1e-12
 MEASURE_TOL = 1e-9      # largest |lambda(A) - lambda(B)| sample_field accepts
 FREENESS_TOL = 1e-9     # smallest orbit separation sample_field accepts
+SCAN_BLOCK = 2 ** 17    # offsets the freeness scan forms at once, at least
+                        # one delta_0 slab
+SCAN_MAX = 2 ** 28      # largest half box sample_field scans
 
 
 @lru_cache(maxsize=None)
@@ -100,19 +103,26 @@ def all_directions(d: int) -> np.ndarray:
 
 
 def reduce_mod1(x: np.ndarray) -> np.ndarray:
-    """Reduce into [0, 1); values within MOD_TOL below 1 snap to 0."""
-    r = np.mod(np.asarray(x, dtype=np.float64), 1.0)
+    """Reduce into [0, 1); values within MOD_TOL below 1 snap to 0.
+    x - floor(x) rounds the same exact value as np.mod(x, 1.0) does, so
+    the two agree bit for bit, negatives and signed zeros included."""
+    x = np.asarray(x, dtype=np.float64)
+    r = x - np.floor(x)
     r[r >= 1.0 - MOD_TOL] = 0.0
     return r
 
 
 def _first_primes(count: int) -> list[int]:
-    primes, n = [], 2
-    while len(primes) < count:
-        if all(n % p for p in primes if p * p <= n):
-            primes.append(n)
-        n += 1
-    return primes
+    """The first count primes, by a sieve up to Rosser's bound: the n-th
+    prime is below n (ln n + ln ln n) for n >= 6."""
+    n = max(count, 6)
+    sieve = np.ones(int(n * (math.log(n) + math.log(math.log(n)))) + 1,
+                    dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(len(sieve) - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve)[:count].tolist()
 
 
 @dataclass(frozen=True)
@@ -147,17 +157,20 @@ class ActionSpec:
     def grid_points(self, ns: Sequence[int],
                     x: Optional[np.ndarray] = None) -> np.ndarray:
         """Torus points of the full coordinate grid prod_i [0, ns_i), as an
-        array of shape ns + (k,), built by per-axis accumulation."""
+        array of shape ns + (k,).  Each torus coordinate is summed in its
+        own contiguous plane: 0 + base, then n_i * u_i axis by axis."""
         base = self.x0 if x is None else np.asarray(x, dtype=np.float64)
+        base = np.broadcast_to(base, (self.k,))
         shape = tuple(int(n) for n in ns)
-        total = np.zeros(shape + (self.k,), dtype=np.float64)
-        total += base
-        for i in range(self.d):
-            ax = np.arange(shape[i], dtype=np.float64)
-            view = [1] * self.d + [1]
-            view[i] = shape[i]
-            total += ax.reshape(view) * self.u[i].reshape([1] * self.d + [self.k])
-        return reduce_mod1(total)
+        planes = np.empty((self.k,) + shape, dtype=np.float64)
+        for c, plane in enumerate(planes):
+            plane.fill(0.0 + float(base[c]))
+            for i in range(self.d):
+                view = [1] * self.d
+                view[i] = shape[i]
+                plane += (np.arange(shape[i], dtype=np.float64)
+                          * self.u[i, c]).reshape(view)
+        return np.moveaxis(reduce_mod1(planes), 0, -1)
 
 
 def orbit_points(action: ActionSpec, n: int,
@@ -174,35 +187,74 @@ def orbit_points(action: ActionSpec, n: int,
     return pts.reshape(-1, action.k)
 
 
+def scan_size(window: LatticeWindow) -> int:
+    """Offsets in the freeness scan's half box, L * (2L - 1)^(d - 1)."""
+    return window.L * (2 * window.L - 1) ** (window.d - 1)
+
+
+def _coord_dist(axes: Sequence[np.ndarray], col: np.ndarray,
+                out: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """|t - rint(t)| over the box of the given axes, written into out (and
+    returned), with t = sum_i delta_i col_i summed from 0 in axis order as
+    outer sums; near is scratch of out's shape."""
+    part = np.zeros(())
+    for ax, g in zip(axes[:-1], col[:-1]):
+        part = np.add.outer(part, ax * g)
+    np.add.outer(part, axes[-1] * col[-1], out=out)
+    np.rint(out, out=near)
+    np.subtract(out, near, out=out)
+    return np.abs(out, out=out)
+
+
 def min_orbit_separation(action: ActionSpec, extent: int) -> Tuple[float, Tuple[int, ...]]:
     """Minimum l-infinity torus distance between distinct orbit points over a
     window of the given extent.  delta and -delta give the same distance,
     so only the half box [0, extent) x [-(extent-1), extent-1]^(d-1) of the
-    difference set is scanned, one torus coordinate at a time: with
-    t = sum_i delta_i u_ic, the coordinate's distance |t - rint(t)| is the
-    exact distance of the float t to the nearest integer.  Returns
-    (distance, witness delta); the witness is a minimiser, sign unspecified."""
-    d, m = action.d, 2 * extent - 1
+    difference set is scanned, in blocks of whole delta_0 slabs of about
+    SCAN_BLOCK offsets.  With t = sum_i delta_i u_ic summed from 0 in axis
+    order, a coordinate's distance |t - rint(t)| is the exact distance of
+    the float t to the nearest integer.  Coordinate 0 is formed on every
+    block; the others on the first block, and after that only where
+    coordinate 0 is below the least distance found so far, since no other
+    offset can beat it.  Returns (distance, witness delta): the first
+    minimiser in C order of the half box."""
+    d, u = action.d, action.u
     axes = [np.arange(extent, dtype=np.float64)] \
         + [np.arange(1 - extent, extent, dtype=np.float64)] * (d - 1)
-    shape = (extent,) + (m,) * (d - 1)
-    dist = np.zeros(shape)
-    t, near = np.empty(shape), np.empty(shape)
-    for c in range(action.k):
-        # t summed from 0 in axis order, as outer sums; the last in place
-        part = np.zeros(())
-        for i in range(d - 1):
-            part = np.add.outer(part, axes[i] * action.u[i, c])
-        np.add.outer(part, axes[-1] * action.u[-1, c], out=t)
-        np.rint(t, out=near)
-        np.subtract(t, near, out=t)
-        np.abs(t, out=t)
-        np.maximum(dist, t, out=dist)
-    origin = (0,) + (extent - 1,) * (d - 1)
-    dist[origin] = np.inf
-    idx = np.unravel_index(int(np.argmin(dist)), shape)
-    delta = tuple(int(j) - o for j, o in zip(idx, origin))
-    return float(dist[idx]), delta
+    slab = (2 * extent - 1) ** (d - 1)
+    step = max(1, SCAN_BLOCK // slab)
+    # three arrays, not one of thrice the size: glibc raises its mmap
+    # threshold to the largest block freed, and the heap grows with it
+    bufs = [np.empty(min(step, extent) * slab) for _ in range(3)]
+    best, witness = np.inf, (0,) * d
+    for lo in range(0, extent, step):
+        block = [axes[0][lo:lo + step]] + axes[1:]
+        shape = tuple(len(ax) for ax in block)
+        dist, t, near = (b[:math.prod(shape)].reshape(shape) for b in bufs)
+        _coord_dist(block, u[:, 0], dist, near)
+        dist = dist.ravel()
+        if lo == 0:     # every offset, but the origin delta = 0
+            dist[np.ravel_multi_index((0,) + (extent - 1,) * (d - 1),
+                                      shape)] = np.inf
+            cand = np.arange(dist.size)
+            for c in range(1, action.k):
+                np.maximum(dist, _coord_dist(block, u[:, c], t, near).ravel(),
+                           out=dist)
+        else:
+            cand = np.flatnonzero(dist < best)
+            dist = dist[cand]
+            idx = np.unravel_index(cand, shape)
+            for c in range(1, action.k):
+                tc = np.zeros(cand.size)
+                for ax, j, g in zip(block, idx, u[:, c]):
+                    tc += ax[j] * g
+                np.maximum(dist, np.abs(tc - np.rint(tc)), out=dist)
+        if dist.size and dist.min() < best:
+            j = int(np.argmin(dist))
+            best = float(dist[j])
+            at = np.unravel_index(int(cand[j]), shape)
+            witness = tuple(int(ax[i]) for ax, i in zip(block, at))
+    return best, witness
 
 
 @dataclass(frozen=True)
@@ -336,6 +388,9 @@ def sample_field(window: LatticeWindow, action: ActionSpec,
     if not measures_match(shape_a, shape_b, MEASURE_TOL):
         raise ValueError("lambda(A) != lambda(B): %r vs %r"
                          % (shape_a.measure(), shape_b.measure()))
+    if scan_size(window) > SCAN_MAX:
+        raise ValueError("window too large: the freeness scan covers %d "
+                         "offsets, past %d" % (scan_size(window), SCAN_MAX))
     try:
         sep, delta = min_orbit_separation(action, window.L)
         if sep <= FREENESS_TOL:

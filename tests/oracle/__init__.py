@@ -7,11 +7,12 @@ level by level on full-window grids, as the package summed it before
 forming only the kept slots.  `edges` reads and writes one edge flow by
 vertex coordinates, and `cyclegraph` builds the boundary 3-cycle graph
 from shared vertices.  `freeness` is the full-box orbit separation
-scan, within 2^-52 of the exact distance.  `locality` is the
-verifier's unmatched-locality check one edge direction at a time,
-`piecescsv` the piece CSV read one row at a time, and `arcs` the
-supply-flow solver's CSR laid out by np.lexsort.  `morphology` is the
-cover path's box dilation and component labelling on scipy.ndimage, and
-`ppm` the plain PPM writer one pixel at a time.  None of them is
-imported by the package.
+scan, within 2^-52 of the exact distance, and `gridpoints` the orbit
+grid summed with the torus coordinate last and reduced by np.mod.
+`locality` is the verifier's unmatched-locality check one edge
+direction at a time, `piecescsv` the piece CSV read one row at a time,
+and `arcs` the supply-flow solver's CSR laid out by np.lexsort.
+`morphology` is the cover path's box dilation and component labelling
+on scipy.ndimage, and `ppm` the plain PPM writer one pixel at a time.
+None of them is imported by the package.
 """

@@ -422,9 +422,10 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
 def test_config_past_int64_and_window_past_memory(tmp_path, capsys):
     """A d or n0 of 2^63 is a config error found without building the
     2^63-bit flow bound, so is a voronoi_r of 2^63, and a window whose
-    freeness scan exceeds any address space (1.6 EiB here, refused at
-    once) is an infeasible sample stage for square.  verify reads the whole run before it samples, so
-    with that window it stops at the tiling (128 TiB, refused too)."""
+    freeness scan covers more than lattice.SCAN_MAX offsets (2.3e17
+    here) is an infeasible sample stage for square.  verify reads the
+    whole run before it samples, so with that window it stops at the
+    tiling (128 TiB, refused too)."""
     for key, value in (("n0", 2 ** 63), ("d", 2 ** 63)):
         assert main(["square", "--set", "%s=%d" % (key, value)]) \
             == EXIT_CONFIG
@@ -444,6 +445,25 @@ def test_config_past_int64_and_window_past_memory(tmp_path, capsys):
     assert main(["verify", "--dir", out] + sum(
         (["--set", kv] for kv in TOY + big), [])) == EXIT_VERIFY
     assert "cannot rebuild tiling" in capsys.readouterr().out
+
+
+def test_window_just_past_the_scan_bound(tmp_path, capsys, monkeypatch):
+    """L=29 is the first side past the bound in d=5: its half box of
+    29 * 57^4 = 3.1e8 offsets exceeds lattice.SCAN_MAX (2^28), so square
+    exits at once as an infeasible sample stage, with neither the
+    freeness scan nor the orbit grid started."""
+    import equidecomp.lattice as lattice
+
+    def started(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(lattice, "min_orbit_separation", started)
+    monkeypatch.setattr(lattice.ActionSpec, "grid_points", started)
+    assert run("square", str(tmp_path / "run"), extra=["d=5", "L=29"]) \
+        == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: sample: window too large: the "
+                          "freeness scan covers 306124029 offsets"), err
 
 
 def test_rebuild_failure_names_its_cause(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from equidecomp.config import build_config
 from equidecomp.equidecompose import (
     KSelectionError,
+    PieceMap,
     box_boundary_edges,
     build_matching,
     extract_pieces,
@@ -353,6 +354,42 @@ def test_extract_pieces_grouping_and_bounds():
                           matching.pair_b[order])
     report = verify_equidecomposition(pieces, fld)
     assert report["ok"], report
+
+
+def _piece_map(gamma):
+    """A PieceMap holding gamma; n_pieces reads nothing else."""
+    g = np.asarray(gamma, dtype=np.int64)
+    none = np.zeros(0, dtype=np.int64)
+    return PieceMap(a_flat=np.arange(len(g)), gamma=g, piece_id=none,
+                    unmatched_a=none, unmatched_b=none, tiling=None,
+                    used=np.zeros(0, dtype=bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.data())
+def test_n_pieces_counts_distinct_rows(d, data):
+    """n_pieces counts gamma's distinct rows as np.unique(axis=0) does:
+    gamma comes from an untrusted CSV in verify, so every int64 counts,
+    values near +-2^62 included, and repeated rows count once."""
+    value = st.one_of(st.integers(-3, 3),
+                      st.integers(-2 ** 63, 2 ** 63 - 1),
+                      st.integers(2 ** 62 - 2, 2 ** 62 + 2),
+                      st.integers(-2 ** 62 - 2, -2 ** 62 + 2))
+    rows = data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                              max_size=40))
+    if rows:
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=10))
+    g = np.array(rows, dtype=np.int64).reshape(-1, d)
+    assert _piece_map(g).n_pieces == len(np.unique(g, axis=0))
+
+
+def test_n_pieces_empty_one_row_and_int64_edges():
+    big = 2 ** 62
+    for rows, want in ((np.zeros((0, 3), dtype=np.int64), 0),
+                       ([[5, -2]], 1),
+                       ([[big, -big], [big, -big], [big - 1, -big],
+                         [big, 1 - big], [-big, big]], 4)):
+        assert _piece_map(rows).n_pieces == want
 
 
 def test_piece_count_bound_three_dimensional():

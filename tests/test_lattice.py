@@ -4,11 +4,13 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equidecomp import lattice
 from equidecomp.lattice import (FREENESS_TOL, ActionSpec, IndicatorField,
                                 LatticeWindow, all_directions,
                                 choose_lattice_dimension, directions,
@@ -18,7 +20,7 @@ from equidecomp.lattice import (FREENESS_TOL, ActionSpec, IndicatorField,
                                 min_orbit_separation, orbit_points,
                                 reduce_mod1, sample_field)
 from equidecomp.shapes import parse_shape
-from oracle import freeness
+from oracle import freeness, gridpoints
 
 
 def test_directions_are_half_of_nonzero():
@@ -78,6 +80,39 @@ def test_reduce_mod1_snaps_near_integers():
     assert r[0] == 0.0 and r[1] == 0.0 and r[2] == 0.75
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                          min_value=-2.0 ** 60, max_value=2.0 ** 60),
+                max_size=30))
+def test_reduce_mod1_is_np_mod_bit_for_bit(xs):
+    """x - floor(x) rounds the exact value np.mod(x, 1.0) rounds: the same
+    bits for negatives, signed zeros, values next to integers and halves
+    at the edge of float precision."""
+    special = [0.0, -0.0, -1e-300, 1e-300, -0.25, 0.5, -1.0, 3.0,
+               np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0),
+               np.nextafter(2.0, 3.0), np.nextafter(-2.0, -3.0),
+               2.0 ** 52 + 0.5, 2.0 ** 52 - 0.5, -(2.0 ** 52) + 0.5,
+               -(2.0 ** 52) - 0.5, 2.0 ** 53 + 2.0, -1e-17, 1 - 1e-13]
+    x = np.array(xs + special, dtype=np.float64)
+    assert _same_bits(reduce_mod1(x), gridpoints.reduce_mod1(x))
+
+
+def test_first_primes_by_trial_division():
+    primes = lattice._first_primes(128)
+    assert len(primes) == 128 and primes[-1] == 719
+    assert all(type(p) is int for p in primes)
+    assert primes == [n for n in range(2, 720)
+                      if all(n % q for q in range(2, math.isqrt(n) + 1))]
+    for count in range(1, 40):
+        assert lattice._first_primes(count) == primes[:count]
+
+
 def test_choose_lattice_dimension_pinned():
     assert choose_lattice_dimension(1, 0) == 3
     assert choose_lattice_dimension(2, 1) == 5
@@ -93,6 +128,26 @@ def test_grid_points_matches_naive():
     idx = np.indices((N,) * 3).reshape(3, -1).T
     naive = reduce_mod1(idx @ act.u + act.x0)
     assert np.allclose(pts, naive, atol=1e-12)
+
+
+_coord = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=5), st.data())
+def test_grid_points_equals_per_axis_oracle(k, d, data):
+    """The per-coordinate planes give the bits of the per-axis (..., k)
+    accumulation reduced by np.mod, also for generators and base points
+    that are negative or past 1."""
+    u = data.draw(st.lists(_coord, min_size=d * k, max_size=d * k))
+    x0 = data.draw(st.lists(_coord, min_size=k, max_size=k))
+    ns = data.draw(st.lists(st.integers(min_value=1, max_value=5),
+                            min_size=d, max_size=d))
+    act = ActionSpec(k=k, d=d, u=u, x0=x0)
+    x = data.draw(st.none() | st.lists(_coord, min_size=k, max_size=k))
+    assert _same_bits(act.grid_points(ns, x),
+                      gridpoints.grid_points(act, ns, x))
 
 
 def test_orbit_points_shifted_base():
@@ -223,10 +278,17 @@ _entry = st.one_of(_eighths,
 def test_min_orbit_separation_property(k, d, extent, data):
     u = data.draw(st.lists(_entry, min_size=d * k, max_size=d * k))
     act = ActionSpec(k=k, d=d, u=u, x0=[0.0] * k)
-    sep = _check_against_oracle(act, extent)
+    block = data.draw(st.sampled_from([1, 5, lattice.SCAN_BLOCK]))
+    with mock.patch.object(lattice, "SCAN_BLOCK", block):
+        sep = _check_against_oracle(act, extent)
+        delta = min_orbit_separation(act, extent)[1]
     box = [g for g in itertools.product(range(1 - extent, extent), repeat=d)
            if any(g)]
     assert sep == min(_exact_dist(act, g) for g in box)
+    # the witness is the first minimiser of the half box in C order,
+    # whatever the block size
+    half = [g for g in box if g[0] >= 0]
+    assert delta == next(g for g in half if _exact_dist(act, g) == sep)
     if all(v * 8 == int(v * 8) for v in u):
         # exact rationals: not free on the window iff some offset's
         # translation is integral in every coordinate
@@ -237,8 +299,9 @@ def test_min_orbit_separation_property(k, d, extent, data):
 
 
 def test_min_orbit_separation_memory():
-    """The demo-sized scan holds three half-box float64 arrays (31 MiB)
-    and no (..., k) temporary."""
+    """The demo-sized scan (a half box of 1.3M offsets, 10 MiB as one
+    float64 array) holds three float64 buffers of one block of about
+    2^17 offsets (4.2 MiB traced in all), and no (..., k) temporary."""
     act = ActionSpec.from_seed(2, 5, seed=7)
     tracemalloc.start()
     try:
@@ -246,7 +309,13 @@ def test_min_orbit_separation_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * 2 ** 20
+    assert peak <= 8 * 2 ** 20
+
+
+def test_scan_bound_in_d5():
+    """The scan bound admits d=5 up to L=28 and refuses L=29."""
+    assert lattice.scan_size(LatticeWindow(d=5, L=28)) == 28 * 55 ** 4 \
+        <= lattice.SCAN_MAX < lattice.scan_size(LatticeWindow(d=5, L=29))
 
 
 def test_from_seed_deterministic_and_small():

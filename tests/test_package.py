@@ -186,6 +186,17 @@ def test_scipy_is_csgraph_at_module_level(tmp_path):
                          "'--dir', %r]) == 0" % (square, out)) == "[]"
 
 
+def test_config_loads_no_scipy():
+    """The config module validates with arithmetic on the window alone:
+    importing it loads no scipy module, the cover level bound included."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, equidecomp.config; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
+
+
 def test_each_input_passed_once():
     """The base point lives only in the action, and windows and the piece
     scale are read off the objects that carry them: the arguments and
