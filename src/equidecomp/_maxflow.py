@@ -25,8 +25,9 @@ max-flow call the layout holds 8 bytes per arc (an arc is one direction
 of an edge, or a source or sink arc): heads 4 and capacities 4.  scipy's
 own copies, the graph with reverse arcs added, its transpose and the
 edge pointers, take about 30 more; that part is the floor.  On the
-demo's repair graph (1.07M arcs) the tracemalloc peak of one solve is
-about 36 bytes per arc.
+demo's repair graph (1.07M arcs), which is built only when repair's
+descent is refused, the tracemalloc peak of one solve is about 36 bytes
+per arc.
 """
 
 from __future__ import annotations

@@ -96,8 +96,9 @@ def cmd_flow(cfg: RunConfig) -> int:
     write_json(os.path.join(out, "flow.json"),
                {"config": cfg.to_dict(), **flow.summary})
     rep = flow.summary["repair"]
-    print("flow: exact on core, repair doublings=%d max_correction=%g"
-          % (rep["doublings"], rep["max_correction"]))
+    print("flow: exact on core, repair route=%s doublings=%d "
+          "max_correction=%g"
+          % (rep["route"], rep["doublings"], rep["max_correction"]))
     return EXIT_OK
 
 

@@ -324,6 +324,76 @@ def spill_to_frontier(values: np.ndarray, window: LatticeWindow,
     return int(np.abs(take).max(initial=0))
 
 
+def _descend_to_frontier(values: Callable[[], np.ndarray],
+                         window: LatticeWindow, residual: np.ndarray,
+                         unit: int) -> Tuple[Optional[np.ndarray], int]:
+    """Route residual (a core-box grid of supplies) into the frontier
+    down a spanning forest of the core, without a max-flow solve.
+
+    In core-box coordinates a vertex x has depth 1 + its L-infinity
+    distance to the outside of the box, so the rim is depth 1.  Below
+    the rim, x's parent is x + g for the lexicographically first signed
+    direction g that lowers the depth: g = (-1, ..., -1) when some
+    coordinate of x is nearest its low face, and otherwise (-1, ..., -1)
+    with +1 at the last coordinate nearest its high face.  That is the
+    first arc Dinic's search meets in _route_to_frontier's CSR order.
+    Layer by layer, deepest first, each vertex passes its subtree's
+    supply e[x] over the edge x -> parent(x), and each rim vertex spills
+    what reaches it with spill_to_frontier(..., unit).  No edge is the
+    parent edge of both its ends, so each edge changes once.
+
+    The routing is taken only when every subtree sum fits int64 (sum
+    |residual| does, checked before any is formed), every edge carries
+    at most unit and every frontier take is at most unit.  Then values()
+    gives the edge array to change, and the result is (that array, the
+    largest change); otherwise (None, 0), and values() is never called.
+    """
+    lo, hi = window.core_bounds
+    side, d = hi - lo, window.d
+    # sum |residual|, exactly: the halves of each 64-bit magnitude
+    # (|int64 min| wraps back to 2^63 in uint64) sum without overflow
+    mag = np.abs(residual).astype(np.uint64).ravel()
+    if ((int(np.sum(mag >> np.uint64(32))) << 32)
+            + int(np.sum(mag & np.uint64(0xFFFFFFFF)))
+            > np.iinfo(np.int64).max):
+        return None, 0
+    # up = depth - 1, the distance to the nearest face; g . strides is
+    # -sum(strides), plus 2 strides[j] where no coordinate is nearest its
+    # low face and j is the last one nearest its high face
+    x = np.ogrid[(slice(side),) * d]
+    strides = side ** np.arange(d - 1, -1, -1)
+    up = np.full((side,) * d, side)
+    for c in x:
+        np.minimum(up, np.minimum(c, side - 1 - c), out=up)
+    low = np.zeros(up.shape, dtype=bool)
+    step = np.zeros(up.shape, dtype=np.int64)
+    for c, stride in zip(x, strides.tolist()):
+        low |= c == up
+        np.copyto(step, 2 * stride, where=side - 1 - c == up)
+    up = up.ravel()
+    parent = np.where(low, 0, step).ravel() - strides.sum()
+    parent += np.arange(len(parent))
+    # the layers from the deepest to the rim, which comes last
+    layers = np.split(np.argsort(-up, kind="stable"),
+                      np.cumsum(np.bincount(up)[::-1])[:-1])
+    e = residual.astype(np.int64).ravel()
+    for layer in layers[:-1]:
+        if np.abs(e[layer]).max() > unit:
+            return None, 0
+        np.add.at(e, parent[layer], e[layer])
+    _, rows, slots = _rim_frontier_slots(window)
+    amount = e[rows]
+    if (-(-np.abs(amount) // unit) > slots.sum(axis=0)).any():
+        return None, 0
+    inner = np.flatnonzero((up > 0) & (e != 0))
+    core = np.flatnonzero(window.core_mask())
+    row, at, sign = edge_slots(window, core[inner], core[parent[inner]])
+    out = values()
+    out[row, at] += sign * e[inner]
+    return out, max(int(np.abs(e[inner]).max(initial=0)),
+                    spill_to_frontier(out, window, amount, unit))
+
+
 def _route_to_frontier(values: Callable[[], np.ndarray],
                        window: LatticeWindow, residual: np.ndarray, caps,
                        rim_caps, spill_cap: int
@@ -451,14 +521,21 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
     one ring).
     residual is residual_num(field, consumed_psi) over the core box, which
     the caller has already computed; the repaired flow's own residual is
-    recomputed from field and checked.  _route_to_frontier routes the
-    correction over core-core edges of capacity capacity_units (in flow
-    units; the tail bound rounded up plus one), and each rim vertex's arc
-    carries the capacity of all its frontier edges, which then take up to
-    that capacity each.  When the tail estimate is too tight — small
-    margins legitimately exceed it — the capacity doubles and the solve
-    repeats, up to MAX_DOUBLINGS times; the values change only once a
-    solve succeeds.
+    recomputed from field and checked.
+
+    Two routes, and info["route"] names the one taken.  The descent,
+    _descend_to_frontier, passes each subtree's residual one edge toward
+    the frontier and is taken when no edge change and no frontier take
+    exceeds one flow unit.  A unit is at most the capacity below, so an
+    accepted descent is a feasible routing at doubling 0 and changes no
+    bound.  Otherwise Dinic: _route_to_frontier routes the correction
+    over core-core edges of capacity capacity_units (in flow units; the
+    tail bound rounded up plus one), and each rim vertex's arc carries
+    the capacity of all its frontier edges, which then take up to that
+    capacity each.  When the tail estimate is too tight — small margins
+    legitimately exceed it — the capacity doubles and the solve repeats,
+    up to MAX_DOUBLINGS times.  On either route the values change only
+    once the routing is known to fit.
     """
     psi = consumed_psi
     window = psi.window
@@ -471,7 +548,7 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
 
     k_cnt = _rim_frontier_slots(window)[2].sum(axis=0, dtype=np.int64)
     top = max(int(psi.values.max(initial=0)), -int(psi.values.min(initial=0)))
-    doublings = 0
+    route, doublings = "descent", 0
     while True:
         cap = np.int64((capacity_units << doublings) << s)
         # phi = psi + correction; every corrected edge is corrected once,
@@ -479,9 +556,17 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
         # cap, so |phi| <= top + cap
         dtype = np.promote_types(psi.values.dtype,
                                  narrow_int(top + int(cap) + 1))
+        args = (lambda: psi.values.astype(dtype, copy=False), window,
+                residual)
+        if route == "descent":
+            # one flow unit is at most cap, so an accepted descent is a
+            # feasible flow at doubling 0
+            h, max_correction = _descend_to_frontier(*args, 1 << s)
+            if h is not None:
+                break
+            route = "dinic"
         h, max_correction = _route_to_frontier(
-            lambda: psi.values.astype(dtype, copy=False), window,
-            residual, (cap, cap), (k_cnt * cap,) * 2, cap)
+            *args, (cap, cap), (k_cnt * cap,) * 2, cap)
         if h is not None:
             break
         doublings += 1
@@ -497,6 +582,7 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
     if residual_num(field, phi).any():
         raise AssertionError("repair left a core residual")
     info = {
+        "route": route,
         "capacity_units": int(capacity_units),
         "doublings": int(doublings),
         "supply_abs_num": supply_abs,

@@ -14,5 +14,7 @@ direction at a time, `piecescsv` the piece CSV read one row at a time,
 and `arcs` the supply-flow solver's CSR laid out by np.lexsort.
 `morphology` is the cover path's box dilation and component labelling
 on scipy.ndimage, and `ppm` the plain PPM writer one pixel at a time.
+`descent` is repair's frontier descent one vertex at a time, each
+parent found by trying every signed direction, in Python ints.
 None of them is imported by the package.
 """

@@ -333,6 +333,8 @@ def test_flow_and_integralize_artifacts(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "flow.bin"))
     meta = json.loads((tmp_path / "run" / "flow.json").read_text())
     assert meta["repair"]["doublings"] >= 0
+    assert meta["repair"]["route"] in ("descent", "dinic")
+    assert "route=%s " % meta["repair"]["route"] in capsys.readouterr().out
     sections = {"config", "field", "envelope", "truncation", "repair"}
     assert set(meta) == sections
     assert run("integralize", out) == EXIT_OK

@@ -8,13 +8,17 @@ directory differs between runs), `flow.bin`, `integral_flow.bin` and the
 demo rasters (the random configs: `pieces.csv` and `summary.json` only),
 and are stored in tests/golden/digests.json.
 
+The goldens hold both repair routes: the configs in DESCENT (the demo
+and flat_cover) route their residual by the descent, every other config
+by Dinic, and each test checks its config's route.
+
 A change that alters an artifact on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-which first prints, per config, the artifacts whose digest moved, and
-says which output changed and why.  A digest is never rewritten to make
-a failure go away.
+which first prints, per config, its repair route, its unmatched fraction
+and the artifacts whose digest moved, and says which output changed and
+why.  A digest is never rewritten to make a failure go away.
 """
 
 import hashlib
@@ -95,6 +99,8 @@ RANDOM = {
                   "x0=0.0030", "tiling=voronoi", "voronoi_r=2"],
 }
 
+DESCENT = {"demo", "flat_cover"}
+
 SQUARE_FILES = ("pieces.csv", "summary.json")
 RASTERS = ("pieces_a.ppm", "pieces_b.ppm")
 FLOW_FILES = ("flow.bin", "integral_flow.bin")
@@ -110,9 +116,16 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def unmatched_frac(summary: dict) -> float:
+    """Unmatched points over all points of A and B."""
+    pieces = summary["pieces"]
+    unmatched = pieces["unmatched_a"] + pieces["unmatched_b"]
+    return unmatched / (2 * pieces["matched"] + unmatched)
+
+
 def artifact_digests(name: str, out: Path) -> dict:
     """Run one reference or random config into `out` and digest what it
-    writes."""
+    writes; its summary stays in `out`."""
     pairs = RANDOM[name] if name in RANDOM else CONFIGS[name]
     sets = sum((["--set", kv] for kv in pairs + ["out=%s" % out]), [])
     assert main(["square"] + sets) == EXIT_OK, name
@@ -134,22 +147,34 @@ def test_golden_artifacts(name, tmp_path, capsys):
     want = json.loads(DIGESTS.read_text())[name]
     got = artifact_digests(name, tmp_path / name)
     capsys.readouterr()
+    summary = json.loads((tmp_path / name / "summary.json").read_text())
+    assert summary["repair"]["route"] == (
+        "descent" if name in DESCENT else "dinic")
     assert got == want
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    import contextlib
+    import io
     import tempfile
+    table, summaries = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        table = {n: artifact_digests(n, Path(tmp) / n)
-                 for n in list(CONFIGS) + list(RANDOM)}
+        for n in list(CONFIGS) + list(RANDOM):
+            with contextlib.redirect_stdout(io.StringIO()):
+                table[n] = artifact_digests(n, Path(tmp) / n)
+            summaries[n] = json.loads((Path(tmp) / n / "summary.json")
+                                      .read_text())
     stored = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     for name, files in table.items():
         old = stored.get(name, {})
         moved = sorted(f for f in set(files) | set(old)
                        if files.get(f) != old.get(f))
-        print("%-14s %s" % (name, ", ".join(moved) if moved else "unchanged"))
+        print("%-14s %-7s %.4f  %s" % (
+            name, summaries[name]["repair"]["route"],
+            unmatched_frac(summaries[name]),
+            ", ".join(moved) if moved else "unchanged"))
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(table, sort_keys=True, indent=2) + "\n")
     print("wrote %s" % os.path.relpath(DIGESTS))

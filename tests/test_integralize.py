@@ -29,6 +29,7 @@ from equidecomp.pipeline import build_flow
 from equidecomp.tiling import Region, ball_mask
 from oracle.arcs import edge_csr, solve_supply_flow
 from oracle.cyclegraph import boundary_cycle_graph
+from oracle.descent import descend
 from oracle.edges import add_flow
 
 
@@ -573,3 +574,93 @@ def test_spill_to_frontier_hand_example():
     amount[corner] = 11
     with pytest.raises(AssertionError, match="left 1 units"):
         spill_to_frontier(EdgeField(w, 0).values, w, amount, 2)
+
+
+def _descent_against_oracle(w, residual, unit, values):
+    """Run _descend_to_frontier on values and check it against
+    oracle.descent.descend: a refusal never asks for the edge array and
+    leaves it untouched; an accepted descent changes the array the oracle
+    does and reports the same largest change.  Returns whether it was
+    accepted."""
+    before = values.copy()
+    asked = []
+
+    def give():
+        asked.append(True)
+        return values
+
+    got, largest = integralize._descend_to_frontier(give, w, residual, unit)
+    want = descend(before, w, residual, unit)
+    if want is None:
+        assert got is None and largest == 0 and not asked
+        assert np.array_equal(values, before)
+        return False
+    assert got is values and asked == [True]
+    assert np.array_equal(got, want[0]) and largest == want[1]
+    return True
+
+
+# the largest core side tried per d, so that the oracle stays quick
+DESCENT_SIDE = {1: 7, 2: 7, 3: 7, 4: 6, 5: 4}
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 5), side=st.integers(1, 7), margin=st.integers(1, 2),
+       s=st.integers(0, 3), amp=st.integers(0, 3),
+       density=st.sampled_from([0.05, 0.3, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(d=2, side=7, margin=1, s=2, amp=1, density=0.05, seed=1)
+@example(d=3, side=6, margin=2, s=0, amp=1, density=0.3, seed=2)
+@example(d=5, side=4, margin=1, s=1, amp=1, density=0.05, seed=3)
+@example(d=1, side=7, margin=1, s=3, amp=3, density=1.0, seed=4)
+def test_descent_is_the_oracle(d, side, margin, s, amp, density, seed):
+    """The vectorised descent, its closed-form parents and its acceptance
+    rule against the per-vertex oracle, on d = 1..5 and core sides 1 to 7
+    (a window has a core of side 1 at least; d = 4 and 5 stop at the
+    sides DESCENT_SIDE allows), with residuals of up to amp units at unit
+    2^s.  An accepted descent is an exact routing of the residual into
+    the frontier that changes no value by more than one unit."""
+    assume(side <= DESCENT_SIDE[d])
+    rng = np.random.default_rng(seed)
+    w = LatticeWindow(d=d, L=side + 2 * margin, margin=margin)
+    unit = 1 << s
+    residual = (rng.integers(-amp * unit, amp * unit + 1, size=(side,) * d)
+                * (rng.random((side,) * d) < density))
+    values = rng.integers(-9, 10, size=(len(directions(d)), w.n_vertices))
+    before = values.copy()
+    if _descent_against_oracle(w, residual, unit, values):
+        change = EdgeField(w, 0, values - before)
+        assert np.array_equal(change.divergence_num(core=True), residual)
+        assert np.abs(change.values).max(initial=0) <= unit
+
+
+BIG = 1 << 62
+
+
+@pytest.mark.parametrize("residual, unit, accepted", [
+    ([-(BIG - 1), BIG, 0], BIG, True),     # sum |residual| = 2^63 - 1
+    ([-BIG, BIG, 0], BIG, False),          # 2^63: refused, though it fits
+    ([-(1 << 63) + 1, 0, 0], (1 << 63) - 1, True),
+    ([-(1 << 63), 0, 0], (1 << 63) - 1, False),  # |int64 min| is 2^63
+])
+def test_descent_int64_guard(residual, unit, accepted):
+    """The descent forms no subtree sum before sum |residual| is known to
+    fit int64, on d=1 with core side 3: vertex 1's parent is 0, and each
+    end of the core has one frontier edge.  At these units every edge
+    and frontier check passes, so the guard alone decides."""
+    w = LatticeWindow(d=1, L=5, margin=1)
+    values = np.zeros((1, w.n_vertices), dtype=np.int64)
+    assert _descent_against_oracle(w, np.array(residual, dtype=np.int64),
+                                   unit, values) == accepted
+
+
+def test_descent_guard_stops_a_wrapping_sum():
+    """Two supplies of 3 * 2^61 meet on vertex 1 of a core of side 5 (the
+    chain 2 -> 1 -> 0).  In int64 their sum wraps to -2^62, which would
+    pass every check at a unit of 3 * 2^61 and be spilled as a wrong
+    flow; the guard refuses first."""
+    w = LatticeWindow(d=1, L=7, margin=1)
+    unit = 3 << 61
+    residual = np.array([0, unit, unit, 0, 0], dtype=np.int64)
+    values = np.zeros((1, w.n_vertices), dtype=np.int64)
+    assert not _descent_against_oracle(w, residual, unit, values)

@@ -105,6 +105,7 @@ def test_repair_widens_a_narrow_truncated_flow_after_the_solve(monkeypatch):
     psi_t, = seen
     assert psi_t.values.dtype == np.int8 and res.phi.values.dtype == np.int16
     rep = res.summary["repair"]
+    assert rep["route"] == "dinic"
     cap = (rep["capacity_units"] << rep["doublings"]) << psi_t.scale_exp
     assert cap == 1 << 9
     assert (np.abs(res.phi.values.astype(np.int64))
@@ -140,13 +141,9 @@ DEMO = {"k": "2", "delta": "1", "L": "10", "margin": "2", "n0": "1",
         "shape_b": "rect:1/20:1/20:235416/665857:235416/665857"}
 
 
-def test_repair_memory(monkeypatch):
-    """On the demo config (d=5, L=10, margin=2, n0=1; 1.07M arcs) repair's
-    tracemalloc peak above its entry stays below 50 MB: the router frees
-    its CSR once the solver has laid it out, a one-phase solve builds no
-    int64 residuals, and the repaired flow is int16 (7.9 MB) rather than
-    int64 (31.7 MB).  It measured 41 MB, and 60 MB with the router's CSR,
-    the int64 residuals and an int64 flow alive."""
+def _repair_peak(monkeypatch):
+    """Repair's tracemalloc peak above its entry on the demo config, and
+    the route it took."""
     peaks = []
 
     def traced(*args):
@@ -163,7 +160,32 @@ def test_repair_memory(monkeypatch):
     flow = pipeline.build_flow(cfg.window(), cfg.action(), *cfg.shapes(),
                                n0=cfg.n0)
     assert flow.phi.values.dtype == np.int16
-    assert peaks[0] < 50e6, peaks
+    return peaks[0], flow.summary["repair"]["route"]
+
+
+def test_repair_memory(monkeypatch):
+    """On the demo config (d=5, L=10, margin=2, n0=1; 1.07M arcs), with
+    the descent made to refuse, repair's tracemalloc peak above its entry
+    on the Dinic route stays below 50 MB: the router frees its CSR once
+    the solver has laid it out, a one-phase solve builds no int64
+    residuals, and the repaired flow is int16 (7.9 MB) rather than int64
+    (31.7 MB).  It measured 39 MB, and 60 MB with the router's CSR, the
+    int64 residuals and an int64 flow alive."""
+    monkeypatch.setattr(integralize, "_descend_to_frontier",
+                        lambda *args: (None, 0))
+    peak, route = _repair_peak(monkeypatch)
+    assert route == "dinic"
+    assert peak < 50e6, peak
+
+
+def test_repair_memory_on_the_descent(monkeypatch):
+    """The demo's residual takes the descent, which builds no graph: its
+    tracemalloc peak above repair's entry stays below 30 MB.  It measured
+    24 MB, most of it the int16 repaired flow (7.9 MB) and the spill's
+    slot tables."""
+    peak, route = _repair_peak(monkeypatch)
+    assert route == "descent"
+    assert peak < 30e6, peak
 
 
 def test_repair_validation():
