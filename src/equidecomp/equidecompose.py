@@ -1,12 +1,14 @@
 """Tile-scale selection, transfer aggregation, matching, and pieces.
 
 The endgame of the construction.  Partition the core into boxes of side K
-or K+1, sum the integral flow over each pair of adjacent tiles to get a
-whole number of units that must move between them, serve each positive
-transfer with actual points (least-first on both sides), and match what
-remains within each tile.  Every matched point then moves by a lattice
-translation of max-norm below 2K + 4, so grouping assignments by their
-translation vector yields finitely many pieces.
+or K+1, with K scanned from the flow actually built (select_K only
+reports the far larger scale of the paper's boundary criterion), sum the
+integral flow over each pair of adjacent tiles to get a whole number of
+units that must move between them, serve each positive transfer with
+actual points (least-first on both sides), and match what remains within
+each tile.  Every matched point then moves by a lattice translation of
+max-norm below 2K + 4, so grouping assignments by their translation
+vector yields finitely many pieces.
 
 The window is finite, so tiles bordering the untiled frontier ring leak
 flow: their point imbalance equals that leakage exactly (the divergence
@@ -27,73 +29,43 @@ import numpy as np
 
 from .flowgrid import EdgeField
 from .lattice import IndicatorField, LatticeWindow, flat_shifts
-from .tiling import Tiling, _axis_sides, rect_tiling
+from .tiling import Tiling, rect_tiling
 
 
 def box_boundary_edges(sides: Sequence[int]) -> int:
     """Exact number of lattice edges leaving a box with the given sides.
 
-    Summing over all 3^d - 1 directions gives 3^d vol - prod(3 s_i - 2);
-    sides given as broadcasting int64 arrays give the count per element.
+    Summing over all 3^d - 1 directions gives 3^d vol - prod(3 s_i - 2).
     """
-    vol, alt = 1, 1
-    for s in sides:
-        if np.any(np.asarray(s) < 1):
-            raise ValueError("box sides must be positive")
-        vol = vol * s
-        alt = alt * (3 * s - 2)
-    return 3 ** len(sides) * vol - alt
+    if min(sides) < 1:
+        raise ValueError("box sides must be positive")
+    return 3 ** len(sides) * math.prod(sides) - math.prod(
+        3 * s - 2 for s in sides)
 
 
-class KSelectionError(ValueError):
-    """No tile side in range passes the selection criterion."""
+def select_K(d: int, c: int) -> int:
+    """The least K with c * |edges leaving a K-cube| <= K^d, exact.
 
-    def __init__(self, msg: str, diagnostics: Optional[dict] = None):
-        super().__init__(msg)
-        self.diagnostics = diagnostics or {}
-
-
-def select_K(field: IndicatorField, c) -> int:
-    """Smallest K whose rectangular core tiling satisfies
-    c * |edges leaving V| <= min(|A cap V|, |B cap V|) on every tile V.
-
-    c must already include the integralization allowance (the fractional
-    flow bound rounded up, plus 3^d).  Raises KSelectionError when no
-    K <= core side / 4 works; at window scale that is the norm — the edge
-    count grows like c*K^(d-1) against point counts of order K^d / 4, so
-    the crossover K far exceeds any desk-size core — and the caller falls
-    back to select_K_empirical.  Tile counts are block sums; no tiling is
-    built.
+    This is the tile scale of the paper's boundary criterion, c_int *
+    |edges leaving V| <= |A cap V|, |B cap V| on every tile V: no smaller
+    cube holds enough points, so a rect tiling of at least four tiles per
+    axis can meet the criterion only once the core side reaches
+    4 * select_K(d, c_int).  run_pipeline reports it as
+    tiles.criterion_K, and nothing reads it.  The boundary's share of the
+    volume, 3^d - (3 - 2/K)^d, falls as K grows, so doubling and then
+    bisection find it.
     """
-    window = field.window
-    lo, hi = window.core_bounds
-    side = hi - lo
-    c_int = int(math.ceil(c))
-    k_max = side // 4
-    core = (slice(lo, hi),) * window.d
-    chi = np.stack([field.chi_a[core], field.chi_b[core]]).astype(np.int64)
-    diag: Dict[int, str] = {}
-    for K in range(1, k_max + 1):
-        sides, improper = _axis_sides(side, K)
-        if improper:
-            diag[K] = "improper tiling (remainder strip)"
-            continue
-        sides = np.asarray(sides, dtype=np.int64)
-        starts = np.cumsum(sides) - sides
-        counts = chi
-        for ax in range(1, window.d + 1):
-            counts = np.add.reduceat(counts, starts, axis=ax)
-        na, nb = counts                 # per tile, in tile index order
-        need = c_int * box_boundary_edges(np.ix_(*[sides] * window.d))
-        fail = np.flatnonzero(np.minimum(na, nb) < need)
-        if not len(fail):
-            return K
-        i = int(fail[0])
-        diag[K] = ("tile %d needs %d points per side, has A=%d B=%d"
-                   % (i, need.flat[i], na.flat[i], nb.flat[i]))
-    raise KSelectionError(
-        "no K <= %d satisfies the boundary-to-count criterion" % k_max
-        if k_max else "no K was tried: core side %d < 4" % side, diag)
+    def ok(K):
+        return c * box_boundary_edges((K,) * d) <= K ** d
+
+    hi = 1
+    while not ok(hi):
+        hi *= 2
+    lo = hi // 2                     # fails, or 0 when hi == 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
 
 
 def k_scan_max(window: LatticeWindow) -> int:
@@ -104,7 +76,7 @@ def k_scan_max(window: LatticeWindow) -> int:
 
 def select_K_empirical(psi: EdgeField, field: IndicatorField
                        ) -> Tuple[TileFlow, dict]:
-    """Fallback scale selection from the flow actually built.
+    """The automatic tile scale, read from the flow actually built.
 
     Scans K from 1 to k_scan_max and returns (tile flow, diagnostics) for
     the first proper tiling all of whose tiles can serve their aggregated
@@ -112,7 +84,9 @@ def select_K_empirical(psi: EdgeField, field: IndicatorField
     tf.tiling.K and tf.tiling.  If no K is fully clean, returns those of
     the K minimizing the number of infeasible tiles, with
     diagnostics["clean"] = False so the caller can flag the run as
-    best-effort.  K = 1 divides every core side, so some tiling is always
+    best-effort.  diagnostics["scanned"] maps each scanned K, in scan
+    order, to its count of infeasible tiles, or None when its tiling is
+    improper.  K = 1 divides every core side, so some tiling is always
     proper.  Each scanned K's tile flow is built from the flow's nonzero
     edges and the tiles' point counts, which also checks its balance.
     """
@@ -122,12 +96,12 @@ def select_K_empirical(psi: EdgeField, field: IndicatorField
     edges = _flow_edges(psi)
     core = window.core_mask()
     pts = [np.flatnonzero(chi & core) for chi in (field.chi_a, field.chi_b)]
-    scanned: Dict[int, object] = {}
+    scanned: Dict[int, Optional[int]] = {}
     best = None                                  # (bad count, tile flow)
     for K in range(1, k_scan_max(window) + 1):
         t = rect_tiling(window, K)
         if t.improper:
-            scanned[K] = "improper"
+            scanned[K] = None
             continue
         tf = _tile_flow(t, edges, pts)
         bad = int((~tf.feasible).sum())
@@ -137,7 +111,7 @@ def select_K_empirical(psi: EdgeField, field: IndicatorField
         if bad == 0:
             break
     bad, tf = best
-    return tf, {"clean": bad == 0, "scanned": scanned, "infeasible": bad}
+    return tf, {"clean": bad == 0, "scanned": scanned}
 
 
 def _flow_edges(psi: EdgeField) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,8 +194,8 @@ class TileFlow:
 
     @property
     def strict_bound_ok(self) -> np.ndarray:
-        """sum_S |Psi(R,S)| < min counts — the margin the scale selection
-        aims for; informational at window scale."""
+        """sum_S |Psi(R,S)| < min counts — the paper's strict margin,
+        which the scan does not require; informational at window scale."""
         total = self.need_out + self.need_in
         return (total < self.count_a) & (total < self.count_b)
 

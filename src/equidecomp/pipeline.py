@@ -15,10 +15,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .equidecompose import (KSelectionError, Matching, PieceMap, TileFlow,
-                            build_matching, extract_pieces, select_K,
-                            select_K_empirical, tile_flow,
-                            verify_equidecomposition)
+from .equidecompose import (Matching, PieceMap, TileFlow, build_matching,
+                            extract_pieces, select_K, select_K_empirical,
+                            tile_flow, verify_equidecomposition)
 from .flowgrid import (BoxEnvelope, EdgeField, certify_box_envelope,
                        integral_flow_bound, residual_num, tail_bound,
                        truncated_psi, truncation_error_bound)
@@ -124,20 +123,15 @@ def run_pipeline(window: LatticeWindow, action: ActionSpec,
         til = rect_tiling(window, K)
         k_info = {"source": "fixed"}
     else:
-        try:
-            k_sel = select_K(fld, c_int)
-        except KSelectionError as exc:
-            tf, diag = select_K_empirical(psi_int, fld)
-            til = tf.tiling
-            k_info = {"source": "empirical", "clean": diag["clean"],
-                      "infeasible": diag["infeasible"],
-                      "criterion_fail": str(exc)}
-        else:
-            til = rect_tiling(window, k_sel)
-            k_info = {"source": "boundary_criterion"}
+        tf, diag = select_K_empirical(psi_int, fld)
+        til = tf.tiling
+        k_info = {"source": "empirical", "clean": diag["clean"],
+                  "scan": [{"K": k, "infeasible": bad}
+                           for k, bad in diag["scanned"].items()]}
     summary["tiles"] = {
         "K": int(til.K), "K_eff": til.K_eff, "count": len(til.tiles),
         "improper": til.improper, "kind": tiling_kind, **k_info,
+        "criterion_K": select_K(window.d, c_int),
     }
 
     if tf is None:              # the empirical scan has aggregated its own

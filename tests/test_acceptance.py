@@ -373,6 +373,8 @@ def test_09_flagship_end_to_end(tmp_path, capsys):
     assert len(res.pieces.a_flat) > 0
     k_eff = res.summary["tiles"]["K_eff"]
     assert np.abs(res.pieces.gamma).max(initial=0) < 2 * k_eff + 4
+    # the paper's tile scale, against a core side of 16
+    assert res.summary["tiles"]["criterion_K"] == 2214
 
     tf = res.tileflow
     unused = ~res.pieces.used
@@ -432,6 +434,8 @@ def test_10_circle_squaring_demo(tmp_path, capsys):
     s = json.loads((tmp_path / "demo" / "summary.json").read_text())
     assert all(c["ok"] for c in s["verify"]["checks"].values())
     assert s["pieces"]["matched"] > 0
+    # the paper's tile scale at c_int = 246, against a core side of 6
+    assert s["tiles"]["criterion_K"] == 199259
     with capsys.disabled():
         _line(10, "circle-squaring-demo", True,
               "d=5, L=10: %d matched in %d pieces, raster emitted"

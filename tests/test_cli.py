@@ -211,9 +211,10 @@ def test_automatic_k_on_a_one_vertex_core(tmp_path, capsys):
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert summary["tiles"]["K"] == 1
     assert summary["tiles"]["source"] == "empirical"
-    # the boundary criterion scans K <= core side // 4, which is empty here
-    assert summary["tiles"]["criterion_fail"] == \
-        "no K was tried: core side 1 < 4"
+    assert summary["tiles"]["scan"] == [{"K": 1, "infeasible": 0}]
+    # the paper's boundary criterion needs tiles of side 2052 (c_int = 38)
+    assert summary["flow_bound"]["c_int"] == 38
+    assert summary["tiles"]["criterion_K"] == 2052
     assert main(["verify", "--dir", out]) == EXIT_OK
     assert capsys.readouterr().out.strip().endswith("verify: ok")
 

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from equidecomp.config import build_config
 from equidecomp.equidecompose import (
-    KSelectionError,
     PieceMap,
     box_boundary_edges,
     build_matching,
@@ -44,6 +43,24 @@ def brute_box_edges(sides):
             if w not in inside:
                 count += 1
     return count
+
+
+def test_select_k_is_the_least_passing_side():
+    """select_K(d, c) against a linear scan: for each d the least K with
+    c * (3^d K^d - (3K - 2)^d) <= K^d never falls as c grows, so one
+    sweep over K serves every c; K passes and K - 1 fails."""
+    def ok(d, c, K):
+        return c * (3 ** d * K ** d - (3 * K - 2) ** d) <= K ** d
+
+    for d in (1, 2, 3, 4, 5):
+        K = 1
+        for c in range(1, 301):
+            while not ok(d, c, K):
+                K += 1
+            assert select_K(d, c) == K, (d, c)
+            assert ok(d, c, K) and (K == 1 or not ok(d, c, K - 1))
+    assert select_K(1, 7) == 14                    # |edges leaving| = 2
+    assert select_K(2, 12) == 144                  # K^2 - 144K + 48 >= 0
 
 
 def test_box_boundary_edges_matches_enumeration():
@@ -474,45 +491,16 @@ def test_unmatched_locality_matches_reference(d, margin, core, kind, scale,
         til, used, np.concatenate([un_a, un_b]))
 
 
-def test_select_k_boundary_criterion():
-    w = LatticeWindow(d=2, L=104, margin=2)
-    par = np.indices(w.shape).sum(axis=0) % 2
-    fld = IndicatorField(window=w, chi_a=par == 0, chi_b=par == 1)
-    K = select_K(fld, c=0.5)
-    # the returned K satisfies the criterion; no smaller proper K does
-    need = lambda box: int(np.ceil(0.5)) * box_boundary_edges(box[1] - box[0])
-    for k in range(1, K + 1):
-        t = rect_tiling(w, k)
-        if t.improper:
-            assert k < K
-            continue
-        ok = all(min(int(fld.chi_a[box_slices(box)].sum()),
-                     int(fld.chi_b[box_slices(box)].sum())) >= need(box)
-                 for box in t.tiles)
-        assert ok == (k == K)
-
-
-def test_select_k_raises_with_diagnostics():
-    w = LatticeWindow(d=2, L=20, margin=2)
-    chi_a = np.zeros(w.shape, dtype=bool)
-    chi_b = np.zeros(w.shape, dtype=bool)
-    chi_a[5, 5] = chi_b[9, 9] = True
-    fld = IndicatorField(window=w, chi_a=chi_a, chi_b=chi_b)
-    with pytest.raises(KSelectionError) as exc:
-        select_K(fld, c=1.0)
-    assert exc.value.diagnostics                  # per-K failure reasons
-
-
 def test_select_k_empirical_clean_and_dirty():
     w = LatticeWindow(d=2, L=20, margin=2)
     # dense pairing: some K serves every tile from its own points
     pairs = [((x, y), (x, y + 1)) for x in range(3, 17, 2) for y in range(3, 16, 4)]
     psi, fld = path_flow(w, pairs)
     tf, diag = select_K_empirical(psi, fld)
-    assert diag["clean"] and diag["infeasible"] == 0
+    K = tf.tiling.K
+    assert diag["clean"] and diag["scanned"][K] == 0
     assert not (~tf.feasible).any()
     # the scan hands back the accepted K's own tiling and aggregation
-    K = tf.tiling.K
     assert np.array_equal(tf.tiling.tile_id, rect_tiling(w, K).tile_id)
     again = tile_flow(psi, rect_tiling(w, K), fld)
     for name in ("pair_src", "pair_dst", "pair_val", "row_ptr", "outflux"):
@@ -522,10 +510,10 @@ def test_select_k_empirical_clean_and_dirty():
     psi2, fld2 = path_flow(w, [((2, 2), (17, 17))])
     tf2, diag2 = select_K_empirical(psi2, fld2)
     assert not diag2["clean"]
-    assert diag2["infeasible"] >= 1
     # best effort: the tile flow is that of the best K
-    assert diag2["scanned"][tf2.tiling.K] == diag2["infeasible"]
-    assert int((~tf2.feasible).sum()) == diag2["infeasible"]
+    bad = diag2["scanned"][tf2.tiling.K]
+    assert bad == min(v for v in diag2["scanned"].values() if v is not None)
+    assert bad >= 1 and int((~tf2.feasible).sum()) == bad
 
 
 def test_tile_adjacency_grid():
@@ -582,49 +570,6 @@ def test_tile_layer_past_4096_tiles():
     assert bad > 0 and diag["scanned"][1] == bad
 
 
-def test_select_k_builds_no_tiling(monkeypatch):
-    calls = []
-    real = equidecompose.rect_tiling
-    monkeypatch.setattr(equidecompose, "rect_tiling",
-                        lambda *a: calls.append(a) or real(*a))
-    w = LatticeWindow(d=2, L=104, margin=2)
-    par = np.indices(w.shape).sum(axis=0) % 2
-    fld = IndicatorField(window=w, chi_a=par == 0, chi_b=par == 1)
-    assert select_K(fld, c=0.5) >= 1
-    with pytest.raises(KSelectionError):
-        select_K(fld, c=100)
-    assert calls == []
-
-
-def test_select_k_diagnostics_match_tile_scan():
-    """Block-sum diagnostics name the same first failing tile, with the
-    same numbers, as a per-tile slice scan of each rect tiling."""
-    rng = np.random.default_rng(21)
-    for d, L, margin in ((2, 40, 3), (3, 17, 2)):
-        w = LatticeWindow(d=d, L=L, margin=margin)
-        fld = IndicatorField(window=w, chi_a=rng.random(w.shape) < 0.3,
-                             chi_b=rng.random(w.shape) < 0.3)
-        for c in (1, 2):
-            with pytest.raises(KSelectionError) as exc:
-                select_K(fld, c=c)
-            side = L - 2 * margin
-            want = {}
-            for K in range(1, side // 4 + 1):
-                t = rect_tiling(w, K)
-                if t.improper:
-                    want[K] = "improper tiling (remainder strip)"
-                    continue
-                for index, box in enumerate(t.tiles):
-                    need = c * box_boundary_edges(box[1] - box[0])
-                    na = int(fld.chi_a[box_slices(box)].sum())
-                    nb = int(fld.chi_b[box_slices(box)].sum())
-                    if min(na, nb) < need:
-                        want[K] = ("tile %d needs %d points per side, has "
-                                   "A=%d B=%d" % (index, need, na, nb))
-                        break
-            assert exc.value.diagnostics == want
-
-
 def assert_scan_matches_tile_flow(w, psi, fld):
     """The scan tries K = 1, 2, ... up to the first clean K, or through
     k_scan_max when none is clean; at every proper K it counts exactly the
@@ -637,14 +582,14 @@ def assert_scan_matches_tile_flow(w, psi, fld):
     assert last == (K if diag["clean"] else k_scan_max(w))
     for k, bad in diag["scanned"].items():
         t = rect_tiling(w, k)
-        assert (bad == "improper") == t.improper
+        assert (bad is None) == t.improper
         if not t.improper:
             assert bad == int((~tile_flow(psi, t, fld).feasible).sum())
     again = tile_flow(psi, rect_tiling(w, K), fld)
     for name in ("pair_src", "pair_dst", "pair_val", "row_ptr", "count_a",
                  "count_b", "outflux", "interior"):
         assert np.array_equal(getattr(tf, name), getattr(again, name)), name
-    assert diag["infeasible"] == int((~tf.feasible).sum())
+    assert diag["scanned"][K] == int((~tf.feasible).sum())
 
 
 def random_path_flow(w, n_pairs, seed):
@@ -723,7 +668,7 @@ def test_scan_aggregates_once(monkeypatch):
         tf, diag = select_K_empirical(psi, fld)
         assert calls == []
         assert built == [k for k, v in diag["scanned"].items()
-                         if v != "improper"]
+                         if v is not None]
         again = real(psi, tf.tiling, fld)
         for name in ("pair_src", "pair_dst", "pair_val", "row_ptr",
                      "count_a", "count_b", "outflux", "interior"):

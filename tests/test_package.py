@@ -258,6 +258,20 @@ def test_each_fact_of_a_run_said_once():
     assert not said, said
 
 
+def test_one_automatic_k_rule():
+    """The empirical scan is the only automatic K rule: the boundary
+    criterion's branch and its error stay deleted, and select_K only
+    computes the paper's tile scale from d and c."""
+    from equidecomp import equidecompose
+    assert not defined({"KSelectionError"})
+    said = [(path.name, word) for path in sorted(SRC.rglob("*.py"))
+            for word in ("boundary_criterion", "criterion_fail")
+            if word in path.read_text()]
+    assert not said, said
+    assert list(inspect.signature(equidecompose.select_K).parameters) == [
+        "d", "c"]
+
+
 def test_benchmark_stage_names_exist():
     """Every (module, attribute) that perfbench/child.py patches, read
     from its STAGES table without importing it, is still there, and so

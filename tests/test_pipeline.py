@@ -257,8 +257,9 @@ def test_pipeline_sample_stage_failure():
 
 
 def test_flagship_builds_each_scanned_tiling_once(monkeypatch):
-    """select_K reads per-tile counts from block sums and builds no
-    tiling; only the empirical scan does, once per K it scans."""
+    """select_K reports the paper's scale in closed form and builds no
+    tiling; only the empirical scan does, once per K it scans, and the
+    summary lists each scanned K with its count of infeasible tiles."""
     built = []
     in_select_k = []
     real_tiling, real_select = equidecompose.rect_tiling, pipeline.select_K
@@ -282,6 +283,39 @@ def test_flagship_builds_each_scanned_tiling_once(monkeypatch):
     assert tiles["source"] == "empirical" and tiles["K"] == 7
     assert in_select_k == [0]
     assert built == list(range(1, 8))
+    # K = 6 leaves a remainder strip on the core side 16; K = 7 is clean
+    scan = tiles["scan"]
+    assert [row["K"] for row in scan] == built
+    assert [row["infeasible"] for row in scan][5:] == [None, 0]
+    assert all(row["infeasible"] > 0 for row in scan[:5])
+    assert tiles["clean"] and "infeasible" not in tiles
+    # the paper's scale: 41 * (27 K^3 - (3K - 2)^3) <= K^3 from K = 2214
+    assert res.summary["flow_bound"]["c_int"] == 41
+    assert tiles["criterion_K"] == 2214
+
+
+@pytest.mark.demo
+def test_automatic_k_where_the_criterion_is_reachable():
+    """d=2, L=640, margin=20, A = B = the whole torus (f = 0, c_int = 12):
+    the core side 600 reaches 4 * criterion_K = 576, so the paper's
+    boundary criterion holds on the K = 149 rect tiling, the least proper
+    one from K = 144 on.  The automatic rule scans from K = 1, where every
+    tile is clean, and its piece map is that of the K = 149 run."""
+    cfg = build_config({"d": "2", "L": "640", "margin": "20", "n0": "3",
+                        "shape_a": "intervals:0:1",
+                        "shape_b": "intervals:0:1"})
+    args = (cfg.window(), cfg.action(), *cfg.shapes())
+    auto = run_pipeline(*args, n0=cfg.n0)
+    tiles = auto.summary["tiles"]
+    assert tiles["source"] == "empirical" and tiles["K"] == 1
+    assert tiles["clean"]
+    assert auto.summary["flow_bound"]["c_int"] == 12
+    assert tiles["criterion_K"] == 144 <= 600 // 4
+    fixed = run_pipeline(*args, n0=cfg.n0, K=149)
+    for res in (auto, fixed):
+        assert res.report["ok"]
+    assert np.array_equal(auto.pieces.a_flat, fixed.pieces.a_flat)
+    assert np.array_equal(auto.pieces.gamma, fixed.pieces.gamma)
 
 
 def test_flagship_reuses_the_scanned_tile_flow(monkeypatch):
