@@ -119,7 +119,7 @@ def _flow_edges(psi: EdgeField) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     flat vertex indices of the full window psi.crop.full and whole units,
     in slot order."""
     window = psi.window
-    di, ui = np.divmod(np.flatnonzero(psi.values), window.n_vertices)
+    di, ui = np.divmod(np.flatnonzero(psi.values != 0), window.n_vertices)
     val = psi.values[di, ui].astype(np.int64)
     if (val % (1 << psi.scale_exp)).any():
         raise ValueError("flow is not integral")

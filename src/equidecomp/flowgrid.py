@@ -327,7 +327,7 @@ def dump_edge_field(path, field: EdgeField) -> None:
         for v0, vals in zip(range(0, nvert, _DUMP_BLOCK),
                             np.split(field.values, cuts, axis=1)):
             # C order of the transposed block is (vertex, direction)
-            flat = np.flatnonzero(vals.T)
+            flat = np.flatnonzero(vals.T != 0)
             rec = np.empty((len(flat), 4), dtype="<i8")
             vert, di = np.divmod(flat, ndir)
             nums, exps = rec[:, 2], rec[:, 3]

@@ -239,34 +239,49 @@ class PipelineError(RuntimeError):
 
 
 @lru_cache(maxsize=1)
-def _rim_frontier_slots(window: LatticeWindow
-                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rim, rows, slots) over the rim, the core vertices with a frontier
-    neighbor: rim lists their flat indices in increasing order, rows their
-    numbers in the core box's own row-major order, and slots[2*i + sign, r]
-    flags that rim[r] + dirs[i] (sign 0) or rim[r] - dirs[i] (sign 1) is a
-    frontier vertex.  The core is the box [margin, L - margin)^d, so with
-    margin >= 1 the rim is its outer layer and every frontier neighbor lies
-    in the window; margin 0 has no rim.  Read-only and cached for the last
-    window, so repair and rounding share one build per run."""
+def _rim_frontier_slots(window: LatticeWindow) -> Tuple[np.ndarray, ...]:
+    """(rim, rows, face, ptr, slots) over the rim, the core vertices with
+    a frontier neighbor: rim lists their flat indices in increasing order
+    and rows their numbers in the core box's own row-major order.  Slot
+    2*i + sign of x is the edge to x + dirs[i] (sign 0) or x - dirs[i]
+    (sign 1), a frontier slot when that neighbor is a frontier vertex.
+    Which slots those are depends only on the faces of the core box that
+    x lies on, per axis the low one, the high one, both (at core side 1)
+    or neither: rim[r] is in face class face[r], and class c's frontier
+    slots, in increasing order, are slots[ptr[c]:ptr[c + 1]].  The core is
+    the box [margin, L - margin)^d, so with margin >= 1 the rim is its
+    outer layer and every frontier neighbor lies in the window; margin 0
+    has no rim.  Read-only and cached for the last window, so repair and
+    rounding share one build per run."""
     lo, hi = window.core_bounds
-    d = window.d
-    box = np.full((hi - lo,) * d, lo > 0)
-    box[(slice(1, hi - lo - 1),) * d] = False
-    rows = np.flatnonzero(box)
-    rim_mask = np.zeros(window.shape, dtype=bool)
-    rim_mask[(slice(lo, hi),) * d] = box
-    rim = np.flatnonzero(rim_mask)
-    # every neighbor of a rim vertex is in the window, so flat shifts
-    # reach it exactly
-    shift = flat_shifts(window)[:, None]
-    frontier = ~window.core_mask().ravel()
-    slots = np.empty((2 * len(shift), len(rim)), dtype=bool)
-    slots[0::2] = frontier[rim + shift]
-    slots[1::2] = frontier[rim - shift]
-    for a in (rim, rows, slots):
+    side, d = hi - lo, window.d
+    # per axis 1 on the low face, 2 on the high face; key packs the axes
+    key = np.zeros((side,) * d, dtype=np.int64)
+    for c in np.ogrid[(slice(side),) * d]:
+        key = 4 * key + (c == 0) + 2 * (c == side - 1)
+    rows = np.flatnonzero(key) if lo > 0 else np.zeros(0, dtype=np.intp)
+    rim = np.ravel_multi_index(
+        tuple(c + lo for c in np.unravel_index(rows, key.shape)), window.shape)
+    # the classes present, numbered in increasing key order; np.unique
+    # (and a bool matmul below) would page in numpy code that raised the
+    # flagship's peak RSS by 0.3 MiB
+    present = np.bincount(key.ravel()[rows], minlength=4 ** d) > 0
+    face = (np.cumsum(present) - 1)[key.ravel()[rows]]
+    keys = np.flatnonzero(present)
+    # slot q's signed step leaves class c's box when, on some axis, it
+    # steps down from the low face or up from the high one
+    step = np.repeat(directions(d), 2, axis=0)
+    step[1::2] *= -1
+    exits = np.zeros((len(keys), len(step)), dtype=bool)
+    for j, g in enumerate(step.T):
+        code = (keys >> 2 * (d - 1 - j))[:, None]
+        exits |= (code & 1 != 0) & (g == -1) | (code & 2 != 0) & (g == 1)
+    ptr = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(exits.sum(axis=1), out=ptr[1:])
+    out = rim, rows, face, ptr, np.nonzero(exits)[1]
+    for a in out:
         a.setflags(write=False)
-    return rim, rows, slots
+    return out
 
 
 @lru_cache(maxsize=1)
@@ -295,27 +310,31 @@ def spill_to_frontier(values: np.ndarray, window: LatticeWindow,
                       amount: np.ndarray, cap: int) -> int:
     """Send amount[r] units of flow out of rim vertex rim[r] over its
     frontier edges, in place in the edge array values (laid out as
-    EdgeField.values); rim and its frontier slots are those of
-    _rim_frontier_slots(window).  The frontier slots are visited in
-    ascending order, each taking up to cap units in magnitude of what is
-    left: a vertex's k-th frontier slot takes cap while
-    k < |amount| // cap, then the remainder.  Returns the largest take;
-    every unit must find an edge, or nothing is sent."""
-    rim, _, slots = _rim_frontier_slots(window)
-    live = np.flatnonzero(amount)
+    EdgeField.values); rim and the frontier slot list of each vertex's
+    face class are those of _rim_frontier_slots(window).  A vertex's
+    slots are taken in the list's increasing order, each taking up to cap
+    units in magnitude of what is left: its k-th slot takes cap while
+    k < |amount| // cap, then the remainder, and only the slots that take
+    something are visited.  Returns the largest take; every unit must
+    find an edge, or nothing is sent."""
+    rim, _, face, ptr, slots = _rim_frontier_slots(window)
+    live = np.flatnonzero(amount != 0)
     sent = np.asarray(amount, dtype=np.int64)[live]
     full, rest = np.divmod(np.abs(sent), cap)
-    free = slots[:, live]
-    rank = np.cumsum(free, axis=0, dtype=np.int32) - 1
-    count = rank[-1] + 1
+    start = ptr[face[live]]
+    count = ptr[face[live] + 1] - start
     left = (np.abs(sent) - np.minimum(count, full) * cap
             - np.where(count > full, rest, 0))
     if left.any():
         first = np.flatnonzero(left)[0]
         raise AssertionError("frontier disaggregation left %d units"
                              % (np.sign(sent[first]) * left[first]))
-    slot, r = np.nonzero(free & (rank <= full))
-    take = np.where(rank[slot, r] < full[r], cap, rest[r]) * np.sign(sent[r])
+    # vertex r fills its first used[r] <= count[r] slots; k numbers them
+    used = full + (rest > 0)
+    r = np.repeat(np.arange(len(live)), used)
+    k = np.arange(len(r)) - np.repeat(np.cumsum(used) - used, used)
+    slot = slots[start[r] + k]
+    take = np.where(k < full[r], cap, rest[r]) * np.sign(sent[r])
     i, odd = slot >> 1, (slot & 1).astype(bool)
     # flow out of the rim endpoint of an odd slot's edge is minus the
     # stored value
@@ -381,9 +400,9 @@ def _descend_to_frontier(values: Callable[[], np.ndarray],
         if np.abs(e[layer]).max() > unit:
             return None, 0
         np.add.at(e, parent[layer], e[layer])
-    _, rows, slots = _rim_frontier_slots(window)
+    _, rows, face, ptr, _ = _rim_frontier_slots(window)
     amount = e[rows]
-    if (-(-np.abs(amount) // unit) > slots.sum(axis=0)).any():
+    if (-(-np.abs(amount) // unit) > np.diff(ptr)[face]).any():
         return None, 0
     inner = np.flatnonzero((up > 0) & (e != 0))
     core = np.flatnonzero(window.core_mask())
@@ -453,16 +472,20 @@ def _route_to_frontier(values: Callable[[], np.ndarray],
     indptr = np.zeros(n + 2, dtype=np.int32)
     np.cumsum(np.count_nonzero(on, axis=1), out=indptr[1:-1], dtype=np.int32)
     indptr[-1] = m + len(into)
-    # the arcs in CSR order: the heads from a table of x + step, the
-    # capacities from cap, compressed into place, since temporary copies
-    # would stay in the heap under the solve and raise its peak RSS
+    # the arcs in CSR order: the heads from the flat positions of on, row
+    # x column c giving x + offset[c], and the capacities from cap,
+    # written into place, since temporary copies would stay in the heap
+    # under the solve and raise its peak RSS
     indices = np.empty(indptr[-1], dtype=np.int32)
-    head = np.add.outer(np.arange(n, dtype=np.int32),
-                        np.concatenate([-step[::-1], step, [0]]),
-                        dtype=np.int32)
-    head[:, -1] = n
-    np.compress(on.ravel(), head, out=indices[:m])
-    del head
+    offset = np.concatenate([-step[::-1], step, [0]]).astype(np.int32)
+    pos = np.flatnonzero(on)
+    np.remainder(pos, 2 * nd + 1, out=indices[:m])
+    indices[:m] = offset[indices[:m]]
+    pos //= 2 * nd + 1
+    indices[:m] += pos
+    del pos
+    # a frontier arc is the last of its row, and its head is n
+    indices[indptr[into + 1] - 1] = n
     indices[m:] = into
     arc_cap = np.empty(len(indices), dtype=cap.dtype)
     np.compress(on.ravel(), cap, out=arc_cap[:m])
@@ -478,7 +501,7 @@ def _route_to_frontier(values: Callable[[], np.ndarray],
     # few arcs carry flow (1.4% on the demo's repair graph): find the ends
     # of those out of core vertices in the layout, where the arcs before
     # the frontier node's row with a head past it go to the sink or source
-    moved = np.flatnonzero(flow[:graph.rows[n]])
+    moved = np.flatnonzero(flow[:graph.rows[n]] != 0)
     moved = moved[graph.heads[moved] <= n]
     head = graph.heads[moved]
     tail = np.searchsorted(graph.rows, moved, side="right") - 1
@@ -531,10 +554,11 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
     bound.  Otherwise Dinic: _route_to_frontier routes the correction
     over core-core edges of capacity capacity_units (in flow units; the
     tail bound rounded up plus one), and each rim vertex's arc carries
-    the capacity of all its frontier edges, which then take up to that
-    capacity each.  When the tail estimate is too tight — small margins
-    legitimately exceed it — the capacity doubles and the solve repeats,
-    up to MAX_DOUBLINGS times.  On either route the values change only
+    the capacity of all its frontier edges, counted from its face class
+    in _rim_frontier_slots, which then take up to that capacity each.
+    When the tail estimate is too tight — small margins legitimately
+    exceed it — the capacity doubles and the solve repeats, up to
+    MAX_DOUBLINGS times.  On either route the values change only
     once the routing is known to fit.
     """
     psi = consumed_psi
@@ -546,7 +570,8 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
     s = psi.scale_exp
     supply_abs = int(np.abs(residual).sum())
 
-    k_cnt = _rim_frontier_slots(window)[2].sum(axis=0, dtype=np.int64)
+    _, _, face, ptr, _ = _rim_frontier_slots(window)
+    k_cnt = np.diff(ptr)[face]
     top = max(int(psi.values.max(initial=0)), -int(psi.values.min(initial=0)))
     route, doublings = "descent", 0
     while True:
@@ -618,13 +643,16 @@ def round_edge_field(phi: EdgeField, f: np.ndarray,
     mod = 1 << s
     core = (slice(*window.core_bounds),) * window.d
     f_core = np.asarray(f)[core]
-    rim, rows, fslots = _rim_frontier_slots(window)
-    # each rim vertex's summed flow toward its frontier neighbors
+    rim, rows, face, ptr, slots = _rim_frontier_slots(window)
+    # each rim vertex's summed flow toward its frontier neighbors, slot by
+    # slot; has[q, c] flags slot q in face class c's list
+    has = np.zeros((2 * len(phi.dirs), len(ptr) - 1), dtype=bool)
+    has[slots, np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))] = True
     agg = np.zeros(len(rim), dtype=np.int64)
     for i, shift in enumerate(flat_shifts(window).tolist()):
-        agg += np.where(fslots[2 * i], phi.values[i, rim], 0)
+        agg += np.where(has[2 * i, face], phi.values[i, rim], 0)
         # flow out of the rim endpoint equals minus the stored value
-        agg -= np.where(fslots[2 * i + 1], phi.values[i, rim - shift], 0)
+        agg -= np.where(has[2 * i + 1, face], phi.values[i, rim - shift], 0)
     agg_int = np.sign(agg) * (np.abs(agg) >> s)      # truncated toward 0
     agg_frac = agg - (agg_int << s)
     top = max(int(phi.values.max(initial=0)), -int(phi.values.min(initial=0)))

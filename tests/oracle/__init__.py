@@ -16,5 +16,7 @@ and `arcs` the supply-flow solver's CSR laid out by np.lexsort.
 on scipy.ndimage, and `ppm` the plain PPM writer one pixel at a time.
 `descent` is repair's frontier descent one vertex at a time, each
 parent found by trying every signed direction, in Python ints.
+`frontier` is the dense rim slot table, the cumsum spill over it and
+the router's outer-table heads, as built before face classes.
 None of them is imported by the package.
 """

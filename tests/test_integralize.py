@@ -31,6 +31,7 @@ from oracle.arcs import edge_csr, solve_supply_flow
 from oracle.cyclegraph import boundary_cycle_graph
 from oracle.descent import descend
 from oracle.edges import add_flow
+from oracle.frontier import rim_slot_table, router_csr, spill
 
 
 def brute_triangles(gamma):
@@ -353,7 +354,7 @@ def _lexsort_routes(w, caps, rim_caps):
     dirs = directions(w.d)
     vert = np.append(np.ravel_multi_index(
         tuple(np.indices(box).reshape(w.d, -1) + lo), w.shape), w.n_vertices)
-    rim, rows, _ = _rim_frontier_slots(w)
+    rim, rows = _rim_frontier_slots(w)[:2]
     fwd, back = (np.broadcast_to(c, (len(dirs),) + box) for c in caps)
     u, v, cuv, cvu = [], [], [], []
     for i, g in enumerate(dirs):
@@ -399,6 +400,22 @@ def _check_route(w, caps, rim_caps, residual, route):
     return u, v, want_flow[fwd]
 
 
+def _random_caps(rng, w, full):
+    """(caps, rim_caps) for the router: uniform capacities on every core
+    edge and k times them on every rim arc, as in repair, or one unit in
+    the direction of a random fraction on a sparse set, as in rounding."""
+    lo, hi = w.core_bounds
+    box = (len(directions(w.d)),) + (hi - lo,) * w.d
+    slots = rim_slot_table(w)[2]
+    if full:
+        cap = int(rng.integers(1, 4))
+        return ((np.int64(cap),) * 2,
+                (slots.sum(axis=0, dtype=np.int64) * cap,) * 2)
+    frac = rng.integers(-1, 2, size=box) * (rng.random(box) < 0.3)
+    fr = rng.integers(-1, 2, size=slots.shape[1])
+    return (frac > 0, frac < 0), (fr > 0, fr < 0)
+
+
 @settings(max_examples=120, deadline=None)
 @given(d=st.integers(1, 4), side=st.sampled_from([1, 2, 3, 4, 5, 6]),
        margin=st.integers(0, 2), full=st.booleans(),
@@ -423,21 +440,11 @@ def test_router_csr_is_the_lexsort_layout(d, side, margin, full, frontier,
     assume(side + 2 * margin >= 2)
     rng = np.random.default_rng(seed)
     w = LatticeWindow(d=d, L=side + 2 * margin, margin=margin)
-    box = (len(directions(d)),) + (side,) * d
-    rim, _, slots = _rim_frontier_slots(w)
-    if full:
-        cap = int(rng.integers(1, 4))
-        caps = (np.int64(cap),) * 2
-        rim_caps = (slots.sum(axis=0, dtype=np.int64) * cap,) * 2
-    else:
-        frac = rng.integers(-1, 2, size=box) * (rng.random(box) < 0.3)
-        caps = (frac > 0, frac < 0)
-        fr = rng.integers(-1, 2, size=len(rim))
-        rim_caps = (fr > 0, fr < 0)
+    caps, rim_caps = _random_caps(rng, w, full)
     residual = rng.integers(-2, 3, size=(side,) * d)
     residual.flat[0] += frontier * (abs(residual.sum()) + 1) - residual.sum()
     assert np.sign(residual.sum()) == frontier
-    values = np.zeros((box[0], w.n_vertices), dtype=np.int64)
+    values = np.zeros((len(directions(d)), w.n_vertices), dtype=np.int64)
     with pytest.MonkeyPatch.context() as patch:
         seen = _recorded_routes(patch)
         got, _ = integralize._route_to_frontier(lambda: values, w, residual,
@@ -477,7 +484,7 @@ def test_rounding_routes_free_fractional_edges():
         seen = _recorded_routes(patch)
         round_edge_field(fld, fld.divergence_num() >> s, fixed_mask=fixed)
     route, = seen
-    rim, _, slots = _rim_frontier_slots(w)
+    rim, _, slots = rim_slot_table(w)
     agg = np.zeros(len(rim), dtype=np.int64)
     for i, shift in enumerate(flat_shifts(w).tolist()):
         agg += np.where(slots[2 * i], fld.values[i, rim], 0)
@@ -537,13 +544,17 @@ def test_spill_to_frontier_hand_example():
     vertices around (2, 2).  dirs = (0,1), (1,-1), (1,0), (1,1); the
     corner (1, 1) has frontier slots 1, 2, 3, 5, 7 and the side vertex
     (1, 2) slots 3, 5, 7 (slot 2*i + sign; sign 1 is the edge to
-    v - dirs[i])."""
+    v - dirs[i]), in its face class's list and in the oracle's table."""
     w = LatticeWindow(d=2, L=5, margin=1)
-    rim, _, slots = _rim_frontier_slots(w)
+    rim, _, face, ptr, slots = _rim_frontier_slots(w)
+    table = rim_slot_table(w)[2]
     flat = lambda v: int(np.ravel_multi_index(v, w.shape))
     corner, side = list(rim).index(flat((1, 1))), list(rim).index(flat((1, 2)))
-    assert np.flatnonzero(slots[:, corner]).tolist() == [1, 2, 3, 5, 7]
-    assert np.flatnonzero(slots[:, side]).tolist() == [3, 5, 7]
+    for r, want in ((corner, [1, 2, 3, 5, 7]), (side, [3, 5, 7])):
+        assert slots[ptr[face[r]]:ptr[face[r] + 1]].tolist() == want
+        assert np.flatnonzero(table[:, r]).tolist() == want
+    # eight rim vertices, four corners and four sides: eight face classes
+    assert len(ptr) - 1 == 8 and len(set(face.tolist())) == 8
 
     # a binding cap of 2 across several slots, and a negative amount
     amount = np.zeros(len(rim), dtype=np.int64)
@@ -561,6 +572,9 @@ def test_spill_to_frontier_hand_example():
     assert np.array_equal(f.values, want.values)
     div = f.divergence_num()
     assert div[1, 1] == 7 and div[1, 2] == -5 and div[1:4, 1:4].sum() == 2
+    g = EdgeField(w, 0)
+    assert spill(g.values, w, amount, 2) == 2
+    assert np.array_equal(g.values, want.values)
 
     # an unbounded cap puts everything on the first frontier slot
     f = EdgeField(w, 0)
@@ -572,8 +586,93 @@ def test_spill_to_frontier_hand_example():
 
     # five slots of cap 2 cannot carry 11 units
     amount[corner] = 11
-    with pytest.raises(AssertionError, match="left 1 units"):
-        spill_to_frontier(EdgeField(w, 0).values, w, amount, 2)
+    for fn in (spill_to_frontier, spill):
+        with pytest.raises(AssertionError, match="left 1 units"):
+            fn(EdgeField(w, 0).values, w, amount, 2)
+
+
+# the largest core side and margin tried per d, so that every window's
+# edge array stays small
+FACE_SIDE = {1: 7, 2: 7, 3: 7, 4: 4, 5: 3}
+FACE_MARGIN = {1: 3, 2: 3, 3: 3, 4: 2, 5: 1}
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 5), side=st.integers(1, 7), margin=st.integers(1, 3),
+       cap=st.sampled_from([1, 2, 3, 1 << 62]), over=st.booleans(),
+       density=st.sampled_from([0.05, 0.5, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(d=2, side=1, margin=1, cap=1, over=False, density=1.0, seed=1)
+@example(d=3, side=2, margin=2, cap=2, over=True, density=0.5, seed=2)
+@example(d=5, side=3, margin=1, cap=1, over=False, density=0.5, seed=3)
+@example(d=4, side=4, margin=2, cap=3, over=False, density=1.0, seed=4)
+def test_face_classes_are_the_dense_table(d, side, margin, cap, over,
+                                          density, seed):
+    """On d = 1..5, margins 1 to 3 and core sides 1 to 7 (d = 4 and 5
+    stop at FACE_SIDE and FACE_MARGIN), each rim vertex's face class
+    lists exactly the frontier slots the oracle's dense table flags, and
+    spill_to_frontier changes the edge array exactly as the oracle's
+    cumsum spill does: amounts of either sign up to every slot at cap,
+    so multi-slot takes, or, when over, one unit past that on some
+    vertex, where both raise the same AssertionError and send nothing."""
+    assume(side <= FACE_SIDE[d] and margin <= FACE_MARGIN[d])
+    rng = np.random.default_rng(seed)
+    w = LatticeWindow(d=d, L=side + 2 * margin, margin=margin)
+    _rim_frontier_slots.cache_clear()
+    got_rim, got_rows, face, ptr, slots = _rim_frontier_slots(w)
+    rim, rows, table = rim_slot_table(w)
+    assert np.array_equal(got_rim, rim) and np.array_equal(got_rows, rows)
+    assert [slots[ptr[c]:ptr[c + 1]].tolist() for c in face] == [
+        np.flatnonzero(col).tolist() for col in table.T]
+
+    room = table.sum(axis=0) * min(cap, 1 << 20)
+    amount = (rng.integers(-room, room + 1)
+              * (rng.random(len(rim)) < density))
+    if over:
+        r = rng.integers(len(rim))
+        amount[r] = rng.choice([-1, 1]) * (room[r] + 1)
+    values = rng.integers(-9, 10, size=(len(directions(d)), w.n_vertices))
+    want = values.copy()
+    try:
+        largest = spill(want, w, amount, cap)
+    except AssertionError as e:
+        with pytest.raises(AssertionError, match="^%s$" % e):
+            spill_to_frontier(values, w, amount, cap)
+        assert np.array_equal(values, want)
+        return
+    assert spill_to_frontier(values, w, amount, cap) == largest
+    assert np.array_equal(values, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 5), side=st.integers(1, 7), margin=st.integers(1, 3),
+       full=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(d=3, side=2, margin=1, full=True, seed=1)
+@example(d=5, side=3, margin=1, full=False, seed=2)
+@example(d=2, side=1, margin=2, full=False, seed=3)
+def test_router_heads_are_the_outer_table(d, side, margin, full, seed):
+    """The router's CSR, byte for byte and dtype for dtype, is the one
+    its heads used to come from: np.add.outer over every row and column
+    of the arc table (oracle.frontier.router_csr), on full capacities as
+    in repair and on random unit ones as in rounding."""
+    assume(side <= FACE_SIDE[d] and margin <= FACE_MARGIN[d])
+    rng = np.random.default_rng(seed)
+    w = LatticeWindow(d=d, L=side + 2 * margin, margin=margin)
+    caps, rim_caps = _random_caps(rng, w, full)
+    residual = rng.integers(-2, 3, size=(side,) * d)
+    seen = []
+
+    def spy(indptr, indices, cap, supply):
+        seen.append((indptr.copy(), indices.copy(), cap.copy()))
+        return supply_graph(indptr, indices, cap, supply)
+
+    values = np.zeros((len(directions(d)), w.n_vertices), dtype=np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integralize, "supply_graph", spy)
+        integralize._route_to_frontier(lambda: values, w, residual, caps,
+                                       rim_caps, 1 << 40)
+    for got, want in zip(seen[0], router_csr(w, caps, rim_caps)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _descent_against_oracle(w, residual, unit, values):

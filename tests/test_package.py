@@ -93,6 +93,41 @@ def test_csr_without_a_sort():
     assert not sorts.findall(router), sorts.findall(router)
 
 
+def test_frontier_tables_sized_by_the_rim():
+    """The rim's frontier slots are kept by face class, with no dense
+    slots-by-rim table (oracle.frontier.rim_slot_table), and the router
+    takes its heads from the arcs it keeps, with no head table over
+    every row and column."""
+    from equidecomp.lattice import LatticeWindow
+    frontier = integralize._rim_frontier_slots(
+        LatticeWindow(d=3, L=8, margin=1))
+    assert [a.ndim for a in frontier] == [1] * 5
+    router = inspect.getsource(integralize._route_to_frontier)
+    assert ".outer(" not in router
+
+
+def test_nonzero_scans_read_a_mask():
+    """np.nonzero and np.flatnonzero cost several times more on an
+    integer array than on its != 0 mask, so no call under src/ hands
+    them an edge field's .values (or a slice or transpose of it)."""
+    hits = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None)
+                    in ("nonzero", "flatnonzero")):
+                continue
+            np_call = getattr(node.func.value, "id", None) == "np"
+            arg = (node.args[0] if node.args else None) if np_call \
+                else node.func.value
+            while isinstance(arg, ast.Subscript) or (
+                    isinstance(arg, ast.Attribute) and arg.attr == "T"):
+                arg = arg.value
+            if isinstance(arg, ast.Attribute) and arg.attr == "values":
+                hits.append((path.name, node.lineno))
+    assert not hits, hits
+
+
 def test_narrow_fields_are_reviewed():
     """Edge fields are stored narrower than int64 only where a proven
     bound sets the width: narrow_int lives in flowgrid and is called by

@@ -180,12 +180,34 @@ def test_repair_memory(monkeypatch):
 
 def test_repair_memory_on_the_descent(monkeypatch):
     """The demo's residual takes the descent, which builds no graph: its
-    tracemalloc peak above repair's entry stays below 30 MB.  It measured
-    24 MB, most of it the int16 repaired flow (7.9 MB) and the spill's
-    slot tables."""
+    tracemalloc peak above repair's entry stays below 12 MB.  It measured
+    10.2 MB in a fresh process, most of it the int16 repaired flow
+    (7.9 MB); the spill reads the rim's face classes and forms only the
+    slots it fills.  With a dense slots-by-rim table and a cumsum over
+    every slot of every live rim vertex it measured 23.4 MB."""
     peak, route = _repair_peak(monkeypatch)
     assert route == "descent"
-    assert peak < 30e6, peak
+    assert peak < 12e6, peak
+
+
+def test_rounding_memory():
+    """The demo's direct rounding (integralize_flow on its repaired int16
+    flow) stays below 14 MB of tracemalloc peak above its entry.  It
+    measured 12.5 MB: the int8 rounded flow (4.0 MB), the rounding
+    direction tables and the router's arc and capacity tables over the
+    core box.  With a dense head table over every row and column of the
+    router's arc table it measured 20.0 MB."""
+    cfg = build_config(DEMO)
+    flow = pipeline.build_flow(cfg.window(), cfg.action(), *cfg.shapes(),
+                               n0=cfg.n0)
+    tracemalloc.start()
+    try:
+        out, _ = integralize.integralize_flow(flow.phi, flow.field.f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.values.dtype == np.int8
+    assert peak < 14e6, peak
 
 
 def test_repair_validation():
