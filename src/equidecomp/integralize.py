@@ -430,77 +430,95 @@ def _route_to_frontier(values: Callable[[], np.ndarray],
     onto its frontier edges.  Returns (that array, the largest change of
     one value), or (None, 0) when the residual cannot be routed.
 
-    The solver's CSR comes straight from the box.  The core vertices are
-    numbered in the core box's row-major order and the frontier node after
-    them.  Row x of the table `on` flags x's arcs: one column per signed
-    direction g, in lexicographic order, then one for the frontier node.
-    Within a row that is the order of the heads: a head x + g is a box
-    vertex, the box's row-major order is the lexicographic order of
-    coordinates, and for one x that is the order of the g.  (The offsets
-    g . strides need not be in that order, at core side 2, but those of
-    one row's heads are.)  So the table's nonzeros in row-major order are
-    the arcs in CSR order."""
+    The solver's CSR comes straight from the box, with no sort.  The
+    core vertices are numbered in the core box's row-major order and the
+    frontier node after them.  Row x holds x's arcs in the lexicographic
+    order of their signed directions g, which is the order of their heads
+    (a head x + g is a box vertex, the box's row-major order is the
+    lexicographic order of coordinates, and for one x that is the order
+    of the g; the offsets g . strides need not be in that order, at core
+    side 2, but those of one row's heads are), then its frontier arc,
+    whose head n is the largest.  Lexicographically the signed directions
+    are -dirs[::-1], then dirs, so a row holds first its arcs against
+    dirs, by decreasing i, then those along dirs, by increasing i.  An
+    edge x -> x + dirs[i] is thus placed twice without a sort: along, in
+    row x after x's arcs against dirs and the edges along dirs[j < i];
+    against, in row x + dirs[i] after the edges into it along dirs[j > i].
+    Those counts are running sums over i of the edges by tail and by
+    head, two len(dirs) x n tables, and the edges kept are then read one
+    by one in flatnonzero order, by i and then by x, with no division."""
     rows = _rim_frontier_slots(window)[1]
     lo, hi = window.core_bounds
     side, d = hi - lo, window.d
     dirs = directions(d)
     nd, n = len(dirs), side ** d          # n: the frontier node's number
-    fwd, back = (np.broadcast_to(c, (nd,) + (side,) * d).reshape(nd, n)
+    # flat views, with no copy of a capacity given as a scalar
+    fwd, back = (np.broadcast_to(c, (nd,) + (side,) * d).reshape(-1)
                  for c in caps)
-    edge = _core_edge_mask(window).reshape(nd, n) & ((fwd != 0) | (back != 0))
-    # the narrowest table that holds every capacity
+    edge = np.logical_or(fwd, back).reshape(nd, n)
+    edge &= _core_edge_mask(window).reshape(nd, n)
+    step = dirs @ side ** np.arange(d - 1, -1, -1)
+    # by_tail[i, x] counts the edges out of x along dirs[j <= i], and
+    # by_head[i, y] those into y
+    by_tail = np.zeros(edge.shape, dtype=np.min_scalar_type(nd))
+    by_head = np.zeros(edge.shape, dtype=by_tail.dtype)
+    for i, st in enumerate(step.tolist()):
+        by_head[i, st:] = edge[i, :n - st]
+        if i:
+            by_head[i] += by_head[i - 1]
+            np.add(by_tail[i - 1], edge[i], out=by_tail[i])
+        else:
+            by_tail[i] = edge[i]
+    rim_on = (rim_caps[0] != 0) | (rim_caps[1] != 0)
+    into = rows[rim_on].astype(np.int32)       # the frontier node's row
+    against = by_head[-1].astype(np.int32)     # each row's arcs against
+    size = against + by_tail[-1]
+    size[rows] += rim_on
+    indptr = np.zeros(n + 2, dtype=np.int32)
+    np.cumsum(size, out=indptr[1:-1])
+    m = int(indptr[n])
+    indptr[-1] = m + len(into)
+    # the narrowest capacities that hold every one
     low = min(int(np.min(c, initial=0)) for c in (*caps, *rim_caps))
     top = max(int(np.max(c, initial=0)) for c in (*caps, *rim_caps))
-    cap = np.zeros((n, 2 * nd + 1), dtype=np.promote_types(
-        np.min_scalar_type(low), np.min_scalar_type(top)))
-    on = np.zeros(cap.shape, dtype=bool)
-    # Lexicographically, the signed directions are -dirs[::-1], then dirs.
-    # Column nd + i of row x is the edge x -> x + dirs[i], and column
-    # nd - 1 - i holds its other direction, in row x + step[i].
-    step = dirs @ side ** np.arange(d - 1, -1, -1)
-    on[:, nd:-1] = edge.T
-    np.copyto(cap[:, nd:-1], fwd.T, casting="unsafe", where=edge.T)
-    for i, st in enumerate(step.tolist()):
-        on[st:, nd - 1 - i] = edge[i, :n - st]
-        np.copyto(cap[st:, nd - 1 - i], back[i, :n - st], casting="unsafe",
-                  where=edge[i, :n - st])
-    rim_on = (rim_caps[0] != 0) | (rim_caps[1] != 0)
-    on[rows, -1] = rim_on
-    cap[rows, -1] = rim_caps[0]
-    into = rows[rim_on].astype(np.int32)       # the frontier node's row
-    m = np.count_nonzero(on)
-    indptr = np.zeros(n + 2, dtype=np.int32)
-    np.cumsum(np.count_nonzero(on, axis=1), out=indptr[1:-1], dtype=np.int32)
-    indptr[-1] = m + len(into)
-    # the arcs in CSR order: the heads from the flat positions of on, row
-    # x column c giving x + offset[c], and the capacities from cap,
-    # written into place, since temporary copies would stay in the heap
-    # under the solve and raise its peak RSS
+    # the arcs are written into place, since temporary copies would stay
+    # in the heap under the solve and raise its peak RSS
     indices = np.empty(indptr[-1], dtype=np.int32)
-    offset = np.concatenate([-step[::-1], step, [0]]).astype(np.int32)
-    pos = np.flatnonzero(on)
-    np.remainder(pos, 2 * nd + 1, out=indices[:m])
-    indices[:m] = offset[indices[:m]]
-    pos //= 2 * nd + 1
-    indices[:m] += pos
-    del pos
+    arc_cap = np.empty(len(indices), dtype=np.promote_types(
+        np.min_scalar_type(low), np.min_scalar_type(top)))
+    k = np.flatnonzero(edge)                 # i * n + x
+    count = np.count_nonzero(edge, axis=1)
+    del edge
+    x = k - np.repeat(np.arange(0, nd * n, n), count)
+    shift = np.repeat(step, count)           # the head is x + shift
+    # along dirs: in row x, after its arcs against and its edges along
+    # dirs[j < i]
+    at = (indptr[:n] + against - 1)[x] + by_tail.reshape(-1)[k]
+    indices[at] = x + shift
+    arc_cap[at] = fwd[k]
+    # against dirs: in row x + shift, after its edges in along dirs[j > i]
+    cap = back[k]
+    k += shift                               # i * n + x + shift
+    x += shift
+    at = (indptr[:n] + against)[x] - by_head.reshape(-1)[k]
+    indices[at] = x - shift
+    arc_cap[at] = cap
+    del k, x, shift, at, cap, by_head, by_tail, against, size
     # a frontier arc is the last of its row, and its head is n
     indices[indptr[into + 1] - 1] = n
+    arc_cap[indptr[into + 1] - 1] = rim_caps[0][rim_on]
     indices[m:] = into
-    arc_cap = np.empty(len(indices), dtype=cap.dtype)
-    np.compress(on.ravel(), cap, out=arc_cap[:m])
-    del cap, on
     arc_cap[m:] = rim_caps[1][rim_on]
     graph = supply_graph(indptr, indices, arc_cap,
                          np.append(residual, -int(residual.sum())))
     # the layout holds every arc now: free this copy before the solve
-    del indptr, indices, arc_cap, edge
+    del indptr, indices, arc_cap
     ok, flow = solve_supply_graph(graph)
     if not ok:
         return None, 0
-    # few arcs carry flow (1.4% on the demo's repair graph): find the ends
-    # of those out of core vertices in the layout, where the arcs before
-    # the frontier node's row with a head past it go to the sink or source
+    # few arcs carry flow: find the ends of those out of core vertices in
+    # the layout, where the arcs before the frontier node's row with a
+    # head past it go to the sink or source
     moved = np.flatnonzero(flow[:graph.rows[n]] != 0)
     moved = moved[graph.heads[moved] <= n]
     head = graph.heads[moved]
@@ -618,6 +636,65 @@ def repair_to_frontier(field: IndicatorField, consumed_psi: EdgeField,
     return phi, info
 
 
+def _truncate_core(phi: EdgeField, out_vals: np.ndarray
+                   ) -> Tuple[np.ndarray, ...]:
+    """The front half of round_edge_field, in one pass over phi.dirs.
+
+    Writes each core-core edge of phi, truncated toward zero, into the
+    zero array out_vals (laid out like phi.values), and returns (up,
+    down, div, agg): up[i][x] and down[i][x], laid out like
+    _core_edge_view, flag the core-core edges x -> x + dirs[i] whose
+    discarded fraction points along or against dirs[i]; div is the
+    truncated flow's divergence over the core box; agg is each rim
+    vertex's summed flow to its frontier neighbors, at phi's scale, in
+    the order of _rim_frontier_slots.
+
+    Direction i reads its slab, the edges out of the core box, once, as a
+    flat copy in the box's row-major order, where the head of x is
+    x + step.  It truncates the slab's core-core edges, adds them to
+    div at their tails and takes them off at their heads.  A vertex's
+    flow to the frontier is all of its flow less that to core vertices,
+    so agg adds the slab, takes off the edges into the box along dirs[i]
+    (a second slab, shifted by -dirs[i]), and takes off the core-core
+    edges' divergence.  Where a head leaves the box the truncated and
+    core-core values are zero, so a flat shift that wraps a row adds
+    nothing; at core side 1, where step can be 0 or negative, there are
+    no core-core edges at all.  Every temporary is one box in size."""
+    window = phi.window
+    s = phi.scale_exp
+    lo, hi = window.core_bounds
+    side, d = hi - lo, window.d
+    box = (slice(lo, hi),) * d
+    n = side ** d
+    inner = _core_edge_mask(window).reshape(-1, n)
+    steps = (phi.dirs @ side ** np.arange(d - 1, -1, -1)).tolist()
+    outc = _core_edge_view(out_vals, window)
+    up = np.zeros(inner.shape, dtype=bool)
+    down = np.zeros(inner.shape, dtype=bool)
+    div = np.zeros(n, dtype=np.int64)
+    agg = np.zeros(n, dtype=np.int64)
+    for i, (g, st) in enumerate(zip(phi.dirs.tolist(), steps)):
+        grid = phi.grid(i)
+        vals = np.ascontiguousarray(grid[box]).ravel()
+        if lo:                      # margin 0 has no frontier
+            agg += vals
+            agg -= np.ascontiguousarray(
+                grid[tuple(slice(lo - c, hi - c) for c in g)]).ravel()
+            vin = vals * inner[i]
+            agg -= vin
+            agg[st:] += vin[:n - st]
+        # the floor, plus one where a negative value has a fraction
+        frac = ((vals & ((1 << s) - 1)) != 0) & inner[i]
+        np.logical_and(frac, vals < 0, out=down[i])
+        np.logical_xor(frac, down[i], out=up[i])
+        vals = ((vals >> s) + down[i]) * inner[i]
+        outc[i] = vals.reshape(outc.shape[1:])
+        div += vals
+        div[st:] -= vals[:n - st]
+    return (up.reshape(outc.shape), down.reshape(outc.shape),
+            div.reshape((side,) * d), agg[_rim_frontier_slots(window)[1]])
+
+
 def round_edge_field(phi: EdgeField, f: np.ndarray,
                      fixed_mask: Optional[np.ndarray] = None
                      ) -> Tuple[EdgeField, dict]:
@@ -626,67 +703,49 @@ def round_edge_field(phi: EdgeField, f: np.ndarray,
 
     Free core-core edges are truncated toward zero, and so is each rim
     vertex's summed flow to the frontier, spilled onto its first frontier
-    edge.  _route_to_frontier then routes the leftover divergence through
-    unit capacities in the direction of each discarded fraction, on core
+    edge; _truncate_core does the truncation, the rim sums and the
+    truncated flow's divergence in one pass over the directions.
+    _route_to_frontier then routes the leftover divergence through unit
+    capacities in the direction of each discarded fraction, on core
     edges and rim sums alike, onto the same first edges.  fixed_mask is
     laid out like phi.values, [i, v] for the edge (v, v + dirs[i]); the
-    edges it flags must already be integral and are left exactly alone.
+    edges it flags must already be integral, so they have no fraction to
+    route and are left exactly alone (phi >> s).
 
     The result is built at scale 0 from the start, in the narrowest dtype
     that holds its values (narrow_int): a fixed edge is phi >> s, a free
     core edge is trunc(phi) plus at most one routed unit, and a rim
     vertex's first frontier edge is its truncated sum plus at most one
     unit, so every |value| is below max(max |phi| >> s, max |sum|) + 2.
+    The truncation is written before the sums are known, at the bound
+    max |phi| >> s, and widened once when a sum needs more.
     """
     window = phi.window
     s = phi.scale_exp
     mod = 1 << s
     core = (slice(*window.core_bounds),) * window.d
     f_core = np.asarray(f)[core]
-    rim, rows, face, ptr, slots = _rim_frontier_slots(window)
-    # each rim vertex's summed flow toward its frontier neighbors, slot by
-    # slot; has[q, c] flags slot q in face class c's list
-    has = np.zeros((2 * len(phi.dirs), len(ptr) - 1), dtype=bool)
-    has[slots, np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))] = True
-    agg = np.zeros(len(rim), dtype=np.int64)
-    for i, shift in enumerate(flat_shifts(window).tolist()):
-        agg += np.where(has[2 * i, face], phi.values[i, rim], 0)
-        # flow out of the rim endpoint equals minus the stored value
-        agg -= np.where(has[2 * i + 1, face], phi.values[i, rim - shift], 0)
-    agg_int = np.sign(agg) * (np.abs(agg) >> s)      # truncated toward 0
-    agg_frac = agg - (agg_int << s)
-    top = max(int(phi.values.max(initial=0)), -int(phi.values.min(initial=0)))
-    # every write below (truncation, spill, routed units) stays under this
-    # bound, so no in-place add into out_vals wraps
-    out_vals = np.zeros(phi.values.shape, dtype=narrow_int(
-        max(top >> s, int(np.abs(agg_int).max(initial=0))) + 2))
-    inner = _core_edge_mask(window)
+    rows = _rim_frontier_slots(window)[1]
     if fixed_mask is not None:
-        if (np.count_nonzero(_core_edge_view(fixed_mask, window) & inner)
+        if (np.count_nonzero(_core_edge_view(fixed_mask, window)
+                             & _core_edge_mask(window))
                 != np.count_nonzero(fixed_mask)):
             raise ValueError("fixed edges must join core vertices")
         if (phi.values[fixed_mask] % mod).any():
             raise ValueError("fixed edges carry fractional values")
-    # Truncate every core edge toward zero: the floor, plus one where a
-    # negative value has a fraction.  A fixed edge is integral, so it
-    # becomes phi >> s and has no fraction to route; the routed graph
-    # holds the free edges with a fraction, one unit in its direction.
-    # One direction at a time keeps the temporaries small, and numpy
-    # reads a contiguous copy faster than the strided view.
-    outc = _core_edge_view(out_vals, window)
-    up = np.zeros(inner.shape, dtype=bool)
-    down = np.zeros(inner.shape, dtype=bool)
-    for i, vals in enumerate(_core_edge_view(phi.values, window)):
-        vals = np.ascontiguousarray(vals)
-        frac = inner[i] & ((vals & (mod - 1)) != 0)
-        neg = vals < 0
-        np.logical_and(frac, neg, out=down[i])
-        np.logical_and(frac, ~neg, out=up[i])
-        outc[i] = ((vals >> s) + down[i]) * inner[i]
-
-    r = (f_core - phi.with_values(out_vals, 0).divergence_num(core=True)
-         ).ravel()
+    top = max(int(phi.values.max(initial=0)), -int(phi.values.min(initial=0)))
+    out_vals = np.zeros(phi.values.shape, dtype=narrow_int((top >> s) + 2))
+    up, down, div, agg = _truncate_core(phi, out_vals)
+    agg_int = np.sign(agg) * (np.abs(agg) >> s)      # truncated toward 0
+    agg_frac = agg - (agg_int << s)
+    # every write below (spill, routed units) stays under this bound, so
+    # no in-place add into out_vals wraps
+    dtype = narrow_int(max(top >> s, int(np.abs(agg_int).max(initial=0))) + 2)
+    if dtype != out_vals.dtype:
+        out_vals = out_vals.astype(dtype)
+    r = (f_core - div).ravel()
     r[rows] -= agg_int
+    del div, agg
 
     uncapped = np.iinfo(np.int64).max      # all on the first frontier edge
     spill_to_frontier(out_vals, window, agg_int, uncapped)

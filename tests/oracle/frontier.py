@@ -5,9 +5,12 @@ dense (2 * len(dirs), |rim|) bool table, read off the window's core mask.
 `spill` sends each rim vertex's amount over that table with an int32
 cumsum over every slot of every live vertex.  `router_csr` lays out the
 router's CSR with a dense head table, np.add.outer over every row and
-column of its `on` table.  The package reads the same slots from face
-classes, visits only the slots a spill fills, and takes the heads from
-the flat positions of `on`; the tests hold it to these byte for byte.
+column of its `on` table.  `router_table_csr` is the layout that came
+after it: the heads from the flat positions of `on`, and the capacities
+compressed out of an equal table `cap`, both spanning every row and
+signed direction.  The package reads the same slots from face classes,
+visits only the slots a spill fills, and reads only the arcs it keeps;
+the tests hold it to these byte for byte.
 """
 
 import numpy as np
@@ -103,4 +106,51 @@ def router_csr(window, caps, rim_caps):
     arc_cap = np.concatenate([cap.ravel()[on.ravel()],
                               np.asarray(rim_caps[1])[rim_on]
                               .astype(cap.dtype)])
+    return indptr, indices, arc_cap
+
+
+def router_table_csr(window, caps, rim_caps):
+    """(indptr, indices, arc_cap) that integralize._route_to_frontier
+    hands the solver for these capacities, read off the n x (2 nd + 1)
+    tables `on` and `cap`: row x, column c is x's arc in the c-th signed
+    direction, -dirs[::-1] then dirs, or, in the last column, its arc to
+    the frontier node.  Row-major, the nonzeros of `on` are the arcs in
+    CSR order."""
+    rows = rim_slot_table(window)[1]
+    lo, hi = window.core_bounds
+    side, d = hi - lo, window.d
+    dirs = directions(d)
+    nd, n = len(dirs), side ** d
+    fwd, back = (np.broadcast_to(c, (nd,) + (side,) * d).reshape(nd, n)
+                 for c in caps)
+    edge = _core_edge_mask(window).reshape(nd, n) & ((fwd != 0) | (back != 0))
+    low = min(int(np.min(c, initial=0)) for c in (*caps, *rim_caps))
+    top = max(int(np.max(c, initial=0)) for c in (*caps, *rim_caps))
+    cap = np.zeros((n, 2 * nd + 1), dtype=np.promote_types(
+        np.min_scalar_type(low), np.min_scalar_type(top)))
+    on = np.zeros(cap.shape, dtype=bool)
+    step = dirs @ side ** np.arange(d - 1, -1, -1)
+    on[:, nd:-1] = edge.T
+    np.copyto(cap[:, nd:-1], fwd.T, casting="unsafe", where=edge.T)
+    for i, st in enumerate(step.tolist()):
+        on[st:, nd - 1 - i] = edge[i, :n - st]
+        np.copyto(cap[st:, nd - 1 - i], back[i, :n - st], casting="unsafe",
+                  where=edge[i, :n - st])
+    rim_on = (rim_caps[0] != 0) | (rim_caps[1] != 0)
+    on[rows, -1] = rim_on
+    cap[rows, -1] = rim_caps[0]
+    into = rows[rim_on].astype(np.int32)
+    m = np.count_nonzero(on)
+    indptr = np.zeros(n + 2, dtype=np.int32)
+    np.cumsum(np.count_nonzero(on, axis=1), out=indptr[1:-1], dtype=np.int32)
+    indptr[-1] = m + len(into)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    offset = np.concatenate([-step[::-1], step, [0]]).astype(np.int32)
+    pos = np.flatnonzero(on)
+    indices[:m] = offset[pos % (2 * nd + 1)] + pos // (2 * nd + 1)
+    indices[indptr[into + 1] - 1] = n
+    indices[m:] = into
+    arc_cap = np.empty(len(indices), dtype=cap.dtype)
+    np.compress(on.ravel(), cap, out=arc_cap[:m])
+    arc_cap[m:] = np.asarray(rim_caps[1])[rim_on]
     return indptr, indices, arc_cap

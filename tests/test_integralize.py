@@ -31,7 +31,9 @@ from oracle.arcs import edge_csr, solve_supply_flow
 from oracle.cyclegraph import boundary_cycle_graph
 from oracle.descent import descend
 from oracle.edges import add_flow
-from oracle.frontier import rim_slot_table, router_csr, spill
+from oracle.frontier import (rim_slot_table, router_csr, router_table_csr,
+                             spill)
+from oracle.rounding import front_half
 
 
 def brute_triangles(gamma):
@@ -763,3 +765,133 @@ def test_descent_guard_stops_a_wrapping_sum():
     residual = np.array([0, unit, unit, 0, 0], dtype=np.int64)
     values = np.zeros((1, w.n_vertices), dtype=np.int64)
     assert not _descent_against_oracle(w, residual, unit, values)
+
+
+def _table_caps(rng, w, kind):
+    """(caps, rim_caps) for the router: one capacity for every core edge
+    and k times it on every rim arc, as in repair, at a random width;
+    unit ones in the direction of a random fraction on a sparse set, as
+    in rounding; or random nonnegative integers with zeros."""
+    lo, hi = w.core_bounds
+    box = (len(directions(w.d)),) + (hi - lo,) * w.d
+    k = rim_slot_table(w)[2].sum(axis=0, dtype=np.int64)
+    if kind == "repair":
+        cap = np.int64(int(rng.integers(1, 1 << int(rng.integers(1, 34)))))
+        return (cap, cap), (k * cap,) * 2
+    if kind == "rounding":
+        frac = rng.integers(-1, 2, size=box) * (rng.random(box) < 0.3)
+        fr = rng.integers(-1, 2, size=len(k))
+        return (frac > 0, frac < 0), (fr > 0, fr < 0)
+    top = 1 << int(rng.integers(1, 20))
+    return ((rng.integers(0, top, size=box) * (rng.random(box) < 0.6),
+             rng.integers(0, top, size=box) * (rng.random(box) < 0.6)),
+            (rng.integers(0, top, size=len(k)),
+             rng.integers(0, top, size=len(k)) * (rng.random(len(k)) < 0.5)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 5), side=st.integers(1, 7), margin=st.integers(0, 3),
+       kind=st.sampled_from(["repair", "rounding", "ints"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(d=5, side=3, margin=1, kind="rounding", seed=1)
+@example(d=3, side=2, margin=2, kind="repair", seed=2)
+@example(d=2, side=1, margin=1, kind="ints", seed=3)
+def test_router_csr_is_the_table_layout(d, side, margin, kind, seed):
+    """The router's CSR, built from the arcs it keeps, is byte for byte
+    and dtype for dtype the one read off the n x (2 nd + 1) arc and
+    capacity tables (oracle.frontier.router_table_csr), on d = 1..5 and
+    margins 0 to 3, with capacities as in repair, as in rounding, or
+    random integers of any width."""
+    assume(side <= FACE_SIDE[d] and margin <= FACE_MARGIN.get(d, 3)
+           and side + 2 * margin >= 2)
+    rng = np.random.default_rng(seed)
+    w = LatticeWindow(d=d, L=side + 2 * margin, margin=margin)
+    caps, rim_caps = _table_caps(rng, w, kind)
+    seen = []
+
+    def spy(indptr, indices, cap, supply):
+        seen.append((indptr.copy(), indices.copy(), cap.copy()))
+        return supply_graph(indptr, indices, cap, supply)
+
+    values = np.zeros((len(directions(d)), w.n_vertices), dtype=np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integralize, "supply_graph", spy)
+        integralize._route_to_frontier(
+            lambda: values, w, np.zeros((side,) * d, dtype=np.int64), caps,
+            rim_caps, 1 << 40)
+    for got, want in zip(seen[0], router_table_csr(w, caps, rim_caps)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class _Routed(Exception):
+    """Raised by a router spy once it has recorded its arguments."""
+
+
+def _front_of_rounding(phi, f, fixed_mask):
+    """round_edge_field's state just before it routes: (the edge array
+    handed to the first spill, before the spill, the amounts spilled,
+    the residual routed, the core edge capacities, the rim capacities)."""
+    seen = {}
+
+    def first_spill(values, window, amount, cap):
+        seen.setdefault("spill", (values.copy(), np.array(amount)))
+        return spill_to_frontier(values, window, amount, cap)
+
+    def route(values, window, residual, caps, rim_caps, spill_cap):
+        seen["route"] = (residual.copy(), caps, rim_caps)
+        raise _Routed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integralize, "spill_to_frontier", first_spill)
+        patch.setattr(integralize, "_route_to_frontier", route)
+        with pytest.raises(_Routed):
+            round_edge_field(phi, f, fixed_mask=fixed_mask)
+    return seen["spill"] + seen["route"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 5), side=st.integers(1, 7), margin=st.integers(1, 3),
+       bits=st.sampled_from([8, 16, 32]), s=st.integers(0, 14),
+       fixed=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(d=5, side=3, margin=1, bits=16, s=10, fixed=False, seed=1)
+@example(d=2, side=4, margin=3, bits=8, s=4, fixed=True, seed=2)
+@example(d=3, side=1, margin=2, bits=32, s=14, fixed=True, seed=3)
+def test_rounding_front_is_three_passes(d, side, margin, bits, s, fixed,
+                                        seed):
+    """round_edge_field's one pass over the directions leaves what the
+    three dense passes left before the solve (oracle.rounding.front_half):
+    the truncated edges, in the same dtype, widened or not; the
+    fraction directions up and down; the residual; and the rim sums, in
+    full from _truncate_core and as rounding reads them, truncated and by
+    the sign of their fraction.  On d = 1..5, margins 1 to 3, int8,
+    int16 and int32 phi at every magnitude, with and without a cover's
+    fixed edges."""
+    assume(side <= FACE_SIDE[d] and margin <= FACE_MARGIN.get(d, 3))
+    dtype = np.dtype("int%d" % bits)
+    s = min(s, bits - 2)                 # 1 << s fits phi's dtype
+    rng = np.random.default_rng(seed)
+    w = LatticeWindow(d=d, L=side + 2 * margin, margin=margin)
+    lim = (1 << int(rng.integers(0, bits))) - 1
+    shape = (len(directions(d)), w.n_vertices)
+    phi = EdgeField(w, s, rng.integers(-lim, lim + 1, size=shape, dtype=dtype))
+    fixed_mask = None
+    if fixed:
+        fixed_mask = (edge_mask(w, w.core_mask(), np.logical_and)
+                      & (rng.random(shape) < 0.3))
+        phi.values[fixed_mask] -= phi.values[fixed_mask] & ((1 << s) - 1)
+    f = rng.integers(-3, 4, size=w.shape)
+    out_vals, up, down, residual, agg = front_half(phi, f)
+    got_vals, amount, got_residual, caps, rim_caps = _front_of_rounding(
+        phi, f, fixed_mask)
+    assert got_vals.dtype == out_vals.dtype
+    assert np.array_equal(got_vals, out_vals)
+    assert np.array_equal(caps[0], up) and np.array_equal(caps[1], down)
+    assert np.array_equal(got_residual, residual)
+    agg_int = np.sign(agg) * (np.abs(agg) >> s)
+    frac = agg - (agg_int << s)
+    assert np.array_equal(amount, agg_int)
+    assert np.array_equal(rim_caps[0], frac > 0)
+    assert np.array_equal(rim_caps[1], frac < 0)
+    zero = np.zeros(shape, dtype=out_vals.dtype)
+    assert np.array_equal(integralize._truncate_core(phi, zero)[3], agg)
+    assert np.array_equal(zero, out_vals)

@@ -131,11 +131,14 @@ def test_nonzero_scans_read_a_mask():
 def test_narrow_fields_are_reviewed():
     """Edge fields are stored narrower than int64 only where a proven
     bound sets the width: narrow_int lives in flowgrid and is called by
-    truncated_psi, repair_to_frontier and round_edge_field alone."""
+    truncated_psi, repair_to_frontier and round_edge_field alone
+    (round_edge_field twice: at the truncation's bound, then once the
+    rim sums are known)."""
     assert defined({"narrow_int"}) == [("flowgrid.py", "narrow_int")]
     calls = callers("narrow_int")
     assert sorted(calls) == [("flowgrid.py", "truncated_psi"),
                              ("integralize.py", "repair_to_frontier"),
+                             ("integralize.py", "round_edge_field"),
                              ("integralize.py", "round_edge_field")], calls
 
 

@@ -18,6 +18,7 @@ from equidecomp.pipeline import (PipelineError, repair_to_frontier,
 from equidecomp.report import _json_default
 from equidecomp.shapes import parse_shape
 from oracle.edges import add_flow
+from oracle.frontier import router_table_csr
 
 
 def toy_setup(n0=1):
@@ -192,11 +193,13 @@ def test_repair_memory_on_the_descent(monkeypatch):
 
 def test_rounding_memory():
     """The demo's direct rounding (integralize_flow on its repaired int16
-    flow) stays below 14 MB of tracemalloc peak above its entry.  It
-    measured 12.5 MB: the int8 rounded flow (4.0 MB), the rounding
-    direction tables and the router's arc and capacity tables over the
-    core box.  With a dense head table over every row and column of the
-    router's arc table it measured 20.0 MB."""
+    flow) stays below 11.2 MB of tracemalloc peak above its entry.  It
+    measured 10.2 MB, in the router's CSR build: the int8 rounded flow
+    (4.0 MB), the rounding direction tables up and down (1.9 MB), the
+    router's running edge counts by tail and by head over the core box
+    (1.9 MB) and its arcs.  With the router's arc and capacity tables
+    over every row and signed direction it measured 12.5 MB, and with a
+    dense head table besides, 20.0 MB."""
     cfg = build_config(DEMO)
     flow = pipeline.build_flow(cfg.window(), cfg.action(), *cfg.shapes(),
                                n0=cfg.n0)
@@ -207,7 +210,36 @@ def test_rounding_memory():
     finally:
         tracemalloc.stop()
     assert out.values.dtype == np.int8
-    assert peak < 14e6, peak
+    assert peak < 11.2e6, peak
+
+
+@pytest.mark.demo
+def test_demo_rounding_graph_is_the_table_layout(monkeypatch):
+    """On the demo's own core box (d = 5, side 6), the CSR that rounding's
+    router hands the solver is byte for byte and dtype for dtype the one
+    read off the arc and capacity tables over every row and signed
+    direction (oracle.frontier.router_table_csr)."""
+    cfg = build_config(DEMO)
+    flow = pipeline.build_flow(cfg.window(), cfg.action(), *cfg.shapes(),
+                               n0=cfg.n0)
+    routes, graphs = [], []
+    route, graph = integralize._route_to_frontier, integralize.supply_graph
+
+    def route_spy(values, window, residual, caps, rim_caps, spill_cap):
+        routes.append((window, caps, rim_caps))
+        return route(values, window, residual, caps, rim_caps, spill_cap)
+
+    def graph_spy(indptr, indices, cap, supply):
+        graphs.append((indptr.copy(), indices.copy(), cap.copy()))
+        return graph(indptr, indices, cap, supply)
+
+    monkeypatch.setattr(integralize, "_route_to_frontier", route_spy)
+    monkeypatch.setattr(integralize, "supply_graph", graph_spy)
+    integralize.integralize_flow(flow.phi, flow.field.f)
+    (window, caps, rim_caps), = routes
+    assert window.core_bounds[1] - window.core_bounds[0] == 6
+    for got, want in zip(graphs[0], router_table_csr(window, caps, rim_caps)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_repair_validation():
