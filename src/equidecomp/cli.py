@@ -75,18 +75,12 @@ def cmd_discrepancy(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# The config writes "automatic" as eps = 0 and cover_i_max = -1, the
-# library as None; these two helpers are the only translation.
-
 def _flow_args(cfg: RunConfig) -> dict:
-    """build_flow's arguments (run_pipeline takes them too)."""
+    """build_flow's arguments (run_pipeline takes them too); the config
+    writes an automatic eps as 0, the library as None."""
     shape_a, shape_b = cfg.shapes()
     return dict(window=cfg.window(), action=cfg.action(), shape_a=shape_a,
                 shape_b=shape_b, n0=cfg.n0, eps=cfg.eps or None)
-
-
-def _cover_i_max(cfg: RunConfig) -> Optional[int]:
-    return None if cfg.cover_i_max < 0 else cfg.cover_i_max
 
 
 def cmd_flow(cfg: RunConfig) -> int:
@@ -105,8 +99,7 @@ def cmd_flow(cfg: RunConfig) -> int:
 def cmd_integralize(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     flow = build_flow(**_flow_args(cfg))
-    psi_int, info = integralize_flow(flow.phi, flow.field.f, mode=cfg.mode,
-                                     cover_i_max=_cover_i_max(cfg))
+    psi_int, info = integralize_flow(flow.phi, flow.field.f, mode=cfg.mode)
     dump_edge_field(os.path.join(out, "integral_flow.bin"), psi_int)
     write_json(os.path.join(out, "integralize.json"),
                {"config": cfg.to_dict(), **flow.summary, "integralize": info})
@@ -118,7 +111,6 @@ def cmd_integralize(cfg: RunConfig) -> int:
 def cmd_square(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     result = run_pipeline(**_flow_args(cfg), mode=cfg.mode,
-                          cover_i_max=_cover_i_max(cfg),
                           tiling_kind=cfg.tiling, K=cfg.K,
                           voronoi_r=cfg.voronoi_r)
     pieces = result.pieces

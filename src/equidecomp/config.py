@@ -24,7 +24,7 @@ class ConfigError(ValueError):
 # The largest raster side: the image is built in memory, 3 bytes a pixel.
 RASTER_MAX = 2048
 
-# boundary separation n of the cover that integralize_flow builds
+# boundary separation n of the cover that cover.walk_cover builds
 COVER_SEPARATION = 3
 
 
@@ -50,7 +50,6 @@ class RunConfig:
     shape_a: str = "intervals:0:1/4"
     shape_b: str = "intervals:1/2:3/4"
     mode: str = "direct"           # integralization mode
-    cover_i_max: int = -1          # -1 = auto
     tiling: str = "rect"
     K: int = 0                     # tile side; 0 = auto-select
     voronoi_r: int = 3             # net radius for tiling=voronoi
@@ -98,15 +97,10 @@ class RunConfig:
             raise ConfigError("x0 needs %d coordinates" % self.k)
         if self.mode not in ("direct", "cover"):
             raise ConfigError("mode must be direct or cover")
-        if self.cover_i_max < -1:
-            raise ConfigError("cover_i_max must be >= 0, or -1 for automatic")
-        if self.mode == "cover":
-            levels = max_cover_levels(self.window(), COVER_SEPARATION)
-            level = max(self.cover_i_max, 0)
-            if level > levels:
-                raise ConfigError(
-                    "mode = cover at level %d needs L >= %d (got L = %d)"
-                    % (level, COVER_SEPARATION * 12 ** (level + 1), self.L))
+        if (self.mode == "cover"
+                and max_cover_levels(self.window(), COVER_SEPARATION) < 0):
+            raise ConfigError("mode = cover at level 0 needs L >= %d "
+                              "(got L = %d)" % (12 * COVER_SEPARATION, self.L))
         if self.tiling not in ("rect", "voronoi"):
             raise ConfigError("tiling must be rect or voronoi")
         if self.tiling == "voronoi" and self.voronoi_r < 1:

@@ -1,227 +1,28 @@
 """Make a dyadic flow exact on the core, then integral, without moving
 any edge value by much.
 
-Two routes to an integral flow:
-
-* cover mode — the structured construction: build a cover with pairwise
-  disjoint 3-fold boundary neighborhoods, walk an Euler cycle of each
-  region's boundary 3-cycle graph subtracting fractional parts (this makes
-  the flow integral on every region boundary while touching only the
-  2-neighborhood), then round the remaining interior edges.  Per-edge
-  deviation at most 3^d.
-
-* direct mode — round everything in one shot (deviation < 1).  Cheaper and
-  tighter at window scale; kept as the default and as a cross-check.
-
-Both modes preserve the divergence exactly at every core vertex.
+Repair routes the truncated flow's core residual into the frontier ring.
+Rounding then truncates every free core edge toward zero and routes the
+leftover divergence by unit steps in the direction of each discarded
+fraction: per-edge deviation < 1 (direct mode, the default).  Cover mode
+first walks the region boundaries of a cover (cover.walk_cover), which
+makes those edges integral, then rounds the rest the same way:
+deviation <= 3^d.  Both modes preserve the divergence exactly at every
+core vertex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ._maxflow import solve_supply_graph, supply_graph
-from .config import COVER_SEPARATION, max_cover_levels
+from .cover import walk_cover
 from .flowgrid import EdgeField, narrow_int, residual_num
 from .lattice import (IndicatorField, LatticeWindow, _shift_slices,
-                      all_directions, directions, edge_slots, flat_shifts)
-from .tiling import (Region, ball_mask, boundary_disjoint_cover, boundary_n,
-                     fill_holes)
-
-
-def three_cycles_through(gamma: Sequence[int]) -> int:
-    """Number of lattice 3-cycles through an edge of direction gamma:
-    3^k 2^(d-k) - 2, k = number of zero coordinates (even since k < d)."""
-    g = [int(c) for c in gamma]
-    if not all(c in (-1, 0, 1) for c in g) or not any(g):
-        raise ValueError("gamma must be a nonzero {-1,0,1} vector")
-    k = sum(1 for c in g if c == 0)
-    d = len(g)
-    return 3 ** k * 2 ** (d - k) - 2
-
-
-@dataclass(frozen=True)
-class BoundaryCycleGraph:
-    """Vertices are the boundary edges of a region, as the rows
-    (inside, outside) of its boundary(F) array, in that order; two are
-    adjacent when a single lattice 3-cycle contains both."""
-
-    edges: np.ndarray              # (n, 2) int64 flat vertex pairs
-    adj: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.edges)
-
-
-def build_boundary_cycle_graph(F: Region) -> BoundaryCycleGraph:
-    """Boundary 3-cycle graph of a connected, hole-filled region whose
-    1-neighborhood stays inside the window.  A 3-cycle (a, b, w) through a
-    boundary edge (a, b) holds exactly one other boundary edge: (w, b) if
-    w is in F and (a, w) otherwise; each such partner is checked to be a
-    boundary edge.  Degrees are checked against the closed-form triangle
-    count (hence even) and connectivity is verified — together these
-    guarantee an Euler cycle exists."""
-    window = F.window
-    d = window.d
-    if d < 2:
-        raise ValueError("3-cycle graphs need d >= 2")
-    if F.size == 0:
-        raise ValueError("empty region")
-    if not F.is_connected():
-        raise ValueError("region must be connected")
-    vs = F.vertices()
-    if vs.min() < 1 or vs.max() > window.L - 2:
-        raise ValueError("region's 1-neighborhood leaves the window")
-    if fill_holes(F).size != F.size:
-        raise ValueError("region has holes")
-    edges = F.boundary()
-    a, b = edges[:, 0], edges[:, 1]
-    # k indexes all_directions(d): the positive half, then its negation
-    row, _, sign = edge_slots(window, a, b)
-    k = np.where(sign > 0, row, row + len(directions(d)))
-    steps = all_directions(d)
-    third = np.abs(steps[:, None, :] - steps[None, :, :]).max(axis=2) == 1
-    shifts = flat_shifts(window)
-    # every third vertex w = a + steps[t] is a neighbor of a, so in-window
-    ei, t = np.nonzero(third[k])
-    w = a[ei] + np.concatenate([shifts, -shifts])[t]
-    w_in = F.mask.ravel()[w]
-    nv = window.n_vertices
-    key = a * nv + b                       # ascending: edges are sorted
-    partner = np.where(w_in, w, a[ei]) * nv + np.where(w_in, b[ei], w)
-    ej = np.minimum(np.searchsorted(key, partner), len(key) - 1)
-    if not np.array_equal(key[ej], partner):
-        raise AssertionError("3-cycle partner is not a boundary edge")
-    pairs = np.unique(ei * len(edges) + ej)
-    ei, ej = np.divmod(pairs, len(edges))
-    degree = np.bincount(ei, minlength=len(edges))
-    want = np.array([three_cycles_through(g) for g in steps])[k]
-    if (degree != want).any():
-        i = int(np.argmax(degree != want))
-        raise AssertionError(
-            "boundary edge %d-%d has %d cycle neighbors, expected %d"
-            % (a[i], b[i], degree[i], want[i]))
-    adj = tuple(tuple(nb.tolist())
-                for nb in np.split(ej, np.cumsum(degree)[:-1]))
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != len(edges):
-        raise AssertionError("boundary cycle graph disconnected "
-                             "(%d of %d reached)" % (len(seen), len(edges)))
-    return BoundaryCycleGraph(edges=edges, adj=adj)
-
-
-@dataclass(frozen=True)
-class EulerWalk:
-    """Closed walk through the boundary cycle graph using each adjacency
-    exactly once; order[i], order[i+1] are consecutive boundary edges."""
-
-    graph: BoundaryCycleGraph
-    order: Tuple[int, ...]       # H-vertex ids, first == last
-
-
-def euler_cycle(H: BoundaryCycleGraph) -> EulerWalk:
-    """Deterministic Hierholzer traversal from the least vertex, always
-    taking the least unused neighbor."""
-    if H.n == 0:
-        raise ValueError("empty graph")
-    for i, nbrs in enumerate(H.adj):
-        if len(nbrs) % 2:
-            raise ValueError("vertex %d has odd degree %d" % (i, len(nbrs)))
-    eid: Dict[Tuple[int, int], int] = {}
-    for i, nbrs in enumerate(H.adj):
-        for j in nbrs:
-            if i < j:
-                eid[(i, j)] = len(eid)
-    used = bytearray(len(eid))
-    ptr = [0] * H.n
-    stack = [0]
-    circuit: List[int] = []
-    while stack:
-        v = stack[-1]
-        advanced = False
-        while ptr[v] < len(H.adj[v]):
-            w = H.adj[v][ptr[v]]
-            e = eid[(min(v, w), max(v, w))]
-            if used[e]:
-                ptr[v] += 1
-                continue
-            used[e] = 1
-            stack.append(w)
-            advanced = True
-            break
-        if not advanced:
-            circuit.append(stack.pop())
-    circuit.reverse()
-    if len(circuit) != len(eid) + 1 or circuit[0] != circuit[-1]:
-        raise AssertionError("walk is not an Euler cycle (disconnected graph?)")
-    return EulerWalk(graph=H, order=tuple(circuit))
-
-
-def adjust_on_region(phi: EdgeField, F: Region) -> EdgeField:
-    """Subtract fractional parts around the 3-cycles of an Euler walk of
-    F's boundary so that the flow becomes integral on every boundary edge.
-
-    Cycle additions are divergence-free, so the divergence is untouched
-    everywhere; only edges within the 2-neighborhood of the boundary
-    change, each by less than the walk's degree bound (3^d - 1).  The
-    boundary flows are read once, walked as Python ints and written back;
-    the closing edges, never boundary edges, are added in one pass.  The
-    returned flow is int64, since those changes, up to (3^d - 1) 2^s, can
-    pass the bound a narrow phi is stored at.
-    """
-    H = build_boundary_cycle_graph(F)
-    walk = euler_cycle(H)
-    out = phi.with_values(phi.values.astype(np.int64))
-    mod = 1 << out.scale_exp
-    ends = H.edges.tolist()
-    row, tail, sign = edge_slots(F.window, H.edges[:, 0], H.edges[:, 1])
-    flow = (sign * out.values[row, tail]).tolist()     # inside -> outside
-    if sum(flow) % mod:
-        raise AssertionError("net boundary flow is not an integer")
-    inside = F.mask.ravel()
-    close_from, close_to, close_by = [], [], []
-    seq = walk.order
-    for e, en in zip(seq, seq[1:]):
-        shared_set = set(ends[e]) & set(ends[en])
-        if len(shared_set) != 1:
-            raise AssertionError("consecutive walk edges share %d vertices"
-                                 % len(shared_set))
-        y = shared_set.pop()
-        # the walk runs x -> y -> z; s = 1 when that step is inside -> outside
-        s_e = 1 if ends[e][1] == y else -1
-        s_en = 1 if ends[en][0] == y else -1
-        x = ends[e][0] if s_e == 1 else ends[e][1]
-        z = ends[en][1] if s_en == 1 else ends[en][0]
-        if inside[x] != inside[z]:
-            raise AssertionError("triangle closure lies on the boundary")
-        alpha = (s_e * flow[e]) % mod
-        if alpha:
-            flow[e] -= s_e * alpha
-            flow[en] -= s_en * alpha
-            close_from.append(z)
-            close_to.append(x)
-            close_by.append(alpha)
-    if any(v % mod for v in flow):
-        raise AssertionError("boundary edge still fractional after walk")
-    out.values[row, tail] = sign * np.array(flow, dtype=np.int64)
-    row, tail, sign = edge_slots(F.window, close_from, close_to)
-    np.add.at(out.values, (row, tail),
-              -sign * np.array(close_by, dtype=np.int64))
-    if not np.array_equal(out.divergence_num(), phi.divergence_num()):
-        raise AssertionError("adjustment changed the divergence")
-    return out
+                      directions, edge_slots, flat_shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -775,50 +576,25 @@ def _max_dev_core(rounded: EdgeField, phi: EdgeField) -> float:
     return float(dev) / (1 << s)
 
 
-def integralize_flow(phi: EdgeField, f: np.ndarray, mode: str = "direct",
-                     cover_i_max: Optional[int] = None
+def integralize_flow(phi: EdgeField, f: np.ndarray, mode: str = "direct"
                      ) -> Tuple[EdgeField, dict]:
     """Turn an exact f-flow on the core of phi.crop.full into an integral
     one, on the same crop as phi; f is a grid of that full window.
 
     direct: one global rounding, per-edge deviation < 1.
-    cover:  boundary-walk adjustment on a disjoint-boundary cover, then
-            rounding of the remaining free edges; deviation <= 3^d.  The
-            cover is built on the full window and each region is then
-            moved into phi's crop, where the walks run.
+    cover:  boundary walks on a disjoint-boundary cover (cover.walk_cover),
+            then rounding of the remaining free edges; deviation <= 3^d.
 
     info["max_dev_core"] is the rounded flow's largest deviation from phi
     over the core edges, in either mode.
     """
-    crop = phi.crop
-    window = crop.full
-    f = crop.take(np.asarray(f))
     if mode == "direct":
-        out, info = round_edge_field(phi, f)
-        info["mode"] = "direct"
-        info["max_dev_core"] = _max_dev_core(out, phi)
-        return out, info
-    if mode != "cover":
+        walked, fixed, info = phi, None, {}
+    elif mode == "cover":
+        walked, fixed, info = walk_cover(phi)
+    else:
         raise ValueError("mode must be 'direct' or 'cover'")
-    if cover_i_max is None:
-        cover_i_max = max_cover_levels(window, COVER_SEPARATION)
-    if cover_i_max < 0:
-        raise ValueError("window side %d too small for any cover level"
-                         % window.L)
-    cover = boundary_disjoint_cover(window, COVER_SEPARATION, cover_i_max)
-    cur = phi
-    core = window.core_mask()
-    fixed = np.zeros(phi.values.shape, dtype=bool)
-    for F in cover.regions:
-        if (ball_mask(F.mask, 2) & ~core).any():
-            raise AssertionError("cover region's 2-neighborhood leaves the core")
-        F = Region(crop.window, crop.take(F.mask))
-        cur = adjust_on_region(cur, F)
-        fixed |= boundary_n(F, 1)
-    out, info = round_edge_field(cur, f, fixed_mask=fixed)
-    info["mode"] = "cover"
-    info["cover"] = cover.summary()
-    adj_dev = np.abs(cur.values - phi.values).max(initial=0)
-    info["max_adjust_dev"] = float(int(adj_dev)) / (1 << phi.scale_exp)
-    info["max_dev_core"] = _max_dev_core(out, phi)
+    out, rounded = round_edge_field(walked, phi.crop.take(np.asarray(f)),
+                                    fixed_mask=fixed)
+    info.update(rounded, mode=mode, max_dev_core=_max_dev_core(out, phi))
     return out, info

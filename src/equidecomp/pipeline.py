@@ -97,15 +97,14 @@ def build_flow(window: LatticeWindow, action: ActionSpec,
 
 def run_pipeline(window: LatticeWindow, action: ActionSpec,
                  shape_a: Shape, shape_b: Shape, n0: int,
-                 mode: str = "direct", cover_i_max: Optional[int] = None,
-                 tiling_kind: str = "rect", K: int = 0, voronoi_r: int = 3,
-                 eps: Optional[float] = None) -> PipelineResult:
+                 mode: str = "direct", tiling_kind: str = "rect", K: int = 0,
+                 voronoi_r: int = 3, eps: Optional[float] = None
+                 ) -> PipelineResult:
     """Run every stage on one window; see the module docstring."""
     flow = build_flow(window, action, shape_a, shape_b, n0, eps=eps)
     fld, env, phi, summary = flow.field, flow.envelope, flow.phi, flow.summary
 
-    psi_int, int_info = integralize_flow(phi, fld.f, mode=mode,
-                                         cover_i_max=cover_i_max)
+    psi_int, int_info = integralize_flow(phi, fld.f, mode=mode)
     summary["integralize"] = int_info
 
     rep_info = summary["repair"]

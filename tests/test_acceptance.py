@@ -19,13 +19,13 @@ from equidecomp.cli import EXIT_OK, main
 from equidecomp.config import build_config
 from equidecomp.flowgrid import (certify_box_envelope, phi_envelope,
                                  residual_num, truncated_psi, truncation_mask)
-from equidecomp.integralize import (build_boundary_cycle_graph, euler_cycle,
-                                    integralize_flow)
+from equidecomp.cover import (Region, boundary_disjoint_cover, boundary_n,
+                              build_boundary_cycle_graph, euler_cycle,
+                              fill_holes)
+from equidecomp.integralize import integralize_flow
 from equidecomp.lattice import LatticeWindow, directions, edge_mask, \
     fit_discrepancy_envelope
 from equidecomp.pipeline import run_pipeline
-from equidecomp.tiling import Region, boundary_disjoint_cover, boundary_n, \
-    fill_holes
 from oracle.dyadic import Dyadic
 from oracle.finiteflow import (FiniteGraph, FlowValues, capacity_fn,
                                f_flow_feasible, round_flow)
@@ -267,8 +267,8 @@ def _check_euler(F):
                 stack.append(j)
     assert len(seen) == H.n
     walk = euler_cycle(H)
-    assert walk.order[0] == walk.order[-1]
-    used = Counter(frozenset(p) for p in zip(walk.order, walk.order[1:]))
+    assert walk[0] == walk[-1]
+    used = Counter(frozenset(p) for p in zip(walk, walk[1:]))
     want = Counter(frozenset((i, j))
                    for i in range(H.n) for j in H.adj[i] if i < j)
     assert used == want

@@ -86,9 +86,9 @@ def test_coercion_failures_name_key():
     ({"L": "16", "margin": "4", "n0": "1", "K": "20"},
      "K = 20 exceeds the core side 8"),
     ({"mode": "cover"}, "needs L >= 36 (got L = 32)"),
-    ({"mode": "cover", "L": "128", "margin": "16", "cover_i_max": "1"},
-     "at level 1 needs L >= 432"),
-    ({"cover_i_max": "-2"}, "cover_i_max must be"),
+    ({"cover_i_max": "0"}, "unknown key 'cover_i_max'"),
+    ({"mode": "cover", "L": "35", "margin": "6"},
+     "needs L >= 36 (got L = 35)"),
     ({"ns": "2,4"}, "ns needs at least 3 distinct"),
     ({"ns": "0,2,4"}, "ns needs at least 3 distinct"),
     ({"eps": "nan"}, "eps must be finite"),
@@ -105,15 +105,14 @@ def test_validation_messages(pairs, fragment):
 
 
 def test_static_checks_accept_what_runs():
-    # a K as large as the core, any K for Voronoi tiles, and the widest
-    # cover level a window admits all pass validation
+    # a K as large as the core, any K for Voronoi tiles, and cover mode
+    # on the smallest window with a cover level all pass validation
     build_config({"L": "16", "margin": "4", "n0": "1", "K": "8"})
     build_config({"L": "16", "margin": "4", "n0": "1", "K": "20",
                   "tiling": "voronoi"})
     build_config({"d": "2", "L": "128", "margin": "16", "n0": "4",
                   "mode": "cover", "tiling": "voronoi", "voronoi_r": "6"})
-    build_config({"L": "36", "margin": "6", "mode": "cover",
-                  "cover_i_max": "0"})
+    build_config({"L": "36", "margin": "6", "mode": "cover"})
 
 
 def test_int64_headroom():

@@ -9,24 +9,26 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from equidecomp import integralize
 from equidecomp._maxflow import supply_graph
-from equidecomp.config import build_config
-from equidecomp.flowgrid import EdgeField
-from equidecomp.integralize import (
+from equidecomp.config import build_config, max_cover_levels
+from equidecomp.cover import (
     BoundaryCycleGraph,
+    Region,
     adjust_on_region,
     build_boundary_cycle_graph,
     euler_cycle,
+    three_cycles_through,
+)
+from equidecomp.flowgrid import EdgeField
+from equidecomp.integralize import (
     integralize_flow,
-    max_cover_levels,
     _rim_frontier_slots,
     round_edge_field,
     spill_to_frontier,
-    three_cycles_through,
 )
 from equidecomp.lattice import (LatticeWindow, directions, edge_mask,
                                 edge_slots, flat_shifts)
 from equidecomp.pipeline import build_flow
-from equidecomp.tiling import Region, ball_mask
+from equidecomp.tiling import ball_mask
 from oracle.arcs import edge_csr, solve_supply_flow
 from oracle.cyclegraph import boundary_cycle_graph
 from oracle.descent import descend
@@ -132,8 +134,7 @@ def test_boundary_cycle_graph_rejects_bad_regions():
 def test_euler_cycle_covers_each_adjacency_once():
     for F in hand_regions():
         H = build_boundary_cycle_graph(F)
-        walk = euler_cycle(H)
-        seq = walk.order
+        seq = euler_cycle(H)
         assert seq[0] == seq[-1] == 0
         used = set()
         for a, b in zip(seq, seq[1:]):
@@ -321,7 +322,7 @@ def test_cover_walks_widen_a_narrow_flow(monkeypatch):
     def spy(phi, F):
         walked.append(adjust_on_region(phi, F))
         return walked[-1]
-    monkeypatch.setattr(integralize, "adjust_on_region", spy)
+    monkeypatch.setattr("equidecomp.cover.adjust_on_region", spy)
     out, info = integralize_flow(narrow, f, mode="cover")
     assert max(np.abs(a.values).max() for a in walked) > 2 ** 15 - 1
     monkeypatch.setattr(integralize, "narrow_int", _as_int64)

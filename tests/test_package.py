@@ -225,14 +225,38 @@ def test_scipy_is_csgraph_at_module_level(tmp_path):
 
 
 def test_config_loads_no_scipy():
-    """The config module validates with arithmetic on the window alone:
-    importing it loads no scipy module, the cover level bound included."""
+    """The config module validates with arithmetic on the window alone,
+    the cover level bound included, and the tiles, the endgame, the
+    report and the verifier need only numpy: each of these modules,
+    imported alone, loads no scipy module."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, equidecomp.config; print(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]", out.stdout
+    for module in ("config", "tiling", "equidecompose", "report", "verify"):
+        code = ("import sys, equidecomp.%s; print(sorted(m for m in "
+                "sys.modules if m.split('.')[0] == 'scipy'))" % module)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]", (module, out.stdout)
+
+
+def test_one_cover_module():
+    """cover.py alone holds the regions, the cover and the boundary walks;
+    the one-caller ball wrapper and the EulerWalk record stay deleted, and
+    neither integralize nor tiling carries a cover name."""
+    from equidecomp import tiling
+    owned = {"_components", "Region", "boundary", "boundary_n",
+             "fill_holes", "enlarge", "Cover", "boundary_disjoint_cover",
+             "three_cycles_through", "BoundaryCycleGraph",
+             "build_boundary_cycle_graph", "euler_cycle", "adjust_on_region",
+             "walk_cover"}
+    hits = defined(owned)
+    assert {name for _, name in hits} == owned, hits
+    assert {path for path, _ in hits} == {"cover.py"}, hits
+    assert not defined({"ball", "EulerWalk"})
+    carried = [(mod.__name__, name) for mod, names in (
+        (integralize, ("max_cover_levels", "COVER_SEPARATION", "Region")),
+        (tiling, ("Region", "boundary_n", "fill_holes")))
+        for name in names if hasattr(mod, name)]
+    assert not carried, carried
 
 
 def test_each_input_passed_once():

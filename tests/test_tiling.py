@@ -1,5 +1,6 @@
-"""Region geometry: boundaries, hole filling, nets/balls, enlargement,
-covers, and core tilings, each checked against a small brute-force oracle."""
+"""Region geometry (cover): boundaries, hole filling, enlargement and
+covers; nets, balls and core tilings (tiling); each checked against a
+small brute-force oracle."""
 
 import itertools
 
@@ -8,21 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from equidecomp.cover import (Region, boundary, boundary_disjoint_cover,
+                              boundary_n, enlarge, fill_holes)
 from equidecomp.lattice import LatticeWindow, all_directions, directions
-from equidecomp.tiling import (
-    Net,
-    Region,
-    _axis_sides,
-    ball_mask,
-    boundary,
-    boundary_disjoint_cover,
-    boundary_n,
-    enlarge,
-    fill_holes,
-    greedy_net,
-    rect_tiling,
-    voronoi_tiling,
-)
+from equidecomp.tiling import (Net, _axis_sides, ball_mask, greedy_net,
+                               rect_tiling, voronoi_tiling)
 from oracle import morphology
 
 
