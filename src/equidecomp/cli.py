@@ -19,12 +19,12 @@ import os
 import sys
 from typing import List, Optional
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, PipelineError, RunConfig, load_config
 from .equidecompose import verify_equidecomposition
 from .flowgrid import dump_edge_field
 from .integralize import integralize_flow
 from .lattice import fit_discrepancy_envelope, sample_field
-from .pipeline import PipelineError, build_flow, run_pipeline
+from .pipeline import build_flow, run_pipeline
 from .report import (SchemaError, piece_raster, write_json, write_pieces_csv,
                      write_ppm)
 from .verify import Rejected, read_run, verify_inputs

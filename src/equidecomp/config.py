@@ -21,6 +21,16 @@ class ConfigError(ValueError):
     """Invalid or missing configuration value."""
 
 
+class PipelineError(RuntimeError):
+    """A stage failed; certificate holds the evidence when there is some."""
+
+    def __init__(self, stage: str, message: str,
+                 certificate: Optional[dict] = None):
+        super().__init__("%s: %s" % (stage, message))
+        self.stage = stage
+        self.certificate = certificate or {}
+
+
 # The largest raster side: the image is built in memory, 3 bytes a pixel.
 RASTER_MAX = 2048
 

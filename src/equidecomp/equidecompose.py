@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,10 +136,9 @@ class TileFlow:
 
     The tile pairs that carry flow are listed in both orientations, sorted
     by (src, dst); pair_val is the net flow from src to dst (antisymmetric,
-    never 0) and tile i owns rows row_ptr[i]:row_ptr[i + 1].  outflux[i]
-    leaves tile i for untiled in-window vertices.  A tile that holds no
-    vertex of the core's outer layer (every tile at margin 0) has no edge
-    to untiled space; it is interior and satisfies
+    never 0).  outflux[i] leaves tile i for untiled in-window vertices.
+    A tile that holds no vertex of the core's outer layer (every tile at
+    margin 0) has no edge to untiled space; it is interior and satisfies
     sum_S Psi(R,S) = |R cap A| - |R cap B|.
     """
 
@@ -147,7 +146,6 @@ class TileFlow:
     pair_src: np.ndarray       # (p,) int32 tile ids
     pair_dst: np.ndarray       # (p,) int32
     pair_val: np.ndarray       # (p,) int64
-    row_ptr: np.ndarray        # (n + 1,) int64
     count_a: np.ndarray        # (n,) int64
     count_b: np.ndarray
     outflux: np.ndarray        # (n,) int64
@@ -156,13 +154,6 @@ class TileFlow:
     @property
     def n(self) -> int:
         return len(self.tiling.tiles)
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.pair_dst[self.row_ptr[i]:self.row_ptr[i + 1]]
-
-    def transfers(self, i: int) -> np.ndarray:
-        """Psi(i, S) for S in neighbors(i), in the same order."""
-        return self.pair_val[self.row_ptr[i]:self.row_ptr[i + 1]]
 
     def _row_sums(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n, dtype=np.int64)
@@ -237,7 +228,6 @@ def _tile_flow(tiling: Tiling, edges, pts) -> TileFlow:
     interior[tiling.tile_id[layer]] = False
     tf = TileFlow(tiling=tiling, pair_src=pair_src,
                   pair_dst=(key % n).astype(np.int32), pair_val=pair_val,
-                  row_ptr=np.searchsorted(pair_src, np.arange(n + 1)),
                   count_a=count_a, count_b=count_b, outflux=outflux,
                   interior=interior)
     bad = ~tf.balanced
@@ -280,82 +270,88 @@ class Matching:
     info: dict
 
 
-def _tile_vertex_lists(tiling: Tiling, mask: np.ndarray) -> List[np.ndarray]:
-    """Per tile, the flat indices of masked vertices in ascending order
-    (flat order on a row-major grid is lexicographic coordinate order)."""
+def _tile_points(tiling: Tiling, chi: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """The tiled points of chi as a per-tile CSR: their flat indices sorted
+    by tile, ascending within each tile (flat order on a row-major grid is
+    lexicographic coordinate order), and the (n + 1,) tile offsets."""
     tid = tiling.tile_id.ravel()
-    sel = np.flatnonzero(mask.ravel() & (tid >= 0))
+    sel = np.flatnonzero(chi.ravel() & (tid >= 0))
     ids = tid[sel]
-    order = np.argsort(ids, kind="stable")
-    sel, ids = sel[order], ids[order]
-    cuts = np.searchsorted(ids, np.arange(len(tiling.tiles) + 1))
-    return [sel[cuts[i]:cuts[i + 1]] for i in range(len(tiling.tiles))]
+    count = np.bincount(ids, minlength=len(tiling.tiles))
+    return sel[np.argsort(ids, kind="stable")], np.append(0, np.cumsum(count))
+
+
+def _serve(tiles: np.ndarray, v: np.ndarray, ptr: np.ndarray
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """Serve the pairs in list order, each taking the next v of its tile's
+    points: (each pair's first index into the tile CSR with offsets ptr,
+    the count taken from each tile)."""
+    order = np.argsort(tiles, kind="stable")
+    t, w = tiles[order], v[order]
+    taken = np.bincount(t, weights=w, minlength=len(ptr) - 1).astype(np.int64)
+    start = np.empty_like(v)
+    start[order] = ptr[t] + np.cumsum(w) - w - (np.cumsum(taken) - taken)[t]
+    return start, taken
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The index ranges [starts[i], starts[i] + lens[i]), concatenated."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts + lens - ends, lens) + np.arange(lens.sum())
 
 
 def build_matching(tf: TileFlow, field: IndicatorField) -> Matching:
     """Serve each positive transfer Psi(R,S) with the next-least unused
     points of A in R and of B in S, then match leftovers within each tile.
 
-    The positive pairs are served in one pass in (R, S) order, so every
-    tile gives its A points to ascending neighbors and takes B points from
-    ascending sources, least points first on both sides.  Every feasible
-    tile takes part; infeasible tiles contribute unmatched points, and a
-    pair is served only when both tiles take part.  A used tile's leftover
+    The positive pairs are served in (R, S) order, so every tile gives its
+    A points to ascending neighbors and takes B points from ascending
+    sources, least points first on both sides.  Every feasible tile takes
+    part; infeasible tiles contribute unmatched points, and a pair is
+    served only when both tiles take part.  A used tile's leftover
     imbalance equals its flow leakage into untiled space plus its transfers
-    with unused neighbors; tf.neighbors lists only the neighbors that
-    carry flow, so when the tile has no outflux and all of those are used
-    the leftovers must pair off exactly — that balance is asserted, a
-    failure means an upstream flow bug.
+    with unused neighbors, so when the tile has no outflux and every tile
+    it carries flow with is used the leftovers must pair off exactly —
+    that balance is asserted, a failure means an upstream flow bug.  All
+    of it is index arithmetic over a per-tile CSR of the points.
     """
-    tiling = tf.tiling
-    if field.window != tiling.window:
+    if field.window != tf.tiling.window:
         raise ValueError("field window mismatch")
-    n = tf.n
     used = tf.feasible & tf.balanced
-    lists_a = _tile_vertex_lists(tiling, field.chi_a)
-    lists_b = _tile_vertex_lists(tiling, field.chi_b)
-    pos_a = [0] * n
-    pos_b = [0] * n
-    pa: List[np.ndarray] = [np.zeros(0, np.int64)]
-    pb: List[np.ndarray] = [np.zeros(0, np.int64)]
+    pts_a, ptr_a = _tile_points(tf.tiling, field.chi_a)
+    pts_b, ptr_b = _tile_points(tf.tiling, field.chi_b)
     serve = (tf.pair_val > 0) & used[tf.pair_src] & used[tf.pair_dst]
-    for t, s, v in zip(tf.pair_src[serve].tolist(), tf.pair_dst[serve].tolist(),
-                       tf.pair_val[serve].tolist()):
-        pa.append(lists_a[t][pos_a[t]:pos_a[t] + v])
-        pb.append(lists_b[s][pos_b[s]:pos_b[s] + v])
-        if len(pa[-1]) != v or len(pb[-1]) != v:
-            raise AssertionError("transfer overrun on tiles %d -> %d" % (t, s))
-        pos_a[t] += v
-        pos_b[s] += v
-    cross = int(tf.pair_val[serve].sum())
-    un_a: List[np.ndarray] = [np.zeros(0, np.int64)]
-    un_b: List[np.ndarray] = [np.zeros(0, np.int64)]
-    for t in range(n):
-        if not used[t]:
-            un_a.append(lists_a[t])
-            un_b.append(lists_b[t])
-            continue
-        ra = lists_a[t][pos_a[t]:]
-        rb = lists_b[t][pos_b[t]:]
-        if tf.outflux[t] == 0 and used[tf.neighbors(t)].all():
-            if len(ra) != len(rb):
-                raise AssertionError(
-                    "leftover imbalance %d vs %d in fully served tile %d"
-                    % (len(ra), len(rb), t))
-        m = min(len(ra), len(rb))
-        pa.append(ra[:m])
-        pb.append(rb[:m])
-        un_a.append(ra[m:])
-        un_b.append(rb[m:])
-    pair_a = np.concatenate(pa)
-    pair_b = np.concatenate(pb)
-    unmatched_a = np.sort(np.concatenate(un_a))
-    unmatched_b = np.sort(np.concatenate(un_b))
-    if len(np.unique(pair_a)) != len(pair_a):
+    src, dst, v = tf.pair_src[serve], tf.pair_dst[serve], tf.pair_val[serve]
+    start_a, sent = _serve(src, v, ptr_a)
+    start_b, taken = _serve(dst, v, ptr_b)
+    over = np.flatnonzero((start_a + v > ptr_a[src + 1])
+                          | (start_b + v > ptr_b[dst + 1]))
+    if len(over):
+        raise AssertionError("transfer overrun on tiles %d -> %d"
+                             % (src[over[0]], dst[over[0]]))
+    left_a = np.diff(ptr_a) - sent
+    left_b = np.diff(ptr_b) - taken
+    full = used & (tf.outflux == 0) & (np.bincount(
+        tf.pair_src, weights=~used[tf.pair_dst], minlength=tf.n) == 0)
+    bad = np.flatnonzero(full & (left_a != left_b))
+    if len(bad):
+        t = bad[0]
+        raise AssertionError(
+            "leftover imbalance %d vs %d in fully served tile %d"
+            % (left_a[t], left_b[t], t))
+    m = np.where(used, np.minimum(left_a, left_b), 0)
+    pair_a = pts_a[_ranges(np.concatenate([start_a, ptr_a[:-1] + sent]),
+                           np.concatenate([v, m]))]
+    pair_b = pts_b[_ranges(np.concatenate([start_b, ptr_b[:-1] + taken]),
+                           np.concatenate([v, m]))]
+    unmatched_a = np.sort(pts_a[_ranges(ptr_a[:-1] + sent + m, left_a - m)])
+    unmatched_b = np.sort(pts_b[_ranges(ptr_b[:-1] + taken + m, left_b - m)])
+    if (np.diff(np.sort(pair_a)) == 0).any():
         raise AssertionError("a source point was matched twice")
-    if len(np.unique(pair_b)) != len(pair_b):
+    if (np.diff(np.sort(pair_b)) == 0).any():
         raise AssertionError("a target point was matched twice")
-    info = {"used_tiles": int(used.sum()), "cross_matched": cross}
+    info = {"used_tiles": int(used.sum()), "cross_matched": int(v.sum())}
     return Matching(tileflow=tf, used=used, pair_a=pair_a, pair_b=pair_b,
                     unmatched_a=unmatched_a, unmatched_b=unmatched_b,
                     info=info)

@@ -44,10 +44,10 @@ class EdgeField:
     arrays are direction-major, so each direction's edges are one
     contiguous row.  lattice.edge_slots maps an ordered vertex pair to its
     slot, and edge sets are slot masks of this shape.  values may be of
-    any signed integer dtype: the truncated and the integral flow are
-    stored as narrow as their proven bounds allow (narrow_int), the
-    repaired flow as int64.  Code that shifts or reduces values upcasts
-    them first.
+    any signed integer dtype: the truncated, repaired and integral flows
+    are stored as narrow as their proven bounds allow (narrow_int; the
+    repaired phi as the wider of psi_t's dtype and narrow_int(max|psi_t|
+    + cap + 1)).  Code that shifts or reduces values upcasts them first.
 
     A field lives on `window`, which is crop.window: built from a Crop,
     the field covers only that sub-box of crop.full (the pipeline's

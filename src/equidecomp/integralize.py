@@ -19,6 +19,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ._maxflow import solve_supply_graph, supply_graph
+from .config import PipelineError
 from .cover import walk_cover
 from .flowgrid import EdgeField, narrow_int, residual_num
 from .lattice import (IndicatorField, LatticeWindow, _shift_slices,
@@ -28,16 +29,6 @@ from .lattice import (IndicatorField, LatticeWindow, _shift_slices,
 # ---------------------------------------------------------------------------
 # routing a core residual into the frontier ring: repair and rounding
 # ---------------------------------------------------------------------------
-
-class PipelineError(RuntimeError):
-    """A stage failed; certificate holds the evidence when there is some."""
-
-    def __init__(self, stage: str, message: str,
-                 certificate: Optional[dict] = None):
-        super().__init__("%s: %s" % (stage, message))
-        self.stage = stage
-        self.certificate = certificate or {}
-
 
 @lru_cache(maxsize=1)
 def _rim_frontier_slots(window: LatticeWindow) -> Tuple[np.ndarray, ...]:

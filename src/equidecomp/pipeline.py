@@ -15,13 +15,14 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from .config import PipelineError
 from .equidecompose import (Matching, PieceMap, TileFlow, build_matching,
                             extract_pieces, select_K, select_K_empirical,
                             tile_flow, verify_equidecomposition)
 from .flowgrid import (BoxEnvelope, EdgeField, certify_box_envelope,
                        integral_flow_bound, residual_num, tail_bound,
                        truncated_psi, truncation_error_bound)
-from .integralize import PipelineError, integralize_flow, repair_to_frontier
+from .integralize import integralize_flow, repair_to_frontier
 from .lattice import ActionSpec, IndicatorField, LatticeWindow, sample_field
 from .shapes import Shape
 from .tiling import Tiling, greedy_net, rect_tiling, voronoi_tiling

@@ -18,5 +18,7 @@ on scipy.ndimage, and `ppm` the plain PPM writer one pixel at a time.
 parent found by trying every signed direction, in Python ints.
 `frontier` is the dense rim slot table, the cumsum spill over it and
 the router's outer-table heads, as built before face classes.
+`matching` is the point matching one tile at a time: per-tile point
+lists, a loop over the served pairs and one over every tile.
 None of them is imported by the package.
 """

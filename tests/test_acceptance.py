@@ -384,7 +384,7 @@ def test_09_flagship_end_to_end(tmp_path, capsys):
                                 res.pieces.unmatched_b]):
         t = int(tid[int(flat)])
         if t >= 0 and not (unused[t] or not tf.interior[t]
-                           or unused[tf.neighbors(t)].any()):
+                           or unused[tf.pair_dst[tf.pair_src == t]].any()):
             stray += 1
     assert stray == 0
 

@@ -25,6 +25,7 @@ from equidecomp import equidecompose
 from equidecomp.pipeline import run_pipeline
 from equidecomp.tiling import Net, greedy_net, rect_tiling, voronoi_tiling
 from oracle.edges import add_flow, flow_num
+from oracle import matching as loop_matching
 from oracle.locality import unmatched_locality
 
 
@@ -140,8 +141,9 @@ def assert_pairs_match(tf, mat):
     assert np.array_equal(listed, mat != 0)
     assert np.array_equal(tf.pair_val, mat[tf.pair_src, tf.pair_dst])
     for i in range(n):
-        assert np.array_equal(tf.neighbors(i), np.flatnonzero(mat[i]))
-        assert np.array_equal(tf.transfers(i), mat[i, mat[i] != 0])
+        row = tf.pair_src == i
+        assert np.array_equal(tf.pair_dst[row], np.flatnonzero(mat[i]))
+        assert np.array_equal(tf.pair_val[row], mat[i, mat[i] != 0])
     assert np.array_equal(tf.net, mat.sum(axis=1))
     assert np.array_equal(tf.need_out, np.where(mat > 0, mat, 0).sum(axis=1))
     assert np.array_equal(tf.need_in, np.where(mat < 0, -mat, 0).sum(axis=1))
@@ -163,7 +165,8 @@ def test_tile_flow_hand_example():
     assert tf.balanced.all() and tf.feasible.all()
     assert np.array_equal(tf.net, tf.count_a - tf.count_b)
     assert not tf.interior.any()               # every tile borders the frontier
-    assert j in tf.neighbors(i) and i in tf.neighbors(j)
+    assert (i, j) in zip(tf.pair_src, tf.pair_dst)
+    assert (j, i) in zip(tf.pair_src, tf.pair_dst)
 
 
 def test_tile_flow_leakage_into_frontier():
@@ -339,6 +342,128 @@ def test_matching_serves_least_points_first():
     assert excluded > 0 and multi > 0, (excluded, multi)
 
 
+def built_or_message(build, tf, fld):
+    try:
+        return build(tf, fld)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def assert_matches_loop(tf, fld):
+    """build_matching against the tile-by-tile loop (oracle.matching):
+    the same used tiles, info and unmatched points, and the same matched
+    pairs as a set; or the same AssertionError message from both.
+    Returns that message, or None."""
+    got = built_or_message(build_matching, tf, fld)
+    want = built_or_message(loop_matching.build_matching, tf, fld)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return got
+    assert np.array_equal(got.used, want.used)
+    assert got.info == want.info
+    for name in ("unmatched_a", "unmatched_b"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("pair_a", "pair_b", "unmatched_a", "unmatched_b"):
+        assert getattr(got, name).dtype == np.int64, name
+    assert len(got.pair_a) == len(got.pair_b) == len(want.pair_a)
+    assert (sorted(zip(got.pair_a.tolist(), got.pair_b.tolist()))
+            == sorted(zip(want.pair_a.tolist(), want.pair_b.tolist())))
+    return None
+
+
+def loop_case(d, margin, core, n_pairs, scale, voronoi, seed):
+    """A path flow between random distinct vertices of the whole window
+    (so at margin > 0 some flow leaks into untiled space), and a rect
+    tiling of side scale or a Voronoi tiling of a greedy scale-net."""
+    w = LatticeWindow(d=d, L=core + 2 * margin, margin=margin)
+    rng = np.random.default_rng(seed)
+    n_pairs = min(n_pairs, w.n_vertices // 2)
+    picks = rng.choice(w.n_vertices, size=2 * n_pairs, replace=False)
+    ends = [tuple(int(c) for c in np.unravel_index(p, w.shape))
+            for p in picks]
+    psi, fld = path_flow(w, list(zip(ends[:n_pairs], ends[n_pairs:])))
+    if voronoi:
+        til = voronoi_tiling(w, greedy_net(w, scale, restrict=w.core_mask()))
+    else:
+        til = rect_tiling(w, min(scale, core))
+    return tile_flow(psi, til, fld), fld
+
+
+def forged(fld, chi_name, flat, value):
+    """fld with one vertex of chi_a or chi_b set to value."""
+    chi = {"chi_a": fld.chi_a, "chi_b": fld.chi_b}
+    chi[chi_name] = chi[chi_name].copy()
+    chi[chi_name].ravel()[flat] = value
+    return IndicatorField(window=fld.window, **chi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), margin=st.integers(0, 2), core=st.integers(2, 7),
+       n_pairs=st.integers(1, 10), scale=st.integers(1, 3),
+       voronoi=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       forge=st.sampled_from([None, "chi_a", "chi_b"]), pick=st.integers(0))
+def test_matching_equals_the_tile_loop(d, margin, core, n_pairs, scale,
+                                       voronoi, seed, forge, pick):
+    """The one-pass matching equals the tile loop it replaced, also on a
+    field that one flipped vertex makes disagree with the tile flow:
+    then both raise the same message or both return the same matching."""
+    core = min(core, 5) if d == 3 else core
+    tf, fld = loop_case(d, margin, core, n_pairs, scale, voronoi, seed)
+    assert_matches_loop(tf, fld)
+    if forge:
+        chi = getattr(fld, forge).ravel()
+        flat = pick % len(chi)
+        assert_matches_loop(tf, forged(fld, forge, flat, not chi[flat]))
+
+
+def test_matching_loop_cases_cover_the_edge_cases():
+    """Seeded cases of test_matching_equals_the_tile_loop reach what the
+    loop handled tile by tile: unused tiles (tile_flow raises on an
+    unbalanced one, so these are the infeasible ones), used tiles that
+    send to several tiles, tiles with no A or no B point, matched
+    leftovers and unmatched tails of used tiles."""
+    seen = dict.fromkeys(["unused", "no_a", "no_b", "multi", "leftover",
+                          "tail"], 0)
+    for seed in range(24):
+        d = 1 + seed % 3
+        tf, fld = loop_case(d, seed % 3, 6 if d < 3 else 4, 2 + seed % 9,
+                            1 + seed % 2, seed % 4 == 3, seed)
+        assert assert_matches_loop(tf, fld) is None
+        m = build_matching(tf, fld)
+        seen["unused"] += int((~m.used).sum())
+        seen["no_a"] += int((tf.count_a == 0).sum())
+        seen["no_b"] += int((tf.count_b == 0).sum())
+        served = ((tf.pair_val > 0) & m.used[tf.pair_src]
+                  & m.used[tf.pair_dst])
+        seen["multi"] += int((np.bincount(tf.pair_src[served],
+                                          minlength=tf.n) > 1).sum())
+        tid = tf.tiling.tile_id.ravel()
+        same = tid[m.pair_a] == tid[m.pair_b]
+        seen["leftover"] += int(same.sum())
+        un = tid[np.concatenate([m.unmatched_a, m.unmatched_b])]
+        seen["tail"] += int(m.used[un[un >= 0]].sum())
+    assert all(seen.values()), seen
+
+
+def test_forged_matching_inputs_fail_alike():
+    """A field with one A point fewer than the tile flow counted overruns
+    the transfer that needed it, and one extra A point in a tile with no
+    outflux and no unused neighbour unbalances its leftovers: both raise,
+    with the loop's messages."""
+    w = LatticeWindow(d=2, L=8, margin=2)
+    psi, fld = path_flow(w, [((2, 2), (2, 5))])
+    t = rect_tiling(w, 2)                      # 2x2 grid of 2x2 tiles
+    tf = tile_flow(psi, t, fld)
+    assert tf.pair_src.tolist() == [0, 1] and tf.pair_val.tolist() == [1, -1]
+    assert assert_matches_loop(tf, fld) is None
+    drop = np.ravel_multi_index((2, 2), w.shape)
+    assert (assert_matches_loop(tf, forged(fld, "chi_a", drop, False))
+            == "transfer overrun on tiles 0 -> 1")
+    extra = np.ravel_multi_index((5, 5), w.shape)
+    assert (assert_matches_loop(tf, forged(fld, "chi_a", extra, True))
+            == "leftover imbalance 1 vs 0 in fully served tile 3")
+
+
 def pieces_for(w, pairs, K):
     psi, fld = path_flow(w, pairs)
     tf = tile_flow(psi, rect_tiling(w, K), fld)
@@ -503,7 +628,7 @@ def test_select_k_empirical_clean_and_dirty():
     # the scan hands back the accepted K's own tiling and aggregation
     assert np.array_equal(tf.tiling.tile_id, rect_tiling(w, K).tile_id)
     again = tile_flow(psi, rect_tiling(w, K), fld)
-    for name in ("pair_src", "pair_dst", "pair_val", "row_ptr", "outflux"):
+    for name in ("pair_src", "pair_dst", "pair_val", "outflux"):
         assert np.array_equal(getattr(tf, name), getattr(again, name)), name
 
     # one long path: middle tiles carry transfers but own no points
@@ -527,12 +652,9 @@ def test_tile_adjacency_grid():
     for psi, fld in (zero, path_flow(w, [((5, 5), (5, 6)),
                                          ((4, 6), (4, 5))])):
         tf = tile_flow(psi, t, fld)
-        assert len(tf.pair_src) == len(tf.pair_val) == 0
-        assert tf.row_ptr.tolist() == [0] * 5
+        assert len(tf.pair_src) == len(tf.pair_dst) == len(tf.pair_val) == 0
         assert not tf.interior.any()              # all touch untiled space
         assert tf.balanced.all()
-        for i in range(4):
-            assert tf.neighbors(i).tolist() == []
     assert tf.count_a.tolist() == tf.count_b.tolist() == [1, 1, 0, 0]
 
 
@@ -542,9 +664,9 @@ def test_single_tile_has_no_pairs():
     w = LatticeWindow(d=2, L=14, margin=2)
     psi, fld = path_flow(w, [((3, 3), (9, 10))])
     tf = tile_flow(psi, rect_tiling(w, 10), fld)
-    assert tf.n == 1 and len(tf.pair_src) == len(tf.pair_val) == 0
-    assert tf.row_ptr.tolist() == [0, 0]
-    assert tf.neighbors(0).tolist() == [] and tf.net.tolist() == [0]
+    assert tf.n == 1
+    assert len(tf.pair_src) == len(tf.pair_dst) == len(tf.pair_val) == 0
+    assert tf.net.tolist() == [0]
     assert tf.balanced.all() and not tf.interior.any()
 
 
@@ -586,8 +708,8 @@ def assert_scan_matches_tile_flow(w, psi, fld):
         if not t.improper:
             assert bad == int((~tile_flow(psi, t, fld).feasible).sum())
     again = tile_flow(psi, rect_tiling(w, K), fld)
-    for name in ("pair_src", "pair_dst", "pair_val", "row_ptr", "count_a",
-                 "count_b", "outflux", "interior"):
+    for name in ("pair_src", "pair_dst", "pair_val", "count_a", "count_b",
+                 "outflux", "interior"):
         assert np.array_equal(getattr(tf, name), getattr(again, name)), name
     assert diag["scanned"][K] == int((~tf.feasible).sum())
 
@@ -670,8 +792,8 @@ def test_scan_aggregates_once(monkeypatch):
         assert built == [k for k, v in diag["scanned"].items()
                          if v is not None]
         again = real(psi, tf.tiling, fld)
-        for name in ("pair_src", "pair_dst", "pair_val", "row_ptr",
-                     "count_a", "count_b", "outflux", "interior"):
+        for name in ("pair_src", "pair_dst", "pair_val", "count_a",
+                     "count_b", "outflux", "interior"):
             assert np.array_equal(getattr(tf, name), getattr(again, name)), \
                 name
     assert len(diag["scanned"]) > 1 and not diag["clean"]

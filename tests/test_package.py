@@ -179,6 +179,26 @@ def test_one_tile_flow_builder():
     assert "edges" not in inspect.signature(tile_flow).parameters
 
 
+def test_one_matching_pass():
+    """build_matching serves every transfer and leftover in one pass over
+    a per-tile point CSR: the per-tile vertex lists (kept as
+    tests/oracle/matching.py), the tile flow's row index and its row
+    accessors stay deleted, and build_matching holds no loop and no
+    np.unique, which hashes integer arrays far slower than a sort."""
+    from equidecomp.equidecompose import TileFlow, build_matching
+    gone = defined({"_tile_vertex_lists", "neighbors", "transfers"})
+    assert not gone, gone
+    assert "row_ptr" not in TileFlow.__dataclass_fields__
+    tree = ast.parse(inspect.getsource(build_matching))
+    loops = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert not loops, loops
+    uniques = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "unique"]
+    assert not uniques, uniques
+
+
 def _scipy_loaded(code):
     """The scipy.ndimage and scipy.special modules loaded by a fresh
     process that runs code, with `main` (the CLI) imported."""
@@ -228,7 +248,9 @@ def test_config_loads_no_scipy():
     """The config module validates with arithmetic on the window alone,
     the cover level bound included, and the tiles, the endgame, the
     report and the verifier need only numpy: each of these modules,
-    imported alone, loads no scipy module."""
+    imported alone, loads no scipy module.  PipelineError lives in config
+    beside ConfigError, so its importers need no solver module for it."""
+    assert defined({"PipelineError"}) == [("config.py", "PipelineError")]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for module in ("config", "tiling", "equidecompose", "report", "verify"):
         code = ("import sys, equidecomp.%s; print(sorted(m for m in "
