@@ -356,8 +356,8 @@ def build_boundary_cycle_graph(F: Region) -> BoundaryCycleGraph:
     if not np.array_equal(key[ej], partner):
         raise AssertionError("3-cycle partner is not a boundary edge")
     n = len(edges)
-    pairs = np.unique(ei * n + ej)
-    ei, ej = np.divmod(pairs, n)
+    pairs = np.sort(ei * n + ej)
+    ei, ej = np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], n)
     degree = np.bincount(ei, minlength=n)
     want = np.array([three_cycles_through(g) for g in steps])[k]
     if (degree != want).any():

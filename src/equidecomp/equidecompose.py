@@ -421,9 +421,12 @@ def extract_pieces(matching: Matching) -> PieceMap:
         raise AssertionError(
             "assignment %r -> %r moves by %r, past the 2K+3 = %d bound"
             % (tuple(ca[i]), tuple(cb[i]), tuple(gamma[i]), 2 * K + 3))
-    gammas, piece_id = np.unique(gamma, axis=0, return_inverse=True)
-    piece_id = piece_id.reshape(-1).astype(np.int32)
-    if len(gammas) > (4 * K + 7) ** d:
+    # piece ids: lexsorted ranks; the prepended row is past the bound
+    by = np.lexsort(gamma.T[::-1])
+    piece_id = np.empty(len(by), dtype=np.int32)
+    piece_id[by] = np.cumsum((np.diff(gamma[by], axis=0, prepend=2 * K + 4)
+                              != 0).any(axis=1)) - 1
+    if piece_id.max(initial=-1) >= (4 * K + 7) ** d:
         raise AssertionError("piece count exceeds (4K+7)^d")
     return PieceMap(a_flat=a_flat, gamma=gamma, piece_id=piece_id,
                     unmatched_a=matching.unmatched_a.copy(),
@@ -466,16 +469,18 @@ def verify_equidecomposition(pieces: PieceMap, field: IndicatorField) -> dict:
     bf = np.ravel_multi_index(tuple(np.clip(cb, 0, L - 1).T), window.shape)
     in_b = in_win & field.chi_b.ravel()[bf]
     put("targets_in_b", bool(in_b.all()), violations=int((~in_b).sum()))
-    put("targets_unique", len(np.unique(bf)) == m)
+    put("targets_unique", bool((np.diff(np.sort(bf)) > 0).all()))
 
     max_norm = int(np.abs(gamma).max(initial=0))
     put("gamma_bound", max_norm < pieces.bound,
         max_norm=max_norm, bound=pieces.bound)
 
-    gammas, regroup = np.unique(gamma, axis=0, return_inverse=True)
-    put("piece_grouping",
-        len(gammas) <= (4 * pieces.K + 7) ** d
-        and np.array_equal(regroup.reshape(-1), pieces.piece_id))
+    # lexicographic ranks: from 0, up by 1 exactly where sorted rows change
+    rank = np.lexsort(gamma.T[::-1])
+    step = (np.diff(gamma[rank], axis=0) != 0).any(axis=1)
+    ids = pieces.piece_id[rank]
+    put("piece_grouping", int(step.sum()) < (4 * pieces.K + 7) ** d
+        and (m == 0 or ids[0] == 0) and np.array_equal(np.diff(ids), step))
 
     tid = pieces.tiling.tile_id.ravel()
     tiled = tid >= 0
@@ -505,9 +510,9 @@ def verify_equidecomposition(pieces: PieceMap, field: IndicatorField) -> dict:
         moved[:-1] |= opened[1:]
     allowed = ~pieces.used
     allowed[box[near & (box >= 0)]] = True
-    un_tiles = np.unique(
-        tid[np.concatenate([pieces.unmatched_a, pieces.unmatched_b])])
-    bad_tiles = [int(t) for t in un_tiles if t < 0 or not allowed[t]]
+    un_tiles = tid[np.concatenate([pieces.unmatched_a, pieces.unmatched_b])]
+    bad = np.sort(un_tiles[(un_tiles < 0) | ~allowed[un_tiles]])
+    bad_tiles = bad[np.diff(bad, prepend=-2) > 0].tolist()
     put("unmatched_locality", not bad_tiles, bad_tiles=bad_tiles)
 
     total = len(all_a) + len(all_b)

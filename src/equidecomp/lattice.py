@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,24 +23,17 @@ from .shapes import Shape, measures_match
 MOD_TOL = 1e-12
 MEASURE_TOL = 1e-9      # largest |lambda(A) - lambda(B)| sample_field accepts
 FREENESS_TOL = 1e-9     # smallest orbit separation sample_field accepts
-SCAN_BLOCK = 2 ** 17    # offsets the freeness scan forms at once, at least
-                        # one delta_0 slab
+SCAN_BLOCK = 2 ** 17    # most offsets the freeness scan forms at once
 SCAN_MAX = 2 ** 28      # largest half box sample_field scans
 
 
 @lru_cache(maxsize=None)
 def directions(d: int) -> np.ndarray:
     """Canonical edge directions: the lexicographically positive half of
-    {-1,0,1}^d minus the origin, sorted lexicographically."""
-    full = np.array(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"))
-    full = full.reshape(d, -1).T
-    keep = []
-    for g in full:
-        nz = np.nonzero(g)[0]
-        if nz.size and g[nz[0]] > 0:
-            keep.append(tuple(int(v) for v in g))
-    keep.sort()
-    return np.array(keep, dtype=np.int64)
+    {-1,0,1}^d minus the origin, sorted lexicographically.  That is the
+    half after the origin of {-1,0,1}^d listed in C order."""
+    full = np.indices((3,) * d, dtype=np.int64).reshape(d, -1).T - 1
+    return np.ascontiguousarray(full[len(full) // 2 + 1:])
 
 
 def _shift_slices(L: int, gamma) -> Tuple[tuple, tuple]:
@@ -192,69 +185,71 @@ def scan_size(window: LatticeWindow) -> int:
     return window.L * (2 * window.L - 1) ** (window.d - 1)
 
 
-def _coord_dist(axes: Sequence[np.ndarray], col: np.ndarray,
-                out: np.ndarray, near: np.ndarray) -> np.ndarray:
-    """|t - rint(t)| over the box of the given axes, written into out (and
-    returned), with t = sum_i delta_i col_i summed from 0 in axis order as
-    outer sums; near is scratch of out's shape."""
-    part = np.zeros(())
-    for ax, g in zip(axes[:-1], col[:-1]):
-        part = np.add.outer(part, ax * g)
-    np.add.outer(part, axes[-1] * col[-1], out=out)
-    np.rint(out, out=near)
-    np.subtract(out, near, out=out)
-    return np.abs(out, out=out)
-
-
 def min_orbit_separation(action: ActionSpec, extent: int) -> Tuple[float, Tuple[int, ...]]:
     """Minimum l-infinity torus distance between distinct orbit points over a
     window of the given extent.  delta and -delta give the same distance,
     so only the half box [0, extent) x [-(extent-1), extent-1]^(d-1) of the
-    difference set is scanned, in blocks of whole delta_0 slabs of about
-    SCAN_BLOCK offsets.  With t = sum_i delta_i u_ic summed from 0 in axis
-    order, a coordinate's distance |t - rint(t)| is the exact distance of
-    the float t to the nearest integer.  Coordinate 0 is formed on every
-    block; the others on the first block, and after that only where
-    coordinate 0 is below the least distance found so far, since no other
-    offset can beat it.  Returns (distance, witness delta): the first
-    minimiser in C order of the half box."""
+    difference set is scanned.  With t = sum_i delta_i u_ic summed from 0
+    in axis order, a coordinate's distance |t - rint(t)| is the exact
+    distance of the float t to the nearest integer.  Only offsets whose
+    coordinate 0 could beat the least distance found so far are formed,
+    by meet in the middle (Horowitz and Sahni 1974): head rows query
+    coordinate 0's tail sums, sorted mod 1, for that distance plus eps, a
+    bound on the float error of the reassociated sum.  Returns (distance,
+    witness delta): the first minimiser in C order of the half box."""
     d, u = action.d, action.u
     axes = [np.arange(extent, dtype=np.float64)] \
         + [np.arange(1 - extent, extent, dtype=np.float64)] * (d - 1)
-    slab = (2 * extent - 1) ** (d - 1)
-    step = max(1, SCAN_BLOCK // slab)
-    # three arrays, not one of thrice the size: glibc raises its mmap
-    # threshold to the largest block freed, and the heap grows with it
-    bufs = [np.empty(min(step, extent) * slab) for _ in range(3)]
-    best, witness = np.inf, (0,) * d
-    for lo in range(0, extent, step):
-        block = [axes[0][lo:lo + step]] + axes[1:]
-        shape = tuple(len(ax) for ax in block)
-        dist, t, near = (b[:math.prod(shape)].reshape(shape) for b in bufs)
-        _coord_dist(block, u[:, 0], dist, near)
-        dist = dist.ravel()
-        if lo == 0:     # every offset, but the origin delta = 0
-            dist[np.ravel_multi_index((0,) + (extent - 1,) * (d - 1),
-                                      shape)] = np.inf
-            cand = np.arange(dist.size)
-            for c in range(1, action.k):
-                np.maximum(dist, _coord_dist(block, u[:, c], t, near).ravel(),
-                           out=dist)
+    sizes = [len(ax) for ax in axes]
+    # tail box: the trailing axes, at most SCAN_BLOCK offsets, nearest sqrt
+    h = min((h for h in range(1, d + 1) if math.prod(sizes[h:]) <= SCAN_BLOCK),
+            key=lambda h: abs(math.log(math.prod(sizes[h:]) ** 2
+                                       / math.prod(sizes))))
+    n_head, n_tail = math.prod(sizes[:h]), math.prod(sizes[h:])
+    # per coordinate, t at each head row in C order
+    heads = [reduce(np.add.outer, [ax * g for ax, g in zip(axes[:h], col)],
+                    np.zeros(())).ravel() for col in u.T]
+    # per coordinate and tail axis, delta_i u_ic at each tail offset; ring
+    # is coordinate 0's tail sums mod 1, s, sorted, as s - 1, s and s + 1
+    picks = np.indices(sizes[h:]).reshape(d - h, n_tail)
+    terms = [[(ax * g)[j] for ax, g, j in zip(axes[h:], col[h:], picks)]
+             for col in u.T]
+    s = np.mod(sum(terms[0], np.zeros(n_tail)), 1.0)
+    order = np.argsort(s)
+    ring = (s[order] + np.arange(-1.0, 2.0)[:, None]).ravel()
+    eps = 2.0 ** -40 * (1.0 + (extent - 1) * float(np.abs(u[:, 0]).sum()))
+    # the origin is the centre of head row block delta_0 = 0 and of the tail
+    o_row, o_tail = (n_head // extent - 1) // 2, (n_tail - 1) // 2
+    # one row taken whole sets best, then chunks of at most SCAN_BLOCK
+    cuts = [0, *range(1, n_head, max(1, SCAN_BLOCK // n_tail)), n_head]
+    best, first = np.inf, 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        r = best + eps
+        if r >= 0.25:   # half the circle or more: whole rows
+            start, count = np.full((2, hi - lo), n_tail)
         else:
-            cand = np.flatnonzero(dist < best)
-            dist = dist[cand]
-            idx = np.unravel_index(cand, shape)
-            for c in range(1, action.k):
-                tc = np.zeros(cand.size)
-                for ax, j, g in zip(block, idx, u[:, c]):
-                    tc += ax[j] * g
-                np.maximum(dist, np.abs(tc - np.rint(tc)), out=dist)
-        if dist.size and dist.min() < best:
-            j = int(np.argmin(dist))
-            best = float(dist[j])
-            at = np.unravel_index(int(cand[j]), shape)
-            witness = tuple(int(ax[i]) for ax, i in zip(block, at))
-    return best, witness
+            frac = np.mod(heads[0][lo:hi], 1.0)
+            start = np.searchsorted(ring, 1.0 - frac - r, "left")
+            count = np.searchsorted(ring, 1.0 - frac + r, "right") - start
+        # the candidates: head row, and tail offset through its ring place
+        row = np.repeat(np.arange(lo, hi), count)
+        q = np.arange(len(row))
+        q += np.repeat(start - np.cumsum(count) + count, count)
+        q = np.take(order, q, mode="wrap")      # ring place mod n_tail
+        dist = np.zeros(len(row))
+        for hc, tc in zip(heads, terms):
+            t = hc[row]
+            for term in tc:
+                t += term[q]
+            t -= np.rint(t)
+            np.maximum(dist, np.abs(t, out=t), out=dist)
+        if lo <= o_row < hi:
+            dist[(row == o_row) & (q == o_tail)] = np.inf
+        if len(dist) and dist.min() < best:
+            best = float(dist.min())
+            first = int((row * n_tail + q)[dist == best].min())
+    return best, tuple(int(ax[i]) for ax, i in
+                       zip(axes, np.unravel_index(first, sizes)))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ level by level on full-window grids, as the package summed it before
 forming only the kept slots.  `edges` reads and writes one edge flow by
 vertex coordinates, and `cyclegraph` builds the boundary 3-cycle graph
 from shared vertices.  `freeness` is the full-box orbit separation
-scan, within 2^-52 of the exact distance, and `gridpoints` the orbit
-grid summed with the torus coordinate last and reduced by np.mod.
+scan, within 2^-52 of the exact distance, and the blocked half-box scan
+that formed coordinate 0 at every offset, equal to the package's scan
+bit for bit; `gridpoints` is the orbit grid summed with the torus
+coordinate last and reduced by np.mod.
 `locality` is the verifier's unmatched-locality check one edge
 direction at a time, `piecescsv` the piece CSV read one row at a time,
 and `arcs` the supply-flow solver's CSR laid out by np.lexsort.

@@ -298,17 +298,95 @@ def test_min_orbit_separation_property(k, d, extent, data):
         assert (sep == 0.0) == (not free)
 
 
-def test_min_orbit_separation_memory():
-    """The demo-sized scan (a half box of 1.3M offsets, 10 MiB as one
-    float64 array) holds three float64 buffers of one block of about
-    2^17 offsets (4.2 MiB traced in all), and no (..., k) temporary."""
-    act = ActionSpec.from_seed(2, 5, seed=7)
+# generator entries for the equality checks: eighths (exact sums, often
+# not free), tenths (inexact, with many sums an ulp or two from an
+# integer), zeros, negatives, and entries far outside [0, 1), whose sums
+# widen the query's float margin
+_tenths = st.integers(min_value=-9, max_value=9).map(lambda j: j / 10)
+_wide_entry = st.one_of(_eighths, _tenths, st.just(0.0),
+                        st.floats(min_value=-1.0, max_value=1.0),
+                        st.floats(min_value=-1e6, max_value=1e6))
+_EXTENT_MAX = {1: 60, 2: 16, 3: 7, 4: 5, 5: 4}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=5), st.data())
+def test_min_orbit_separation_equals_blocked_scan(k, d, data):
+    """The sorted query returns the blocked scan's (distance, witness)
+    tuple (oracle.freeness): the same float and the same first minimiser
+    in C order, whatever SCAN_BLOCK is, with coordinate 0's column zero
+    or not."""
+    extent = data.draw(st.integers(min_value=2, max_value=_EXTENT_MAX[d]))
+    u = np.array(data.draw(st.lists(_wide_entry, min_size=d * k,
+                                    max_size=d * k))).reshape(d, k)
+    if data.draw(st.booleans()):
+        u[:, 0] = 0.0
+    act = ActionSpec(k=k, d=d, u=u, x0=[0.0] * k)
+    block = data.draw(st.sampled_from([1, 5, 2 ** 17]))
+    with mock.patch.object(lattice, "SCAN_BLOCK", block):
+        got = min_orbit_separation(act, extent)
+    assert got == freeness.blocked_min_orbit_separation(act, extent)
+
+
+@pytest.mark.parametrize("k,d,extent,seed", [
+    (2, 5, 10, 7), (2, 5, 10, 11), (1, 3, 32, 7), (1, 3, 32, 11),
+    (2, 5, 20, 7)])
+def test_min_orbit_separation_equals_blocked_scan_seeded(k, d, extent, seed):
+    """The demo (k=2, d=5, L=10), the flagship (k=1, d=3, L=32) and
+    k=2, d=5, L=20, at the benchmark's two action seeds: the blocked
+    scan's tuple to the bit."""
+    act = ActionSpec.from_seed(k, d, seed)
+    assert min_orbit_separation(act, extent) \
+        == freeness.blocked_min_orbit_separation(act, extent)
+
+
+@pytest.mark.parametrize("k,u,extent", [
+    (1, [0.4, -0.3, -0.5, -0.9, -0.1], 3),
+    (1, [0.7, -0.1, -0.3, -0.2], 2),
+    (3, [0.5, -0.8, -0.5, 0.0, -0.7, -0.2, -0.9, 0.8, -0.2], 5),
+    (3, [-0.4, 0.9, 0.7, 0.4, 0.9, -0.8, 0.1, 0.8, -0.1, -0.6, -0.2, -0.3],
+     4)])
+def test_min_orbit_separation_tenths(k, u, extent):
+    """Tenths whose sums land within an ulp or two of an integer, where
+    the query's reassociated sum and the scan's sum round apart: without
+    the float margin eps, the query drops the blocked scan's minimiser
+    (or its first tie)."""
+    act = ActionSpec(k=k, d=len(u) // k, u=u, x0=[0.0] * k)
+    assert min_orbit_separation(act, extent) \
+        == freeness.blocked_min_orbit_separation(act, extent)
+
+
+def _traced_peak(fn):
+    """(fn(), tracemalloc peak of the call in bytes)."""
     tracemalloc.start()
     try:
-        min_orbit_separation(act, 10)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_min_orbit_separation_memory():
+    """The demo-sized scan (a half box of 1.3M offsets, 10 MiB as one
+    float64 array) forms one head row whole and then only its candidates:
+    0.12 MiB traced, the head sums, the sorted tail and the candidates of
+    one chunk, and no (..., k) temporary."""
+    act = ActionSpec.from_seed(2, 5, seed=7)
+    _, peak = _traced_peak(lambda: min_orbit_separation(act, 10))
+    assert peak <= 2 ** 19
+
+
+def test_min_orbit_separation_zero_column():
+    """With coordinate 0's column zero, every offset of the demo-sized
+    half box is a candidate: the scan still returns the blocked scan's
+    tuple, and forms one chunk of at most SCAN_BLOCK candidates at a time
+    (5.2 MiB traced, within the 8 MiB the blocked scan was held to)."""
+    u = ActionSpec.from_seed(2, 5, seed=7).u.copy()
+    u[:, 0] = 0.0
+    act = ActionSpec(k=2, d=5, u=u, x0=[0.0, 0.0])
+    got, peak = _traced_peak(lambda: min_orbit_separation(act, 10))
+    assert got == freeness.blocked_min_orbit_separation(act, 10)
     assert peak <= 8 * 2 ** 20
 
 
